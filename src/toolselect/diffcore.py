@@ -6,6 +6,8 @@ broadcasting beyond row-vector bias addition -- every other shape must
 match exactly, which keeps shape bugs loud.
 """
 
+import itertools
+
 import numpy as np
 
 from . import kernels
@@ -126,14 +128,30 @@ def matmul(a, b):
     return _make(a.data @ b.data, (a, b), back)
 
 
+def bmm(a, b):
+    """Batched matrix product of 3-D tensors: (G, n, k) @ (G, k, m) -> (G, n, m)."""
+    if a.data.ndim != 3 or b.data.ndim != 3:
+        raise ShapeMismatchError(
+            f"bmm: expected 3-D operands, got {a.data.shape} and {b.data.shape}")
+    if a.data.shape[0] != b.data.shape[0] or a.data.shape[2] != b.data.shape[1]:
+        raise ShapeMismatchError(
+            f"bmm: batch or inner dimensions disagree: {a.data.shape} vs {b.data.shape}")
+
+    def back(g):
+        if a.requires_grad:
+            a.accumulate(g @ b.data.transpose(0, 2, 1))
+        if b.requires_grad:
+            b.accumulate(a.data.transpose(0, 2, 1) @ g)
+    return _make(a.data @ b.data, (a, b), back)
+
+
 def concat_cols(parts):
     """Column-wise concatenation of 2-D tensors with equal row counts."""
     rows = parts[0].data.shape[0]
     for p in parts:
         if p.data.ndim != 2 or p.data.shape[0] != rows:
             raise ShapeMismatchError("concat_cols: operands must be 2-D with equal row counts")
-    widths = [p.data.shape[1] for p in parts]
-    offsets = np.cumsum([0] + widths)
+    offsets = list(itertools.accumulate([p.data.shape[1] for p in parts], initial=0))
 
     def back(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
@@ -143,9 +161,8 @@ def concat_cols(parts):
 
 
 def stack_rows(parts):
-    """Stack 1-row tensors (or concatenate 2-D blocks) along axis 0."""
-    counts = [p.data.shape[0] for p in parts]
-    offsets = np.cumsum([0] + counts)
+    """Concatenate tensors along axis 0 (1-row blocks, 2-D blocks or 1-D vectors)."""
+    offsets = list(itertools.accumulate([p.data.shape[0] for p in parts], initial=0))
 
     def back(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
@@ -155,6 +172,7 @@ def stack_rows(parts):
 
 
 def take_rows(a, idx):
+    """Gather entries of ``a`` along axis 0; repeated indices are allowed."""
     idx = np.asarray(idx, dtype=np.intp)
 
     def back(g):
@@ -166,17 +184,18 @@ def take_rows(a, idx):
 
 
 def scatter_1d(a, idx, size):
-    """Place a 1-D tensor's entries at positions ``idx`` of a zero vector."""
+    """Place a 1-D tensor's entries at distinct flat positions ``idx`` of a
+    zero array of shape ``size`` (an int for a vector)."""
     idx = np.asarray(idx, dtype=np.intp)
     if a.data.ndim != 1 or idx.shape != a.data.shape:
         raise ShapeMismatchError(
             f"scatter_1d: values {a.data.shape} vs indices {idx.shape}")
     data = np.zeros(size)
-    data[idx] = a.data
+    data.reshape(-1)[idx] = a.data
 
     def back(g):
         if a.requires_grad:
-            a.accumulate(g[idx])
+            a.accumulate(g.reshape(-1)[idx])
     return _make(data, (a,), back)
 
 
@@ -252,60 +271,80 @@ def gelu(a):
 
 
 def softmax_rows(a):
-    y = kernels.softmax_rows(a.data)
+    """Softmax along the last axis."""
+    shape = a.data.shape
+    y = kernels.softmax_rows(a.data.reshape(-1, shape[-1])).reshape(shape)
 
     def back(g):
         if a.requires_grad:
-            dot = (g * y).sum(axis=1, keepdims=True)
+            dot = (g * y).sum(axis=-1, keepdims=True)
             a.accumulate(y * (g - dot))
     return _make(y, (a,), back)
 
 
 def masked_softmax(scores, mask):
-    """Softmax over the unmasked entries of a 1-D score vector.
+    """Softmax along the last axis over the unmasked entries.
 
-    Masked entries are exactly zero in the output and receive exactly zero
-    gradient. Raises NoValidCandidateError when every entry is masked.
+    ``scores`` is one score vector or a stack of rows, with a boolean mask of
+    the same shape. Masked entries are exactly zero in the output and receive
+    exactly zero gradient. Raises NoValidCandidateError when every entry of a
+    row is masked.
     """
     mask = np.asarray(mask, dtype=bool)
-    if scores.data.ndim != 1 or mask.shape != scores.data.shape:
+    if scores.data.ndim == 0 or mask.shape != scores.data.shape:
         raise ShapeMismatchError(
             f"masked_softmax: scores {scores.data.shape} vs mask {mask.shape}")
-    if not mask.any():
+    if not mask.any(axis=-1).all():
         raise NoValidCandidateError("masked_softmax: all candidates masked")
     y = kernels.masked_softmax(scores.data, mask)
 
     def back(g):
         if scores.requires_grad:
-            dot = float((g * y).sum())
+            dot = (g * y).sum(axis=-1, keepdims=True)
             scores.accumulate(y * (g - dot))
     return _make(y, (scores,), back)
 
 
-def attend(query_rows, keys, values, dk_scale=None):
+def attend(query_rows, keys, values, key_mask=None, dk_scale=None):
     """Single-head scaled dot-product attention; no output projection.
 
     out[i] = softmax(query_rows[i] . keys^T / sqrt(d_k)) @ values
+
+    3-D operands stack G independent attentions: (G, n, d_k) queries over
+    (G, R, d_k) keys and (G, R, d_v) values. ``key_mask`` ((R,) or (G, R))
+    marks the real keys of sets padded to R rows.
     """
-    if keys.data.shape[0] == 0:
+    ndim = keys.data.ndim
+    if ndim not in (2, 3) or query_rows.data.ndim != ndim or values.data.ndim != ndim:
+        raise ShapeMismatchError(
+            f"attend: operands must all be 2-D or all 3-D, got {query_rows.data.shape}, "
+            f"{keys.data.shape} and {values.data.shape}")
+    if keys.data.shape[-2] == 0:
         raise EmptyReferenceSetError("attend: no keys/values to attend over")
-    if keys.data.shape[0] != values.data.shape[0]:
+    if keys.data.shape[:-1] != values.data.shape[:-1]:
         raise ShapeMismatchError(
-            f"attend: key rows {keys.data.shape[0]} != value rows {values.data.shape[0]}")
-    if query_rows.data.shape[1] != keys.data.shape[1]:
+            f"attend: keys {keys.data.shape} and values {values.data.shape} disagree")
+    if query_rows.data.shape[-1] != keys.data.shape[-1] or \
+            query_rows.data.shape[:-2] != keys.data.shape[:-2]:
         raise ShapeMismatchError(
-            f"attend: query dim {query_rows.data.shape[1]} != key dim {keys.data.shape[1]}")
-    dk = keys.data.shape[1] if dk_scale is None else dk_scale
-    logits = scale(matmul(query_rows, transpose(keys)), 1.0 / np.sqrt(dk))
-    weights = softmax_rows(logits)
-    return matmul(weights, values)
+            f"attend: queries {query_rows.data.shape} do not match keys {keys.data.shape}")
+    product = matmul if ndim == 2 else bmm
+    dk = keys.data.shape[-1] if dk_scale is None else dk_scale
+    logits = scale(product(query_rows, transpose(keys)), 1.0 / np.sqrt(dk))
+    if key_mask is None or np.all(key_mask):
+        weights = softmax_rows(logits)
+    else:
+        row_mask = np.expand_dims(np.asarray(key_mask, dtype=bool), -2)
+        weights = masked_softmax(logits, np.broadcast_to(row_mask, logits.data.shape))
+    return product(weights, values)
 
 
 def transpose(a):
+    """Swap the last two axes."""
     def back(g):
         if a.requires_grad:
-            a.accumulate(g.T)
-    return _make(a.data.T, (a,), back)
+            a.accumulate(np.swapaxes(g, -1, -2))
+    return _make(np.swapaxes(a.data, -1, -2), (a,), back)
 
 
 def dropout(a, p, rng):

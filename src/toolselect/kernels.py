@@ -39,11 +39,11 @@ def _softmax_rows_np(s):
 
 
 def _masked_softmax_np(scores, mask):
-    out = np.zeros_like(scores)
-    valid = scores[mask]
-    e = np.exp(valid - valid.max())
-    out[mask] = e / e.sum()
-    return out
+    """Softmax along the last axis over the entries where ``mask`` is True;
+    masked entries come out exactly zero."""
+    z = np.where(mask, scores, -np.inf)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 BACKEND = "numpy"
@@ -134,7 +134,16 @@ if BACKEND == "numba":
         return _softmax_rows_nb(_contig(s))
 
     def masked_softmax(scores, mask):
-        return _masked_softmax_nb(_contig(scores), np.ascontiguousarray(mask))
+        s = _contig(scores)
+        mk = np.ascontiguousarray(mask)
+        if s.ndim == 1:
+            return _masked_softmax_nb(s, mk)
+        rows = s.reshape(-1, s.shape[-1])
+        row_masks = mk.reshape(rows.shape)
+        out = np.empty_like(rows)
+        for i in range(rows.shape[0]):
+            out[i] = _masked_softmax_nb(rows[i], row_masks[i])
+        return out.reshape(s.shape)
 
 else:
     gelu_fwd = _gelu_fwd_np

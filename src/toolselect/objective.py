@@ -2,7 +2,7 @@
 score regularizers, coverage BCE, and the combined task-marginalized batch
 objective."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,13 +85,68 @@ def coverage_loss(s_t, costs, eps=1e-12):
     return dc.add(dc.wsum(log_s, -(1.0 - costs) / n), dc.wsum(log_1ms, -costs / n))
 
 
-@dataclass
 class BatchExample:
-    dist: object            # SelectionDistribution with probs_t/scores_t
-    pc: PanelCosts
-    task: int
-    coverage_t: object = None   # Tensor of coverage scores over valid slots
-    coverage_costs: np.ndarray = None
+    """Objective inputs of one example.
+
+    ``coverage_t`` holds coverage scores over the valid slots, in slot order,
+    against ``coverage_costs``. An example without its own reads its
+    distribution's, which a row of a batched forward builds only when asked.
+    """
+
+    def __init__(self, dist, pc, task, coverage_t=None, coverage_costs=None):
+        self.dist = dist            # SelectionDistribution with probs_t/scores_t
+        self.pc = pc
+        self.task = task
+        self._coverage_t = coverage_t
+        self.coverage_costs = coverage_costs
+
+    @property
+    def coverage_t(self):
+        if self._coverage_t is not None:
+            return self._coverage_t
+        return getattr(self.dist, "coverage_t", None)
+
+
+def _stacked(examples):
+    """The examples' (B, M) probabilities, scores and slot mask, and their
+    coverage as (vector, entry of each covered slot, its cost, its example)
+    or None.
+
+    The rows of one batched forward, in order and without coverage of their
+    own, are its stacked tensors; other examples are stacked here.
+    """
+    batch = getattr(examples[0].dist, "batch", None)
+    if batch is not None and len(examples) == batch.mask.shape[0] and all(
+            ex.dist.batch is batch and ex.dist.row == i and ex._coverage_t is None
+            for i, ex in enumerate(examples)):
+        probs, scores, mask = batch.probs_t, batch.scores_t, batch.mask
+        covered = [] if batch.coverage_t is None else [
+            (i, ex.coverage_costs) for i, ex in enumerate(examples)
+            if ex.coverage_costs is not None]
+        cov, cov_index = batch.coverage_t, batch.slot_pair
+    else:
+        width = max(len(ex.dist.mask) for ex in examples)
+        mask = np.zeros((len(examples), width), dtype=bool)
+        for i, ex in enumerate(examples):
+            mask[i, :len(ex.dist.mask)] = ex.dist.mask
+        slots = np.concatenate([i * width + np.arange(len(ex.dist.mask))
+                                for i, ex in enumerate(examples)])
+        probs = dc.scatter_1d(dc.stack_rows([ex.dist.probs_t for ex in examples]),
+                              slots, mask.shape)
+        scores = dc.scatter_1d(dc.stack_rows([ex.dist.scores_t for ex in examples]),
+                               slots, mask.shape)
+        with_cov = [i for i, ex in enumerate(examples)
+                    if ex.coverage_t is not None and ex.coverage_costs is not None]
+        covered = [(i, examples[i].coverage_costs) for i in with_cov]
+        cov = dc.stack_rows([examples[i].coverage_t for i in with_cov]) if with_cov else None
+        cov_index = np.arange(sum(len(c) for _, c in covered))
+    if not covered:
+        return probs, scores, mask, None
+    costs = np.concatenate([c for _, c in covered])
+    owner = np.concatenate([np.full(len(c), i) for i, c in covered])
+    if costs.shape != cov_index.shape:
+        raise ValueError("batch_objective: coverage costs do not match the coverage slots")
+    return probs, scores, mask, (cov, cov_index, costs, owner)
 
 
 def batch_objective(cfg, examples, n_tasks):
@@ -99,27 +154,34 @@ def batch_objective(cfg, examples, n_tasks):
 
     Per example: compsum - lambda_h * entropy + lambda_r * mean(r^2 over
     valid slots) + lambda_cov * mean coverage BCE, scaled by
-    task_weight * n_tasks so uniform weights are neutral.
+    task_weight * n_tasks so uniform weights are neutral. Each term is one
+    weighted sum over the batch's stacked tensors; ``compsum_loss``,
+    ``entropy_reg`` and ``coverage_loss`` are the per-example definitions
+    these sums reproduce.
     """
     if not examples:
         raise ValueError("batch_objective: empty batch")
-    terms = []
-    for ex in examples:
-        w = compsum_weights(ex.pc)
-        loss = compsum_loss(ex.dist, w, cfg.eps)
-        if cfg.lambda_h != 0.0:
-            loss = dc.add(loss, dc.scale(entropy_reg(ex.dist, cfg.eps), -cfg.lambda_h))
-        if cfg.lambda_r != 0.0:
-            valid = ex.dist.mask
-            sq = dc.mul(ex.dist.scores_t, ex.dist.scores_t)
-            l2 = dc.wsum(sq, np.where(valid, 1.0 / valid.sum(), 0.0))
-            loss = dc.add(loss, dc.scale(l2, cfg.lambda_r))
-        if cfg.lambda_cov != 0.0 and ex.coverage_t is not None:
-            loss = dc.add(loss, dc.scale(
-                coverage_loss(ex.coverage_t, ex.coverage_costs, cfg.eps), cfg.lambda_cov))
-        scale = cfg.weight_for(ex.task, n_tasks) * n_tasks
-        terms.append(dc.scale(loss, scale))
-    total = terms[0]
-    for t in terms[1:]:
-        total = dc.add(total, t)
-    return dc.scale(total, 1.0 / len(terms))
+    probs, scores, mask, coverage = _stacked(examples)
+    scale = np.array([cfg.weight_for(ex.task, n_tasks) * n_tasks
+                      for ex in examples]) / len(examples)
+    w_comp = np.zeros(mask.shape)
+    for i, ex in enumerate(examples):
+        w_comp[i, :len(ex.dist.mask)] = compsum_weights(ex.pc)
+    logp = dc.log_clamped(probs, cfg.eps)
+    loss = dc.wsum(logp, np.where(mask, -w_comp, 0.0) * scale[:, None])
+    if cfg.lambda_h != 0.0:
+        loss = dc.add(loss, dc.wsum(dc.mul(probs, logp), mask * (cfg.lambda_h * scale)[:, None]))
+    if cfg.lambda_r != 0.0:
+        per_slot = cfg.lambda_r * scale / mask.sum(axis=1)
+        loss = dc.add(loss, dc.wsum(dc.mul(scores, scores), mask * per_slot[:, None]))
+    if cfg.lambda_cov != 0.0 and coverage is not None:
+        cov, cov_index, costs, owner = coverage
+        # mean BCE per example: each covered slot weighs 1 / (its example's count)
+        weights = cfg.lambda_cov * scale[owner] / np.bincount(owner)[owner]
+        n = cov.shape[0]
+        w_s = np.bincount(cov_index, weights=-(1.0 - costs) * weights, minlength=n)
+        w_1ms = np.bincount(cov_index, weights=-costs * weights, minlength=n)
+        loss = dc.add(loss, dc.add(
+            dc.wsum(dc.log_clamped(cov, cfg.eps), w_s),
+            dc.wsum(dc.log_clamped(dc.affine(cov, -1.0, 1.0), cfg.eps), w_1ms)))
+    return loss

@@ -152,24 +152,12 @@ def panel_costs(world, lq, panel):
 
 
 def _batch_examples(world, items, fwd):
-    """Glue BatchForward outputs to per-example objective inputs."""
+    """Per-example objective inputs of a batched forward's rows."""
     pcs = [panel_costs(world, lq, panel) for lq, panel in items]
-    cov_by_ex = {i: [] for i in range(len(items))}
-    if fwd.coverage_pairs is not None:
-        for row, (i, j) in enumerate(fwd.coverage_pairs):
-            cov_by_ex[i].append((row, j))
-    examples = []
-    for i, (lq, panel) in enumerate(items):
-        rows = [r for r, _ in cov_by_ex[i]]
-        slots = [j for _, j in cov_by_ex[i]]
-        cov_t = None
-        cov_costs = None
-        if rows:
-            cov_t = dc.take_rows(fwd.coverage_t, rows)
-            cov_costs = pcs[i].costs[slots]
-        examples.append(BatchExample(
-            dist=fwd.dists[i], pc=pcs[i], task=lq.query.task,
-            coverage_t=cov_t, coverage_costs=cov_costs))
+    with_coverage = fwd.tensors.coverage_t is not None
+    examples = [BatchExample(dist=dist, pc=pc, task=lq.query.task,
+                             coverage_costs=pc.costs[dist.mask] if with_coverage else None)
+                for (lq, _), dist, pc in zip(items, fwd.dists, pcs)]
     return examples, pcs
 
 

@@ -126,6 +126,49 @@ def test_attend_outputs_are_convex_combinations(rng):
     assert (out >= lo).all() and (out <= hi).all()
 
 
+def test_bmm_matches_per_matrix_products(rng):
+    a = rng.standard_normal((3, 2, 4))
+    b = rng.standard_normal((3, 4, 5))
+    out = dc.bmm(dc.constant(a), dc.constant(b)).data
+    for g in range(3):
+        np.testing.assert_allclose(out[g], a[g] @ b[g], atol=1e-12)
+
+
+def test_bmm_shape_errors():
+    with pytest.raises(ShapeMismatchError):
+        dc.bmm(dc.constant(np.zeros((2, 3))), dc.constant(np.zeros((3, 2))))
+    with pytest.raises(ShapeMismatchError):
+        dc.bmm(dc.constant(np.zeros((2, 3, 4))), dc.constant(np.zeros((3, 4, 2))))
+
+
+def test_masked_softmax_rows_match_vector_form(rng):
+    s = rng.standard_normal((4, 6))
+    mask = rng.random((4, 6)) > 0.4
+    mask[:, 0] = True
+    rows = dc.masked_softmax(dc.constant(s), mask).data
+    for i in range(4):
+        np.testing.assert_allclose(
+            rows[i], dc.masked_softmax(dc.constant(s[i]), mask[i]).data, atol=1e-15)
+
+
+def test_masked_softmax_rows_reject_a_fully_masked_row():
+    mask = np.array([[True, False], [False, False]])
+    with pytest.raises(NoValidCandidateError):
+        dc.masked_softmax(dc.constant(np.zeros((2, 2))), mask)
+
+
+def test_batched_attend_matches_per_set_attend_and_ignores_padding(rng):
+    q = rng.standard_normal((2, 3, 4))
+    k = rng.standard_normal((2, 5, 4))
+    v = rng.standard_normal((2, 5, 3))
+    lengths = [3, 5]
+    mask = np.arange(5)[None, :] < np.array(lengths)[:, None]
+    out = dc.attend(dc.constant(q), dc.constant(k), dc.constant(v), key_mask=mask).data
+    for g, n in enumerate(lengths):
+        expect = dc.attend(dc.constant(q[g]), dc.constant(k[g, :n]), dc.constant(v[g, :n]))
+        np.testing.assert_allclose(out[g], expect.data, atol=1e-12)
+
+
 def test_attend_empty_keys_raises():
     with pytest.raises(EmptyReferenceSetError):
         dc.attend(dc.constant(np.zeros((1, 4))),
@@ -182,6 +225,19 @@ def test_every_op_passes_isolated_grad_check(rng):
     bias = dc.Tensor(rng.standard_normal(3), requires_grad=True)
     vec = dc.Tensor(rng.standard_normal(5), requires_grad=True)
     w_fixed = rng.standard_normal((4, 3))
+    x3 = dc.Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    y3 = dc.Tensor(rng.standard_normal((2, 4, 5)), requires_grad=True)
+    w_bmm = rng.standard_normal((2, 3, 5))
+    w_t3 = rng.standard_normal((2, 4, 3))
+    w_x3 = rng.standard_normal((2, 3, 4))
+    row_mask = np.array([[True, False, True], [False, True, False],
+                         [True, True, True], [False, False, True]])
+    q3 = dc.Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    k3 = dc.Tensor(rng.standard_normal((2, 5, 4)), requires_grad=True)
+    v3 = dc.Tensor(rng.standard_normal((2, 5, 3)), requires_grad=True)
+    key_mask = np.array([[True, True, False, True, False], [True] * 5])
+    w_att = rng.standard_normal((2, 3, 3))
+    w_scatter = rng.standard_normal((3, 4))
     cases = [
         (lambda: dc.sum_all(dc.add(a, b)), [a, b]),
         (lambda: dc.sum_all(dc.add(a, bias)), [a, bias]),
@@ -203,6 +259,13 @@ def test_every_op_passes_isolated_grad_check(rng):
         (lambda: dc.sum_all(dc.reshape(a, (2, 6))), [a]),
         (lambda: dc.wsum(a, w_fixed), [a]),
         (lambda: dc.sum_all(dc.log_clamped(dc.exp(a))), [a]),
+        (lambda: dc.wsum(dc.bmm(x3, y3), w_bmm), [x3, y3]),
+        (lambda: dc.wsum(dc.transpose(x3), w_t3), [x3]),
+        (lambda: dc.wsum(dc.softmax_rows(x3), w_x3), [x3]),
+        (lambda: dc.wsum(dc.masked_softmax(a, row_mask), w_fixed), [a]),
+        (lambda: dc.wsum(dc.attend(q3, k3, v3, key_mask=key_mask), w_att), [q3, k3, v3]),
+        (lambda: dc.sum_all(dc.take_rows(x3, [1, 0, 1])), [x3]),
+        (lambda: dc.wsum(dc.scatter_1d(vec, [7, 1, 0, 11, 3], (3, 4)), w_scatter), [vec]),
     ]
     for build, params in cases:
         err = dc.grad_check(lambda ps: build(), params)

@@ -10,11 +10,12 @@ from toolselect.anp_selector import (
     encode_query,
     encode_reference_set,
     init_params,
+    reference_arrays,
     score_rows,
     coverage_rows,
     self_attend_refs,
 )
-from toolselect.domain import Panel
+from toolselect.domain import Panel, validity
 from toolselect.errors import NoValidCandidateError, ShapeMismatchError
 from toolselect.kernels import gelu_fwd, softmax_rows
 from toolselect.simworld import sample_panel
@@ -110,7 +111,8 @@ def test_reference_encoding_single_element(setup):
     world, cfg, params, model = setup
     tool = next(t for t in world.all_tools if 0 in t.supported_tasks)
     refs = tool.reference_sets[0][:1]
-    t, keys = encode_reference_set(params, cfg, world.task_spec(0).space, refs)
+    t, keys = encode_reference_set(
+        params, cfg, reference_arrays(cfg, world.task_spec(0).space, refs))
     assert t.data.shape == (1, cfg.d)
     assert keys.data.shape == (1, cfg.d_xp)
 
@@ -120,9 +122,10 @@ def test_reference_encoding_permutation_equivariant(setup):
     tool = next(t for t in world.all_tools if 0 in t.supported_tasks)
     refs = tool.reference_sets[0]
     perm = [3, 0, 2, 1, 7, 5, 4, 6]
-    t_a, _ = encode_reference_set(params, cfg, world.task_spec(0).space, refs)
-    t_b, _ = encode_reference_set(params, cfg, world.task_spec(0).space,
-                                  [refs[i] for i in perm])
+    space = world.task_spec(0).space
+    t_a, _ = encode_reference_set(params, cfg, reference_arrays(cfg, space, refs))
+    t_b, _ = encode_reference_set(params, cfg,
+                                  reference_arrays(cfg, space, [refs[i] for i in perm]))
     np.testing.assert_allclose(t_b.data, t_a.data[perm], atol=1e-12)
 
 
@@ -137,7 +140,7 @@ def test_reference_set_exchangeability_of_psi(setup):
     perm = list(reversed(range(len(refs))))
 
     def psi_of(rs):
-        t, keys = encode_reference_set(params, cfg, space, rs)
+        t, keys = encode_reference_set(params, cfg, reference_arrays(cfg, space, rs))
         t_tilde = self_attend_refs(params, cfg, t)
         return cross_attend(params, cfg, u, keys, t_tilde).data
 
@@ -234,8 +237,9 @@ def test_coverage_zero_head_is_half(setup):
 def test_coverage_in_open_interval(setup):
     world, cfg, params, model = setup
     lq = world.splits["test"][0]
-    tool = next(t for t in world.populations[lq.query.task])
-    s = float(model.coverage(lq.query, tool).data.reshape(()))
+    tool = next(t for t in world.populations[lq.query.task] if validity(t, lq.query))
+    fwd = model.batch_forward([(lq, Panel(task=lq.query.task, tools=(tool, tool)))])
+    s = float(fwd.tensors.coverage_t.data.reshape(()))
     assert 0.0 < s < 1.0
 
 
@@ -303,12 +307,16 @@ def test_batch_forward_matches_single_select(setup):
         assert dist_b.selected == dist_s.selected
 
 
+def _tiny_config(world):
+    return dataclasses.replace(default_selector_config(world, ref_size=4),
+                               d_xp=4, d_qp=4, d_u=6, d=4, d_k=4, d_v=4,
+                               hidden=6, label_embed_dim=4, rho_dim=4, dropout=0.0)
+
+
 def test_full_pipeline_grad_check(small_world):
     """End-to-end gradient of a small selection loss, dropout off."""
     world = small_world
-    cfg = dataclasses.replace(default_selector_config(world, ref_size=4),
-                              d_xp=4, d_qp=4, d_u=6, d=4, d_k=4, d_v=4,
-                              hidden=6, label_embed_dim=4, rho_dim=4, dropout=0.0)
+    cfg = _tiny_config(world)
     params = init_params(cfg, 0)
     model = build_model(world, params, cfg)
     lq = world.splits["test"][0]
@@ -325,3 +333,138 @@ def test_full_pipeline_grad_check(small_world):
         return dc.add(loss, dc.scale(dc.wsum(sq, dist.mask.astype(float)), 0.01))
 
     assert dc.grad_check(f, plist) < 1e-4
+
+
+def test_batch_objective_grad_check_over_batch_forward(small_world):
+    """Gradient of the batched objective through one batched forward that
+    spans several tasks, with dropout off."""
+    from toolselect.objective import ObjectiveConfig, batch_objective
+    from toolselect.trainer import _batch_examples
+    world = small_world
+    cfg = _tiny_config(world)
+    params = init_params(cfg, 0)
+    model = build_model(world, params, cfg)
+    by_task = world.split_by_task("train")
+    items = [(lq, _panel_for(world, lq, seed=i))
+             for i, lq in enumerate(by_task[0][:2] + by_task[1][:1] + by_task[2][:1]
+                                    + by_task[3][:1])]
+    plist = [params[k] for k in sorted(params)]
+
+    def f(ps):
+        fwd = model.batch_forward(items, training=False)
+        examples, _ = _batch_examples(world, items, fwd)
+        return batch_objective(ObjectiveConfig(), examples, n_tasks=4)
+
+    assert dc.grad_check(f, plist) < 1e-4
+
+
+def test_batch_objective_stacked_rows_match_per_example_stacking(setup):
+    """The batch's stacked tensors and per-example rows give one loss."""
+    from toolselect.objective import BatchExample, ObjectiveConfig, batch_objective
+    from toolselect.trainer import _batch_examples
+    world, cfg, params, model = setup
+    items = [(lq, _panel_for(world, lq, seed=i))
+             for i, lq in enumerate(world.splits["train"][::50])]
+    fwd = model.batch_forward(items, training=False)
+    examples, _ = _batch_examples(world, items, fwd)
+    stacked = batch_objective(ObjectiveConfig(), examples, n_tasks=4).item()
+    # neither a reordered batch nor rows given their own coverage take the
+    # forward's stacked tensors: both are stacked per example
+    reordered = batch_objective(ObjectiveConfig(), examples[::-1], n_tasks=4).item()
+    explicit = [BatchExample(dist=ex.dist, pc=ex.pc, task=ex.task,
+                             coverage_t=ex.coverage_t, coverage_costs=ex.coverage_costs)
+                for ex in examples]
+    assert stacked == pytest.approx(reordered, abs=1e-12)
+    assert stacked == pytest.approx(
+        batch_objective(ObjectiveConfig(), explicit, n_tasks=4).item(), abs=1e-12)
+
+
+def test_duplicate_tool_copies_tie_exactly_and_lowest_slot_wins(setup):
+    world, cfg, params, model = setup
+    for lq in world.splits["test"][:8]:
+        valid = [t for t in world.populations[lq.query.task] if validity(t, lq.query)]
+        if len(valid) < 2:
+            continue
+        dist = model.select(lq.query, Panel(task=lq.query.task, tools=tuple(valid)))
+        best = valid[dist.selected]
+        other = next(t for t in valid if t is not best)
+        # scored as separate rows of one stack, copies in later slots could
+        # differ from the first copy in the last bit
+        panel = Panel(task=lq.query.task, tools=(other, best, other, best, best, other))
+        dup = model.select(lq.query, panel)
+        assert dup.probs[1] == dup.probs[3] == dup.probs[4]
+        assert dup.probs[0] == dup.probs[2] == dup.probs[5]
+        assert dup.selected == 1
+
+
+def test_reference_bank_builds_each_set_once_and_is_shared(setup, monkeypatch):
+    from toolselect import anp_selector
+    world, cfg, _, _ = setup
+    model = build_model(world, init_params(cfg, 1), cfg)
+    items = [(lq, _panel_for(world, lq, seed=i))
+             for i, lq in enumerate(world.splits["test"][::10])]
+    calls = []
+    original = anp_selector.encode_slot
+    monkeypatch.setattr(anp_selector, "encode_slot",
+                        lambda *a: calls.append(1) or original(*a))
+    model.batch_forward(items, training=True, rng=np.random.default_rng(0))
+    built = len(calls)
+    assert built == sum(len(tool.reference_sets[task])
+                        for tool, task in _tool_tasks(items))
+    model.batch_forward(items, training=True, rng=np.random.default_rng(1))
+    model.detached().batch_forward(items)
+    assert len(calls) == built
+    assert model.detached().bank is model.bank
+
+
+def _tool_tasks(items):
+    seen = {}
+    for lq, panel in items:
+        for tool in panel.tools:
+            if validity(tool, lq.query):
+                seen[(tool.index, lq.query.task)] = (tool, lq.query.task)
+    return seen.values()
+
+
+def test_short_reference_sets_are_masked_not_diluted(setup):
+    """A set shorter than the bank's width scores as it would alone."""
+    world, cfg, params, model = setup
+    lq = world.splits["test"][5]
+    task = lq.query.task
+    valid = [t for t in world.populations[task] if validity(t, lq.query)]
+    short = dataclasses.replace(valid[0], index=10_000,
+                                reference_sets={task: valid[0].reference_sets[task][:3]})
+    alone = build_model(world, params, cfg)
+    expect = alone.select(lq.query, Panel(task=task, tools=(short, short))).scores[0]
+    mixed = build_model(world, params, cfg)
+    dist = mixed.select(lq.query, Panel(task=task, tools=(valid[1], short)))
+    assert mixed.bank.sets.mask.shape[1] > 3
+    assert dist.scores[1] == pytest.approx(expect, abs=1e-12)
+
+
+def test_unseen_tools_join_the_bank(setup):
+    from toolselect.simworld import regenerate_test_tools
+    world, cfg, params, _ = setup
+    fresh = regenerate_test_tools(world, 0.5, seed=3)
+    model = build_model(fresh, params, cfg)
+    lq = fresh.splits["test"][0]
+    new = [t for t in fresh.populations[lq.query.task]
+           if t.index >= len(world.all_tools) and validity(t, lq.query)]
+    old = [t for t in fresh.populations[lq.query.task]
+           if t.index < len(world.all_tools) and validity(t, lq.query)]
+    dist = model.select(lq.query, Panel(task=lq.query.task, tools=(new[0], old[0])))
+    assert np.isfinite(dist.scores).all() and dist.mask.all()
+    assert (new[0].index, lq.query.task) in model.bank.row_of
+
+
+def test_cached_select_matches_uncached(setup):
+    world, cfg, params, model = setup
+    view = model.detached()
+    cache = {}
+    for i, lq in enumerate(world.splits["test"][:12]):
+        panel = _panel_for(world, lq, seed=i)
+        cached = view.select(lq.query, panel, cache=cache)
+        fresh = view.select(lq.query, panel)
+        np.testing.assert_allclose(cached.probs, fresh.probs, atol=1e-12)
+        assert cached.selected == fresh.selected
+    assert cache
