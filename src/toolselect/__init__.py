@@ -31,6 +31,7 @@ from .errors import (
     InvalidPredictionError,
     NoValidCandidateError,
     NoValidPanelError,
+    NonFiniteScoreError,
     ShapeMismatchError,
     ToolSelectError,
     UnknownTaskError,
@@ -50,6 +51,7 @@ __all__ = [
     "Panel", "Query", "TaskFamily", "Tool",
     "CheckpointError", "ConfigError", "EmptyReferenceSetError",
     "InvalidPredictionError", "NoValidCandidateError", "NoValidPanelError",
+    "NonFiniteScoreError",
     "ShapeMismatchError", "ToolSelectError", "UnknownTaskError",
     "compare", "evaluate", "gap_closure",
     "ObjectiveConfig", "batch_objective",

@@ -26,7 +26,12 @@ import numpy as np
 
 from . import diffcore as dc
 from .domain import CATEGORICAL_FAMILIES, LabeledQuery, TaskFamily, validity
-from .errors import EmptyReferenceSetError, NoValidCandidateError, ShapeMismatchError
+from .errors import (
+    EmptyReferenceSetError,
+    NoValidCandidateError,
+    NonFiniteScoreError,
+    ShapeMismatchError,
+)
 
 
 @dataclass
@@ -369,9 +374,9 @@ class BatchForward:
 class SelectorModel:
     """Bundles params + config with the reference-set machinery.
 
-    ``predict_fn(tool, query) -> (slot_vec, aligned)`` supplies the aligned
-    prediction of a tool on the routed query; the model itself never runs
-    tools.
+    ``predict_fn(tools, queries) -> (P, slot_width)`` supplies the encoded
+    predictions of ``tools[i]`` on ``queries[i]`` for a batch's distinct
+    pairs, in one call per forward; the model itself never runs tools.
     """
 
     def __init__(self, cfg, params, spaces, predict_fn, bank=None):
@@ -449,7 +454,7 @@ class SelectorModel:
         mask = np.zeros((len(items), width), dtype=bool)
         tool_tasks, set_of = [], {}          # distinct (tool, task) reference sets
         pair_of = {}                         # (example, tool index) -> pair
-        pair_example, pair_set, pair_slots, pair_etas = [], [], [], []
+        pair_example, pair_set, pair_tools, pair_queries = [], [], [], []
         slot_pair, slot_pos = [], []
         for i, (lq, panel) in enumerate(items):
             query = lq.query
@@ -466,8 +471,8 @@ class SelectorModel:
                     pair = pair_of[(i, tool.index)] = len(pair_example)
                     pair_example.append(i)
                     pair_set.append(set_of[ref_key])
-                    pair_slots.append(self.predict_fn(tool, query)[0])
-                    pair_etas.append(tool.eta)
+                    pair_tools.append(tool)
+                    pair_queries.append(query)
                 slot_pair.append(pair)
                 slot_pos.append(i * width + j)
             if not mask[i].any():
@@ -480,11 +485,16 @@ class SelectorModel:
         u_pairs = dc.take_rows(u, pair_example)
         psi = cross_attend(self.params, self.cfg, u_pairs, keys, t_tilde, ref_mask,
                            np.asarray(pair_set, dtype=np.intp))
-        features = dc.concat_cols([u_pairs, psi, dc.constant(np.array(pair_slots)),
-                                   dc.constant(np.array(pair_etas))])
+        features = dc.concat_cols([u_pairs, psi,
+                                   dc.constant(self.predict_fn(pair_tools, pair_queries)),
+                                   dc.constant(np.array([tool.eta for tool in pair_tools]))])
         n_pairs = len(pair_example)
         pair_scores = dc.reshape(
             score_rows(self.params, self.cfg, features, training=training, rng=rng), (n_pairs,))
+        finite = np.isfinite(pair_scores.data)
+        if not finite.all():
+            uids = sorted({pair_queries[p].uid for p in np.flatnonzero(~finite)})
+            raise NonFiniteScoreError(f"non-finite selector score for queries {uids}")
         scores_t = dc.scatter_1d(dc.take_rows(pair_scores, slot_pair), slot_pos, mask.shape)
         probs_t = dc.masked_softmax(scores_t, mask)
         coverage_t = None

@@ -9,6 +9,7 @@ from scipy.spatial import cKDTree
 from . import diffcore as dc
 from .domain import validity
 from .errors import NoValidCandidateError
+from .evalharness import Router
 from .trainer import AdamW
 
 
@@ -19,7 +20,7 @@ def _valid_slots(lq, panel):
     return slots
 
 
-class RandomRouter:
+class RandomRouter(Router):
     name = "Random"
 
     def route(self, lq, panel, rng):
@@ -27,7 +28,7 @@ class RandomRouter:
         return int(slots[rng.integers(len(slots))])
 
 
-class OracleRouter:
+class OracleRouter(Router):
     """Evaluation-only: picks the true-cost-minimizing valid slot.
 
     Consumes ground truth; must never appear on a training path.
@@ -42,8 +43,21 @@ class OracleRouter:
         costs = [self.world.tool_cost(panel.tools[j], lq) for j in slots]
         return int(slots[int(np.argmin(costs))])  # ties -> lowest index
 
+    def route_batch(self, items, rng):
+        """``route`` of each item, with the costs of every valid slot read
+        by one ``tool_costs`` call."""
+        valid = [_valid_slots(lq, panel) for lq, panel in items]
+        costs = iter(self.world.tool_costs(
+            [panel.tools[j] for (_, panel), slots in zip(items, valid) for j in slots],
+            [lq for (lq, _), slots in zip(items, valid) for _ in slots]))
+        out = []
+        for slots in valid:
+            item_costs = [next(costs) for _ in slots]
+            out.append(int(slots[int(np.argmin(item_costs))]))  # ties -> lowest index
+        return out
 
-class GlobalBestRouter:
+
+class GlobalBestRouter(Router):
     name = "GlobalBest"
 
     def __init__(self, mean_cost):
@@ -57,8 +71,8 @@ class GlobalBestRouter:
         sums = {}
         counts = {}
         for lq in records:
-            for tool in world.populations[lq.query.task]:
-                c = world.tool_cost(tool, lq)
+            pop = world.populations[lq.query.task]
+            for tool, c in zip(pop, world.tool_costs(pop, [lq] * len(pop))):
                 if c is None:
                     continue
                 sums[tool.index] = sums.get(tool.index, 0.0) + c
@@ -71,7 +85,7 @@ class GlobalBestRouter:
         return int(slots[int(np.argmin(ranks))])
 
 
-class KNNRouter:
+class KNNRouter(Router):
     """Nearest-neighbour retrieval over memorized training queries."""
     name = "KNN"
 
@@ -93,7 +107,7 @@ class KNNRouter:
                               for lq in task_records])
             cost_rows = {}
             for tool in pop:
-                costs = [world.tool_cost(tool, lq) for lq in task_records]
+                costs = world.tool_costs([tool] * len(task_records), task_records)
                 if costs[0] is None and all(c is None for c in costs):
                     continue
                 cost_rows[tool.index] = np.array(
@@ -121,7 +135,7 @@ class KNNRouter:
         return int(slots[int(np.argmin(ranks))])
 
 
-class MLPIndexRouter:
+class MLPIndexRouter(Router):
     """Per-task two-layer classifier over tool indices (hidden width 64)."""
     name = "MLPIndex"
 
@@ -138,18 +152,14 @@ class MLPIndexRouter:
             task_records = [lq for lq in records if lq.query.task == task]
             if not task_records:
                 continue
-            tool_ids = [tool.index for tool in pop if task in tool.supported_tasks]
-            if not tool_ids:
+            supported = [tool for tool in pop if task in tool.supported_tasks]
+            if not supported:
                 continue
-            pos = {tid: i for i, tid in enumerate(tool_ids)}
+            tool_ids = [tool.index for tool in supported]
             feats = np.stack([np.concatenate([lq.query.x, lq.query.q])
                               for lq in task_records])
-            labels = []
-            for lq in task_records:
-                costs = [world.tool_cost(tool, lq) for tool in pop
-                         if task in tool.supported_tasks]
-                labels.append(int(np.argmin(costs)))
-            labels = np.array(labels)
+            labels = np.array([np.argmin(world.tool_costs(supported, [lq] * len(supported)))
+                               for lq in task_records])
             heads[task] = cls._train_head(feats, labels, len(tool_ids),
                                           hidden, lr, iters, seed + task) + (tool_ids,)
         return cls(heads)
@@ -205,7 +215,7 @@ class MLPIndexRouter:
         return int(slots[int(np.argmax(ranks))])
 
 
-class ToolSelectRouter:
+class ToolSelectRouter(Router):
     name = "ToolSelect"
 
     def __init__(self, model):
@@ -215,3 +225,8 @@ class ToolSelectRouter:
     def route(self, lq, panel, rng):
         dist = self.model.select(lq.query, panel, cache=self._cache)
         return dist.selected
+
+    def route_batch(self, items, rng):
+        """One batched forward over the items."""
+        fwd = self.model.batch_forward(items, with_coverage=False, cache=self._cache)
+        return [dist.selected for dist in fwd.dists]

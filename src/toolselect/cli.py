@@ -7,7 +7,6 @@ reproducible from (config, seed).
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -23,7 +22,7 @@ from .baselines import (
     ToolSelectRouter,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
-from .datasets import export_dataset, export_tools
+from .datasets import export_dataset, export_tools, parse_record
 from .errors import ConfigError, ToolSelectError
 from .evalharness import compare, machine_records, render_report
 from .objective import ObjectiveConfig
@@ -197,13 +196,14 @@ def cmd_eval(args, cfg):
 
 def cmd_route(args, cfg):
     if args.input == "-":
+        where = "<stdin>:1"
         line = sys.stdin.readline()
     else:
+        where = f"{args.input}:1"
         with open(args.input) as fh:
             line = fh.readline()
-    record = json.loads(line)
     world = _load_world(cfg, args.seed)
-    lq = import_dataset_record(record)
+    lq = parse_record(line, where, world)
     router = _toolselect_router(world, cfg, os.path.join(args.out, "checkpoint.bin"))
     rng = np.random.default_rng([args.seed, 50331653, lq.query.uid])
     panel = sample_panel(world.populations[lq.query.task], lq.query,
@@ -213,17 +213,6 @@ def cmd_route(args, cfg):
     probs = " ".join(f"{p:.6f}" for p in dist.probs)
     print(f"tool={tool.tool_id} slot={dist.selected} probs=[{probs}]")
     return 0
-
-
-def import_dataset_record(record):
-    """One dataset line -> LabeledQuery (route subcommand input)."""
-    from .datasets import _gt_from_payload
-    from .domain import LabeledQuery, Query, TaskFamily
-    family = TaskFamily(record["family"])
-    query = Query(uid=int(record["uid"]), task=int(record["task"]),
-                  x=np.asarray(record["x"], dtype=np.float64),
-                  q=np.asarray(record["q"], dtype=np.float64))
-    return LabeledQuery(query, _gt_from_payload(family, record["gt"]))
 
 
 _COMMANDS = {"simulate": cmd_simulate, "train": cmd_train,
@@ -240,7 +229,7 @@ def run(argv=None):
     try:
         cfg = parse_config(args.config)
         return _COMMANDS[args.command](args, cfg)
-    except (ToolSelectError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (ToolSelectError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -99,19 +99,47 @@ def import_dataset(path):
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                family = TaskFamily(rec["family"])
-                query = Query(uid=int(rec["uid"]), task=int(rec["task"]),
-                              x=np.asarray(rec["x"], dtype=np.float64),
-                              q=np.asarray(rec["q"], dtype=np.float64))
-                gt = _gt_from_payload(family, rec["gt"])
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ConfigError(f"{path}:{lineno}: malformed record: {exc}") from exc
-            records.append(LabeledQuery(query, gt))
+            if line:
+                records.append(parse_record(line, f"{path}:{lineno}"))
     return records
+
+
+def parse_record(line, where, world=None):
+    """One dataset line -> LabeledQuery; ``where`` ("path:line") names the
+    line in errors.
+
+    The features must be finite vectors. With a ``world`` the record must
+    also fit it: a task of the world, that task's family and the world's
+    feature dimensions. Every failure raises ``ConfigError``.
+    """
+    try:
+        rec = json.loads(line)
+        family = TaskFamily(rec["family"])
+        query = Query(uid=int(rec["uid"]), task=int(rec["task"]),
+                      x=np.asarray(rec["x"], dtype=np.float64),
+                      q=np.asarray(rec["q"], dtype=np.float64))
+        gt = _gt_from_payload(family, rec["gt"])
+    except KeyError as exc:
+        raise ConfigError(f"{where}: malformed record: missing key {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{where}: malformed record: {exc}") from exc
+    for name in ("x", "q"):
+        v = getattr(query, name)
+        if v.ndim != 1 or not np.isfinite(v).all():
+            raise ConfigError(f"{where}: {name!r} must be a vector of finite numbers")
+    if world is not None:
+        if not 0 <= query.task < len(world.tasks):
+            raise ConfigError(f"{where}: task {query.task} is not a task of the world "
+                              f"(0..{len(world.tasks) - 1})")
+        expected = world.task_spec(query.task).family
+        if family is not expected:
+            raise ConfigError(f"{where}: task {query.task} has family {expected.value!r}, "
+                              f"the record {family.value!r}")
+        for name, dim in (("x", world.cfg.d_x), ("q", world.cfg.d_q)):
+            if len(getattr(query, name)) != dim:
+                raise ConfigError(f"{where}: {name!r} has {len(getattr(query, name))} "
+                                  f"features, the world {dim}")
+    return LabeledQuery(query, gt)
 
 
 def export_tools(world, path):

@@ -264,10 +264,12 @@ def sigmoid(a):
 
 def gelu(a):
     """Exact-erf GELU: 0.5*x*(1+erf(x/sqrt(2)))."""
+    y, cdf = kernels.gelu_fwd(a.data, with_cdf=True)
+
     def back(g):
         if a.requires_grad:
-            a.accumulate(kernels.gelu_bwd(a.data, g))
-    return _make(kernels.gelu_fwd(a.data), (a,), back)
+            a.accumulate(kernels.gelu_bwd(a.data, g, cdf))
+    return _make(y, (a,), back)
 
 
 def softmax_rows(a):

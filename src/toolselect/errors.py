@@ -13,6 +13,10 @@ class NoValidCandidateError(ToolSelectError):
     """Every candidate in the panel is masked out."""
 
 
+class NonFiniteScoreError(ToolSelectError):
+    """The selector scored a valid candidate NaN or infinite."""
+
+
 class EmptyReferenceSetError(ToolSelectError):
     """Attention requested over an empty reference set."""
 

@@ -7,6 +7,16 @@ frozen per-tool reference sets, and deterministic tool predictions.
 Tool competence is a radial function of the distance between the query's
 image features and the tool's expertise centroid, which makes the identity
 of the per-query best tool vary across the feature space.
+
+``predict_batch`` is the one definition of a tool's output. It computes a
+batch of (tool, query) pairs in one pass per task: competences, nearest
+centroids, ground-truth boxes and report pair sets as array operations,
+then each pair's draws from its own RNG. ``tool_predict`` is its one-pair
+call. ``SimWorld.tool_predictions`` and ``SimWorld.tool_costs`` look up a
+batch of pairs, computing the ones missing from the world's cache with one
+``predict_batch`` call; ``tool_prediction`` and ``tool_cost`` are their
+one-pair forms. A pair's RNG is keyed by (world seed, tool index,
+query uid), so every output is the same whatever batch computes it.
 """
 
 import math
@@ -30,6 +40,8 @@ from .domain import (
     validity,
 )
 from .errors import NoValidPanelError
+
+PREDICTION_KEY = 104729   # second entry of every per-(tool, query) prediction RNG key
 
 FAMILY_CYCLE = (
     TaskFamily.CLASSIFICATION,
@@ -113,23 +125,75 @@ class SimWorld:
             out[lq.query.task].append(lq)
         return out
 
+    def _pair_rng(self, tool, query):
+        """The generator of ``np.random.default_rng([seed, PREDICTION_KEY,
+        tool index, query uid])``, built from the key's 32-bit words."""
+        words = _uint32_words((self.seed, PREDICTION_KEY, tool.index, query.uid))
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+
+    def tool_predictions(self, tools, queries):
+        """Aligned predictions of ``tools[i]`` on ``queries[i]``, cached per
+        (tool, query) pair. The pairs missing from the cache are computed by
+        ``predict_batch``, one vectorized pass per task, each drawing from
+        its own RNG keyed ``[seed, PREDICTION_KEY, tool index, query uid]``,
+        so a prediction never depends on the batch it was computed in."""
+        cache = self._pred_cache
+        keys = [(tool.index, query.uid) for tool, query in zip(tools, queries)]
+        missing = {key: (tool, query)
+                   for key, tool, query in zip(keys, tools, queries) if key not in cache}
+        if missing:
+            pairs = list(missing.values())
+            preds = predict_batch(self, [tool for tool, _ in pairs], [query for _, query in pairs],
+                                  [self._pair_rng(tool, query) for tool, query in pairs])
+            cache.update(zip(missing, preds))
+        return [cache[key] for key in keys]
+
     def tool_prediction(self, tool, query):
-        """Deterministic aligned prediction of a tool on a query (cached)."""
+        """Deterministic aligned prediction of a tool on a query (cached): the
+        one-pair form of ``tool_predictions``, computed by ``tool_predict``."""
         key = (tool.index, query.uid)
         hit = self._pred_cache.get(key)
         if hit is None:
-            rng = np.random.default_rng([self.seed, 104729, tool.index, query.uid])
-            hit = tool_predict(self, tool, query, rng)
-            self._pred_cache[key] = hit
+            hit = self._pred_cache[key] = tool_predict(self, tool, query,
+                                                       self._pair_rng(tool, query))
         return hit
 
+    def _cost(self, lq, pred):
+        return cost(self.task_spec(lq.query.task).family, pred, lq.gt,
+                    clipped_xent=self.cfg.clipped_xent)
+
+    def tool_costs(self, tools, lqs):
+        """Realized cost of ``tools[i]`` on labeled query ``lqs[i]``; None where
+        the tool does not support the query's task. The valid pairs'
+        predictions come from one ``tool_predictions`` call."""
+        valid = [n for n, (tool, lq) in enumerate(zip(tools, lqs)) if validity(tool, lq.query)]
+        preds = self.tool_predictions([tools[n] for n in valid], [lqs[n].query for n in valid])
+        out = [None] * len(tools)
+        for n, pred in zip(valid, preds):
+            out[n] = self._cost(lqs[n], pred)
+        return out
+
     def tool_cost(self, tool, lq):
-        """Realized cost of a tool on a labeled query; None when invalid."""
+        """The one-pair ``tool_costs``: None when the tool is invalid."""
         if not validity(tool, lq.query):
             return None
-        pred = self.tool_prediction(tool, lq.query)
-        spec = self.task_spec(lq.query.task)
-        return cost(spec.family, pred, lq.gt, clipped_xent=self.cfg.clipped_xent)
+        return self._cost(lq, self.tool_prediction(tool, lq.query))
+
+
+def _uint32_words(values):
+    """The 32-bit words, least significant first, that numpy's SeedSequence
+    splits non-negative ints into. Seeding with them gives the same stream as
+    seeding with the ints, without the slower coercion of Python ints."""
+    words = []
+    for v in values:
+        if v < 0:
+            raise ValueError(f"RNG key entries must be non-negative, got {v}")
+        words.append(v & 0xFFFFFFFF)
+        v >>= 32
+        while v:
+            words.append(v & 0xFFFFFFFF)
+            v >>= 32
+    return np.array(words, dtype=np.uint32)
 
 
 def _box_from_x(spec, x):
@@ -142,11 +206,9 @@ def _box_from_x(spec, x):
     return (float(x1), float(y1), float(x2), float(y2))
 
 
-def _perturb_boxes(boxes, scale, rng=None, normals=None):
-    """Vectorized box perturbation used both for calibration and prediction."""
-    n = boxes.shape[0]
-    if normals is None:
-        normals = rng.standard_normal((n, 4))
+def _perturb_boxes(boxes, scale, normals):
+    """Vectorized box perturbation used both for calibration and prediction;
+    ``scale`` is one scale or one per box, ``normals`` (n, 4) the draws."""
     cx = (boxes[:, 0] + boxes[:, 2]) / 2.0 + scale * 0.25 * normals[:, 0]
     cy = (boxes[:, 1] + boxes[:, 3]) / 2.0 + scale * 0.25 * normals[:, 1]
     w = (boxes[:, 2] - boxes[:, 0]) * np.exp(scale * normals[:, 2])
@@ -184,7 +246,7 @@ def _calibrate_box_noise(spec, cfg, rng, n_probe=256, n_draws=4):
         lo, hi = 0.0, 4.0
         for _ in range(40):
             mid = 0.5 * (lo + hi)
-            mean_iou = _iou_vec(tiled, _perturb_boxes(tiled, mid, normals=normals)).mean()
+            mean_iou = _iou_vec(tiled, _perturb_boxes(tiled, mid, normals)).mean()
             if mean_iou > kappa:
                 lo = mid
             else:
@@ -275,12 +337,20 @@ def _make_tool(cfg, tasks, home_task, index, rng):
     )
 
 
-def _report_pair_set(spec, x):
-    """Ground-truth finding pairs for a report query, derivable from x alone."""
-    dists = np.linalg.norm(spec.centroids - x, axis=1)
-    n_pairs = 1 + int(np.floor(np.clip(1.5 * (np.tanh(x[0]) + 1.0), 0.0, 2.999)))
-    nearest = np.argsort(dists)[:n_pairs]
-    return frozenset(spec.centroid_pairs[j] for j in nearest)
+def _centroid_distances(spec, xs):
+    """(n, K) Euclidean distances from features ``xs`` (n, d_x) to the task's
+    centroids, summed as ``np.linalg.norm`` sums them."""
+    diff = spec.centroids[None, :, :] - xs[:, None, :]
+    return np.sqrt(np.add.reduce(diff * diff, axis=2))
+
+
+def _report_pair_sets(spec, xs):
+    """Ground-truth finding pairs of report queries with features ``xs`` (n, d_x),
+    derivable from x alone: the pairs of the 1 to 3 nearest centroids."""
+    nearest = np.argsort(_centroid_distances(spec, xs), axis=1)
+    n_pairs = [1 + math.floor(min(max(1.5 * (t + 1.0), 0.0), 2.999))
+               for t in np.tanh(xs[:, 0]).tolist()]
+    return [frozenset(spec.centroid_pairs[j] for j in row[:n]) for row, n in zip(nearest, n_pairs)]
 
 
 def _canon_to_tool_label(tool, task, y):
@@ -313,7 +383,7 @@ def sample_query(world, task, rng, uid):
         hint = hint + cfg.hint_noise * rng.standard_normal(hint_dim)
         gt = GroundTruth(spec.family, box=box)
     else:
-        pairs = _report_pair_set(spec, x)
+        pairs = _report_pair_sets(spec, x[None, :])[0]
         codes = [spec.hint_codes[spec.space.pair_vocab.index(p)] for p in sorted(pairs)]
         hint = np.mean(codes, axis=0) + cfg.hint_noise * rng.standard_normal(hint_dim)
         gt = GroundTruth(spec.family, pairs=pairs)
@@ -321,41 +391,88 @@ def sample_query(world, task, rng, uid):
     return LabeledQuery(Query(uid=uid, task=task, x=x, q=q), gt)
 
 
+def _competences(world, spec, tools, xs):
+    """Competence of ``tools[i]`` on features ``xs[i]``: a radial function of
+    the squared distance to the tool's centroid, from the task's floor up to
+    the tool's ``pmax``."""
+    diff = xs - np.array([tool.mu for tool in tools])
+    dist2 = np.add.reduce(diff * diff, axis=1) / world.cfg.d_x
+    return [spec.p_floor + (tool.pmax - spec.p_floor) * math.exp(-tool.beta * d)
+            for tool, d in zip(tools, dist2.tolist())]
+
+
 def competence(world, tool, task, x):
-    spec = world.task_spec(task)
-    dist2 = float(np.sum((x - tool.mu) ** 2)) / world.cfg.d_x
-    return spec.p_floor + (tool.pmax - spec.p_floor) * math.exp(-tool.beta * dist2)
+    return _competences(world, world.task_spec(task), [tool], np.asarray(x)[None, :])[0]
 
 
 def tool_predict(world, tool, query, rng):
-    """Raw tool output aligned into the canonical space; null if unsupported."""
-    task = query.task
-    spec = world.task_spec(task)
-    if task not in tool.supported_tasks:
-        return null_prediction(spec.space)
-    kappa = competence(world, tool, task, query.x)
-    if spec.family in (TaskFamily.CLASSIFICATION, TaskFamily.MULTIPLE_CHOICE):
-        # ground truth is recoverable from the query's nearest centroid
-        y = int(np.argmin(np.linalg.norm(spec.centroids - query.x, axis=1)))
-        k_tool = tool.tool_label_count[task]
-        correct = _canon_to_tool_label(tool, task, y)
-        if rng.random() < kappa:
-            chosen = correct
+    """Raw tool output aligned into the canonical space; null if unsupported.
+    The one-pair call of ``predict_batch``."""
+    return predict_batch(world, [tool], [query], [rng])[0]
+
+
+def predict_batch(world, tools, queries, rngs):
+    """Aligned prediction of ``tools[i]`` on ``queries[i]``, drawing from
+    ``rngs[i]``; null where the tool does not support the query's task.
+
+    One pass per task computes the competences, nearest centroids,
+    ground-truth boxes and report pair sets of all its pairs as array
+    operations; each pair then makes its own draws, in a fixed order, so its
+    prediction does not depend on the rest of the batch.
+    """
+    out = [None] * len(tools)
+    rows_of = {}                 # task -> batch rows of its supported pairs
+    for n, (tool, query) in enumerate(zip(tools, queries)):
+        if query.task in tool.supported_tasks:
+            rows_of.setdefault(query.task, []).append(n)
         else:
-            wrong = [i for i in range(k_tool) if i != correct]
-            chosen = int(wrong[rng.integers(len(wrong))]) if wrong else correct
-        raw = np.full(k_tool, 0.1 / max(1, k_tool - 1))
-        raw[chosen] = 0.9
-        if k_tool == 1:
-            raw[:] = 1.0
-        return align(tool, spec.space, raw)
-    if spec.family is TaskFamily.GROUNDING:
-        gt_box = np.asarray(_box_from_x(spec, query.x))[None, :]
-        scale = float(np.interp(kappa, spec.calib_kappa, spec.calib_scale))
-        pred = _perturb_boxes(gt_box, scale, rng)[0]
-        return align(tool, spec.space, tuple(float(v) for v in pred))
-    # report generation: gt pair set is derivable from x
-    kept = [p for p in sorted(_report_pair_set(spec, query.x)) if rng.random() < kappa]
+            out[n] = null_prediction(world.task_spec(query.task).space)
+    for task, rows in rows_of.items():
+        spec = world.task_spec(task)
+        pair_tools = [tools[n] for n in rows]
+        xs = np.array([queries[n].x for n in rows])
+        kappas = _competences(world, spec, pair_tools, xs)
+        if spec.family in (TaskFamily.CLASSIFICATION, TaskFamily.MULTIPLE_CHOICE):
+            # ground truth is recoverable from the query's nearest centroid
+            truths = _centroid_distances(spec, xs).argmin(axis=1).tolist()
+            for n, tool, kappa, y in zip(rows, pair_tools, kappas, truths):
+                out[n] = _predict_label(tool, spec, y, kappa, rngs[n])
+        elif spec.family is TaskFamily.GROUNDING:
+            gt_boxes = np.array([_box_from_x(spec, x) for x in xs])
+            scales = np.interp(kappas, spec.calib_kappa, spec.calib_scale)
+            normals = np.array([rngs[n].standard_normal(4) for n in rows])
+            for n, tool, box in zip(rows, pair_tools,
+                                    _perturb_boxes(gt_boxes, scales, normals)):
+                out[n] = align(tool, spec.space, tuple(box.tolist()))
+        else:
+            for n, tool, kappa, pairs in zip(rows, pair_tools, kappas,
+                                            _report_pair_sets(spec, xs)):
+                out[n] = _predict_pairs(tool, spec, pairs, kappa, rngs[n])
+    return out
+
+
+def _predict_label(tool, spec, y, kappa, rng):
+    """Categorical output: the tool's label for ``y`` with probability kappa,
+    else a uniformly drawn wrong one."""
+    task = spec.task
+    k_tool = tool.tool_label_count[task]
+    correct = _canon_to_tool_label(tool, task, y)
+    if rng.random() < kappa:
+        chosen = correct
+    else:
+        wrong = [i for i in range(k_tool) if i != correct]
+        chosen = int(wrong[rng.integers(len(wrong))]) if wrong else correct
+    raw = np.full(k_tool, 0.1 / max(1, k_tool - 1))
+    raw[chosen] = 0.9
+    if k_tool == 1:
+        raw[:] = 1.0
+    return align(tool, spec.space, raw)
+
+
+def _predict_pairs(tool, spec, pairs, kappa, rng):
+    """Report output: each true pair kept with probability kappa, plus one
+    random pair with probability 1 - kappa."""
+    kept = [p for p in sorted(pairs) if rng.random() < kappa]
     pred_pairs = set(kept)
     if rng.random() < (1.0 - kappa):
         extra = spec.space.pair_vocab[rng.integers(len(spec.space.pair_vocab))]

@@ -8,7 +8,8 @@ import numpy as np
 
 from . import diffcore as dc
 from .anp_selector import SelectorConfig, SelectorModel, encode_slot, init_params
-from .domain import CATEGORICAL_FAMILIES, validity
+from .domain import CATEGORICAL_FAMILIES
+from .evalharness import CHUNK
 from .objective import BatchExample, ObjectiveConfig, PanelCosts, batch_objective
 from .simworld import sample_panel
 
@@ -55,22 +56,42 @@ class AdamW:
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        # two scratch arrays per parameter for the in-place update
+        self._tmp = {k: (np.empty_like(p.data), np.empty_like(p.data))
+                     for k, p in params.items()}
 
     def step(self):
+        """One update of every parameter, in place, into scratch buffers. The
+        operations are those of the expressions below, in the same order, so
+        results are bit-identical to evaluating them with temporaries:
+
+            m = beta1 * m + (1 - beta1) * g
+            v = beta2 * v + (1 - beta2) * g * g
+            p -= lr * (m / b1c) / (sqrt(v / b2c) + eps)
+            p -= lr * weight_decay * p
+        """
         self.step_count += 1
         b1c = 1.0 - self.beta1 ** self.step_count
         b2c = 1.0 - self.beta2 ** self.step_count
         for name in sorted(self.params):
             p = self.params[name]
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if not np.all(np.isfinite(g)):
+            if not np.isfinite(g).all():
                 raise ValueError(f"non-finite gradient in parameter {name!r}; step aborted")
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[name] / b1c
-            v_hat = self.v[name] / b2c
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            p.data -= self.lr * self.weight_decay * p.data
+            m, v = self.m[name], self.v[name]
+            a, b = self._tmp[name]
+            m *= self.beta1
+            m += np.multiply(g, 1.0 - self.beta1, out=a)
+            v *= self.beta2
+            np.multiply(g, 1.0 - self.beta2, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(m, b1c, out=a)
+            a *= self.lr
+            np.divide(v, b2c, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            p.data -= np.divide(a, b, out=a)
+            p.data -= np.multiply(p.data, self.lr * self.weight_decay, out=a)
 
 
 def sample_task(task_weights, rng):
@@ -117,19 +138,22 @@ def default_selector_config(world, ref_size=16):
 
 
 def make_predict_fn(world, selector_cfg):
-    """Aligned-prediction supplier for the selector; slot vectors cached."""
+    """Encoded-prediction supplier for the selector: the slot rows of a
+    batch's (tool, query) pairs, with the pairs it has not seen fetched by
+    one ``tool_predictions`` call; slot rows cached."""
     cache = {}
+    width = selector_cfg.slot_width
 
-    def predict(tool, query):
-        key = (tool.index, query.uid)
-        hit = cache.get(key)
-        if hit is None:
-            aligned = world.tool_prediction(tool, query)
-            spec = world.task_spec(query.task)
-            slot = encode_slot(spec.space, aligned, selector_cfg.slot_width)
-            hit = (slot, aligned)
-            cache[key] = hit
-        return hit
+    def predict(tools, queries):
+        keys = [(tool.index, query.uid) for tool, query in zip(tools, queries)]
+        missing = [n for n, key in enumerate(keys) if key not in cache]
+        if missing:
+            preds = world.tool_predictions([tools[n] for n in missing],
+                                           [queries[n] for n in missing])
+            for n, aligned in zip(missing, preds):
+                space = world.task_spec(queries[n].task).space
+                cache[keys[n]] = encode_slot(space, aligned, width)
+        return np.array([cache[key] for key in keys])
 
     return predict
 
@@ -143,8 +167,7 @@ def build_model(world, params, selector_cfg):
 def panel_costs(world, lq, panel):
     costs = np.zeros(len(panel.tools))
     valid = np.zeros(len(panel.tools), dtype=bool)
-    for j, tool in enumerate(panel.tools):
-        c = world.tool_cost(tool, lq)
+    for j, c in enumerate(world.tool_costs(panel.tools, [lq] * len(panel.tools))):
         if c is not None:
             costs[j] = c
             valid[j] = True
@@ -164,12 +187,11 @@ def _batch_examples(world, items, fwd):
 def _validation_cost(world, model, val_items):
     """Mean realized routed cost of argmax selection on fixed panels."""
     total = 0.0
-    chunk = 64
-    for lo in range(0, len(val_items), chunk):
-        part = val_items[lo:lo + chunk]
+    for lo in range(0, len(val_items), CHUNK):
+        part = val_items[lo:lo + CHUNK]
         fwd = model.batch_forward(part, training=False, with_coverage=False)
-        for (lq, panel), dist in zip(part, fwd.dists):
-            c = world.tool_cost(panel.tools[dist.selected], lq)
+        for c in world.tool_costs([panel.tools[dist.selected] for (_, panel), dist
+                                   in zip(part, fwd.dists)], [lq for lq, _ in part]):
             total += c
     return total / len(val_items)
 

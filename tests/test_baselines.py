@@ -234,3 +234,33 @@ def test_random_mean_within_2se_of_analytic(small_world):
     realized = np.mean([small_world.tool_cost(panel.tools[r.route(lq, panel, rng)], lq)
                         for lq, panel in zip(small_world.splits["test"], panels)])
     assert abs(realized - np.mean(expect)) <= 2 * se + 1e-12
+
+
+# ------------------------------------------------------------ route_batch
+
+def test_route_batch_equals_routing_one_at_a_time(small_world):
+    """Every router's route_batch gives the slots that route gives item by
+    item; Random draws the same numbers from two RNGs with the same seed."""
+    cfg = default_selector_config(small_world, ref_size=4)
+    model = build_model(small_world, init_params(cfg, 0), cfg)
+    panels = eval_panels(small_world, "test", 6, seed=17)
+    items = list(zip(small_world.splits["test"], panels))
+    makers = [RandomRouter, lambda: OracleRouter(small_world),
+              lambda: GlobalBestRouter.fit(small_world), lambda: KNNRouter.fit(small_world),
+              lambda: MLPIndexRouter.fit(small_world, iters=50),
+              lambda: ToolSelectRouter(model)]
+    for make in makers:
+        one, batched = make(), make()
+        rng_one, rng_batched = np.random.default_rng(8), np.random.default_rng(8)
+        singles = [one.route(lq, panel, rng_one) for lq, panel in items]
+        chunks = []
+        for lo in range(0, len(items), 50):
+            chunks += batched.route_batch(items[lo:lo + 50], rng_batched)
+        assert chunks == singles, one.name
+        assert all(isinstance(slot, int) for slot in chunks)
+
+
+def test_oracle_route_batch_raises_on_a_panel_without_valid_slot():
+    panel = _Panel([_Tool(0, supported=(1,)), _Tool(1, supported=(1,))])
+    with pytest.raises(NoValidCandidateError):
+        OracleRouter(_CostWorld({0: 0.0, 1: 0.0})).route_batch([(_LQ(), panel)], None)

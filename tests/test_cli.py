@@ -183,3 +183,38 @@ def test_route_malformed_input_exits_2(tmp_path, cfg_path, capsys):
     assert run(["route", "--config", cfg_path, "--out", str(tmp_path),
                 "--input", str(bad)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+# ------------------------------------------------ route input validation
+
+def _route_probe(tmp_path, cfg_path, capsys, edit):
+    """Route one exported record after ``edit`` changes it; returns the exit
+    code and standard error."""
+    out = tmp_path / "probe"
+    assert run(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    record = json.loads((out / "test.jsonl").read_text().splitlines()[0])
+    edit(record)
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(record) + "\n")
+    capsys.readouterr()
+    code = run(["route", "--config", cfg_path, "--out", str(out), "--input", str(path),
+                "--panel-size", "4"])
+    return code, capsys.readouterr().err, str(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda r: r.pop("family"), "missing key 'family'"),
+    (lambda r: r.update(x=r["x"][:3]), "'x' has 3 features"),
+    (lambda r: r.update(q=r["q"] + [0.5]), "'q' has 9 features"),
+    (lambda r: r["x"].__setitem__(0, float("nan")), "finite"),
+    (lambda r: r.update(q=[float("inf")] * len(r["q"])), "finite"),
+    (lambda r: r.update(task=9), "task 9 is not a task of the world"),
+    (lambda r: r.update(task=1), "has family"),
+], ids=["missing_key", "short_x", "long_q", "nan_x", "inf_q", "task_outside_world",
+        "family_mismatch"])
+def test_route_rejects_bad_records_with_an_error_line(tmp_path, cfg_path, capsys, edit,
+                                                      message):
+    code, err, path = _route_probe(tmp_path, cfg_path, capsys, edit)
+    assert code == 2
+    assert err.startswith(f"error: {path}:1: ") and message in err, err
+    assert "Traceback" not in err

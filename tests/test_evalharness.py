@@ -1,8 +1,22 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from toolselect.baselines import GlobalBestRouter, OracleRouter, RandomRouter
+from toolselect.anp_selector import init_params
+from toolselect.baselines import (
+    GlobalBestRouter,
+    KNNRouter,
+    MLPIndexRouter,
+    OracleRouter,
+    RandomRouter,
+    ToolSelectRouter,
+)
+from toolselect.domain import TaskFamily
 from toolselect.evalharness import (
+    MetricsReport,
+    TaskMetrics,
+    _macro_classification,
     compare,
     eval_panels,
     evaluate,
@@ -12,6 +26,7 @@ from toolselect.evalharness import (
     parse_machine_record,
     render_report,
 )
+from toolselect.trainer import build_model, default_selector_config
 
 
 # ------------------------------------------------------------- gap_closure
@@ -152,3 +167,84 @@ def test_render_report_deterministic(small_world):
     assert len(lines) == 1 + len(reports)
     assert lines[0].startswith("router")
     assert any(l.startswith("Oracle") for l in lines[1:])
+
+
+# ------------------------------------------- chunked evaluation reference
+
+def _reference_evaluate(router, world, split, panels, seed):
+    """evaluate as one loop over the queries: route, then read the cost and
+    the prediction of the chosen tool."""
+    rng = np.random.default_rng([seed, 86028121])
+    costs, extra, histogram = {}, {}, {}
+    for lq, panel in zip(world.splits[split], panels):
+        tool = panel.tools[router.route(lq, panel, rng)]
+        histogram[tool.tool_id] = histogram.get(tool.tool_id, 0) + 1
+        costs.setdefault(lq.query.task, []).append(world.tool_cost(tool, lq))
+        extra.setdefault(lq.query.task, []).append(
+            (world.tool_prediction(tool, lq.query), lq.gt))
+    per_task = {}
+    for task in sorted(costs):
+        spec = world.task_spec(task)
+        family = spec.family
+        if family is TaskFamily.CLASSIFICATION or family is TaskFamily.MULTIPLE_CHOICE:
+            k = len(spec.space.labels)
+            conf = np.zeros((k, k), dtype=np.int64)
+            for pred, gt in extra[task]:
+                truth = gt.label if family is TaskFamily.CLASSIFICATION else gt.option
+                conf[truth, int(np.argmax(pred.probs))] += 1
+            metrics = (_macro_classification(conf) if family is TaskFamily.CLASSIFICATION
+                       else {"accuracy": float(np.trace(conf) / conf.sum())})
+        else:
+            key = "mean_iou" if family is TaskFamily.GROUNDING else "findings_f1"
+            metrics = {key: float(np.mean([1.0 - c for c in costs[task]]))}
+        per_task[task] = TaskMetrics(mean_cost=float(np.mean(costs[task])), metrics=metrics,
+                                     count=len(costs[task]))
+    all_costs = [c for task in sorted(costs) for c in costs[task]]
+    return MetricsReport(router=router.name, seed=seed, query_count=len(world.splits[split]),
+                         mean_cost=float(np.mean(all_costs)), per_task=per_task,
+                         histogram=histogram)
+
+
+def _all_routers(world):
+    cfg = default_selector_config(world, ref_size=4)
+    model = build_model(world, init_params(cfg, 0), cfg)
+    return [RandomRouter(), OracleRouter(world), GlobalBestRouter.fit(world),
+            KNNRouter.fit(world), MLPIndexRouter.fit(world, iters=50), ToolSelectRouter(model)]
+
+
+def test_chunked_evaluate_and_compare_equal_a_per_query_loop(small_world):
+    """Reports of the chunked evaluate, and of compare, equal those of a
+    per-query loop exactly: costs, metrics, histogram and gap closures."""
+    fresh = dataclasses.replace(small_world, _pred_cache={})
+    reports = compare(_all_routers(fresh), fresh, "test", 5, seed=21)
+    panels = eval_panels(small_world, "test", 5, seed=21)
+    expected = {r.name: _reference_evaluate(r, small_world, "test", panels, 21)
+                for r in _all_routers(small_world)}
+    rnd, orc = expected["Random"], expected["Oracle"]
+    for rep in expected.values():
+        rep.gap_closure = gap_closure(rep.mean_cost, rnd.mean_cost, orc.mean_cost)
+        rep.gap_closure_per_task = {
+            task: gap_closure(tm.mean_cost, rnd.per_task[task].mean_cost,
+                              orc.per_task[task].mean_cost)
+            for task, tm in rep.per_task.items()}
+    assert list(reports) == list(expected)
+    for name, rep in reports.items():
+        assert rep == expected[name], name
+        assert list(rep.histogram) == list(expected[name].histogram)
+        direct = evaluate(_all_routers(small_world)[list(reports).index(name)], small_world,
+                          "test", 5, seed=21)
+        assert dataclasses.replace(direct, gap_closure=rep.gap_closure,
+                                   gap_closure_per_task=rep.gap_closure_per_task) == rep
+
+
+def test_evaluate_accepts_a_router_with_route_only(small_world):
+    class FirstValid:
+        name = "FirstValid"
+
+        def route(self, lq, panel, rng):
+            return next(j for j, t in enumerate(panel.tools)
+                        if lq.query.task in t.supported_tasks)
+
+    panels = eval_panels(small_world, "test", 4, seed=3)
+    rep = evaluate(FirstValid(), small_world, "test", 4, seed=3)
+    assert rep == _reference_evaluate(FirstValid(), small_world, "test", panels, 3)

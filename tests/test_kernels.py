@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+from scipy import special
 
 from toolselect import kernels
 
@@ -20,20 +21,24 @@ def test_gelu_at_one():
     assert abs(expected - 0.84134) < 5e-6
 
 
-def test_active_backend_matches_numpy_reference(rng):
-    x = rng.standard_normal((13, 37))
+def test_gelu_bwd_reuses_the_forward_cdf_bit_for_bit(rng):
+    x = rng.standard_normal((13, 37)) * 3
     g = rng.standard_normal((13, 37))
-    np.testing.assert_allclose(kernels.gelu_fwd(x), kernels.gelu_fwd_numpy(x),
-                               rtol=0, atol=1e-13)
-    np.testing.assert_allclose(kernels.gelu_bwd(x, g), kernels.gelu_bwd_numpy(x, g),
-                               rtol=0, atol=1e-13)
-    np.testing.assert_allclose(kernels.softmax_rows(x), kernels.softmax_rows_numpy(x),
-                               rtol=0, atol=1e-13)
-    s = rng.standard_normal(29)
-    mask = rng.random(29) > 0.4
-    np.testing.assert_allclose(kernels.masked_softmax(s, mask),
-                               kernels.masked_softmax_numpy(s, mask),
-                               rtol=0, atol=1e-13)
+    y, cdf = kernels.gelu_fwd(x, with_cdf=True)
+    assert np.array_equal(y, kernels.gelu_fwd(x))
+    # the backward as written before it took the forward's cdf
+    phi = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    recomputed = g * (0.5 * (1.0 + special.erf(x * (1.0 / math.sqrt(2.0)))) + x * phi)
+    assert np.array_equal(kernels.gelu_bwd(x, g, cdf), recomputed)
+
+
+def test_gelu_bwd_matches_central_differences(rng):
+    x = rng.standard_normal((5, 7)) * 2
+    h = 1e-6
+    numeric = (kernels.gelu_fwd(x + h) - kernels.gelu_fwd(x - h)) / (2 * h)
+    _, cdf = kernels.gelu_fwd(x, with_cdf=True)
+    np.testing.assert_allclose(kernels.gelu_bwd(x, np.ones_like(x), cdf), numeric,
+                               rtol=0, atol=1e-8)
 
 
 def test_softmax_rows_sum_to_one(rng):
@@ -43,4 +48,4 @@ def test_softmax_rows_sum_to_one(rng):
 
 
 def test_backend_flag_is_reported():
-    assert kernels.BACKEND in ("numba", "numpy")
+    assert kernels.BACKEND == "numpy"

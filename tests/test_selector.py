@@ -16,7 +16,7 @@ from toolselect.anp_selector import (
     self_attend_refs,
 )
 from toolselect.domain import Panel, validity
-from toolselect.errors import NoValidCandidateError, ShapeMismatchError
+from toolselect.errors import NoValidCandidateError, NonFiniteScoreError, ShapeMismatchError
 from toolselect.kernels import gelu_fwd, softmax_rows
 from toolselect.simworld import sample_panel
 from toolselect.trainer import (
@@ -269,6 +269,18 @@ def test_select_no_valid_tool_raises(setup):
                if lq.query.task not in t.supported_tasks]
     with pytest.raises(NoValidCandidateError):
         model.select(lq.query, Panel(task=lq.query.task, tools=tuple(invalid[:2])))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_select_raises_on_a_non_finite_score(setup, bad):
+    world, cfg, params, model = setup
+    lq = world.splits["test"][0]
+    x = lq.query.x.copy()
+    x[0] = bad
+    # a uid of its own, so no cache holds outputs for it
+    query = dataclasses.replace(lq.query, uid=10**9, x=x)
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteScoreError, match=str(10**9)):
+        model.select(query, _panel_for(world, lq))
 
 
 def test_select_permutation_equivariance(setup):

@@ -1,7 +1,10 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
-from toolselect.domain import CATEGORICAL_FAMILIES, TaskFamily, validity
+from toolselect.domain import CATEGORICAL_FAMILIES, TaskFamily, cost, validity
 from toolselect.errors import NoValidPanelError
 from toolselect.simworld import (
     WorldConfig,
@@ -249,3 +252,73 @@ def test_three_task_world():
     w = generate_world(cfg, 2)
     assert len(w.tasks) == 3
     assert len(w.all_tools) == 6 * 3
+
+
+# ------------------------------------------------------- batched lookups
+
+def _prediction_bytes(pred):
+    """Every field of an aligned prediction, bit for bit."""
+    probs = b"" if pred.probs is None else pred.probs.tobytes()
+    return repr((pred.family, pred.is_null, pred.box, sorted(pred.pairs))).encode() + probs
+
+
+def test_batched_lookups_match_per_pair_tool_predict(small_world):
+    """tool_predictions and tool_costs over mixed-task batches with duplicate
+    pairs equal tool_predict called per pair with a fresh keyed RNG, on every
+    (tool, query) pair of the splits and the reference pools."""
+    w = small_world
+    lqs = [lq for split in ("train", "val", "test") for lq in w.splits[split]]
+    lqs += [lq for task in sorted(w.ref_pools) for lq in w.ref_pools[task]]
+    pairs = [(tool, lq) for lq in lqs for tool in w.all_tools]
+    order = np.random.default_rng(0).permutation(len(pairs))
+    order = np.concatenate([order, order[:500]])  # duplicates, also across calls
+    tools = [pairs[i][0] for i in order]
+    batch_lqs = [pairs[i][1] for i in order]
+
+    fresh = dataclasses.replace(w, _pred_cache={})
+    preds, costs = [], []
+    for lo in range(0, len(order), 3000):
+        preds += fresh.tool_predictions(tools[lo:lo + 3000],
+                                        [lq.query for lq in batch_lqs[lo:lo + 3000]])
+    costless = dataclasses.replace(w, _pred_cache={})
+    for lo in range(0, len(order), 5000):
+        costs += costless.tool_costs(tools[lo:lo + 5000], batch_lqs[lo:lo + 5000])
+
+    got, want = hashlib.sha256(), hashlib.sha256()
+    n_valid = 0
+    for tool, lq, pred, c in zip(tools, batch_lqs, preds, costs):
+        rng = np.random.default_rng([w.seed, 104729, tool.index, lq.query.uid])
+        ref = tool_predict(w, tool, lq.query, rng)
+        got.update(_prediction_bytes(pred))
+        want.update(_prediction_bytes(ref))
+        if validity(tool, lq.query):
+            n_valid += 1
+            family = w.task_spec(lq.query.task).family
+            assert c == cost(family, ref, lq.gt), (tool.index, lq.query.uid)
+        else:
+            assert c is None and ref.is_null
+    assert got.hexdigest() == want.hexdigest()
+    assert n_valid > 5000
+
+
+def test_one_pair_lookups_equal_batched_lookups(small_world):
+    w = dataclasses.replace(small_world, _pred_cache={})
+    lqs = small_world.splits["val"][:10]
+    tools = [small_world.populations[lq.query.task][0] for lq in lqs]
+    single = [w.tool_cost(tool, lq) for tool, lq in zip(tools, lqs)]
+    assert single == dataclasses.replace(w, _pred_cache={}).tool_costs(tools, lqs)
+
+
+@pytest.mark.parametrize("key", [(0, 104729, 0, 0), (7, 104729, 47, 12345),
+                                 (2**32, 104729, 2**32 - 1, 2**33 + 7),
+                                 (12345678901234567890, 104729, 99, 2**64)])
+def test_uint32_words_seed_the_same_stream_as_the_ints(key):
+    from toolselect.simworld import _uint32_words
+    fast = np.random.Generator(np.random.PCG64(np.random.SeedSequence(_uint32_words(key))))
+    assert np.array_equal(fast.random(16), np.random.default_rng(list(key)).random(16))
+
+
+def test_pair_rng_is_the_keyed_default_rng(small_world):
+    tool, lq = small_world.all_tools[5], small_world.splits["val"][3]
+    expected = np.random.default_rng([small_world.seed, 104729, tool.index, lq.query.uid])
+    assert np.array_equal(small_world._pair_rng(tool, lq.query).random(16), expected.random(16))

@@ -75,6 +75,22 @@ def test_adamw_monotone_on_quadratic():
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
+def test_adamw_in_place_update_matches_textbook_expressions(rng):
+    lr, wd, b1, b2, eps = 3e-3, 1e-2, 0.9, 0.999, 1e-8
+    p = dc.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    opt = AdamW({"p": p}, lr=lr, weight_decay=wd, beta1=b1, beta2=b2, eps=eps)
+    w, m, v = p.data.copy(), np.zeros((4, 3)), np.zeros((4, 3))
+    for t in range(1, 6):
+        g = rng.standard_normal((4, 3))
+        p.grad = g
+        opt.step()
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        w -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+        w -= lr * wd * w
+        np.testing.assert_array_equal(p.data, w)
+
+
 def test_adamw_aborts_on_nonfinite_gradient():
     p = dc.Tensor(np.array(1.0), requires_grad=True)
     p.grad = np.array(np.nan)
