@@ -1,7 +1,15 @@
 """Reference routers: Random, Oracle, GlobalBest, KNN, and an index-output
-MLP router, plus the wrapper that routes with a trained selector."""
+MLP router, plus the wrapper that routes with a trained selector.
 
-import math
+The three learned baselines route a chunk of (labeled query, panel) items
+with array operations over its ``(B, M)`` tool-index and validity arrays:
+GlobalBest with one lookup into its fitted mean costs, KNN with one
+``cKDTree.query`` per task group over a ``(bank tools, training queries)``
+cost matrix, MLPIndex with one two-layer forward per task group. Their
+``route`` is the one-item ``route_batch``. Ties go to the lowest slot,
+tools unseen at fit rank last, and a panel whose valid slots all hold unseen
+tools routes to its first valid slot.
+"""
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -57,11 +65,61 @@ class OracleRouter(Router):
         return out
 
 
+def _panel_arrays(items):
+    """The ``(B, M)`` tool indices and validity of a chunk's panels, ragged
+    panels padded with invalid slots. Raises ``NoValidCandidateError`` for
+    the first item without a valid slot."""
+    index = [[tool.index for tool in panel.tools] for _, panel in items]
+    valid = [[validity(tool, lq.query) for tool in panel.tools] for lq, panel in items]
+    for (lq, _), row in zip(items, valid):
+        if not any(row):
+            raise NoValidCandidateError(f"no valid slot for query {lq.query.uid}")
+    width = max(len(row) for row in index)
+    return (np.array([row + [0] * (width - len(row)) for row in index]),
+            np.array([row + [False] * (width - len(row)) for row in valid]))
+
+
+def _index_table(tool_ids, values, missing):
+    """A lookup table over tool indices: ``values[i]`` at ``tool_ids[i]``,
+    ``missing`` elsewhere, with one trailing ``missing`` entry that
+    ``_lookup`` sends every index past the fitted range to."""
+    table = np.full(max(tool_ids, default=-1) + 2, missing, dtype=np.asarray(values).dtype)
+    table[list(tool_ids)] = values
+    return table
+
+
+def _lookup(table, index):
+    return table[np.minimum(index, table.size - 1)]
+
+
+def _lowest_rank(ranks, valid):
+    """Per row, the valid slot of lowest rank, ties to the lowest slot. Unseen
+    tools rank +inf, last; a row whose valid slots are all unseen gets its
+    first valid slot."""
+    ranks = np.where(valid, ranks, np.inf)
+    best = ranks.argmin(axis=1)
+    unseen = np.isposinf(ranks[np.arange(len(ranks)), best])
+    return np.where(unseen, valid.argmax(axis=1), best).tolist()
+
+
+def _features(lqs):
+    return np.array([np.concatenate([lq.query.x, lq.query.q]) for lq in lqs])
+
+
+def _task_groups(items):
+    """Chunk rows grouped by their query's task, in order of first appearance."""
+    groups = {}
+    for b, (lq, _) in enumerate(items):
+        groups.setdefault(lq.query.task, []).append(b)
+    return groups
+
+
 class GlobalBestRouter(Router):
     name = "GlobalBest"
 
     def __init__(self, mean_cost):
         self.mean_cost = mean_cost  # tool index -> fitted mean cost
+        self._ranks = _index_table(list(mean_cost), list(mean_cost.values()), np.inf)
 
     @classmethod
     def fit(cls, world, split="train"):
@@ -80,9 +138,12 @@ class GlobalBestRouter(Router):
         return cls({k: sums[k] / counts[k] for k in sums})
 
     def route(self, lq, panel, rng):
-        slots = _valid_slots(lq, panel)
-        ranks = [self.mean_cost.get(panel.tools[j].index, math.inf) for j in slots]
-        return int(slots[int(np.argmin(ranks))])
+        return self.route_batch([(lq, panel)], rng)[0]
+
+    def route_batch(self, items, rng):
+        """Every slot ranked by its tool's fitted mean cost, with one lookup."""
+        index, valid = _panel_arrays(items)
+        return _lowest_rank(_lookup(self._ranks, index), valid)
 
 
 class KNNRouter(Router):
@@ -90,7 +151,9 @@ class KNNRouter(Router):
     name = "KNN"
 
     def __init__(self, banks, k=5):
-        self.banks = banks  # task -> (kdtree, features, {tool index -> cost array})
+        # task -> (kdtree over training features, tool index -> bank row or -1,
+        #          (bank tools, training queries) cost matrix)
+        self.banks = banks
         self.k = k
 
     @classmethod
@@ -103,36 +166,40 @@ class KNNRouter(Router):
             task_records = [lq for lq in records if lq.query.task == task]
             if not task_records:
                 continue
-            feats = np.stack([np.concatenate([lq.query.x, lq.query.q])
-                              for lq in task_records])
-            cost_rows = {}
+            tool_ids, cost_rows = [], []
             for tool in pop:
                 costs = world.tool_costs([tool] * len(task_records), task_records)
                 if costs[0] is None and all(c is None for c in costs):
                     continue
-                cost_rows[tool.index] = np.array(
-                    [np.nan if c is None else c for c in costs])
-            banks[task] = (cKDTree(feats), feats, cost_rows)
+                tool_ids.append(tool.index)
+                cost_rows.append([np.nan if c is None else c for c in costs])
+            rows = _index_table(tool_ids, np.arange(len(tool_ids)), -1)
+            banks[task] = (cKDTree(_features(task_records)), rows,
+                           np.array(cost_rows).reshape(len(tool_ids), len(task_records)))
         return cls(banks, k=k)
 
     def route(self, lq, panel, rng):
-        slots = _valid_slots(lq, panel)
-        bank = self.banks.get(lq.query.task)
-        if bank is None:
-            return slots[0]
-        tree, feats, cost_rows = bank
-        feat = np.concatenate([lq.query.x, lq.query.q])
-        k = min(self.k, feats.shape[0])
-        _, nbrs = tree.query(feat, k=k)
-        nbrs = np.atleast_1d(nbrs)
-        ranks = []
-        for j in slots:
-            row = cost_rows.get(panel.tools[j].index)
-            if row is None:
-                ranks.append(math.inf)  # tools unseen in the bank rank last
-            else:
-                ranks.append(float(np.nanmean(row[nbrs])))
-        return int(slots[int(np.argmin(ranks))])
+        return self.route_batch([(lq, panel)], rng)[0]
+
+    def route_batch(self, items, rng):
+        """One ``cKDTree.query`` per task group; a slot ranks by its tool's
+        mean cost over the query's neighbours, read from the bank's matrix."""
+        index, valid = _panel_arrays(items)
+        ranks = np.full(index.shape, np.inf)
+        for task, group in _task_groups(items).items():
+            bank = self.banks.get(task)
+            if bank is None:
+                continue  # every slot unseen: the first valid slot
+            tree, rows, costs = bank
+            k = min(self.k, costs.shape[1])
+            _, nbrs = tree.query(_features([items[b][0] for b in group]), k=k)
+            nbrs = nbrs.reshape(len(group), k)
+            bank_rows = _lookup(rows, index[group])
+            seen = bank_rows >= 0
+            means = np.nanmean(costs[np.where(seen, bank_rows, 0)[:, :, None],
+                                     nbrs[:, None, :]], axis=2)
+            ranks[group] = np.where(seen, means, np.inf)
+        return _lowest_rank(ranks, valid)
 
 
 class MLPIndexRouter(Router):
@@ -141,6 +208,8 @@ class MLPIndexRouter(Router):
 
     def __init__(self, heads):
         self.heads = heads  # task -> (W1, b1, W2, b2, [tool index per logit])
+        self._columns = {task: _index_table(head[4], np.arange(len(head[4])), -1)
+                         for task, head in heads.items()}
 
     @classmethod
     def fit(cls, world, split="train", seed=0, hidden=64, lr=3e-3, iters=300):
@@ -156,8 +225,7 @@ class MLPIndexRouter(Router):
             if not supported:
                 continue
             tool_ids = [tool.index for tool in supported]
-            feats = np.stack([np.concatenate([lq.query.x, lq.query.q])
-                              for lq in task_records])
+            feats = _features(task_records)
             labels = np.array([np.argmin(world.tool_costs(supported, [lq] * len(supported)))
                                for lq in task_records])
             heads[task] = cls._train_head(feats, labels, len(tool_ids),
@@ -201,18 +269,22 @@ class MLPIndexRouter(Router):
         return h @ w2 + b2, tool_ids
 
     def route(self, lq, panel, rng):
-        slots = _valid_slots(lq, panel)
-        if lq.query.task not in self.heads:
-            return slots[0]
-        feat = np.concatenate([lq.query.x, lq.query.q])
-        logits, tool_ids = self._logits(lq.query.task, feat)
-        pos = {tid: i for i, tid in enumerate(tool_ids)}
-        ranks = []
-        for j in slots:
-            i = pos.get(panel.tools[j].index)
-            # tools without a trained index rank last
-            ranks.append(-math.inf if i is None else float(logits[i]))
-        return int(slots[int(np.argmax(ranks))])
+        return self.route_batch([(lq, panel)], rng)[0]
+
+    def route_batch(self, items, rng):
+        """One two-layer forward per task group; a slot ranks by its tool's
+        logit, and tools without a trained index rank last."""
+        index, valid = _panel_arrays(items)
+        ranks = np.full(index.shape, np.inf)
+        for task, group in _task_groups(items).items():
+            if task not in self.heads:
+                continue  # every slot unseen: the first valid slot
+            logits, _ = self._logits(task, _features([items[b][0] for b in group]))
+            cols = _lookup(self._columns[task], index[group])
+            seen = cols >= 0
+            picked = logits[np.arange(len(group))[:, None], np.where(seen, cols, 0)]
+            ranks[group] = np.where(seen, -picked, np.inf)
+        return _lowest_rank(ranks, valid)
 
 
 class ToolSelectRouter(Router):

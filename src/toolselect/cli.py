@@ -24,9 +24,9 @@ from .baselines import (
 from .checkpoint import load_checkpoint, save_checkpoint
 from .datasets import export_dataset, export_tools, parse_record
 from .errors import ConfigError, ToolSelectError
-from .evalharness import compare, machine_records, render_report
+from .evalharness import PANEL_KEY, compare, machine_records, render_report
 from .objective import ObjectiveConfig
-from .simworld import WorldConfig, generate_world, sample_panel, world_digest
+from .simworld import WorldConfig, generate_world, keyed_rng, sample_panel, world_digest
 from .trainer import TrainConfig, build_model, default_selector_config, fit
 
 from . import diffcore as dc
@@ -205,7 +205,7 @@ def cmd_route(args, cfg):
     world = _load_world(cfg, args.seed)
     lq = parse_record(line, where, world)
     router = _toolselect_router(world, cfg, os.path.join(args.out, "checkpoint.bin"))
-    rng = np.random.default_rng([args.seed, 50331653, lq.query.uid])
+    rng = keyed_rng(args.seed, PANEL_KEY, lq.query.uid)
     panel = sample_panel(world.populations[lq.query.task], lq.query,
                          args.panel_size, rng)
     dist = router.model.select(lq.query, panel)

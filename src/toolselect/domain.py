@@ -84,6 +84,21 @@ class Tool:
     tool_label_count: dict
     eta: np.ndarray
     reference_sets: dict = field(default_factory=dict)
+    # (task, tool label count) -> 0/1 alignment matrix, built by ``align``
+    _align_mats: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def alignment_matrix(self, task, n_tool_labels, n_canonical):
+        """The 0/1 ``(n_tool_labels, n_canonical)`` matrix of
+        ``alignment[task]``: row i has a 1 at each canonical label that tool
+        label i covers. Built once per (task, tool label count)."""
+        key = (task, n_tool_labels)
+        mat = self._align_mats.get(key)
+        if mat is None:
+            mat = np.zeros((n_tool_labels, n_canonical))
+            for tool_label, canon_labels in self.alignment[task].items():
+                mat[tool_label, list(canon_labels)] = 1.0
+            self._align_mats[key] = mat
+        return mat
 
 
 @dataclass(frozen=True)
@@ -137,6 +152,8 @@ def align(tool, space, raw):
 
     Categorical: canonical score of label y is the summed probability of
     tool labels whose pre-image contains y, renormalized onto the simplex.
+    The sum is ``raw @ A`` with the tool's 0/1 alignment matrix A; a
+    canonical label with one pre-image gets that label's probability exactly.
     Grounding/report payloads pass through unchanged.
     """
     task = space.task
@@ -150,34 +167,30 @@ def align(tool, space, raw):
     if abs(probs.sum() - 1.0) > 1e-6 or (probs < -1e-12).any():
         raise InvalidPredictionError(
             f"tool {tool.tool_id}: raw probabilities off the simplex (sum={probs.sum():.8f})")
-    rho = tool.alignment[task]
-    summed = np.zeros(space.size())
-    for tool_label, canon_labels in rho.items():
-        for y in canon_labels:
-            summed[y] += probs[tool_label]
+    summed = probs @ tool.alignment_matrix(task, probs.shape[0], space.size())
     total = summed.sum()
     if total <= 0.0:
         return null_prediction(space)
     return AlignedPrediction(space.family, probs=summed / total)
 
 
-def iou(box_a, box_b):
-    """Intersection-over-union of two (x1, y1, x2, y2) boxes in [0, 1]^2.
+def iou(boxes_a, boxes_b):
+    """Row-wise intersection-over-union of (x1, y1, x2, y2) boxes in [0, 1]^2.
 
-    Degenerate (zero-area) boxes score 0.
+    ``boxes_a`` and ``boxes_b`` are ``(n, 4)`` arrays and give ``n`` values;
+    two single boxes give one. Disjoint, touching and degenerate (zero-area)
+    boxes score 0.
     """
-    ax1, ay1, ax2, ay2 = box_a
-    bx1, by1, bx2, by2 = box_b
-    area_a = max(0.0, ax2 - ax1) * max(0.0, ay2 - ay1)
-    area_b = max(0.0, bx2 - bx1) * max(0.0, by2 - by1)
-    if area_a <= 0.0 or area_b <= 0.0:
-        return 0.0
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    return inter / (area_a + area_b - inter)
+    # coordinates as rows x1, y1, x2, y2, so each operation runs over boxes
+    a = np.ascontiguousarray(np.asarray(boxes_a, dtype=np.float64).T)
+    b = np.ascontiguousarray(np.asarray(boxes_b, dtype=np.float64).T)
+    size_a = np.maximum(a[2:] - a[:2], 0.0)
+    size_b = np.maximum(b[2:] - b[:2], 0.0)
+    size_i = np.maximum(np.minimum(a[2:], b[2:]) - np.maximum(a[:2], b[:2]), 0.0)
+    inter = size_i[0] * size_i[1]
+    # the union is 0 only when both boxes are degenerate, and then so is inter
+    union = size_a[0] * size_a[1] + size_b[0] * size_b[1] - inter
+    return np.divide(inter, union, out=np.zeros(inter.shape), where=union > 0.0)[()]
 
 
 def pair_f1(pred_pairs, gt_pairs):

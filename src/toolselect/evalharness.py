@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import TaskFamily
-from .simworld import sample_panel
+from .simworld import keyed_rng, sample_panel
 
 CHUNK = 64   # queries per batched routing call, in evaluation and validation
+PANEL_KEY = 50331653   # second entry of every evaluation panel RNG key
 
 
 class Router:
@@ -64,7 +65,7 @@ def eval_panels(world, split, m, seed):
     evaluated with the same (world, split, m, seed)."""
     panels = []
     for lq in world.splits[split]:
-        rng = np.random.default_rng([seed, 50331653, lq.query.uid])
+        rng = keyed_rng(seed, PANEL_KEY, lq.query.uid)
         panels.append(sample_panel(
             world.populations[lq.query.task], lq.query, m, rng))
     return panels

@@ -15,8 +15,10 @@ then each pair's draws from its own RNG. ``tool_predict`` is its one-pair
 call. ``SimWorld.tool_predictions`` and ``SimWorld.tool_costs`` look up a
 batch of pairs, computing the ones missing from the world's cache with one
 ``predict_batch`` call; ``tool_prediction`` and ``tool_cost`` are their
-one-pair forms. A pair's RNG is keyed by (world seed, tool index,
-query uid), so every output is the same whatever batch computes it.
+one-pair forms. ``tool_costs`` scores a batch per task with array
+operations, the same arithmetic as ``domain.cost`` applies to one pair. A
+pair's RNG is ``keyed_rng(world seed, PREDICTION_KEY, tool index, query
+uid)``, so every output is the same whatever batch computes it.
 """
 
 import math
@@ -37,6 +39,7 @@ from .domain import (
     cost,
     iou,
     null_prediction,
+    pair_f1,
     validity,
 )
 from .errors import NoValidPanelError
@@ -126,10 +129,8 @@ class SimWorld:
         return out
 
     def _pair_rng(self, tool, query):
-        """The generator of ``np.random.default_rng([seed, PREDICTION_KEY,
-        tool index, query uid])``, built from the key's 32-bit words."""
-        words = _uint32_words((self.seed, PREDICTION_KEY, tool.index, query.uid))
-        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+        """The prediction RNG of a (tool, query) pair."""
+        return keyed_rng(self.seed, PREDICTION_KEY, tool.index, query.uid)
 
     def tool_predictions(self, tools, queries):
         """Aligned predictions of ``tools[i]`` on ``queries[i]``, cached per
@@ -165,12 +166,42 @@ class SimWorld:
     def tool_costs(self, tools, lqs):
         """Realized cost of ``tools[i]`` on labeled query ``lqs[i]``; None where
         the tool does not support the query's task. The valid pairs'
-        predictions come from one ``tool_predictions`` call."""
+        predictions come from one ``tool_predictions`` call and are scored
+        per task as arrays: argmax against the truth (or the clipped
+        cross-entropy of the truth under ``clipped_xent``) for categorical
+        tasks, one row-wise IoU for grounding, pair-F1 per pair for reports.
+        Each cost equals ``domain.cost`` of its pair bit for bit."""
         valid = [n for n, (tool, lq) in enumerate(zip(tools, lqs)) if validity(tool, lq.query)]
         preds = self.tool_predictions([tools[n] for n in valid], [lqs[n].query for n in valid])
-        out = [None] * len(tools)
+        groups = {}                  # task -> (batch rows, predictions)
         for n, pred in zip(valid, preds):
-            out[n] = self._cost(lqs[n], pred)
+            if pred.is_null:
+                raise ValueError("cost requested for a null prediction")
+            rows, task_preds = groups.setdefault(lqs[n].query.task, ([], []))
+            rows.append(n)
+            task_preds.append(pred)
+        out = [None] * len(tools)
+        for task, (rows, task_preds) in groups.items():
+            family = self.task_spec(task).family
+            gts = [lqs[n].gt for n in rows]
+            if family is TaskFamily.REPORT_GENERATION:
+                costs = [1.0 - pair_f1(pred.pairs, gt.pairs) for pred, gt in zip(task_preds, gts)]
+            elif family is TaskFamily.GROUNDING:
+                costs = (1.0 - iou([pred.box for pred in task_preds],
+                                   [gt.box for gt in gts])).tolist()
+            else:
+                probs = np.array([pred.probs for pred in task_preds])
+                if family is TaskFamily.CLASSIFICATION:
+                    truths = np.array([gt.label for gt in gts])
+                else:
+                    truths = np.array([gt.option for gt in gts])
+                if family is TaskFamily.CLASSIFICATION and self.cfg.clipped_xent:
+                    p = np.clip(probs[np.arange(len(rows)), truths], 1e-12, 1.0)
+                    costs = np.minimum(1.0, -np.log(p)).tolist()
+                else:
+                    costs = np.where(probs.argmax(axis=1) == truths, 0.0, 1.0).tolist()
+            for n, c in zip(rows, costs):
+                out[n] = c
         return out
 
     def tool_cost(self, tool, lq):
@@ -178,6 +209,13 @@ class SimWorld:
         if not validity(tool, lq.query):
             return None
         return self._cost(lq, self.tool_prediction(tool, lq.query))
+
+
+def keyed_rng(*key):
+    """The generator of ``np.random.default_rng(list(key))`` for a key of
+    non-negative ints, built from the key's 32-bit words: the same stream,
+    without ``default_rng``'s slower coercion of Python ints."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(_uint32_words(key))))
 
 
 def _uint32_words(values):
@@ -197,38 +235,22 @@ def _uint32_words(values):
 
 
 def _box_from_x(spec, x):
-    cx, cy = 0.5 + 0.45 * np.tanh(spec.box_center_map @ x)
-    w, h = 0.2 + 0.1 * np.tanh(spec.box_size_map @ x)
-    x1 = max(0.0, cx - w / 2.0)
-    y1 = max(0.0, cy - h / 2.0)
-    x2 = min(1.0, cx + w / 2.0)
-    y2 = min(1.0, cy + h / 2.0)
-    return (float(x1), float(y1), float(x2), float(y2))
+    cx, cy = (0.5 + 0.45 * np.tanh(spec.box_center_map @ x)).tolist()
+    w, h = (0.2 + 0.1 * np.tanh(spec.box_size_map @ x)).tolist()
+    return (max(0.0, cx - w / 2.0), max(0.0, cy - h / 2.0),
+            min(1.0, cx + w / 2.0), min(1.0, cy + h / 2.0))
 
 
 def _perturb_boxes(boxes, scale, normals):
     """Vectorized box perturbation used both for calibration and prediction;
-    ``scale`` is one scale or one per box, ``normals`` (n, 4) the draws."""
-    cx = (boxes[:, 0] + boxes[:, 2]) / 2.0 + scale * 0.25 * normals[:, 0]
-    cy = (boxes[:, 1] + boxes[:, 3]) / 2.0 + scale * 0.25 * normals[:, 1]
-    w = (boxes[:, 2] - boxes[:, 0]) * np.exp(scale * normals[:, 2])
-    h = (boxes[:, 3] - boxes[:, 1]) * np.exp(scale * normals[:, 3])
-    out = np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=1)
-    return np.clip(out, 0.0, 1.0)
-
-
-def _iou_vec(a, b):
-    iw = np.minimum(a[:, 2], b[:, 2]) - np.maximum(a[:, 0], b[:, 0])
-    ih = np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 1], b[:, 1])
-    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-    area_a = np.clip(a[:, 2] - a[:, 0], 0.0, None) * np.clip(a[:, 3] - a[:, 1], 0.0, None)
-    area_b = np.clip(b[:, 2] - b[:, 0], 0.0, None) * np.clip(b[:, 3] - b[:, 1], 0.0, None)
-    union = area_a + area_b - inter
-    out = np.zeros(a.shape[0])
-    ok = union > 0
-    out[ok] = inter[ok] / union[ok]
-    out[(area_a <= 0) | (area_b <= 0)] = 0.0
-    return out
+    ``scale`` is one scale or one per box, ``normals`` (n, 4) the draws:
+    centres shift by ``0.25 * scale`` normals, sides scale log-normally."""
+    # coordinates and draws as rows, so each operation runs over boxes
+    b = np.ascontiguousarray(boxes.T)
+    z = np.ascontiguousarray(normals.T)
+    centers = (b[:2] + b[2:]) / 2.0 + scale * 0.25 * z[:2]
+    sizes = (b[2:] - b[:2]) * np.exp(scale * z[2:])
+    return np.clip(np.concatenate([centers - sizes / 2, centers + sizes / 2]).T, 0.0, 1.0)
 
 
 def _calibrate_box_noise(spec, cfg, rng, n_probe=256, n_draws=4):
@@ -246,7 +268,7 @@ def _calibrate_box_noise(spec, cfg, rng, n_probe=256, n_draws=4):
         lo, hi = 0.0, 4.0
         for _ in range(40):
             mid = 0.5 * (lo + hi)
-            mean_iou = _iou_vec(tiled, _perturb_boxes(tiled, mid, normals)).mean()
+            mean_iou = iou(tiled, _perturb_boxes(tiled, mid, normals)).mean()
             if mean_iou > kappa:
                 lo = mid
             else:

@@ -11,7 +11,7 @@ from .anp_selector import SelectorConfig, SelectorModel, encode_slot, init_param
 from .domain import CATEGORICAL_FAMILIES
 from .evalharness import CHUNK
 from .objective import BatchExample, ObjectiveConfig, PanelCosts, batch_objective
-from .simworld import sample_panel
+from .simworld import keyed_rng, sample_panel
 
 
 @dataclass
@@ -235,7 +235,7 @@ def fit(cfg, world, objective_cfg=None, selector_cfg=None, log_fn=None):
     # validation panels are fixed across epochs so the metric is comparable
     val_items = []
     for lq in world.splits["val"]:
-        vr = np.random.default_rng([cfg.seed, 7919, lq.query.uid])
+        vr = keyed_rng(cfg.seed, 7919, lq.query.uid)
         val_items.append((lq, sample_panel(
             world.populations[lq.query.task], lq.query, cfg.panel_size, vr)))
 

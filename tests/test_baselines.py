@@ -264,3 +264,120 @@ def test_oracle_route_batch_raises_on_a_panel_without_valid_slot():
     panel = _Panel([_Tool(0, supported=(1,)), _Tool(1, supported=(1,))])
     with pytest.raises(NoValidCandidateError):
         OracleRouter(_CostWorld({0: 0.0, 1: 0.0})).route_batch([(_LQ(), panel)], None)
+
+
+# ------------------------------------------- baseline chunk paths
+
+def _one_by_one_reference(router, lq, panel):
+    """The per-query ranking the chunk paths replaced: ``route`` before it
+    became the one-item ``route_batch``."""
+    import math
+
+    from toolselect.domain import validity
+    slots = [j for j, tool in enumerate(panel.tools) if validity(tool, lq.query)]
+    feat = np.concatenate([lq.query.x, lq.query.q])
+    if isinstance(router, GlobalBestRouter):
+        ranks = [router.mean_cost.get(panel.tools[j].index, math.inf) for j in slots]
+        return int(slots[int(np.argmin(ranks))])
+    if isinstance(router, KNNRouter):
+        bank = router.banks.get(lq.query.task)
+        if bank is None:
+            return slots[0]
+        tree, rows, costs = bank
+        _, nbrs = tree.query(feat, k=min(router.k, costs.shape[1]))
+        nbrs = np.atleast_1d(nbrs)
+        ranks = []
+        for j in slots:
+            index = panel.tools[j].index
+            row = rows[index] if index < rows.size - 1 else -1
+            ranks.append(math.inf if row < 0 else float(np.nanmean(costs[row][nbrs])))
+        return int(slots[int(np.argmin(ranks))])
+    if lq.query.task not in router.heads:
+        return slots[0]
+    logits, tool_ids = router._logits(lq.query.task, feat)
+    pos = {tid: i for i, tid in enumerate(tool_ids)}
+    ranks = [-math.inf if pos.get(panel.tools[j].index) is None
+             else float(logits[pos[panel.tools[j].index]]) for j in slots]
+    return int(slots[int(np.argmax(ranks))])
+
+
+@pytest.fixture(scope="module")
+def fitted_baselines(small_world):
+    return [GlobalBestRouter.fit(small_world), KNNRouter.fit(small_world),
+            MLPIndexRouter.fit(small_world, iters=50)]
+
+
+def test_route_batch_equals_route_with_unseen_tools(small_world, fitted_baselines):
+    """On a world with fresh tools past the fitted index range, chunks of 1
+    and 64 route as ``route`` does and as the one-by-one ranking did."""
+    from toolselect.domain import validity
+    from toolselect.simworld import regenerate_test_tools
+    world = regenerate_test_tools(small_world, 0.5, seed=3)
+    fitted_max = max(tool.index for tool in small_world.all_tools)
+    panels = eval_panels(world, "test", 6, seed=18)
+    items = list(zip(world.splits["test"], panels))
+    assert any(tool.index > fitted_max and validity(tool, lq.query)
+               for lq, panel in items for tool in panel.tools)
+    for router in fitted_baselines:
+        reference = [_one_by_one_reference(router, lq, panel) for lq, panel in items]
+        assert [router.route(lq, panel, None) for lq, panel in items] == reference, router.name
+        for size in (1, 64):
+            chunks = []
+            for lo in range(0, len(items), size):
+                chunks += router.route_batch(items[lo:lo + size], None)
+            assert chunks == reference, (router.name, size)
+
+
+def test_chunk_of_only_unseen_valid_slots_routes_to_the_first_valid(small_world,
+                                                                     fitted_baselines):
+    from toolselect.domain import Panel
+    from toolselect.simworld import regenerate_test_tools
+    world = regenerate_test_tools(small_world, 1.0, seed=4)
+    fitted_max = max(tool.index for tool in small_world.all_tools)
+    items, first_valid = [], []
+    for lq in world.splits["test"][::10]:
+        task = lq.query.task
+        unseen = [t for t in world.populations[task] if task in t.supported_tasks]
+        invalid = [t for t in small_world.all_tools if task not in t.supported_tasks]
+        assert unseen and invalid and all(t.index > fitted_max for t in unseen)
+        tools = (invalid[0], unseen[-1], invalid[-1], unseen[0])
+        items.append((lq, Panel(task=task, tools=tools)))
+        first_valid.append(1)
+    for router in fitted_baselines:
+        assert router.route_batch(items, None) == first_valid, router.name
+
+
+def test_baseline_route_batch_raises_on_a_panel_without_valid_slot(fitted_baselines):
+    panel = _Panel([_Tool(0, supported=(1,)), _Tool(1, supported=(1,))])
+    for router in fitted_baselines:
+        with pytest.raises(NoValidCandidateError):
+            router.route_batch([(_LQ(), panel)], None)
+
+
+def test_hand_built_global_best_routes_ragged_chunks():
+    router = GlobalBestRouter({0: 0.2, 1: 0.5, 2: 0.1})
+    items = [(_LQ(), _Panel([_Tool(0), _Tool(1), _Tool(2)])),
+             (_LQ(), _Panel([_Tool(1), _Tool(7)])),
+             (_LQ(), _Panel([_Tool(2, supported=(1,)), _Tool(9), _Tool(1), _Tool(0)])),
+             (_LQ(), _Panel([_Tool(8), _Tool(9)]))]
+    assert router.route_batch(items, None) == [2, 0, 3, 0]
+    assert [router.route(lq, panel, None) for lq, panel in items] == [2, 0, 3, 0]
+
+
+def test_hand_built_mlp_index_router_routes():
+    from toolselect.domain import LabeledQuery, Query
+    rng = np.random.default_rng(0)
+    feats = rng.standard_normal((200, 6))
+    labels = (feats[:, 0] > 0).astype(int)
+    head = MLPIndexRouter._train_head(feats, labels, 2, hidden=32,
+                                      lr=3e-3, iters=100, seed=0)
+    router = MLPIndexRouter({0: head + ([10, 11],)})
+    panel = _Panel([_Tool(12), _Tool(11), _Tool(10)])
+    items = [(LabeledQuery(Query(uid=i, task=0, x=f[:4], q=f[4:]), None), panel)
+             for i, f in enumerate(feats[:40])]
+    want = [2 if np.argmax(router._logits(0, f)[0]) == 0 else 1 for f in feats[:40]]
+    assert router.route_batch(items, None) == want
+    assert [router.route(lq, p, None) for lq, p in items] == want
+    other_task = LabeledQuery(Query(uid=99, task=1, x=feats[0, :4], q=feats[0, 4:]), None)
+    assert router.route(other_task, _Panel([_Tool(10, supported=(0,)), _Tool(11, supported=(1,))]),
+                        None) == 1

@@ -173,3 +173,83 @@ def test_all_costs_bounded_on_random_world(small_world, rng):
 def test_panel_requires_two_tools():
     with pytest.raises(ValueError):
         Panel(task=0, tools=(_tool({0}),))
+
+
+# ------------------------------------------------ align and iou as arrays
+
+def _align_by_loop(tool, space, raw):
+    """The summing loop that ``align`` replaced by a matrix product."""
+    summed = np.zeros(space.size())
+    for tool_label, canon_labels in tool.alignment[space.task].items():
+        for y in canon_labels:
+            summed[y] += raw[tool_label]
+    return summed / summed.sum()
+
+
+def test_align_matrix_equals_the_summing_loop(small_world, rng):
+    """Every (tool, categorical task) of the world, on the simulator's own
+    raw outputs and on random simplex points, bit for bit."""
+    checked = 0
+    for tool in small_world.all_tools:
+        for task in sorted(tool.supported_tasks):
+            space = small_world.task_spec(task).space
+            if space.family not in (TaskFamily.CLASSIFICATION, TaskFamily.MULTIPLE_CHOICE):
+                continue
+            k = tool.tool_label_count[task]
+            raws = []
+            for chosen in range(k):
+                raw = np.full(k, 0.1 / max(1, k - 1))
+                raw[chosen] = 0.9
+                raws.append(raw)
+            for _ in range(5):
+                raw = rng.random(k)
+                raws.append(raw / raw.sum())
+            for raw in raws:
+                got = align(tool, space, raw).probs
+                assert np.array_equal(got, _align_by_loop(tool, space, raw)), (tool.tool_id, task)
+                checked += 1
+    assert checked > 100
+
+
+def _iou_scalar(box_a, box_b):
+    """The one-pair IoU that the row-wise ``iou`` replaced."""
+    ax1, ay1, ax2, ay2 = box_a
+    bx1, by1, bx2, by2 = box_b
+    area_a = max(0.0, ax2 - ax1) * max(0.0, ay2 - ay1)
+    area_b = max(0.0, bx2 - bx1) * max(0.0, by2 - by1)
+    if area_a <= 0.0 or area_b <= 0.0:
+        return 0.0
+    iw = min(ax2, bx2) - max(ax1, bx1)
+    ih = min(ay2, by2) - max(ay1, by1)
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
+    inter = iw * ih
+    return inter / (area_a + area_b - inter)
+
+
+def test_iou_rows_equal_the_one_pair_reference_bit_for_bit(rng):
+    base = (0.2, 0.2, 0.6, 0.5)
+    cases = [
+        (base, base),                           # identical
+        (base, (0.7, 0.6, 0.9, 0.9)),           # disjoint
+        (base, (0.6, 0.2, 0.8, 0.5)),           # touching along an edge
+        (base, (0.6, 0.5, 0.8, 0.7)),           # touching at a corner
+        (base, (0.3, 0.3, 0.4, 0.4)),           # nested
+        (base, (0.3, 0.3, 0.3, 0.4)),           # zero width
+        (base, (0.3, 0.3, 0.5, 0.3)),           # zero height
+        ((0.4, 0.4, 0.4, 0.4), (0.4, 0.4, 0.4, 0.4)),  # two points
+        (base, (0.5, 0.4, 0.3, 0.2)),           # inverted corners
+        ((0.0, 0.0, 1.0, 1.0), base),           # the whole square
+    ]
+    # random boxes: sorting each box's two corner points per axis
+    boxes = np.sort(rng.random((500, 2, 2)), axis=1).reshape(500, 4).tolist()
+    cases += [(tuple(a), tuple(b)) for a, b in zip(boxes[:250], boxes[250:])]
+    boxes_a = np.array([a for a, _ in cases])
+    boxes_b = np.array([b for _, b in cases])
+    want = np.array([_iou_scalar(a, b) for a, b in cases])
+    got = iou(boxes_a, boxes_b)
+    assert got.shape == (len(cases),)
+    assert got.tobytes() == want.tobytes()
+    for (a, b), w in zip(cases[:10], want[:10]):
+        assert np.float64(iou(a, b)).tobytes() == np.float64(w).tobytes()
+    assert (want[1:4] == 0.0).all() and (want[5:9] == 0.0).all() and want[0] == 1.0

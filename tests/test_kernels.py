@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 from scipy import special
@@ -49,3 +50,9 @@ def test_softmax_rows_sum_to_one(rng):
 
 def test_backend_flag_is_reported():
     assert kernels.BACKEND == "numpy"
+
+
+def test_blas_threads_are_pinned_for_the_suite():
+    """The root conftest pins BLAS to one thread before numpy is imported."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert os.environ.get(var), var

@@ -322,3 +322,57 @@ def test_pair_rng_is_the_keyed_default_rng(small_world):
     tool, lq = small_world.all_tools[5], small_world.splits["val"][3]
     expected = np.random.default_rng([small_world.seed, 104729, tool.index, lq.query.uid])
     assert np.array_equal(small_world._pair_rng(tool, lq.query).random(16), expected.random(16))
+
+
+@pytest.mark.parametrize("key", [(0, 104729, 0, 0), (7, 50331653, 12345),
+                                 (2**32, 104729, 2**32 - 1, 2**33 + 7),
+                                 (12345678901234567890, 7919, 2**64)])
+def test_keyed_rng_is_the_keyed_default_rng(key):
+    from toolselect.simworld import keyed_rng
+    assert np.array_equal(keyed_rng(*key).random(16), np.random.default_rng(list(key)).random(16))
+
+
+@pytest.mark.parametrize("clipped_xent", [False, True])
+def test_tool_costs_equal_per_pair_cost_bit_for_bit(small_world, clipped_xent):
+    """The per-task array costs of shuffled mixed-task batches equal
+    ``domain.cost`` of each pair, on every family."""
+    w = dataclasses.replace(small_world, _pred_cache={},
+                            cfg=dataclasses.replace(small_world.cfg, clipped_xent=clipped_xent))
+    lqs = w.splits["val"] + w.splits["test"]
+    pairs = [(tool, lq) for lq in lqs for tool in w.populations[lq.query.task]]
+    order = np.random.default_rng(1).permutation(len(pairs))
+    tools = [pairs[i][0] for i in order]
+    batch_lqs = [pairs[i][1] for i in order]
+    costs = []
+    for lo in range(0, len(order), 97):
+        costs += w.tool_costs(tools[lo:lo + 97], batch_lqs[lo:lo + 97])
+    families = set()
+    for tool, lq, c in zip(tools, batch_lqs, costs):
+        if not validity(tool, lq.query):
+            assert c is None
+            continue
+        family = w.task_spec(lq.query.task).family
+        families.add(family)
+        want = cost(family, w.tool_prediction(tool, lq.query), lq.gt, clipped_xent=clipped_xent)
+        assert np.float64(c).tobytes() == np.float64(want).tobytes(), (tool.index, lq.query.uid)
+    assert families == set(TaskFamily)
+    if clipped_xent:
+        assert any(0.0 < c < 1.0 for c, lq in zip(costs, batch_lqs)
+                   if c is not None and w.task_spec(lq.query.task).family
+                   is TaskFamily.CLASSIFICATION)
+
+
+def test_perturb_boxes_equals_the_per_column_expressions(rng):
+    """The two-column box perturbation equals the per-column expressions it
+    replaced, bit for bit, with one scale and with one scale per box."""
+    from toolselect.simworld import _perturb_boxes
+    corners = np.sort(rng.random((300, 2, 2)), axis=1).reshape(300, 4)
+    normals = rng.standard_normal((300, 4))
+    for scale in (0.7, rng.random(300) * 2.0):
+        cx = (corners[:, 0] + corners[:, 2]) / 2.0 + scale * 0.25 * normals[:, 0]
+        cy = (corners[:, 1] + corners[:, 3]) / 2.0 + scale * 0.25 * normals[:, 1]
+        w = (corners[:, 2] - corners[:, 0]) * np.exp(scale * normals[:, 2])
+        h = (corners[:, 3] - corners[:, 1]) * np.exp(scale * normals[:, 3])
+        want = np.clip(np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=1),
+                       0.0, 1.0)
+        assert _perturb_boxes(corners, scale, normals).tobytes() == want.tobytes()
