@@ -71,23 +71,21 @@ def _xavier(rng, fan_in, fan_out):
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def init_params(cfg, seed):
-    """Xavier-uniform weights, zero biases; deterministic in the seed."""
-    rng = np.random.default_rng([seed, 2147483629])
-    p = {}
+def param_shapes(cfg):
+    """Name -> shape of every selector parameter, in ``init_params``' order."""
+    shapes = {}
 
     def linear(name, fan_in, fan_out, bias=True):
-        p[f"{name}_W"] = dc.Tensor(_xavier(rng, fan_in, fan_out), requires_grad=True)
+        shapes[f"{name}_W"] = (fan_in, fan_out)
         if bias:
-            p[f"{name}_b"] = dc.Tensor(np.zeros(fan_out), requires_grad=True)
+            shapes[f"{name}_b"] = (fan_out,)
 
     linear("phi_x", cfg.d_x, cfg.d_xp)
     linear("phi_q", cfg.d_q, cfg.d_qp)
     linear("fuse", cfg.d_xp + cfg.d_qp, cfg.d_u)
     for t, count in enumerate(cfg.task_label_counts):
         if count > 0:
-            p[f"label_embed_t{t}"] = dc.Tensor(
-                _xavier(rng, count, cfg.label_embed_dim), requires_grad=True)
+            shapes[f"label_embed_t{t}"] = (count, cfg.label_embed_dim)
     linear("rho_m", cfg.slot_width, cfg.rho_dim)
     linear("ref", cfg.d_xp + cfg.label_embed_dim + cfg.rho_dim, cfg.d)
     linear("self_q", cfg.d, cfg.d, bias=False)
@@ -101,7 +99,15 @@ def init_params(cfg, seed):
     linear("head2", cfg.hidden, 1)
     linear("cov1", cfg.d_u + cfg.d_v, cfg.hidden)
     linear("cov2", cfg.hidden, 1)
-    return p
+    return shapes
+
+
+def init_params(cfg, seed):
+    """Xavier-uniform weights, zero biases; deterministic in the seed."""
+    rng = np.random.default_rng([seed, 2147483629])
+    return {name: dc.Tensor(np.zeros(shape) if name.endswith("_b") else _xavier(rng, *shape),
+                            requires_grad=True)
+            for name, shape in param_shapes(cfg).items()}
 
 
 def encode_slot(space, aligned, slot_width):

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .anp_selector import SelectorConfig
+from .anp_selector import SelectorConfig, param_shapes
 from .baselines import (
     GlobalBestRouter,
     KNNRouter,
@@ -23,7 +23,7 @@ from .baselines import (
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .datasets import export_dataset, export_tools, parse_record
-from .errors import ConfigError, ToolSelectError
+from .errors import CheckpointError, ConfigError, ToolSelectError
 from .evalharness import PANEL_KEY, compare, machine_records, render_report
 from .objective import ObjectiveConfig
 from .simworld import WorldConfig, generate_world, keyed_rng, sample_panel, world_digest
@@ -169,10 +169,23 @@ def cmd_train(args, cfg):
 
 
 def _toolselect_router(world, cfg, ckpt_path):
+    """The selector of a checkpoint, whose tensors must have the names and
+    shapes of ``init_params`` for the run's selector config."""
     tensors = load_checkpoint(ckpt_path)
+    selector_cfg = cfg.selector_config(world)
+    expected = param_shapes(selector_cfg)
+    for name in sorted(expected.keys() | tensors.keys()):
+        if name not in tensors:
+            raise CheckpointError(f"{ckpt_path}: tensor {name!r} is missing; the selector "
+                                  f"config needs it with shape {expected[name]}")
+        if name not in expected:
+            raise CheckpointError(f"{ckpt_path}: tensor {name!r} is not a parameter of the "
+                                  f"selector config")
+        if tensors[name].shape != expected[name]:
+            raise CheckpointError(f"{ckpt_path}: tensor {name!r} has shape "
+                                  f"{tensors[name].shape}, the selector config {expected[name]}")
     params = {k: dc.Tensor(v, requires_grad=False) for k, v in tensors.items()}
-    model = build_model(world, params, cfg.selector_config(world))
-    return ToolSelectRouter(model)
+    return ToolSelectRouter(build_model(world, params, selector_cfg))
 
 
 def cmd_eval(args, cfg):

@@ -108,7 +108,8 @@ def parse_record(line, where, world=None):
     """One dataset line -> LabeledQuery; ``where`` ("path:line") names the
     line in errors.
 
-    The features must be finite vectors. With a ``world`` the record must
+    The uid must be non-negative (it keys the query's RNGs) and the
+    features finite vectors. With a ``world`` the record must
     also fit it: a task of the world, that task's family and the world's
     feature dimensions. Every failure raises ``ConfigError``.
     """
@@ -121,8 +122,10 @@ def parse_record(line, where, world=None):
         gt = _gt_from_payload(family, rec["gt"])
     except KeyError as exc:
         raise ConfigError(f"{where}: malformed record: missing key {exc}") from exc
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError, RecursionError) as exc:
         raise ConfigError(f"{where}: malformed record: {exc}") from exc
+    if query.uid < 0:
+        raise ConfigError(f"{where}: 'uid' must be non-negative, got {query.uid}")
     for name in ("x", "q"):
         v = getattr(query, name)
         if v.ndim != 1 or not np.isfinite(v).all():

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import TaskFamily
-from .simworld import keyed_rng, sample_panel
+from .simworld import keyed_rngs, sample_panel
 
 CHUNK = 64   # queries per batched routing call, in evaluation and validation
 PANEL_KEY = 50331653   # second entry of every evaluation panel RNG key
@@ -62,12 +62,16 @@ class MetricsReport:
 
 def eval_panels(world, split, m, seed):
     """Per-query panels keyed by the query uid; identical for every router
-    evaluated with the same (world, split, m, seed)."""
+    evaluated with the same (world, split, m, seed). The queries' RNGs,
+    ``keyed_rng(seed, PANEL_KEY, uid)``, are seeded a chunk at a time, which
+    keeps the seeding temporaries of a large split small."""
     panels = []
-    for lq in world.splits[split]:
-        rng = keyed_rng(seed, PANEL_KEY, lq.query.uid)
-        panels.append(sample_panel(
-            world.populations[lq.query.task], lq.query, m, rng))
+    records = world.splits[split]
+    for lo in range(0, len(records), CHUNK):
+        part = records[lo:lo + CHUNK]
+        rngs = keyed_rngs([(seed, PANEL_KEY, lq.query.uid) for lq in part])
+        panels += [sample_panel(world.populations[lq.query.task], lq.query, m, rng)
+                   for lq, rng in zip(part, rngs)]
     return panels
 
 

@@ -11,23 +11,42 @@ of the per-query best tool vary across the feature space.
 ``predict_batch`` is the one definition of a tool's output. It computes a
 batch of (tool, query) pairs in one pass per task: competences, nearest
 centroids, ground-truth boxes and report pair sets as array operations,
-then each pair's draws from its own RNG. ``tool_predict`` is its one-pair
-call. ``SimWorld.tool_predictions`` and ``SimWorld.tool_costs`` look up a
-batch of pairs, computing the ones missing from the world's cache with one
-``predict_batch`` call; ``tool_prediction`` and ``tool_cost`` are their
-one-pair forms. ``tool_costs`` scores a batch per task with array
+then each pair's draws from its own RNG. Categorical outputs are then built
+and aligned per (task, tool label count) as arrays (``domain.align_rows``);
+groups of fewer than ``ALIGN_ROWS_MIN`` pairs go through ``domain.align``.
+``tool_predict`` is the one-pair call. ``SimWorld.tool_predictions`` and ``SimWorld.tool_costs``
+look up a batch of pairs, computing the ones missing from the world's cache
+with one ``predict_batch`` call; ``tool_prediction`` and ``tool_cost`` are
+their one-pair forms. ``tool_costs`` scores a batch per task with array
 operations, the same arithmetic as ``domain.cost`` applies to one pair. A
 pair's RNG is ``keyed_rng(world seed, PREDICTION_KEY, tool index, query
 uid)``, so every output is the same whatever batch computes it.
+
+``keyed_rngs`` seeds a batch of such RNGs at once. numpy's ``SeedSequence``
+mixes each key into its entropy pool natively; the hash that
+``SeedSequence.generate_state`` applies to a pool to give the four 64-bit
+words of a PCG64 state is a fixed sequence of xor-multiply-shift steps on
+the pool's 32-bit words, so it runs as one array pass over the batch, and
+each generator is seeded with its row through numpy's ``ISeedSequence``
+hook: the same state, so the same stream, as ``keyed_rng``.
+
+``sample_queries`` draws a block of one task's queries: per query one
+``integers`` and one ``standard_normal`` draw of the feature and hint noise
+together (the same values as the two draws it replaces, since the normal
+sampler consumes the stream value by value), then the features, hints and
+ground truths of the block as array operations, each element computed by
+the same operations as for one query. ``sample_query`` is its one-query
+call.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .domain import (
-    AlignedPrediction,
+    CATEGORICAL_FAMILIES,
     CanonicalLabelSpace,
     GroundTruth,
     LabeledQuery,
@@ -36,15 +55,23 @@ from .domain import (
     TaskFamily,
     Tool,
     align,
+    align_rows,
     cost,
     iou,
     null_prediction,
     pair_f1,
     validity,
 )
-from .errors import NoValidPanelError
+from .errors import ConfigError, NoValidPanelError
 
 PREDICTION_KEY = 104729   # second entry of every per-(tool, query) prediction RNG key
+# Below these batch sizes numpy's per-call overhead outweighs the array pass:
+BATCH_SEEDING_MIN = 3     # keys, in keyed_rngs
+ALIGN_ROWS_MIN = 4        # categorical pairs of one task and tool label count
+# Queries per sampled block in generate_world. Whole (split, task) blocks of
+# 1250 queries make temporaries above glibc's 128 KB mmap threshold; they
+# raised peak RSS on the train benchmark by about 1 MB.
+QUERY_BLOCK = 256
 
 FAMILY_CYCLE = (
     TaskFamily.CLASSIFICATION,
@@ -77,6 +104,35 @@ class WorldConfig:
     ref_size: int = 16
     clipped_xent: bool = False
     n_tasks_total: int = 0  # 0 -> one task per family cycle entry
+
+    def __post_init__(self):
+        """Reject, with ``ConfigError``, values the generator cannot use."""
+        for name in ("n_tasks_per_family", "d_x", "d_q", "tools_per_task", "labels_per_task",
+                     "mcq_options", "n_findings", "n_locations", "n_train", "n_val", "n_test",
+                     "n_ref_pool", "ref_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"world config: {name} must be at least 1, "
+                                  f"got {getattr(self, name)}")
+        if self.n_tasks_total < 0:
+            raise ConfigError(f"world config: n_tasks_total must be 0 (one task per family) "
+                              f"or more, got {self.n_tasks_total}")
+        if self.d_q - self.n_tasks() < 2:
+            raise ConfigError(f"world config: d_q ({self.d_q}) must exceed the task count "
+                              f"({self.n_tasks()}) by at least 2")
+        if self.n_findings * self.n_locations < 5:
+            raise ConfigError("world config: n_findings * n_locations must be at least 5, "
+                              "the number of report centroids")
+        for name in ("p_max", "p_floor", "sharpness", "support_prob", "feature_noise",
+                     "hint_noise"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"world config: {name} must be finite, got {getattr(self, name)}")
+        for name in ("feature_noise", "hint_noise"):
+            if getattr(self, name) < 0.0:
+                raise ConfigError(f"world config: {name} must be non-negative, "
+                                  f"got {getattr(self, name)}")
+        if not 0.0 < self.support_prob <= 1.0:
+            raise ConfigError(f"world config: support_prob must lie in (0, 1], "
+                              f"got {self.support_prob}")
 
     def n_tasks(self):
         if self.n_tasks_total > 0:
@@ -144,8 +200,9 @@ class SimWorld:
                    for key, tool, query in zip(keys, tools, queries) if key not in cache}
         if missing:
             pairs = list(missing.values())
+            rngs = keyed_rngs([(self.seed, PREDICTION_KEY) + key for key in missing])
             preds = predict_batch(self, [tool for tool, _ in pairs], [query for _, query in pairs],
-                                  [self._pair_rng(tool, query) for tool, query in pairs])
+                                  rngs)
             cache.update(zip(missing, preds))
         return [cache[key] for key in keys]
 
@@ -218,6 +275,75 @@ def keyed_rng(*key):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(_uint32_words(key))))
 
 
+def keyed_rngs(keys):
+    """``keyed_rng(*key)`` of every key, as a sequence whose items are built
+    when read: ``rngs[i]`` is a new generator at the start of key i's
+    stream, so a batch never holds its generators all at once."""
+    return _KeyedRngs(_pcg64_states(keys))
+
+
+class _KeyedRngs:
+    """Generators seeded with the rows of an ``(n, 4)`` array of PCG64 states."""
+
+    def __init__(self, states):
+        self.states = states
+
+    def __len__(self):
+        return len(self.states)
+
+    def __getitem__(self, i):
+        return np.random.Generator(np.random.PCG64(_PCG64State(self.states[i])))
+
+
+class _PCG64State(ISeedSequence):
+    """A precomputed PCG64 state behind numpy's seed-sequence interface:
+    ``PCG64`` asks its seed for ``generate_state(4, np.uint64)`` and gets it."""
+
+    def __init__(self, state):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+# SeedSequence.generate_state: output word i hashes pool word i % 4 (numpy's
+# pool size) with the xor and multiply constants INIT_B * MULT_B**i and
+# INIT_B * MULT_B**(i + 1) (mod 2**32), then xors in its own top 16 bits.
+_STATE_WORDS = np.arange(8) % 4
+_STATE_XOR = np.array([0x8B51F9DD * 0x58F38DED ** i % 2**32 for i in range(8)], dtype=np.uint32)
+_STATE_MUL = np.array([0x8B51F9DD * 0x58F38DED ** (i + 1) % 2**32 for i in range(8)],
+                      dtype=np.uint32)
+
+
+def _pcg64_states(keys):
+    """The ``(n, 4)`` uint64 PCG64 states ``keyed_rng`` seeds for ``keys``:
+    each key's pool mixed by numpy, then numpy's ``generate_state(4,
+    np.uint64)`` of all the pools as one array pass, or of each pool by
+    numpy itself below ``BATCH_SEEDING_MIN`` keys."""
+    if len(keys) < BATCH_SEEDING_MIN:
+        return np.array([np.random.SeedSequence(_uint32_words(key)).generate_state(4, np.uint64)
+                         for key in keys], dtype=np.uint64).reshape(len(keys), 4)
+    pools = np.array([np.random.SeedSequence(words).pool for words in _key_words(keys)],
+                     dtype=np.uint32).reshape(len(keys), 4)
+    words = pools[:, _STATE_WORDS] ^ _STATE_XOR
+    words *= _STATE_MUL          # wraps mod 2**32, as numpy's uint32 arithmetic does
+    words ^= words >> np.uint32(16)
+    return np.ascontiguousarray(words, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+def _key_words(keys):
+    """The ``_uint32_words`` of every key: one ``(n, len(key))`` array when
+    every entry is an int below 2**32, else a list of per-key word arrays."""
+    try:
+        arr = np.array(keys)
+    except (ValueError, OverflowError):
+        arr = None
+    if (arr is not None and arr.dtype.kind == "i" and arr.ndim == 2
+            and arr.min() >= 0 and arr.max() <= 0xFFFFFFFF):
+        return arr.astype(np.uint32)
+    return [_uint32_words(key) for key in keys]
+
+
 def _uint32_words(values):
     """The 32-bit words, least significant first, that numpy's SeedSequence
     splits non-negative ints into. Seeding with them gives the same stream as
@@ -255,11 +381,9 @@ def _perturb_boxes(boxes, scale, normals):
 
 def _calibrate_box_noise(spec, cfg, rng, n_probe=256, n_draws=4):
     """Bisect a perturbation scale per kappa so mean IoU tracks kappa."""
-    probes = np.empty((n_probe, 4))
-    for i in range(n_probe):
-        k = rng.integers(len(spec.centroids))
-        x = spec.centroids[k] + cfg.feature_noise * rng.standard_normal(cfg.d_x)
-        probes[i] = _box_from_x(spec, x)
+    ks, noise = _draw_queries(rng, len(spec.centroids), n_probe, cfg.d_x)
+    xs = spec.centroids[ks] + cfg.feature_noise * noise
+    probes = np.array([_box_from_x(spec, x) for x in xs])
     tiled = np.repeat(probes, n_draws, axis=0)
     normals = rng.standard_normal((tiled.shape[0], 4))
     kappas = np.linspace(spec.p_floor, cfg.p_max, 9)
@@ -279,8 +403,6 @@ def _calibrate_box_noise(spec, cfg, rng, n_probe=256, n_draws=4):
 
 def _make_task(cfg, task, family, rng):
     hint_dim = cfg.d_q - cfg.n_tasks()
-    if hint_dim < 2:
-        raise ValueError("d_q must exceed the task count by at least 2")
     if family is TaskFamily.CLASSIFICATION:
         k = cfg.labels_per_task
         space = CanonicalLabelSpace(task, family, labels=tuple(range(k)))
@@ -382,35 +504,73 @@ def _canon_to_tool_label(tool, task, y):
     raise KeyError(f"label {y} has no pre-image for tool {tool.tool_id} task {task}")
 
 
-def sample_query(world, task, rng, uid):
-    """Draw one labeled query for a task."""
+def _draw_queries(rng, n_centroids, n, width):
+    """Per query, in order: a centroid index, then ``width`` standard
+    normals. Returns the ``(n,)`` indices and the ``(n, width)`` normals."""
+    ks = np.empty(n, dtype=np.int64)
+    noise = np.empty((n, width))
+    for i in range(n):
+        ks[i] = rng.integers(n_centroids)
+        rng.standard_normal(out=noise[i])
+    return ks, noise
+
+
+def sample_queries(world, task, rng, uids):
+    """One labeled query of a task per uid, drawn in order from ``rng``.
+
+    Each query draws its centroid, then its feature noise and hint noise in
+    one ``standard_normal`` call, which gives the values of two consecutive
+    calls. Features, hints and ground truths are computed for the block as
+    array operations, element by element the arithmetic of one query;
+    grounding boxes and report hint means are computed per query.
+    """
     cfg = world.cfg
     spec = world.task_spec(task)
-    hint_dim = cfg.d_q - cfg.n_tasks()
-    task_onehot = np.zeros(cfg.n_tasks())
-    task_onehot[task] = 1.0
-    k = rng.integers(len(spec.centroids))
-    x = spec.centroids[k] + cfg.feature_noise * rng.standard_normal(cfg.d_x)
-    if spec.family in (TaskFamily.CLASSIFICATION, TaskFamily.MULTIPLE_CHOICE):
-        y = int(k)
-        hint = spec.hint_codes[y] + cfg.hint_noise * rng.standard_normal(hint_dim)
+    n_tasks = cfg.n_tasks()
+    hint_dim = cfg.d_q - n_tasks
+    ks, noise = _draw_queries(rng, len(spec.centroids), len(uids), cfg.d_x + hint_dim)
+    xs = spec.centroids[ks] + cfg.feature_noise * noise[:, :cfg.d_x]
+    hint_noise = cfg.hint_noise * noise[:, cfg.d_x:]
+    if spec.family in CATEGORICAL_FAMILIES:
+        hints = spec.hint_codes[ks] + hint_noise
         if spec.family is TaskFamily.CLASSIFICATION:
-            gt = GroundTruth(spec.family, label=y)
+            gts = [GroundTruth(spec.family, label=y) for y in ks.tolist()]
         else:
-            gt = GroundTruth(spec.family, option=y)
+            gts = [GroundTruth(spec.family, option=y) for y in ks.tolist()]
     elif spec.family is TaskFamily.GROUNDING:
-        box = _box_from_x(spec, x)
-        hint = np.zeros(hint_dim)
-        hint[: min(4, hint_dim)] = np.asarray(box)[: min(4, hint_dim)]
-        hint = hint + cfg.hint_noise * rng.standard_normal(hint_dim)
-        gt = GroundTruth(spec.family, box=box)
+        boxes = [_box_from_x(spec, x) for x in xs]
+        shown = min(4, hint_dim)
+        hints = np.zeros((len(uids), hint_dim))
+        if boxes:
+            hints[:, :shown] = np.array(boxes)[:, :shown]
+        hints = hints + hint_noise
+        gts = [GroundTruth(spec.family, box=box) for box in boxes]
     else:
-        pairs = _report_pair_sets(spec, x[None, :])[0]
-        codes = [spec.hint_codes[spec.space.pair_vocab.index(p)] for p in sorted(pairs)]
-        hint = np.mean(codes, axis=0) + cfg.hint_noise * rng.standard_normal(hint_dim)
-        gt = GroundTruth(spec.family, pairs=pairs)
-    q = np.concatenate([task_onehot, hint])
-    return LabeledQuery(Query(uid=uid, task=task, x=x, q=q), gt)
+        pair_sets = _report_pair_sets(spec, xs)
+        vocab = spec.space.pair_vocab
+        means = [np.mean([spec.hint_codes[vocab.index(p)] for p in sorted(pairs)], axis=0)
+                 for pairs in pair_sets]
+        hints = np.array(means).reshape(len(uids), hint_dim) + hint_noise
+        gts = [GroundTruth(spec.family, pairs=pairs) for pairs in pair_sets]
+    qs = np.zeros((len(uids), cfg.d_q))
+    qs[:, task] = 1.0
+    qs[:, n_tasks:] = hints
+    return [LabeledQuery(Query(uid=uid, task=task, x=x, q=q), gt)
+            for uid, x, q, gt in zip(uids, xs, qs, gts)]
+
+
+def sample_query(world, task, rng, uid):
+    """Draw one labeled query for a task: the one-query ``sample_queries``."""
+    return sample_queries(world, task, rng, [uid])[0]
+
+
+def _sample_uids(world, task, rng, first_uid, count):
+    """Queries of a task with uids ``first_uid`` onwards, sampled in blocks of
+    at most ``QUERY_BLOCK``, which gives the same queries as one block."""
+    out = []
+    for lo in range(first_uid, first_uid + count, QUERY_BLOCK):
+        out += sample_queries(world, task, rng, range(lo, min(first_uid + count, lo + QUERY_BLOCK)))
+    return out
 
 
 def _competences(world, spec, tools, xs):
@@ -436,11 +596,15 @@ def tool_predict(world, tool, query, rng):
 def predict_batch(world, tools, queries, rngs):
     """Aligned prediction of ``tools[i]`` on ``queries[i]``, drawing from
     ``rngs[i]``; null where the tool does not support the query's task.
+    ``rngs`` is a sequence read once per supported pair, when that pair's
+    draws start (``keyed_rngs`` builds each generator then).
 
     One pass per task computes the competences, nearest centroids,
     ground-truth boxes and report pair sets of all its pairs as array
     operations; each pair then makes its own draws, in a fixed order, so its
-    prediction does not depend on the rest of the batch.
+    prediction does not depend on the rest of the batch. A task's
+    categorical outputs, from ``ALIGN_ROWS_MIN`` pairs on, are built and
+    aligned as arrays (``_predict_labels``).
     """
     out = [None] * len(tools)
     rows_of = {}                 # task -> batch rows of its supported pairs
@@ -454,11 +618,16 @@ def predict_batch(world, tools, queries, rngs):
         pair_tools = [tools[n] for n in rows]
         xs = np.array([queries[n].x for n in rows])
         kappas = _competences(world, spec, pair_tools, xs)
-        if spec.family in (TaskFamily.CLASSIFICATION, TaskFamily.MULTIPLE_CHOICE):
+        if spec.family in CATEGORICAL_FAMILIES:
             # ground truth is recoverable from the query's nearest centroid
             truths = _centroid_distances(spec, xs).argmin(axis=1).tolist()
-            for n, tool, kappa, y in zip(rows, pair_tools, kappas, truths):
-                out[n] = _predict_label(tool, spec, y, kappa, rngs[n])
+            if len(rows) < ALIGN_ROWS_MIN:
+                for n, tool, kappa, y in zip(rows, pair_tools, kappas, truths):
+                    out[n] = _predict_label(tool, spec, y, kappa, rngs[n])
+            else:
+                preds = _predict_labels(spec, pair_tools, truths, kappas, rngs, rows)
+                for n, pred in zip(rows, preds):
+                    out[n] = pred
         elif spec.family is TaskFamily.GROUNDING:
             gt_boxes = np.array([_box_from_x(spec, x) for x in xs])
             scales = np.interp(kappas, spec.calib_kappa, spec.calib_scale)
@@ -473,19 +642,61 @@ def predict_batch(world, tools, queries, rngs):
     return out
 
 
-def _predict_label(tool, spec, y, kappa, rng):
-    """Categorical output: the tool's label for ``y`` with probability kappa,
-    else a uniformly drawn wrong one."""
+def _predict_labels(spec, tools, ys, kappas, rngs, rows):
+    """``_predict_label`` of a task's pairs, pair i drawing from
+    ``rngs[rows[i]]``, read when its draws start. Pairs whose tools share a
+    tool label count draw one by one as ``_predict_label`` does, then their
+    raw rows are built as one array and aligned by ``domain.align_rows``; a
+    group of fewer than ``ALIGN_ROWS_MIN`` pairs goes through
+    ``_predict_label``."""
     task = spec.task
+    groups = {}                  # tool label count -> positions of its pairs
+    for i, tool in enumerate(tools):
+        groups.setdefault(tool.tool_label_count[task], []).append(i)
+    out = [None] * len(tools)
+    for k_tool, positions in groups.items():
+        if len(positions) < ALIGN_ROWS_MIN:
+            for i in positions:
+                out[i] = _predict_label(tools[i], spec, ys[i], kappas[i], rngs[rows[i]])
+            continue
+        labels = [_draw_label(tools[i], task, ys[i], kappas[i], rngs[rows[i]])
+                  for i in positions]
+        preds = align_rows([tools[i] for i in positions], spec.space,
+                           _raw_label_rows(k_tool, labels))
+        for i, pred in zip(positions, preds):
+            out[i] = pred
+    return out
+
+
+def _draw_label(tool, task, y, kappa, rng):
+    """The tool label a tool outputs for true label ``y``: its own label for
+    ``y`` with probability kappa, else a uniformly drawn wrong one."""
     k_tool = tool.tool_label_count[task]
     correct = _canon_to_tool_label(tool, task, y)
     if rng.random() < kappa:
-        chosen = correct
-    else:
-        wrong = [i for i in range(k_tool) if i != correct]
-        chosen = int(wrong[rng.integers(len(wrong))]) if wrong else correct
+        return correct
+    wrong = [i for i in range(k_tool) if i != correct]
+    return int(wrong[rng.integers(len(wrong))]) if wrong else correct
+
+
+def _raw_label_rows(k_tool, labels):
+    """Raw categorical outputs, one row per chosen tool label: 0.9 on the
+    label and 0.1 spread evenly over the others (1.0 for a one-label tool)."""
+    raw = np.full((len(labels), k_tool), 0.1 / max(1, k_tool - 1))
+    for row, label in enumerate(labels):
+        raw[row, label] = 0.9
+    if k_tool == 1:
+        raw[:] = 1.0
+    return raw
+
+
+def _predict_label(tool, spec, y, kappa, rng):
+    """Categorical output of one pair: the raw row of ``_draw_label``'s tool
+    label, as ``_raw_label_rows`` builds it, aligned to the canonical space.
+    Built as one row here, which keeps the one-pair path as cheap as it was."""
+    k_tool = tool.tool_label_count[spec.task]
     raw = np.full(k_tool, 0.1 / max(1, k_tool - 1))
-    raw[chosen] = 0.9
+    raw[_draw_label(tool, spec.task, y, kappa, rng)] = 0.9
     if k_tool == 1:
         raw[:] = 1.0
     return align(tool, spec.space, raw)
@@ -561,17 +772,13 @@ def generate_world(cfg, seed):
         records = []
         for t in range(n_tasks):
             count = total // n_tasks + (1 if t < total % n_tasks else 0)
-            for _ in range(count):
-                records.append(sample_query(world, t, rng, uid))
-                uid += 1
+            records += _sample_uids(world, t, rng, uid, count)
+            uid += count
         world.splits[name] = records
     for t in range(n_tasks):
         count = cfg.n_ref_pool // n_tasks
-        pool = []
-        for _ in range(count):
-            pool.append(sample_query(world, t, rng, uid))
-            uid += 1
-        world.ref_pools[t] = pool
+        world.ref_pools[t] = _sample_uids(world, t, rng, uid, count)
+        uid += count
     build_reference_sets(world, cfg.ref_size, rng)
     return world
 

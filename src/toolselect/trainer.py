@@ -11,7 +11,7 @@ from .anp_selector import SelectorConfig, SelectorModel, encode_slot, init_param
 from .domain import CATEGORICAL_FAMILIES
 from .evalharness import CHUNK
 from .objective import BatchExample, ObjectiveConfig, PanelCosts, batch_objective
-from .simworld import keyed_rng, sample_panel
+from .simworld import keyed_rngs, sample_panel
 
 
 @dataclass
@@ -233,11 +233,11 @@ def fit(cfg, world, objective_cfg=None, selector_cfg=None, log_fn=None):
     steps_per_epoch = max(1, math.ceil(total_train / cfg.batch_size))
 
     # validation panels are fixed across epochs so the metric is comparable
-    val_items = []
-    for lq in world.splits["val"]:
-        vr = keyed_rng(cfg.seed, 7919, lq.query.uid)
-        val_items.append((lq, sample_panel(
-            world.populations[lq.query.task], lq.query, cfg.panel_size, vr)))
+    val_split = world.splits["val"]
+    val_rngs = keyed_rngs([(cfg.seed, 7919, lq.query.uid) for lq in val_split])
+    val_items = [(lq, sample_panel(world.populations[lq.query.task], lq.query,
+                                   cfg.panel_size, vr))
+                 for lq, vr in zip(val_split, val_rngs)]
 
     history = []
     best_val = math.inf

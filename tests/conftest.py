@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from toolselect.simworld import WorldConfig, generate_world
+
+# Property tests draw the same examples on every run and have no deadline,
+# so the suite stays deterministic and does not fail on a slow machine.
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

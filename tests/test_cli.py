@@ -4,6 +4,8 @@ import re
 import numpy as np
 import pytest
 
+from toolselect.anp_selector import init_params
+from toolselect.checkpoint import save_checkpoint
 from toolselect.cli import RunConfig, parse_config, run
 from toolselect.datasets import (
     export_dataset,
@@ -12,6 +14,8 @@ from toolselect.datasets import (
     import_tools,
 )
 from toolselect.errors import ConfigError
+from toolselect.simworld import generate_world
+from toolselect.trainer import default_selector_config
 
 FAST_CONFIG = """\
 # small world for command-line round trips
@@ -210,11 +214,90 @@ def _route_probe(tmp_path, cfg_path, capsys, edit):
     (lambda r: r.update(q=[float("inf")] * len(r["q"])), "finite"),
     (lambda r: r.update(task=9), "task 9 is not a task of the world"),
     (lambda r: r.update(task=1), "has family"),
+    (lambda r: r.update(uid=-3), "'uid' must be non-negative, got -3"),
 ], ids=["missing_key", "short_x", "long_q", "nan_x", "inf_q", "task_outside_world",
-        "family_mismatch"])
+        "family_mismatch", "negative_uid"])
 def test_route_rejects_bad_records_with_an_error_line(tmp_path, cfg_path, capsys, edit,
                                                       message):
     code, err, path = _route_probe(tmp_path, cfg_path, capsys, edit)
     assert code == 2
     assert err.startswith(f"error: {path}:1: ") and message in err, err
     assert "Traceback" not in err
+
+
+# -------------------------------------------------- world config values
+
+@pytest.mark.parametrize("line, message", [
+    ("d_x=0", "d_x must be at least 1"),
+    ("mcq_options=0", "mcq_options must be at least 1"),
+    ("n_findings=1", "n_findings * n_locations must be at least 5"),
+    ("n_locations=0", "n_locations must be at least 1"),
+    ("feature_noise=nan", "feature_noise must be finite"),
+], ids=["d_x_0", "mcq_options_0", "n_findings_1", "n_locations_0", "feature_noise_nan"])
+def test_route_rejects_unusable_world_config_with_an_error_line(tmp_path, capsys, line,
+                                                                message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(FAST_CONFIG + line + "\n")
+    record = tmp_path / "record.json"
+    record.write_text("{}\n")
+    code = run(["route", "--config", str(cfg), "--out", str(tmp_path), "--input", str(record)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: world config: {message}"), err
+    assert "Traceback" not in err
+
+
+# --------------------------------------------- checkpoint against config
+
+def _checkpoint_probe(tmp_path, cfg_path, capsys, command, edit, config_extra=""):
+    """Write a checkpoint of the default selector config, changed by ``edit``,
+    and run ``command`` with the run config plus ``config_extra``; returns the
+    exit code and standard error."""
+    out = tmp_path / "run"
+    assert run(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    world = generate_world(parse_config(cfg_path).world, 0)
+    tensors = {name: t.data for name, t in init_params(default_selector_config(world), 0).items()}
+    edit(tensors)
+    save_checkpoint(tensors, str(out / "checkpoint.bin"))
+    cfg = tmp_path / "probe.cfg"
+    cfg.write_text(open(cfg_path).read() + config_extra)
+    record = tmp_path / "record.json"
+    record.write_text((out / "test.jsonl").read_text().splitlines()[0] + "\n")
+    capsys.readouterr()
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    if command == "route":
+        argv += ["--input", str(record), "--panel-size", "4"]
+    return run(argv), capsys.readouterr().err
+
+
+def test_route_rejects_a_checkpoint_missing_a_tensor(tmp_path, cfg_path, capsys):
+    code, err = _checkpoint_probe(tmp_path, cfg_path, capsys, "route",
+                                  lambda t: t.pop("head2_b"))
+    assert code == 2
+    assert err.startswith("error: ") and "tensor 'head2_b' is missing" in err, err
+    assert "Traceback" not in err
+
+
+def test_route_rejects_a_checkpoint_with_an_extra_tensor(tmp_path, cfg_path, capsys):
+    code, err = _checkpoint_probe(tmp_path, cfg_path, capsys, "route",
+                                  lambda t: t.update(stray_W=np.zeros((2, 2))))
+    assert code == 2
+    assert "tensor 'stray_W' is not a parameter of the selector config" in err, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["route", "eval"])
+def test_checkpoint_shapes_must_match_the_selector_config(tmp_path, cfg_path, capsys, command):
+    """A hidden=512 checkpoint under a hidden=64 config names the first
+    mismatching tensor, in sorted order."""
+    code, err = _checkpoint_probe(tmp_path, cfg_path, capsys, command, lambda t: None,
+                                  config_extra="hidden=64\n")
+    assert code == 2
+    assert err.startswith("error: ") and "tensor 'cov1_W' has shape (" in err, err
+    assert re.search(r"512\), the selector config \(\d+, 64\)", err), err
+    assert "Traceback" not in err
+
+
+def test_route_accepts_a_checkpoint_of_the_selector_config(tmp_path, cfg_path, capsys):
+    code, err = _checkpoint_probe(tmp_path, cfg_path, capsys, "route", lambda t: None)
+    assert code == 0, err

@@ -1,0 +1,181 @@
+"""Property tests: record parsing, batched seeding and block query sampling.
+
+The examples are drawn by hypothesis under the derandomized profile that
+``conftest.py`` loads, so every run tests the same examples.
+"""
+
+import json
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from toolselect.datasets import parse_record
+from toolselect.domain import GroundTruth, LabeledQuery, Query, TaskFamily
+from toolselect.errors import ConfigError
+from toolselect.simworld import (
+    WorldConfig,
+    _box_from_x,
+    _report_pair_sets,
+    generate_world,
+    keyed_rng,
+    keyed_rngs,
+    sample_queries,
+    sample_query,
+)
+
+# ------------------------------------------------------------- parse_record
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(st.text(max_size=6), children, max_size=5),
+    max_leaves=12)
+
+# records with the expected keys, each holding a plausible or an arbitrary value
+RECORDS = st.fixed_dictionaries({
+    "uid": st.integers() | st.floats() | JSON_VALUES,
+    "task": st.integers(-2, 6) | JSON_VALUES,
+    "family": st.sampled_from([f.value for f in TaskFamily]) | JSON_VALUES,
+    "x": st.lists(st.floats(), max_size=20) | JSON_VALUES,
+    "q": st.lists(st.floats(), max_size=12) | JSON_VALUES,
+    "gt": st.fixed_dictionaries({
+        "label": st.integers() | JSON_VALUES,
+        "option": st.integers() | JSON_VALUES,
+        "box": st.lists(st.floats(), max_size=5) | JSON_VALUES,
+        "pairs": st.lists(st.lists(st.integers(0, 6), max_size=3), max_size=3) | JSON_VALUES,
+    }) | JSON_VALUES,
+})
+
+
+def _parses_or_config_error(line, world=None):
+    try:
+        out = parse_record(line, "<input>:1", world)
+    except ConfigError as exc:
+        assert str(exc).startswith("<input>:1: ")
+        return None
+    assert isinstance(out, LabeledQuery)
+    return out
+
+
+@given(st.text())
+def test_parse_record_on_arbitrary_text_raises_only_config_error(line):
+    _parses_or_config_error(line)
+
+
+@given(JSON_VALUES)
+def test_parse_record_on_arbitrary_json_raises_only_config_error(value):
+    _parses_or_config_error(json.dumps(value))
+
+
+@given(RECORDS)
+def test_parse_record_on_arbitrary_records_raises_only_config_error(small_world, record):
+    line = json.dumps(record)
+    _parses_or_config_error(line)
+    out = _parses_or_config_error(line, small_world)
+    if out is not None:
+        assert out.query.uid >= 0 and 0 <= out.query.task < len(small_world.tasks)
+
+
+# ----------------------------------------------------------- batched seeding
+
+KEYS = (st.lists(st.lists(st.integers(0, 2**64), min_size=1, max_size=5).map(tuple),
+                 max_size=12)
+        | st.integers(1, 5).flatmap(lambda width: st.lists(
+            st.tuples(*[st.integers(0, 2**32 - 1)] * width), max_size=40)))
+
+
+@given(KEYS)
+def test_keyed_rngs_equal_keyed_rng(keys):
+    """Same state and stream as one ``keyed_rng`` per key, for one-word and
+    multi-word entries, keys of one or of mixed lengths, and any batch size."""
+    rngs = keyed_rngs(keys)
+    assert len(rngs) == len(keys)
+    for key, rng in zip(keys, rngs):
+        want = keyed_rng(*key)
+        assert rng.bit_generator.state == want.bit_generator.state
+        assert rng.random(3).tobytes() == want.random(3).tobytes()
+    for i in range(len(keys)):     # read by index, as predict_batch reads them
+        assert rngs[i].bit_generator.state == keyed_rng(*keys[i]).bit_generator.state
+
+
+def test_keyed_rngs_reject_negative_entries_as_keyed_rng_does():
+    for keys in ([(1, 2, 3), (4, -3, 5), (6, 7, 8)], [(-1,)], [(2**40, 1), (1, -1, 2), (3,)]):
+        try:
+            keyed_rngs(keys)
+        except ValueError as exc:
+            assert "non-negative" in str(exc)
+        else:
+            raise AssertionError(f"{keys} accepted")
+
+
+# ---------------------------------------------------- block query sampling
+
+def _reference_sample_query(world, task, rng, uid):
+    """The per-query sampler that ``sample_queries`` replaced: three draws per
+    query (centroid, feature noise, hint noise) and per-query arithmetic."""
+    cfg = world.cfg
+    spec = world.task_spec(task)
+    hint_dim = cfg.d_q - cfg.n_tasks()
+    task_onehot = np.zeros(cfg.n_tasks())
+    task_onehot[task] = 1.0
+    k = rng.integers(len(spec.centroids))
+    x = spec.centroids[k] + cfg.feature_noise * rng.standard_normal(cfg.d_x)
+    if spec.family in (TaskFamily.CLASSIFICATION, TaskFamily.MULTIPLE_CHOICE):
+        y = int(k)
+        hint = spec.hint_codes[y] + cfg.hint_noise * rng.standard_normal(hint_dim)
+        if spec.family is TaskFamily.CLASSIFICATION:
+            gt = GroundTruth(spec.family, label=y)
+        else:
+            gt = GroundTruth(spec.family, option=y)
+    elif spec.family is TaskFamily.GROUNDING:
+        box = _box_from_x(spec, x)
+        hint = np.zeros(hint_dim)
+        hint[: min(4, hint_dim)] = np.asarray(box)[: min(4, hint_dim)]
+        hint = hint + cfg.hint_noise * rng.standard_normal(hint_dim)
+        gt = GroundTruth(spec.family, box=box)
+    else:
+        pairs = _report_pair_sets(spec, x[None, :])[0]
+        codes = [spec.hint_codes[spec.space.pair_vocab.index(p)] for p in sorted(pairs)]
+        hint = np.mean(codes, axis=0) + cfg.hint_noise * rng.standard_normal(hint_dim)
+        gt = GroundTruth(spec.family, pairs=pairs)
+    q = np.concatenate([task_onehot, hint])
+    return LabeledQuery(Query(uid=uid, task=task, x=x, q=q), gt)
+
+
+def _same_query(a, b):
+    return (a.query.uid == b.query.uid and a.query.task == b.query.task
+            and a.query.x.tobytes() == b.query.x.tobytes()
+            and a.query.q.tobytes() == b.query.q.tobytes() and a.gt == b.gt)
+
+
+WORLD_CONFIGS = st.builds(
+    lambda per_family, d_x, hint_dim, labels, options, findings, locations, feature_noise,
+    hint_noise: WorldConfig(
+        n_tasks_per_family=per_family, d_x=d_x, d_q=4 * per_family + hint_dim,
+        labels_per_task=labels, mcq_options=options, n_findings=findings,
+        n_locations=locations, feature_noise=feature_noise, hint_noise=hint_noise,
+        tools_per_task=1, n_train=1, n_val=1, n_test=1, n_ref_pool=4 * per_family,
+        ref_size=1),
+    st.integers(1, 2), st.integers(1, 9), st.integers(2, 6), st.integers(1, 7),
+    st.integers(1, 6), st.integers(1, 4), st.integers(5, 7),
+    st.floats(0.0, 2.0), st.floats(0.0, 2.0))
+
+
+@settings(max_examples=25)
+@given(WORLD_CONFIGS, st.integers(0, 2**32 - 1), st.integers(0, 17))
+def test_block_sampling_equals_per_query_sampling(cfg, seed, n):
+    """A block of every task's queries equals the former per-query sampler
+    and the one-query ``sample_query``, and leaves its RNG in the same state."""
+    world = generate_world(cfg, seed)
+    for task in range(cfg.n_tasks()):
+        uids = list(range(100, 100 + n))
+        rngs = [np.random.default_rng([seed, task]) for _ in range(3)]
+        block = sample_queries(world, task, rngs[0], uids)
+        reference = [_reference_sample_query(world, task, rngs[1], uid) for uid in uids]
+        one_by_one = [sample_query(world, task, rngs[2], uid) for uid in uids]
+        assert len(block) == n
+        assert all(_same_query(a, b) and _same_query(a, c)
+                   for a, b, c in zip(block, reference, one_by_one))
+        assert (rngs[0].bit_generator.state == rngs[1].bit_generator.state
+                == rngs[2].bit_generator.state)

@@ -10,6 +10,7 @@ from toolselect.anp_selector import (
     encode_query,
     encode_reference_set,
     init_params,
+    param_shapes,
     reference_arrays,
     score_rows,
     coverage_rows,
@@ -480,3 +481,10 @@ def test_cached_select_matches_uncached(setup):
         np.testing.assert_allclose(cached.probs, fresh.probs, atol=1e-12)
         assert cached.selected == fresh.selected
     assert cache
+
+
+def test_param_shapes_are_the_shapes_init_params_draws():
+    for cfg in (SelectorConfig(), SelectorConfig(hidden=64, task_label_counts=(5, 0, 0, 4))):
+        params = init_params(cfg, 3)
+        assert list(params) == list(param_shapes(cfg))
+        assert all(params[name].data.shape == shape for name, shape in param_shapes(cfg).items())

@@ -1,11 +1,12 @@
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
 from toolselect.domain import CATEGORICAL_FAMILIES, TaskFamily, cost, validity
-from toolselect.errors import NoValidPanelError
+from toolselect.errors import ConfigError, NoValidPanelError
 from toolselect.simworld import (
     WorldConfig,
     competence,
@@ -54,6 +55,38 @@ def test_split_sizes(small_world):
     assert len(small_world.splits["train"]) == 200
     assert len(small_world.splits["val"]) == 40
     assert len(small_world.splits["test"]) == 120
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"d_x": 0}, "d_x must be at least 1"),
+    ({"mcq_options": 0}, "mcq_options must be at least 1"),
+    ({"labels_per_task": -1}, "labels_per_task must be at least 1"),
+    ({"tools_per_task": 0}, "tools_per_task must be at least 1"),
+    ({"n_val": 0}, "n_val must be at least 1"),
+    ({"ref_size": 0}, "ref_size must be at least 1"),
+    ({"n_tasks_total": -1}, "n_tasks_total"),
+    ({"d_q": 5}, "d_q (5) must exceed the task count (4)"),
+    ({"n_findings": 1}, "n_findings * n_locations must be at least 5"),
+    ({"n_locations": 0}, "n_locations must be at least 1"),
+    ({"n_findings": 2, "n_locations": 2}, "n_findings * n_locations must be at least 5"),
+    ({"feature_noise": float("nan")}, "feature_noise must be finite"),
+    ({"hint_noise": float("inf")}, "hint_noise must be finite"),
+    ({"feature_noise": -0.1}, "feature_noise must be non-negative"),
+    ({"sharpness": float("nan")}, "sharpness must be finite"),
+    ({"support_prob": 0.0}, "support_prob must lie in (0, 1]"),
+    ({"support_prob": 1.5}, "support_prob must lie in (0, 1]"),
+])
+def test_world_config_rejects_unusable_values(bad, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        WorldConfig(**{**SMALL, **bad})
+
+
+def test_world_config_accepts_the_smallest_usable_values():
+    cfg = WorldConfig(d_x=1, d_q=6, tools_per_task=1, labels_per_task=1, mcq_options=1,
+                      n_findings=5, n_locations=1, feature_noise=0.0, hint_noise=0.0,
+                      support_prob=1.0, n_train=1, n_val=1, n_test=1, n_ref_pool=4, ref_size=1)
+    w = generate_world(cfg, 0)
+    assert len(w.splits["train"]) == 1 and len(w.all_tools) == 4
 
 
 # ------------------------------------------------------------ sample_query
