@@ -34,7 +34,6 @@ from .errors import (
     NonFiniteScoreError,
     ShapeMismatchError,
     ToolSelectError,
-    UnknownTaskError,
 )
 from .evalharness import compare, evaluate, gap_closure
 from .objective import ObjectiveConfig, batch_objective
@@ -52,7 +51,7 @@ __all__ = [
     "CheckpointError", "ConfigError", "EmptyReferenceSetError",
     "InvalidPredictionError", "NoValidCandidateError", "NoValidPanelError",
     "NonFiniteScoreError",
-    "ShapeMismatchError", "ToolSelectError", "UnknownTaskError",
+    "ShapeMismatchError", "ToolSelectError",
     "compare", "evaluate", "gap_closure",
     "ObjectiveConfig", "batch_objective",
     "WorldConfig", "generate_world", "regenerate_test_tools",

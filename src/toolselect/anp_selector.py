@@ -46,20 +46,16 @@ class SelectorConfig:
     d_v: int = 16
     hidden: int = 512
     dropout: float = 0.1
-    ref_size: int = 16
     label_embed_dim: int = 8
     rho_dim: int = 8
     slot_width: int = 5
     eta_dim: int = 2
-    n_tasks: int = 4
     # |Y_t| per task; 0 for non-categorical tasks (no learned label table)
     task_label_counts: tuple = (5, 0, 0, 4)
 
     def __post_init__(self):
         if not (0.0 <= self.dropout < 1.0):
             raise ValueError("dropout must lie in [0, 1)")
-        if not (1 <= self.ref_size):
-            raise ValueError("ref_size must be positive")
         for name in ("d_x", "d_q", "d_xp", "d_qp", "d_u", "d", "d_k", "d_v",
                      "hidden", "label_embed_dim", "rho_dim", "slot_width", "eta_dim"):
             if getattr(self, name) <= 0:
@@ -398,9 +394,6 @@ class SelectorModel:
         for name, p in self.params.items():
             detached[name] = dc.Tensor(p.data, requires_grad=False)
         return SelectorModel(self.cfg, detached, self.spaces, self.predict_fn, self.bank)
-
-    def trainables(self):
-        return [self.params[k] for k in sorted(self.params)]
 
     def _encode_sets(self, rows, training, rng):
         sets = self.bank.sets.take(rows)

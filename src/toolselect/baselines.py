@@ -1,14 +1,14 @@
 """Reference routers: Random, Oracle, GlobalBest, KNN, and an index-output
 MLP router, plus the wrapper that routes with a trained selector.
 
-The three learned baselines route a chunk of (labeled query, panel) items
-with array operations over its ``(B, M)`` tool-index and validity arrays:
-GlobalBest with one lookup into its fitted mean costs, KNN with one
-``cKDTree.query`` per task group over a ``(bank tools, training queries)``
-cost matrix, MLPIndex with one two-layer forward per task group. Their
-``route`` is the one-item ``route_batch``. Ties go to the lowest slot,
-tools unseen at fit rank last, and a panel whose valid slots all hold unseen
-tools routes to its first valid slot.
+Every router defines only ``route_batch``; ``route`` is the base class's
+one-item call. The three learned baselines route a chunk of (labeled query,
+panel) items with array operations over its ``(B, M)`` tool-index and
+validity arrays: GlobalBest with one lookup into its fitted mean costs, KNN
+with one ``cKDTree.query`` per task group over a ``(bank tools, training
+queries)`` cost matrix, MLPIndex with one two-layer forward per task group.
+Ties go to the lowest slot, tools unseen at fit rank last, and a panel whose
+valid slots all hold unseen tools routes to its first valid slot.
 """
 
 import numpy as np
@@ -19,50 +19,6 @@ from .domain import validity
 from .errors import NoValidCandidateError
 from .evalharness import Router
 from .trainer import AdamW
-
-
-def _valid_slots(lq, panel):
-    slots = [j for j, tool in enumerate(panel.tools) if validity(tool, lq.query)]
-    if not slots:
-        raise NoValidCandidateError(f"no valid slot for query {lq.query.uid}")
-    return slots
-
-
-class RandomRouter(Router):
-    name = "Random"
-
-    def route(self, lq, panel, rng):
-        slots = _valid_slots(lq, panel)
-        return int(slots[rng.integers(len(slots))])
-
-
-class OracleRouter(Router):
-    """Evaluation-only: picks the true-cost-minimizing valid slot.
-
-    Consumes ground truth; must never appear on a training path.
-    """
-    name = "Oracle"
-
-    def __init__(self, world):
-        self.world = world
-
-    def route(self, lq, panel, rng):
-        slots = _valid_slots(lq, panel)
-        costs = [self.world.tool_cost(panel.tools[j], lq) for j in slots]
-        return int(slots[int(np.argmin(costs))])  # ties -> lowest index
-
-    def route_batch(self, items, rng):
-        """``route`` of each item, with the costs of every valid slot read
-        by one ``tool_costs`` call."""
-        valid = [_valid_slots(lq, panel) for lq, panel in items]
-        costs = iter(self.world.tool_costs(
-            [panel.tools[j] for (_, panel), slots in zip(items, valid) for j in slots],
-            [lq for (lq, _), slots in zip(items, valid) for _ in slots]))
-        out = []
-        for slots in valid:
-            item_costs = [next(costs) for _ in slots]
-            out.append(int(slots[int(np.argmin(item_costs))]))  # ties -> lowest index
-        return out
 
 
 def _panel_arrays(items):
@@ -77,6 +33,47 @@ def _panel_arrays(items):
     width = max(len(row) for row in index)
     return (np.array([row + [0] * (width - len(row)) for row in index]),
             np.array([row + [False] * (width - len(row)) for row in valid]))
+
+
+def _valid_slots(lq, panel):
+    slots = [j for j, tool in enumerate(panel.tools) if validity(tool, lq.query)]
+    if not slots:
+        raise NoValidCandidateError(f"no valid slot for query {lq.query.uid}")
+    return slots
+
+
+class RandomRouter(Router):
+    name = "Random"
+
+    def route_batch(self, items, rng):
+        """A uniform valid slot per item: one ``rng.integers`` draw each, in order."""
+        out = []
+        for lq, panel in items:
+            slots = _valid_slots(lq, panel)
+            out.append(slots[rng.integers(len(slots))])
+        return out
+
+
+class OracleRouter(Router):
+    """Evaluation-only: picks the true-cost-minimizing valid slot.
+
+    Consumes ground truth; must never appear on a training path.
+    """
+    name = "Oracle"
+
+    def __init__(self, world):
+        self.world = world
+
+    def route_batch(self, items, rng):
+        """The valid slot of least true cost per item, ties to the lowest
+        slot, with the costs of every valid slot read by one ``tool_costs``
+        call."""
+        _, valid = _panel_arrays(items)
+        rows, slots = np.nonzero(valid)
+        costs = np.full(valid.shape, np.inf)
+        costs[rows, slots] = self.world.tool_costs(
+            [items[b][1].tools[j] for b, j in zip(rows, slots)], [items[b][0] for b in rows])
+        return costs.argmin(axis=1).tolist()
 
 
 def _index_table(tool_ids, values, missing):
@@ -137,9 +134,6 @@ class GlobalBestRouter(Router):
                 counts[tool.index] = counts.get(tool.index, 0) + 1
         return cls({k: sums[k] / counts[k] for k in sums})
 
-    def route(self, lq, panel, rng):
-        return self.route_batch([(lq, panel)], rng)[0]
-
     def route_batch(self, items, rng):
         """Every slot ranked by its tool's fitted mean cost, with one lookup."""
         index, valid = _panel_arrays(items)
@@ -177,9 +171,6 @@ class KNNRouter(Router):
             banks[task] = (cKDTree(_features(task_records)), rows,
                            np.array(cost_rows).reshape(len(tool_ids), len(task_records)))
         return cls(banks, k=k)
-
-    def route(self, lq, panel, rng):
-        return self.route_batch([(lq, panel)], rng)[0]
 
     def route_batch(self, items, rng):
         """One ``cKDTree.query`` per task group; a slot ranks by its tool's
@@ -268,9 +259,6 @@ class MLPIndexRouter(Router):
         h = gelu_fwd(feat @ w1 + b1)
         return h @ w2 + b2, tool_ids
 
-    def route(self, lq, panel, rng):
-        return self.route_batch([(lq, panel)], rng)[0]
-
     def route_batch(self, items, rng):
         """One two-layer forward per task group; a slot ranks by its tool's
         logit, and tools without a trained index rank last."""
@@ -293,10 +281,6 @@ class ToolSelectRouter(Router):
     def __init__(self, model):
         self.model = model.detached()
         self._cache = {}
-
-    def route(self, lq, panel, rng):
-        dist = self.model.select(lq.query, panel, cache=self._cache)
-        return dist.selected
 
     def route_batch(self, items, rng):
         """One batched forward over the items."""

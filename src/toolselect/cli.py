@@ -32,7 +32,9 @@ from .trainer import TrainConfig, build_model, default_selector_config, fit
 from . import diffcore as dc
 
 _WORLD_FIELDS = {f.name: f for f in dataclasses.fields(WorldConfig)}
-_SELECTOR_FIELDS = {f.name: f for f in dataclasses.fields(SelectorConfig)}
+# default_selector_config derives these from the world
+_SELECTOR_FIELDS = {f.name: f for f in dataclasses.fields(SelectorConfig)
+                    if f.name not in ("task_label_counts", "eta_dim")}
 _TRAIN_FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
 _OBJECTIVE_FIELDS = {f.name: f for f in dataclasses.fields(ObjectiveConfig)}
 
@@ -56,8 +58,6 @@ def _coerce(key, value, typ):
         if value.lower() == "none":
             return None
         return np.asarray([float(v) for v in value.split(",")], dtype=np.float64)
-    if key == "task_label_counts":
-        return tuple(int(v) for v in value.split(","))
     raise ConfigError(f"config key {key!r}: unsupported value type")
 
 
@@ -71,13 +71,7 @@ class RunConfig:
     selector_overrides: dict
 
     def selector_config(self, world):
-        base = default_selector_config(world, ref_size=self.train.ref_size)
-        if not self.selector_overrides:
-            return base
-        merged = dataclasses.asdict(base)
-        merged.update(self.selector_overrides)
-        merged["task_label_counts"] = tuple(merged["task_label_counts"])
-        return SelectorConfig(**merged)
+        return dataclasses.replace(default_selector_config(world), **self.selector_overrides)
 
 
 def parse_config(path=None):

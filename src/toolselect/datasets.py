@@ -111,7 +111,10 @@ def parse_record(line, where, world=None):
     The uid must be non-negative (it keys the query's RNGs) and the
     features finite vectors. With a ``world`` the record must
     also fit it: a task of the world, that task's family and the world's
-    feature dimensions. Every failure raises ``ConfigError``.
+    feature dimensions. A uid of one of the world's queries (splits or
+    reference pools) names that query, whose tool outputs the simulator
+    caches by uid, so the record's task, ``x`` and ``q`` must equal it.
+    Every failure raises ``ConfigError``.
     """
     try:
         rec = json.loads(line)
@@ -142,6 +145,12 @@ def parse_record(line, where, world=None):
             if len(getattr(query, name)) != dim:
                 raise ConfigError(f"{where}: {name!r} has {len(getattr(query, name))} "
                                   f"features, the world {dim}")
+        known = next((lq.query for records in (*world.splits.values(), *world.ref_pools.values())
+                      for lq in records if lq.query.uid == query.uid), None)
+        if known is not None and (known.task != query.task or not np.array_equal(known.x, query.x)
+                                  or not np.array_equal(known.q, query.q)):
+            raise ConfigError(f"{where}: uid {query.uid} is a query of the world with another "
+                              f"task or features; a new query needs a uid of its own")
     return LabeledQuery(query, gt)
 
 

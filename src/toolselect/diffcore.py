@@ -76,10 +76,6 @@ def add(a, b):
     raise ShapeMismatchError(f"add: incompatible shapes {a.data.shape} and {b.data.shape}")
 
 
-def sub(a, b):
-    return add(a, scale(b, -1.0))
-
-
 def mul(a, b):
     if a.data.shape != b.data.shape:
         raise ShapeMismatchError(f"mul: incompatible shapes {a.data.shape} and {b.data.shape}")
@@ -206,22 +202,6 @@ def reshape(a, shape):
     return _make(a.data.reshape(shape), (a,), back)
 
 
-def sum_all(a):
-    def back(g):
-        if a.requires_grad:
-            a.accumulate(np.full_like(a.data, float(g)))
-    return _make(a.data.sum(), (a,), back)
-
-
-def mean_all(a):
-    n = a.data.size
-
-    def back(g):
-        if a.requires_grad:
-            a.accumulate(np.full_like(a.data, float(g) / n))
-    return _make(a.data.mean(), (a,), back)
-
-
 def wsum(a, w):
     """Weighted sum against a constant numpy array of identical shape."""
     w = np.asarray(w, dtype=np.float64)
@@ -232,15 +212,6 @@ def wsum(a, w):
         if a.requires_grad:
             a.accumulate(float(g) * w)
     return _make((a.data * w).sum(), (a,), back)
-
-
-def exp(a):
-    y = np.exp(a.data)
-
-    def back(g):
-        if a.requires_grad:
-            a.accumulate(g * y)
-    return _make(y, (a,), back)
 
 
 def log_clamped(a, eps=1e-12):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidPredictionError, UnknownTaskError
+from .errors import InvalidPredictionError
 
 
 class TaskFamily(enum.Enum):
@@ -141,17 +141,6 @@ class AlignedPrediction:
     box: tuple = ()
     pairs: frozenset = frozenset()
     is_null: bool = False
-
-
-_FAMILY_TAGS = {f.value: f for f in TaskFamily}
-
-
-def assign_task(descriptor):
-    """Deterministically map a prompt descriptor to its task id."""
-    family = descriptor.get("family")
-    if family not in _FAMILY_TAGS:
-        raise UnknownTaskError(f"unknown task family tag: {family!r}")
-    return int(descriptor["task"])
 
 
 def validity(tool, query):

@@ -25,10 +25,6 @@ class InvalidPredictionError(ToolSelectError):
     """A raw categorical prediction is not on the probability simplex."""
 
 
-class UnknownTaskError(ToolSelectError):
-    """A prompt descriptor names a task family outside the closed enumeration."""
-
-
 class NoValidPanelError(ToolSelectError):
     """Panel resampling exhausted its attempt budget without a valid tool."""
 

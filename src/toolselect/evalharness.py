@@ -19,26 +19,29 @@ PANEL_KEY = 50331653   # second entry of every evaluation panel RNG key
 
 
 class Router:
-    """A router maps a (labeled query, panel) item to a slot of the panel.
+    """A router maps (labeled query, panel) items to slots of their panels.
 
-    Subclasses define ``name`` and ``route(lq, panel, rng)``; ``route_batch``
-    routes a list of items and returns their slots, by default one by one in
-    order with the shared ``rng``.
+    Subclasses define ``name`` and ``route_batch(items, rng)``, which routes
+    a list of items in order with the shared ``rng``; ``route`` is its
+    one-item call.
     """
     name = "Router"
 
     def route(self, lq, panel, rng):
-        raise NotImplementedError
+        return self.route_batch([(lq, panel)], rng)[0]
 
     def route_batch(self, items, rng):
-        return [self.route(lq, panel, rng) for lq, panel in items]
+        raise NotImplementedError
 
 
 def route_batch(router, items, rng):
     """The slots ``router`` routes ``items`` to. Any object with ``name`` and
-    ``route`` can be evaluated; one without ``route_batch`` gets the default."""
+    ``route`` can be evaluated; one without ``route_batch`` routes the items
+    one by one."""
     batch = getattr(router, "route_batch", None)
-    return batch(items, rng) if batch is not None else Router.route_batch(router, items, rng)
+    if batch is not None:
+        return batch(items, rng)
+    return [router.route(lq, panel, rng) for lq, panel in items]
 
 
 @dataclass

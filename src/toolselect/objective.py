@@ -86,78 +86,53 @@ def coverage_loss(s_t, costs, eps=1e-12):
 
 
 class BatchExample:
-    """Objective inputs of one example.
+    """Objective inputs of one row of a batched forward: its selection
+    distribution, panel costs and task, and the costs of its valid slots
+    that the coverage head is scored against (None without)."""
 
-    ``coverage_t`` holds coverage scores over the valid slots, in slot order,
-    against ``coverage_costs``. An example without its own reads its
-    distribution's, which a row of a batched forward builds only when asked.
-    """
-
-    def __init__(self, dist, pc, task, coverage_t=None, coverage_costs=None):
-        self.dist = dist            # SelectionDistribution with probs_t/scores_t
+    def __init__(self, dist, pc, task, coverage_costs=None):
+        self.dist = dist            # SelectionDistribution, row ``dist.row`` of ``dist.batch``
         self.pc = pc
         self.task = task
-        self._coverage_t = coverage_t
         self.coverage_costs = coverage_costs
 
     @property
     def coverage_t(self):
-        if self._coverage_t is not None:
-            return self._coverage_t
-        return getattr(self.dist, "coverage_t", None)
+        """Coverage scores over the row's valid slots, in slot order, or None."""
+        return self.dist.coverage_t
 
 
 def _stacked(examples):
-    """The examples' (B, M) probabilities, scores and slot mask, and their
-    coverage as (vector, entry of each covered slot, its cost, its example)
-    or None.
-
-    The rows of one batched forward, in order and without coverage of their
-    own, are its stacked tensors; other examples are stacked here.
-    """
-    batch = getattr(examples[0].dist, "batch", None)
-    if batch is not None and len(examples) == batch.mask.shape[0] and all(
-            ex.dist.batch is batch and ex.dist.row == i and ex._coverage_t is None
-            for i, ex in enumerate(examples)):
-        probs, scores, mask = batch.probs_t, batch.scores_t, batch.mask
-        covered = [] if batch.coverage_t is None else [
-            (i, ex.coverage_costs) for i, ex in enumerate(examples)
-            if ex.coverage_costs is not None]
-        cov, cov_index = batch.coverage_t, batch.slot_pair
-    else:
-        width = max(len(ex.dist.mask) for ex in examples)
-        mask = np.zeros((len(examples), width), dtype=bool)
-        for i, ex in enumerate(examples):
-            mask[i, :len(ex.dist.mask)] = ex.dist.mask
-        slots = np.concatenate([i * width + np.arange(len(ex.dist.mask))
-                                for i, ex in enumerate(examples)])
-        probs = dc.scatter_1d(dc.stack_rows([ex.dist.probs_t for ex in examples]),
-                              slots, mask.shape)
-        scores = dc.scatter_1d(dc.stack_rows([ex.dist.scores_t for ex in examples]),
-                               slots, mask.shape)
-        with_cov = [i for i, ex in enumerate(examples)
-                    if ex.coverage_t is not None and ex.coverage_costs is not None]
-        covered = [(i, examples[i].coverage_costs) for i in with_cov]
-        cov = dc.stack_rows([examples[i].coverage_t for i in with_cov]) if with_cov else None
-        cov_index = np.arange(sum(len(c) for _, c in covered))
+    """The (B, M) probabilities, scores and slot mask of the batched forward
+    whose rows the examples are, and its coverage as (vector, entry of each
+    covered slot, its cost, its example) or None."""
+    batch = examples[0].dist.batch
+    if batch is None or len(examples) != batch.mask.shape[0] or any(
+            ex.dist.batch is not batch or ex.dist.row != i for i, ex in enumerate(examples)):
+        raise ValueError("batch_objective: the examples must be the rows of one batched "
+                         "forward, in order")
+    probs, scores, mask = batch.probs_t, batch.scores_t, batch.mask
+    covered = [] if batch.coverage_t is None else [
+        (i, ex.coverage_costs) for i, ex in enumerate(examples) if ex.coverage_costs is not None]
     if not covered:
         return probs, scores, mask, None
     costs = np.concatenate([c for _, c in covered])
     owner = np.concatenate([np.full(len(c), i) for i, c in covered])
-    if costs.shape != cov_index.shape:
+    if costs.shape != batch.slot_pair.shape:
         raise ValueError("batch_objective: coverage costs do not match the coverage slots")
-    return probs, scores, mask, (cov, cov_index, costs, owner)
+    return probs, scores, mask, (batch.coverage_t, batch.slot_pair, costs, owner)
 
 
 def batch_objective(cfg, examples, n_tasks):
     """Mean task-weighted training loss over a batch; differentiable scalar.
 
-    Per example: compsum - lambda_h * entropy + lambda_r * mean(r^2 over
-    valid slots) + lambda_cov * mean coverage BCE, scaled by
-    task_weight * n_tasks so uniform weights are neutral. Each term is one
-    weighted sum over the batch's stacked tensors; ``compsum_loss``,
-    ``entropy_reg`` and ``coverage_loss`` are the per-example definitions
-    these sums reproduce.
+    ``examples`` are the rows of one ``batch_forward``, all of them and in
+    order; any other list raises ``ValueError``. Per example: compsum -
+    lambda_h * entropy + lambda_r * mean(r^2 over valid slots) + lambda_cov *
+    mean coverage BCE, scaled by task_weight * n_tasks so uniform weights are
+    neutral. Each term is one weighted sum over the forward's stacked
+    tensors; ``compsum_loss``, ``entropy_reg`` and ``coverage_loss`` are the
+    per-example definitions these sums reproduce.
     """
     if not examples:
         raise ValueError("batch_objective: empty batch")

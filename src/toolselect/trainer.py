@@ -9,6 +9,7 @@ import numpy as np
 from . import diffcore as dc
 from .anp_selector import SelectorConfig, SelectorModel, encode_slot, init_params
 from .domain import CATEGORICAL_FAMILIES
+from .errors import ConfigError
 from .evalharness import CHUNK
 from .objective import BatchExample, ObjectiveConfig, PanelCosts, batch_objective
 from .simworld import keyed_rngs, sample_panel
@@ -23,12 +24,29 @@ class TrainConfig:
     min_delta: float = 1e-4
     batch_size: int = 16
     panel_size: int = 6
-    lambda_h: float = 0.05
-    ref_size: int = 16
     seed: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps_opt: float = 1e-8
+
+    def __post_init__(self):
+        """Reject, with ``ConfigError``, values training cannot use."""
+        for name in ("max_epochs", "patience", "batch_size", "panel_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"train config: {name} must be at least 1, "
+                                  f"got {getattr(self, name)}")
+        for name in ("lr", "weight_decay", "min_delta", "eps_opt"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ConfigError(f"train config: {name} must be finite and non-negative, "
+                                  f"got {value}")
+        for name in ("lr", "eps_opt"):
+            if getattr(self, name) == 0.0:
+                raise ConfigError(f"train config: {name} must be positive, got 0")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"train config: {name} must lie in [0, 1), "
+                                  f"got {getattr(self, name)}")
 
 
 @dataclass
@@ -121,7 +139,7 @@ def early_stop(val_history, patience, min_delta):
     return since >= patience
 
 
-def default_selector_config(world, ref_size=16):
+def default_selector_config(world):
     """SelectorConfig derived from a world's task structure."""
     counts = []
     slot_width = 4
@@ -132,9 +150,8 @@ def default_selector_config(world, ref_size=16):
         else:
             counts.append(0)
     return SelectorConfig(
-        d_x=world.cfg.d_x, d_q=world.cfg.d_q, ref_size=ref_size,
-        slot_width=slot_width, n_tasks=world.cfg.n_tasks(),
-        task_label_counts=tuple(counts))
+        d_x=world.cfg.d_x, d_q=world.cfg.d_q, slot_width=slot_width,
+        eta_dim=len(world.all_tools[0].eta), task_label_counts=tuple(counts))
 
 
 def make_predict_fn(world, selector_cfg):
@@ -212,12 +229,16 @@ def fit(cfg, world, objective_cfg=None, selector_cfg=None, log_fn=None):
     Bit-deterministic for a fixed (cfg, world, seed) in single-threaded use.
     """
     if selector_cfg is None:
-        selector_cfg = default_selector_config(world, ref_size=cfg.ref_size)
+        selector_cfg = default_selector_config(world)
     if objective_cfg is None:
-        objective_cfg = ObjectiveConfig(lambda_h=cfg.lambda_h)
+        objective_cfg = ObjectiveConfig()
     n_tasks = world.cfg.n_tasks()
-    task_weights = (objective_cfg.task_weights if objective_cfg.task_weights is not None
-                    else np.full(n_tasks, 1.0 / n_tasks))
+    task_weights = np.asarray(objective_cfg.task_weights if objective_cfg.task_weights is not None
+                              else np.full(n_tasks, 1.0 / n_tasks), dtype=np.float64)
+    if (task_weights.shape != (n_tasks,) or (task_weights < 0).any()
+            or not abs(task_weights.sum() - 1.0) <= 1e-9):
+        raise ConfigError(f"task_weights must be a probability vector over the world's "
+                          f"{n_tasks} tasks, got {task_weights.tolist()}")
 
     params = init_params(selector_cfg, cfg.seed)
     model = build_model(world, params, selector_cfg)

@@ -73,7 +73,7 @@ def test_criterion1_full_objective_gradient():
                        n_tasks_total=3)
     world = generate_world(wcfg, 0)
     scfg = dataclasses.replace(
-        default_selector_config(world, ref_size=4),
+        default_selector_config(world),
         d_xp=4, d_qp=4, d_u=6, d=4, d_k=4, d_v=4, hidden=8,
         label_embed_dim=4, rho_dim=4, dropout=0.0)
     params = init_params(scfg, 0)
@@ -251,7 +251,7 @@ def test_criterion7_determinism_and_persistence(tmp_path):
 
     loaded = {k: dc.Tensor(v, requires_grad=False)
               for k, v in load_checkpoint(p1).items()}
-    scfg = default_selector_config(w1, ref_size=cfg.ref_size)
+    scfg = default_selector_config(w1)
     m32 = build_model(w1, params_to_float32(a.params), scfg)
     mrt = build_model(w1, loaded, scfg)
     panels = eval_panels(w1, "test", 4, seed=0)
@@ -311,7 +311,7 @@ def test_criterion9_early_stopping_fires():
     assert len(result.history) <= best_epoch + cfg.patience + 1
 
     # returned params reproduce the best validation cost exactly
-    scfg = default_selector_config(world, ref_size=cfg.ref_size)
+    scfg = default_selector_config(world)
     model = build_model(world, result.params, scfg).detached()
     val_items = []
     for lq in world.splits["val"]:

@@ -47,6 +47,9 @@ class _CostWorld:
     def tool_cost(self, tool, lq):
         return self.costs[tool.index]
 
+    def tool_costs(self, tools, lqs):
+        return [self.tool_cost(tool, lq) for tool, lq in zip(tools, lqs)]
+
 
 # ------------------------------------------------------------------ Random
 
@@ -185,7 +188,7 @@ def test_mlp_fit_routes_only_valid(small_world):
 
 def test_toolselect_router_valid_and_deterministic(small_world):
     from toolselect.domain import validity
-    cfg = default_selector_config(small_world, ref_size=4)
+    cfg = default_selector_config(small_world)
     model = build_model(small_world, init_params(cfg, 0), cfg)
     router = ToolSelectRouter(model)
     panels = eval_panels(small_world, "test", 4, seed=14)
@@ -241,7 +244,7 @@ def test_random_mean_within_2se_of_analytic(small_world):
 def test_route_batch_equals_routing_one_at_a_time(small_world):
     """Every router's route_batch gives the slots that route gives item by
     item; Random draws the same numbers from two RNGs with the same seed."""
-    cfg = default_selector_config(small_world, ref_size=4)
+    cfg = default_selector_config(small_world)
     model = build_model(small_world, init_params(cfg, 0), cfg)
     panels = eval_panels(small_world, "test", 6, seed=17)
     items = list(zip(small_world.splits["test"], panels))

@@ -90,7 +90,7 @@ def test_selector_scores_survive_round_trip(tmp_path, small_world):
     """Routing with f32-rounded params is bit-identical after reload and
     within float32 noise of the original float64 parameters."""
     from toolselect import diffcore as dc
-    cfg = default_selector_config(small_world, ref_size=4)
+    cfg = default_selector_config(small_world)
     params64 = init_params(cfg, 0)
     params32 = params_to_float32(params64)
     path = tmp_path / "ckpt.bin"

@@ -215,14 +215,59 @@ def _route_probe(tmp_path, cfg_path, capsys, edit):
     (lambda r: r.update(task=9), "task 9 is not a task of the world"),
     (lambda r: r.update(task=1), "has family"),
     (lambda r: r.update(uid=-3), "'uid' must be non-negative, got -3"),
+    (lambda r: r.update(uid=0), "uid 0 is a query of the world with another task or features"),
+    (lambda r: r.update(uid=110), "uid 110 is a query of the world"),
+    (lambda r: r["x"].__setitem__(0, r["x"][0] + 1e-9), "is a query of the world"),
 ], ids=["missing_key", "short_x", "long_q", "nan_x", "inf_q", "task_outside_world",
-        "family_mismatch", "negative_uid"])
+        "family_mismatch", "negative_uid", "uid_of_a_training_query",
+        "uid_of_a_reference_pool_query", "own_uid_other_features"])
 def test_route_rejects_bad_records_with_an_error_line(tmp_path, cfg_path, capsys, edit,
                                                       message):
     code, err, path = _route_probe(tmp_path, cfg_path, capsys, edit)
     assert code == 2
     assert err.startswith(f"error: {path}:1: ") and message in err, err
     assert "Traceback" not in err
+
+
+# -------------------------------------------------- train config values
+
+@pytest.mark.parametrize("line, message", [
+    ("task_weights=0.5,0.5", "task_weights must be a probability vector over the world's 4 tasks"),
+    ("task_weights=0.2,0.2,0.2,0.2,0.2", "over the world's 4 tasks"),
+    ("task_weights=0.5,0.6,0,0", "task_weights must be a probability vector"),
+    ("task_weights=1.5,-0.5,0,0", "task_weights must be a probability vector"),
+    ("batch_size=0", "train config: batch_size must be at least 1, got 0"),
+    ("patience=0", "train config: patience must be at least 1, got 0"),
+    ("max_epochs=0", "train config: max_epochs must be at least 1, got 0"),
+    ("lr=nan", "train config: lr must be finite"),
+    ("beta2=1", "train config: beta2 must lie in [0, 1)"),
+    ("task_label_counts=5,0,0", "unknown config key 'task_label_counts'"),
+    ("eta_dim=3", "unknown config key 'eta_dim'"),
+    ("n_tasks=4", "unknown config key 'n_tasks'"),
+], ids=["weights_too_short", "weights_too_long", "weights_off_simplex", "negative_weight",
+        "batch_size_0", "patience_0", "max_epochs_0", "lr_nan", "beta2_1",
+        "task_label_counts", "eta_dim", "n_tasks"])
+def test_train_rejects_unusable_config_before_training(tmp_path, capsys, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(FAST_CONFIG + line + "\n")
+    out = tmp_path / "run"
+    code = run(["train", "--config", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and message in captured.err, captured.err
+    assert "Traceback" not in captured.err
+    assert "epoch=" not in captured.out and not (out / "checkpoint.bin").exists()
+
+
+def test_config_keys_set_their_own_section(tmp_path):
+    """ref_size belongs to the world and lambda_h to the objective; derived
+    selector fields and fields that changed nothing are no config keys."""
+    p = tmp_path / "run.cfg"
+    p.write_text("ref_size=4\nlambda_h=0.2\nhidden=64\n")
+    cfg = parse_config(str(p))
+    assert cfg.world.ref_size == 4 and cfg.objective.lambda_h == 0.2
+    assert cfg.selector_overrides == {"hidden": 64}
+    assert not hasattr(cfg.train, "ref_size") and not hasattr(cfg.train, "lambda_h")
 
 
 # -------------------------------------------------- world config values

@@ -11,6 +11,11 @@ from toolselect.errors import (
 )
 
 
+def _sum(t):
+    """Sum of every entry of a tensor, as a scalar tensor."""
+    return dc.wsum(t, np.ones(t.data.shape))
+
+
 def _fd_check(build, tensors, h=1e-6, tol=1e-6):
     """Central-difference check over every requires_grad tensor."""
     err = dc.grad_check(lambda ps: build(), tensors, h=h)
@@ -39,7 +44,7 @@ def test_matmul_shape_error_includes_shapes():
 def test_matmul_gradients_finite_difference(rng):
     a = dc.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     b = dc.Tensor(rng.standard_normal((4, 2)), requires_grad=True)
-    _fd_check(lambda: dc.sum_all(dc.matmul(a, b)), [a, b])
+    _fd_check(lambda: _sum(dc.matmul(a, b)), [a, b])
 
 
 # --------------------------------------------------------- masked_softmax
@@ -179,7 +184,7 @@ def test_attend_empty_keys_raises():
 
 def test_backward_sum_gives_ones(rng):
     x = dc.Tensor(rng.standard_normal((3, 5)), requires_grad=True)
-    dc.backward(dc.sum_all(x))
+    dc.backward(_sum(x))
     np.testing.assert_array_equal(x.grad, np.ones((3, 5)))
 
 
@@ -239,32 +244,30 @@ def test_every_op_passes_isolated_grad_check(rng):
     w_att = rng.standard_normal((2, 3, 3))
     w_scatter = rng.standard_normal((3, 4))
     cases = [
-        (lambda: dc.sum_all(dc.add(a, b)), [a, b]),
-        (lambda: dc.sum_all(dc.add(a, bias)), [a, bias]),
-        (lambda: dc.sum_all(dc.sub(a, b)), [a, b]),
-        (lambda: dc.sum_all(dc.mul(a, b)), [a, b]),
-        (lambda: dc.sum_all(dc.scale(a, -2.5)), [a]),
-        (lambda: dc.sum_all(dc.affine(a, 1.7, 0.3)), [a]),
-        (lambda: dc.mean_all(dc.exp(dc.scale(a, 0.3))), [a]),
-        (lambda: dc.sum_all(dc.sigmoid(a)), [a]),
-        (lambda: dc.sum_all(dc.gelu(a)), [a]),
+        (lambda: _sum(dc.add(a, b)), [a, b]),
+        (lambda: _sum(dc.add(a, bias)), [a, bias]),
+        (lambda: _sum(dc.mul(a, b)), [a, b]),
+        (lambda: _sum(dc.scale(a, -2.5)), [a]),
+        (lambda: _sum(dc.affine(a, 1.7, 0.3)), [a]),
+        (lambda: _sum(dc.sigmoid(a)), [a]),
+        (lambda: _sum(dc.gelu(a)), [a]),
         # weighted, not plain, sum: sum of a softmax row is constant so its
         # true gradient is zero and FD would only measure rounding noise
         (lambda: dc.wsum(dc.softmax_rows(a), w_fixed), [a]),
-        (lambda: dc.sum_all(dc.transpose(a)), [a]),
-        (lambda: dc.sum_all(dc.concat_cols([a, b])), [a, b]),
-        (lambda: dc.sum_all(dc.stack_rows([a, b])), [a, b]),
-        (lambda: dc.sum_all(dc.take_rows(a, [0, 2, 2, 3])), [a]),
-        (lambda: dc.sum_all(dc.scatter_1d(vec, [4, 1, 0, 6, 3], 8)), [vec]),
-        (lambda: dc.sum_all(dc.reshape(a, (2, 6))), [a]),
+        (lambda: _sum(dc.transpose(a)), [a]),
+        (lambda: _sum(dc.concat_cols([a, b])), [a, b]),
+        (lambda: _sum(dc.stack_rows([a, b])), [a, b]),
+        (lambda: _sum(dc.take_rows(a, [0, 2, 2, 3])), [a]),
+        (lambda: _sum(dc.scatter_1d(vec, [4, 1, 0, 6, 3], 8)), [vec]),
+        (lambda: _sum(dc.reshape(a, (2, 6))), [a]),
         (lambda: dc.wsum(a, w_fixed), [a]),
-        (lambda: dc.sum_all(dc.log_clamped(dc.exp(a))), [a]),
+        (lambda: _sum(dc.log_clamped(dc.sigmoid(a))), [a]),
         (lambda: dc.wsum(dc.bmm(x3, y3), w_bmm), [x3, y3]),
         (lambda: dc.wsum(dc.transpose(x3), w_t3), [x3]),
         (lambda: dc.wsum(dc.softmax_rows(x3), w_x3), [x3]),
         (lambda: dc.wsum(dc.masked_softmax(a, row_mask), w_fixed), [a]),
         (lambda: dc.wsum(dc.attend(q3, k3, v3, key_mask=key_mask), w_att), [q3, k3, v3]),
-        (lambda: dc.sum_all(dc.take_rows(x3, [1, 0, 1])), [x3]),
+        (lambda: _sum(dc.take_rows(x3, [1, 0, 1])), [x3]),
         (lambda: dc.wsum(dc.scatter_1d(vec, [7, 1, 0, 11, 3], (3, 4)), w_scatter), [vec]),
     ]
     for build, params in cases:
@@ -296,5 +299,5 @@ def test_dropout_inverted_scaling_preserves_mean(rng):
 
 def test_log_clamped_zero_grad_below_eps():
     x = dc.Tensor(np.array([0.0, 0.5]), requires_grad=True)
-    dc.backward(dc.sum_all(dc.log_clamped(x)))
+    dc.backward(_sum(dc.log_clamped(x)))
     assert x.grad[0] == 0.0 and abs(x.grad[1] - 2.0) < 1e-12

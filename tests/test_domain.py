@@ -11,14 +11,13 @@ from toolselect.domain import (
     Tool,
     align,
     align_rows,
-    assign_task,
     cost,
     iou,
     null_prediction,
     pair_f1,
     validity,
 )
-from toolselect.errors import InvalidPredictionError, UnknownTaskError
+from toolselect.errors import InvalidPredictionError
 
 
 def _tool(supported, alignment=None, counts=None):
@@ -29,22 +28,6 @@ def _tool(supported, alignment=None, counts=None):
 
 def _query(task):
     return Query(uid=0, task=task, x=np.zeros(4), q=np.zeros(4))
-
-
-# ------------------------------------------------------------- assign_task
-
-def test_assign_task_passthrough():
-    assert assign_task({"family": "classification", "task": 0}) == 0
-
-
-def test_assign_task_deterministic():
-    d = {"family": "grounding", "task": 3}
-    assert assign_task(d) == assign_task(d) == 3
-
-
-def test_assign_task_unknown_family():
-    with pytest.raises(UnknownTaskError):
-        assign_task({"family": "segmentation", "task": 0})
 
 
 # ---------------------------------------------------------------- validity

@@ -206,7 +206,7 @@ def _reference_evaluate(router, world, split, panels, seed):
 
 
 def _all_routers(world):
-    cfg = default_selector_config(world, ref_size=4)
+    cfg = default_selector_config(world)
     model = build_model(world, init_params(cfg, 0), cfg)
     return [RandomRouter(), OracleRouter(world), GlobalBestRouter.fit(world),
             KNNRouter.fit(world), MLPIndexRouter.fit(world, iters=50), ToolSelectRouter(model)]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from toolselect import diffcore as dc
+from toolselect.anp_selector import BatchTensors, SelectionDistribution
 from toolselect.objective import (
     BatchExample,
     ObjectiveConfig,
@@ -192,25 +193,55 @@ def test_coverage_loss_tensor_matches_scalar(rng):
 
 # --------------------------------------------------------- batch_objective
 
-def _example(rng, task=0, with_cov=False):
+def _row(rng, task=0, with_cov=False):
+    """One random example: scores, valid slots, costs, task and coverage logits."""
     m = int(rng.integers(2, 6))
     valid = rng.random(m) > 0.3
     if not valid.any():
         valid[0] = True
-    d = _dist(rng.standard_normal(m), valid)
-    pc = PanelCosts(costs=rng.random(m), valid=valid)
-    cov_t = None
-    cov_costs = None
-    if with_cov:
-        k = int(valid.sum())
-        cov_t = dc.sigmoid(dc.Tensor(rng.standard_normal(k), requires_grad=True))
-        cov_costs = pc.costs[valid]
-    return BatchExample(dist=d, pc=pc, task=task,
-                        coverage_t=cov_t, coverage_costs=cov_costs)
+    scores, costs = rng.standard_normal(m), rng.random(m)
+    cov = rng.standard_normal(int(valid.sum())) if with_cov else None
+    return scores, valid, costs, task, cov
+
+
+def _leaves(rows):
+    """The differentiable inputs of a batch of rows: the (B, M) scores,
+    zero-padded, and the coverage logits of every valid slot, or None."""
+    scores = np.zeros((len(rows), max(len(r[0]) for r in rows)))
+    for i, r in enumerate(rows):
+        scores[i, :len(r[0])] = r[0]
+    leaves = [dc.Tensor(scores, requires_grad=True)]
+    if rows[0][4] is not None:
+        leaves.append(dc.Tensor(np.concatenate([r[4] for r in rows]), requires_grad=True))
+    return leaves
+
+
+def _examples(rows, leaves=None):
+    """The rows as the examples of one hand-built batched forward, in order:
+    one ``BatchTensors`` whose coverage has one pair per valid slot."""
+    leaves = _leaves(rows) if leaves is None else leaves
+    mask = np.zeros(leaves[0].shape, dtype=bool)
+    for i, r in enumerate(rows):
+        mask[i, :len(r[1])] = r[1]
+    probs_t = dc.masked_softmax(leaves[0], mask)
+    cov_t = dc.sigmoid(leaves[1]) if len(leaves) > 1 else None
+    batch = BatchTensors(probs_t=probs_t, scores_t=leaves[0], mask=mask, coverage_t=cov_t,
+                         slot_pair=np.arange(int(mask.sum())))
+    examples = []
+    for i, (scores, valid, costs, task, _) in enumerate(rows):
+        m = len(scores)
+        probs = probs_t.data[i, :m].copy()
+        dist = SelectionDistribution(scores=leaves[0].data[i, :m].copy(), mask=valid,
+                                     probs=probs, selected=int(np.argmax(probs)),
+                                     batch=batch, row=i)
+        pc = PanelCosts(costs=costs, valid=valid)
+        examples.append(BatchExample(dist=dist, pc=pc, task=task,
+                                     coverage_costs=None if cov_t is None else pc.costs[valid]))
+    return examples
 
 
 def test_batch_objective_degenerates_to_compsum(rng):
-    ex = _example(rng)
+    [ex] = _examples([_row(rng)])
     cfg = ObjectiveConfig(lambda_h=0.0, lambda_r=0.0, lambda_cov=0.0)
     total = batch_objective(cfg, [ex], n_tasks=4).item()
     expect = compsum_loss(ex.dist, compsum_weights(ex.pc)).item()
@@ -218,15 +249,15 @@ def test_batch_objective_degenerates_to_compsum(rng):
 
 
 def test_batch_objective_duplicate_invariance(rng):
-    ex = _example(rng, with_cov=True)
+    row = _row(rng, with_cov=True)
     cfg = ObjectiveConfig()
-    one = batch_objective(cfg, [ex], n_tasks=4).item()
-    two = batch_objective(cfg, [ex, ex], n_tasks=4).item()
+    one = batch_objective(cfg, _examples([row]), n_tasks=4).item()
+    two = batch_objective(cfg, _examples([row, row]), n_tasks=4).item()
     assert one == pytest.approx(two, abs=1e-12)
 
 
 def test_batch_objective_matches_flat_resummation(rng):
-    examples = [_example(rng, task=i % 4, with_cov=True) for i in range(6)]
+    examples = _examples([_row(rng, task=i % 4, with_cov=True) for i in range(6)])
     cfg = ObjectiveConfig(lambda_h=0.05, lambda_r=1e-4, lambda_cov=1.0)
     got = batch_objective(cfg, examples, n_tasks=4).item()
     total = 0.0
@@ -249,14 +280,12 @@ def test_batch_objective_empty_batch_rejected():
 
 
 def test_batch_objective_gradient(rng):
-    examples = [_example(rng, with_cov=True) for _ in range(3)]
+    rows = [_row(rng, with_cov=True) for _ in range(3)]
     cfg = ObjectiveConfig()
-    params = [ex.dist.scores_t for ex in examples]
+    params = _leaves(rows)
 
     def f(ps):
-        for ex in examples:
-            ex.dist.probs_t = dc.masked_softmax(ex.dist.scores_t, ex.dist.mask)
-        return batch_objective(cfg, examples, n_tasks=4)
+        return batch_objective(cfg, _examples(rows, ps), n_tasks=4)
 
     assert dc.grad_check(f, params) < 1e-6
 

@@ -1,18 +1,25 @@
-"""Property tests: record parsing, batched seeding and block query sampling.
+"""Property tests: record parsing, batched seeding, block query sampling,
+the row-wise masked softmax, comp-sum weights and checkpoint files.
 
 The examples are drawn by hypothesis under the derandomized profile that
 ``conftest.py`` loads, so every run tests the same examples.
 """
 
 import json
+import os
+import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toolselect import diffcore as dc
+from toolselect.checkpoint import load_checkpoint, params_to_float32, save_checkpoint
 from toolselect.datasets import parse_record
 from toolselect.domain import GroundTruth, LabeledQuery, Query, TaskFamily
-from toolselect.errors import ConfigError
+from toolselect.errors import CheckpointError, ConfigError, NoValidCandidateError
+from toolselect.objective import PanelCosts, compsum_weights
 from toolselect.simworld import (
     WorldConfig,
     _box_from_x,
@@ -179,3 +186,94 @@ def test_block_sampling_equals_per_query_sampling(cfg, seed, n):
                    for a, b, c in zip(block, reference, one_by_one))
         assert (rngs[0].bit_generator.state == rngs[1].bit_generator.state
                 == rngs[2].bit_generator.state)
+
+
+# ----------------------------------------------------- row-wise masked softmax
+
+@st.composite
+def _score_rows(draw):
+    """A (B, M) score matrix and a row mask with a valid slot in every row."""
+    rows, width = draw(st.integers(1, 5)), draw(st.integers(1, 7))
+    scores = np.array(draw(st.lists(st.floats(-50, 50), min_size=rows * width,
+                                    max_size=rows * width))).reshape(rows, width)
+    mask = np.array(draw(st.lists(st.booleans(), min_size=rows * width,
+                                  max_size=rows * width))).reshape(rows, width)
+    mask[np.arange(rows), draw(st.lists(st.integers(0, width - 1), min_size=rows,
+                                        max_size=rows))] = True
+    return scores, mask
+
+
+@given(_score_rows(), st.floats(-100, 100))
+def test_masked_softmax_rows_are_distributions_over_their_valid_slots(case, shift):
+    scores, mask = case
+    probs = dc.masked_softmax(dc.constant(scores), mask).data
+    assert (probs[~mask] == 0.0).all()
+    assert (probs[mask] >= 0.0).all()
+    np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    shifted = dc.masked_softmax(dc.constant(scores + shift), mask).data
+    np.testing.assert_allclose(shifted, probs, rtol=0, atol=1e-12)
+
+
+@given(_score_rows(), st.data())
+def test_masked_softmax_rejects_a_row_without_valid_slots(case, data):
+    scores, mask = case
+    mask[data.draw(st.integers(0, len(mask) - 1))] = False
+    with pytest.raises(NoValidCandidateError):
+        dc.masked_softmax(dc.constant(scores), mask)
+
+
+# ------------------------------------------------------------ comp-sum weights
+
+@given(st.lists(st.tuples(st.floats(0, 1), st.booleans()), min_size=1, max_size=9))
+def test_compsum_weights_range_and_identity(slots):
+    costs = np.array([c for c, _ in slots])
+    valid = np.array([v for _, v in slots])
+    valid[0] = valid[0] or not valid.any()
+    w = compsum_weights(PanelCosts(costs=costs, valid=valid))
+    m_valid = int(valid.sum())
+    assert (w[~valid] == 0.0).all()
+    assert (w[valid] >= 2 - m_valid - 1e-12).all() and (w[valid] <= 1 + 1e-12).all()
+    for j in np.flatnonzero(valid):
+        others = sum(costs[k] for k in np.flatnonzero(valid) if k != j)
+        assert w[j] == pytest.approx(others - m_valid + 2, abs=1e-12)
+
+
+# ---------------------------------------------------------------- checkpoints
+
+TENSORS = st.dictionaries(
+    st.text(max_size=12),
+    st.lists(st.integers(0, 4), max_size=3).flatmap(lambda shape: st.lists(
+        st.floats(), min_size=int(np.prod(shape)), max_size=int(np.prod(shape))).map(
+        lambda values: np.array(values, dtype=np.float64).reshape(shape))),
+    max_size=4)
+
+
+@given(TENSORS)
+def test_checkpoint_round_trip_equals_float32_rounding_bit_for_bit(arrays):
+    params = {name: dc.Tensor(a) for name, a in arrays.items()}
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(over="ignore"):
+        path = os.path.join(tmp, "ckpt.bin")
+        save_checkpoint(params, path)
+        loaded = load_checkpoint(path)
+        expected = params_to_float32(params)
+    assert loaded.keys() == expected.keys()
+    for name, arr in loaded.items():
+        assert arr.dtype == np.float64 and arr.shape == expected[name].data.shape
+        assert arr.tobytes() == expected[name].data.tobytes()
+
+
+@settings(max_examples=30)
+@given(TENSORS)
+def test_every_strict_prefix_of_a_checkpoint_is_rejected(arrays):
+    params = {name: dc.Tensor(a) for name, a in arrays.items()}
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(over="ignore"):
+        path = os.path.join(tmp, "ckpt.bin")
+        save_checkpoint(params, path)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        cut = os.path.join(tmp, "cut.bin")
+        for n in range(len(blob)):
+            with open(cut, "wb") as fh:
+                fh.write(blob[:n])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(cut)
