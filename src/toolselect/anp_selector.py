@@ -27,6 +27,7 @@ import numpy as np
 from . import diffcore as dc
 from .domain import CATEGORICAL_FAMILIES, LabeledQuery, TaskFamily, validity
 from .errors import (
+    ConfigError,
     EmptyReferenceSetError,
     NoValidCandidateError,
     NonFiniteScoreError,
@@ -54,12 +55,14 @@ class SelectorConfig:
     task_label_counts: tuple = (5, 0, 0, 4)
 
     def __post_init__(self):
+        """Reject, with ``ConfigError``, values the selector cannot use."""
         if not (0.0 <= self.dropout < 1.0):
-            raise ValueError("dropout must lie in [0, 1)")
+            raise ConfigError(f"selector config: dropout must lie in [0, 1), got {self.dropout}")
         for name in ("d_x", "d_q", "d_xp", "d_qp", "d_u", "d", "d_k", "d_v",
                      "hidden", "label_embed_dim", "rho_dim", "slot_width", "eta_dim"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise ConfigError(f"selector config: {name} must be positive, "
+                                  f"got {getattr(self, name)}")
 
 
 def _xavier(rng, fan_in, fan_out):
@@ -121,6 +124,26 @@ def encode_slot(space, aligned, slot_width):
         for pair in aligned.pairs:
             out[space.pair_vocab.index(pair) % slot_width] += 1.0
         out = np.clip(out, 0.0, 1.0)
+    return out
+
+
+def encode_slots(space, outputs, slot_width):
+    """``encode_slot`` of a batch of canonical outputs, one row each, as
+    ``SimWorld.tool_outcomes`` gives them: probabilities, boxes or
+    pair-vocabulary indicators. Bit for bit the rows ``encode_slot`` gives:
+    a report row counts its pairs per slot (``index % slot_width``) with a
+    0/1 matrix product, whose small integer sums are exact, then clips."""
+    out = np.zeros((len(outputs), slot_width))
+    if space.family in CATEGORICAL_FAMILIES:
+        if outputs.shape[1] > slot_width:
+            raise ShapeMismatchError(
+                f"canonical space of size {outputs.shape[1]} exceeds slot width {slot_width}")
+        out[:, :outputs.shape[1]] = outputs
+    elif space.family is TaskFamily.GROUNDING:
+        out[:, :min(4, slot_width)] = outputs[:, :min(4, slot_width)]
+    else:
+        fold = np.arange(outputs.shape[1])[:, None] % slot_width == np.arange(slot_width)
+        out = np.clip(outputs.astype(np.float64) @ fold.astype(np.float64), 0.0, 1.0)
     return out
 
 

@@ -120,19 +120,25 @@ class GlobalBestRouter(Router):
 
     @classmethod
     def fit(cls, world, split="train"):
+        """Each tool's mean cost over the split's queries of its population's
+        task, read from one dense ``cost_matrix`` per task. Each sum runs in
+        split order from 0.0 (``cumsum`` under a zero row), as a running
+        Python sum does."""
         records = world.splits[split]
         if not records:
             raise ValueError("GlobalBest: empty training split")
-        sums = {}
-        counts = {}
+        by_task = {}
         for lq in records:
-            pop = world.populations[lq.query.task]
-            for tool, c in zip(pop, world.tool_costs(pop, [lq] * len(pop))):
-                if c is None:
-                    continue
-                sums[tool.index] = sums.get(tool.index, 0.0) + c
-                counts[tool.index] = counts.get(tool.index, 0) + 1
-        return cls({k: sums[k] / counts[k] for k in sums})
+            by_task.setdefault(lq.query.task, []).append(lq)
+        mean_cost = {}
+        for task, task_records in by_task.items():
+            pop = world.populations[task]
+            costs = world.cost_matrix(task_records, pop)
+            sums = np.cumsum(np.vstack([np.zeros(len(pop)), costs]), axis=0)[-1].tolist()
+            for tool, total in zip(pop, sums):
+                if task in tool.supported_tasks:
+                    mean_cost[tool.index] = total / len(task_records)
+        return cls(mean_cost)
 
     def route_batch(self, items, rng):
         """Every slot ranked by its tool's fitted mean cost, with one lookup."""
@@ -160,16 +166,11 @@ class KNNRouter(Router):
             task_records = [lq for lq in records if lq.query.task == task]
             if not task_records:
                 continue
-            tool_ids, cost_rows = [], []
-            for tool in pop:
-                costs = world.tool_costs([tool] * len(task_records), task_records)
-                if costs[0] is None and all(c is None for c in costs):
-                    continue
-                tool_ids.append(tool.index)
-                cost_rows.append([np.nan if c is None else c for c in costs])
+            supported = [j for j, tool in enumerate(pop) if task in tool.supported_tasks]
+            tool_ids = [pop[j].index for j in supported]
+            costs = np.ascontiguousarray(world.cost_matrix(task_records, pop)[:, supported].T)
             rows = _index_table(tool_ids, np.arange(len(tool_ids)), -1)
-            banks[task] = (cKDTree(_features(task_records)), rows,
-                           np.array(cost_rows).reshape(len(tool_ids), len(task_records)))
+            banks[task] = (cKDTree(_features(task_records)), rows, costs)
         return cls(banks, k=k)
 
     def route_batch(self, items, rng):
@@ -217,8 +218,7 @@ class MLPIndexRouter(Router):
                 continue
             tool_ids = [tool.index for tool in supported]
             feats = _features(task_records)
-            labels = np.array([np.argmin(world.tool_costs(supported, [lq] * len(supported)))
-                               for lq in task_records])
+            labels = world.cost_matrix(task_records, supported).argmin(axis=1)
             heads[task] = cls._train_head(feats, labels, len(tool_ids),
                                           hidden, lr, iters, seed + task) + (tool_ids,)
         return cls(heads)

@@ -112,6 +112,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _seed(text):
+    """A ``--seed`` value: a non-negative integer, as the RNG keys need."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _build_parser():
     parser = _Parser(prog="toolselect", description="Query-conditioned tool router")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -121,7 +132,7 @@ def _build_parser():
                       ("route", "route one query record with a trained checkpoint")):
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--out", default=".", help="output directory")
         if name == "route":
             p.add_argument("--input", default="-",

@@ -113,7 +113,7 @@ def parse_record(line, where, world=None):
     also fit it: a task of the world, that task's family and the world's
     feature dimensions. A uid of one of the world's queries (splits or
     reference pools) names that query, whose tool outputs the simulator
-    caches by uid, so the record's task, ``x`` and ``q`` must equal it.
+    keys by uid, so the record's task, ``x`` and ``q`` must equal it.
     Every failure raises ``ConfigError``.
     """
     try:

@@ -2,16 +2,17 @@
 and Random->Oracle gap-closure analysis.
 
 ``evaluate`` routes a split in chunks of ``CHUNK`` queries with each router's
-``route_batch`` and reads the chosen tools' costs and predictions with one
-batched simulator call each per chunk. The per-task aggregation runs in split order,
-so a report does not depend on the chunk size.
+``route_batch`` and reads the chosen tools' costs and outputs with one
+``SimWorld.tool_outcomes`` gather per chunk into split-long arrays. The
+per-task aggregation then runs over those arrays in split order, so a report
+does not depend on the chunk size.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import TaskFamily
+from .domain import CATEGORICAL_FAMILIES, TaskFamily
 from .simworld import keyed_rngs, sample_panel
 
 CHUNK = 64   # queries per batched routing call, in evaluation and validation
@@ -115,46 +116,48 @@ def evaluate(router, world, split, m, seed, panels=None):
         panels = eval_panels(world, split, m, seed)
     rng = np.random.default_rng([seed, 86028121])
     items = list(zip(records, panels))
-    tools, costs, preds = [], [], []
+    costs = np.empty(len(records))
+    labels = np.zeros(len(records), dtype=np.int64)   # predicted canonical label
+    tools = []
     for lo in range(0, len(items), CHUNK):
         chunk = items[lo:lo + CHUNK]
         chosen = [panel.tools[slot]
                   for (_, panel), slot in zip(chunk, route_batch(router, chunk, rng))]
         tools += chosen
-        costs += world.tool_costs(chosen, [lq for lq, _ in chunk])
-        preds += world.tool_predictions(chosen, [lq.query for lq, _ in chunk])
-    by_task = {}
+        lqs = [lq for lq, _ in chunk]
+        for group in world.tool_outcomes(chosen, [lq.query for lq in lqs], lqs):
+            costs[lo + group.positions] = group.costs
+            if world.task_spec(group.task).family in CATEGORICAL_FAMILIES:
+                labels[lo + group.positions] = group.outputs.argmax(axis=1)
     histogram = {}
-    for lq, tool, cost, pred in zip(records, tools, costs, preds):
+    for tool in tools:
         histogram[tool.tool_id] = histogram.get(tool.tool_id, 0) + 1
-        bucket = by_task.setdefault(lq.query.task, {"costs": [], "extra": []})
-        bucket["costs"].append(cost)
-        bucket["extra"].append((pred, lq.gt))
+    tasks = np.array([lq.query.task for lq in records])
 
     per_task = {}
     all_costs = []
-    for task in sorted(by_task):
+    for task in sorted(set(tasks.tolist())):
         spec = world.task_spec(task)
-        costs = by_task[task]["costs"]
-        all_costs.extend(costs)
-        extra = by_task[task]["extra"]
-        if spec.family in (TaskFamily.CLASSIFICATION, TaskFamily.MULTIPLE_CHOICE):
+        rows = np.flatnonzero(tasks == task)
+        task_costs = costs[rows]
+        all_costs.append(task_costs)
+        if spec.family in CATEGORICAL_FAMILIES:
             k = len(spec.space.labels)
+            truths = [records[i].gt.label if spec.family is TaskFamily.CLASSIFICATION
+                      else records[i].gt.option for i in rows.tolist()]
             conf = np.zeros((k, k), dtype=np.int64)
-            for pred, gt in extra:
-                truth = gt.label if spec.family is TaskFamily.CLASSIFICATION else gt.option
-                conf[truth, int(np.argmax(pred.probs))] += 1
+            np.add.at(conf, (truths, labels[rows]), 1)
             metrics = _macro_classification(conf)
             if spec.family is TaskFamily.MULTIPLE_CHOICE:
                 metrics = {"accuracy": float(np.trace(conf) / conf.sum())}
         elif spec.family is TaskFamily.GROUNDING:
-            metrics = {"mean_iou": float(np.mean([1.0 - c for c in costs]))}
+            metrics = {"mean_iou": float(np.mean(1.0 - task_costs))}
         else:
-            metrics = {"findings_f1": float(np.mean([1.0 - c for c in costs]))}
-        per_task[task] = TaskMetrics(mean_cost=float(np.mean(costs)),
-                                     metrics=metrics, count=len(costs))
+            metrics = {"findings_f1": float(np.mean(1.0 - task_costs))}
+        per_task[task] = TaskMetrics(mean_cost=float(np.mean(task_costs)),
+                                     metrics=metrics, count=len(task_costs))
     return MetricsReport(router=router.name, seed=seed, query_count=len(records),
-                         mean_cost=float(np.mean(all_costs)), per_task=per_task,
+                         mean_cost=float(np.mean(np.concatenate(all_costs))), per_task=per_task,
                          histogram=histogram)
 
 

@@ -2,11 +2,13 @@
 score regularizers, coverage BCE, and the combined task-marginalized batch
 objective."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import diffcore as dc
+from .errors import ConfigError
 
 
 @dataclass
@@ -28,6 +30,17 @@ class ObjectiveConfig:
     lambda_r: float = 1e-4
     lambda_cov: float = 1.0
     eps: float = 1e-12
+
+    def __post_init__(self):
+        """Reject, with ``ConfigError``, values that would train a non-finite
+        or sign-flipped objective."""
+        for name in ("lambda_h", "lambda_r", "lambda_cov"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ConfigError(f"objective config: {name} must be finite and non-negative, "
+                                  f"got {value}")
+        if not (math.isfinite(self.eps) and self.eps > 0.0):
+            raise ConfigError(f"objective config: eps must be finite and positive, got {self.eps}")
 
     def weight_for(self, task, n_tasks):
         if self.task_weights is None:

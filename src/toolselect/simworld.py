@@ -8,27 +8,42 @@ Tool competence is a radial function of the distance between the query's
 image features and the tool's expertise centroid, which makes the identity
 of the per-query best tool vary across the feature space.
 
-``predict_batch`` is the one definition of a tool's output. It computes a
-batch of (tool, query) pairs in one pass per task: competences, nearest
-centroids, ground-truth boxes and report pair sets as array operations,
-then each pair's draws from its own RNG. Categorical outputs are then built
-and aligned per (task, tool label count) as arrays (``domain.align_rows``);
-groups of fewer than ``ALIGN_ROWS_MIN`` pairs go through ``domain.align``.
-``tool_predict`` is the one-pair call. ``SimWorld.tool_predictions`` and ``SimWorld.tool_costs``
-look up a batch of pairs, computing the ones missing from the world's cache
-with one ``predict_batch`` call; ``tool_prediction`` and ``tool_cost`` are
-their one-pair forms. ``tool_costs`` scores a batch per task with array
-operations, the same arithmetic as ``domain.cost`` applies to one pair. A
-pair's RNG is ``keyed_rng(world seed, PREDICTION_KEY, tool index, query
-uid)``, so every output is the same whatever batch computes it.
+Tool outputs. A tool's output on a query is drawn from the pair's own RNG,
+``keyed_rng(world seed, PREDICTION_KEY, tool index, query uid)``, so it is
+the same whatever batch computes it. ``_draw`` is the one definition: for a
+batch of pairs of one task it computes competences as arrays, makes each
+pair's draws from its generator in a fixed order (categorical: ``random()``
+then maybe ``integers``; report: ``random(n_true + 1)`` then maybe
+``integers``; grounding: ``standard_normal(4)``), and builds the canonical
+outputs from the draws as arrays: aligned probabilities (read from a
+per-(tool, task) table of aligned rows), boxes, or pair-vocabulary
+indicators. ``_score`` turns a batch of outputs into costs with the
+arithmetic of ``domain.cost``. ``tool_predict`` is the one-pair call and
+returns an ``AlignedPrediction``.
 
-``keyed_rngs`` seeds a batch of such RNGs at once. numpy's ``SeedSequence``
-mixes each key into its entropy pool natively; the hash that
-``SeedSequence.generate_state`` applies to a pool to give the four 64-bit
-words of a PCG64 state is a fixed sequence of xor-multiply-shift steps on
-the pool's 32-bit words, so it runs as one array pass over the batch, and
-each generator is seeded with its row through numpy's ``ISeedSequence``
-hook: the same state, so the same stream, as ``keyed_rng``.
+Outcome tables. ``SimWorld`` keeps one ``_OutcomeTable`` per task: rows are
+the task's queries in the splits, split by split in split order; columns are
+``populations[task]``. Per pair it stores a ``filled`` level (nothing, the
+output, the output and its cost), the cost and the canonical output.
+Nothing is filled up front: a reader's missing pairs are filled with one
+``_draw`` pass over them, and scored only for readers that ask for costs.
+Readers locate a query's row through the runs of consecutive uids that
+``generate_world`` assigns (and check that the row holds that very query
+object), and a tool's column through its index (and identity). A pair
+without a row or column -- a query in no split, a tool outside the task's
+population -- is computed by the same ``_draw`` and not stored, so the
+tables never outgrow the splits. ``SimWorld.tool_outcomes`` is the batched
+reader; ``cost_array``, ``cost_matrix``, ``tool_costs``,
+``tool_predictions``, ``tool_prediction`` and ``tool_cost`` are built on
+it. The tables live in a store that only the world that built it uses, so
+``dataclasses.replace`` of a world gives a copy with empty tables.
+
+``keyed_rngs`` seeds a batch of keyed RNGs at once: each key's
+``SeedSequence`` entropy pool is mixed as a column pass over the batch
+(``_mix_pools``, numpy's ``mix_entropy`` steps), and ``generate_state``'s
+hash of the pools runs as one array pass; each generator is then seeded
+with its row through numpy's ``ISeedSequence`` hook, which gives the same
+state, so the same stream, as ``keyed_rng``.
 
 ``sample_queries`` draws a block of one task's queries: per query one
 ``integers`` and one ``standard_normal`` draw of the feature and hint noise
@@ -39,14 +54,18 @@ the same operations as for one query. ``sample_query`` is its one-query
 call.
 """
 
+import bisect
 import math
+import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .domain import (
     CATEGORICAL_FAMILIES,
+    AlignedPrediction,
     CanonicalLabelSpace,
     GroundTruth,
     LabeledQuery,
@@ -59,19 +78,26 @@ from .domain import (
     cost,
     iou,
     null_prediction,
-    pair_f1,
     validity,
 )
 from .errors import ConfigError, NoValidPanelError
 
 PREDICTION_KEY = 104729   # second entry of every per-(tool, query) prediction RNG key
-# Below these batch sizes numpy's per-call overhead outweighs the array pass:
-BATCH_SEEDING_MIN = 3     # keys, in keyed_rngs
-ALIGN_ROWS_MIN = 4        # categorical pairs of one task and tool label count
+# Below this many keys numpy's own SeedSequence per key mixes the entropy
+# pools faster than the fixed cost of the column pass of _mix_pools.
+BATCH_SEEDING_MIN = 20
+# Levels of an outcome table's ``filled`` array: nothing yet, the output,
+# the output and its cost.
+EMPTY, DRAWN, SCORED = 0, 1, 2
+# Up to this many pairs, rows, columns and duplicates are looked up with
+# Python scalars: below it numpy's per-call overhead outweighs the arrays.
+SCALAR_PAIRS_MAX = 16
 # Queries per sampled block in generate_world. Whole (split, task) blocks of
 # 1250 queries make temporaries above glibc's 128 KB mmap threshold; they
 # raised peak RSS on the train benchmark by about 1 MB.
 QUERY_BLOCK = 256
+# Queries per cost_matrix pass: bounds the temporaries of a dense fill.
+DENSE_ROWS = 512
 
 FAMILY_CYCLE = (
     TaskFamily.CLASSIFICATION,
@@ -150,6 +176,7 @@ class TaskSpec:
     box_center_map: np.ndarray = None
     box_size_map: np.ndarray = None
     centroid_pairs: tuple = ()     # report: canonical pair per centroid
+    centroid_vocab: np.ndarray = None   # report: pair-vocabulary index per centroid
     p_floor: float = 0.05
     # grounding noise calibration: kappa grid -> perturbation scale
     calib_kappa: np.ndarray = None
@@ -165,6 +192,24 @@ class SimTool(Tool):
 
 
 @dataclass
+class TaskOutcomes:
+    """Outcomes of the pairs of one task in a ``tool_outcomes`` batch.
+
+    ``positions`` are the pairs' places in the batch. ``outputs`` holds one
+    canonical output per pair: aligned probabilities ``(n, K)`` for
+    categorical tasks, boxes ``(n, 4)`` for grounding, pair-vocabulary
+    indicators ``(n, V)`` for reports; the null output where the tool does
+    not support the task (``valid`` False). ``costs`` is NaN there, and
+    everywhere when no ground truth was given.
+    """
+    task: int
+    positions: np.ndarray
+    valid: np.ndarray
+    outputs: np.ndarray
+    costs: np.ndarray
+
+
+@dataclass
 class SimWorld:
     cfg: WorldConfig
     seed: int
@@ -173,7 +218,8 @@ class SimWorld:
     all_tools: list
     splits: dict                   # name -> list[LabeledQuery]
     ref_pools: dict                # task -> list[LabeledQuery]
-    _pred_cache: dict = field(default_factory=dict)
+    # outcome tables and tool arrays, built on first use (see _outcome_store)
+    _store: object = field(default=None, repr=False, compare=False)
 
     def task_spec(self, task):
         return self.tasks[task]
@@ -188,84 +234,393 @@ class SimWorld:
         """The prediction RNG of a (tool, query) pair."""
         return keyed_rng(self.seed, PREDICTION_KEY, tool.index, query.uid)
 
-    def tool_predictions(self, tools, queries):
-        """Aligned predictions of ``tools[i]`` on ``queries[i]``, cached per
-        (tool, query) pair. The pairs missing from the cache are computed by
-        ``predict_batch``, one vectorized pass per task, each drawing from
-        its own RNG keyed ``[seed, PREDICTION_KEY, tool index, query uid]``,
-        so a prediction never depends on the batch it was computed in."""
-        cache = self._pred_cache
-        keys = [(tool.index, query.uid) for tool, query in zip(tools, queries)]
-        missing = {key: (tool, query)
-                   for key, tool, query in zip(keys, tools, queries) if key not in cache}
-        if missing:
-            pairs = list(missing.values())
-            rngs = keyed_rngs([(self.seed, PREDICTION_KEY) + key for key in missing])
-            preds = predict_batch(self, [tool for tool, _ in pairs], [query for _, query in pairs],
-                                  rngs)
-            cache.update(zip(missing, preds))
-        return [cache[key] for key in keys]
+    def _outcome_store(self):
+        """This world's tables and tool arrays. A store is kept only by the
+        world that built it, so a copy (``dataclasses.replace``) starts with
+        empty tables."""
+        store = self._store
+        if store is None or store.owner() is not self:
+            store = self._store = _Store(self)
+        return store
 
-    def tool_prediction(self, tool, query):
-        """Deterministic aligned prediction of a tool on a query (cached): the
-        one-pair form of ``tool_predictions``, computed by ``tool_predict``."""
-        key = (tool.index, query.uid)
-        hit = self._pred_cache.get(key)
-        if hit is None:
-            hit = self._pred_cache[key] = tool_predict(self, tool, query,
-                                                       self._pair_rng(tool, query))
-        return hit
+    def _table(self, task):
+        """The outcome table of a task, built on first use."""
+        store = self._outcome_store()
+        table = store.tables.get(task)
+        if table is None:
+            if store.split_rows is None:
+                store.split_rows = {}
+                for records in self.splits.values():
+                    for lq in records:
+                        store.split_rows.setdefault(lq.query.task, []).append(lq)
+            table = store.tables[task] = _OutcomeTable(
+                self.task_spec(task), self.populations.get(task, []),
+                store.split_rows.get(task, []))
+        return table
 
-    def _cost(self, lq, pred):
-        return cost(self.task_spec(lq.query.task).family, pred, lq.gt,
-                    clipped_xent=self.cfg.clipped_xent)
+    def _tool_rows(self, spec, tools):
+        """(tool arrays, rows) of ``tools`` on a task: rows of the world's
+        tools in arrays built once per task, or arrays of ``tools`` alone
+        when one of them is not among the world's tools."""
+        store = self._outcome_store().tool_arrays
+        arrays = store.get(spec.task)
+        if arrays is None:
+            arrays = store[spec.task] = _TaskTools(spec, self.all_tools)
+        if len(tools) == 1:
+            row = arrays.row_of(tools[0])
+            return (arrays, np.array([row])) if row >= 0 else (_TaskTools(spec, list(tools)),
+                                                                _FIRST_ROW)
+        rows = arrays.rows(tools)
+        if (rows < 0).any():
+            return _TaskTools(spec, list(tools)), np.arange(len(tools))
+        return arrays, rows
+
+    def tool_outcomes(self, tools, queries, gts=None):
+        """Outcomes of ``tools[i]`` on ``queries[i]``, one ``TaskOutcomes``
+        per task in order of first appearance. With ``gts`` (labeled
+        queries) the costs are filled in too.
+
+        Tabled pairs are read from the task's table after one ``_draw`` pass
+        over the missing ones; a pair with ``gts`` is tabled only when
+        ``gts[i]`` is the split's own labeled query, whose ground truth the
+        table scores against. Other pairs are computed, not stored.
+        """
+        tasks = [query.task for query in queries]
+        if tasks and tasks.count(tasks[0]) == len(tasks):
+            groups = {tasks[0]: None}
+        else:
+            groups = {}
+            for n, task in enumerate(tasks):
+                groups.setdefault(task, []).append(n)
+        out = []
+        for task, idx in groups.items():
+            if idx is None:
+                out.append(self._task_outcomes(task, np.arange(len(tools)), tools, queries, gts))
+            else:
+                out.append(self._task_outcomes(
+                    task, np.array(idx), [tools[n] for n in idx], [queries[n] for n in idx],
+                    None if gts is None else [gts[n] for n in idx]))
+        return out
+
+    def _task_outcomes(self, task, positions, tools, queries, lqs):
+        spec = self.task_spec(task)
+        n = len(tools)
+        valid = np.fromiter((task in tool.supported_tasks for tool in tools), bool, n)
+        table = self._table(task)
+        outputs = np.empty((n,) + table.outputs_shape, table.outputs_dtype)
+        costs = np.full(n, np.nan)
+        rows = table.rows(queries, lqs)
+        cols = table.tools.rows(tools)
+        tabled = valid & (rows >= 0) & (cols >= 0)
+        if tabled.any():
+            rows, cols = rows[tabled], cols[tabled]
+            table.fill(self, rows, cols, DRAWN if lqs is None else SCORED)
+            outputs[tabled] = table.outputs[rows, cols]
+            costs[tabled] = table.costs[rows, cols]
+        loose = np.flatnonzero(valid & ~tabled)
+        if len(loose):
+            arrays, tool_rows = self._tool_rows(spec, [tools[i] for i in loose])
+            data = _Rows(spec, [queries[i] for i in loose],
+                         None if lqs is None else [lqs[i].gt for i in loose])
+            rngs = _pair_rngs(self.seed, arrays.index[tool_rows],
+                              [queries[i].uid for i in loose])
+            outputs[loose] = _draw(self, spec, arrays, tool_rows, data, np.arange(len(loose)), rngs)
+            if lqs is not None:
+                costs[loose] = _score(self, spec, outputs[loose], data, np.arange(len(loose)))
+        if not valid.all():
+            outputs[~valid] = _null_output(spec)
+        return TaskOutcomes(task, positions, valid, outputs, costs)
+
+    def cost_array(self, tools, lqs):
+        """Realized cost of ``tools[i]`` on labeled query ``lqs[i]`` as one
+        array, NaN where the tool does not support the query's task."""
+        out = np.full(len(tools), np.nan)
+        for group in self.tool_outcomes(tools, [lq.query for lq in lqs], lqs):
+            out[group.positions] = group.costs
+        return out
+
+    def cost_matrix(self, lqs, tools):
+        """``(len(lqs), len(tools))`` costs of every tool on every labeled
+        query, NaN where a tool does not support the query's task; filled
+        ``DENSE_ROWS`` queries at a time."""
+        out = np.empty((len(lqs), len(tools)))
+        for lo in range(0, len(lqs), DENSE_ROWS):
+            part = lqs[lo:lo + DENSE_ROWS]
+            pair_lqs = [lq for lq in part for _ in tools]
+            out[lo:lo + len(part)] = self.cost_array(list(tools) * len(part),
+                                                     pair_lqs).reshape(len(part), len(tools))
+        return out
 
     def tool_costs(self, tools, lqs):
         """Realized cost of ``tools[i]`` on labeled query ``lqs[i]``; None where
-        the tool does not support the query's task. The valid pairs'
-        predictions come from one ``tool_predictions`` call and are scored
-        per task as arrays: argmax against the truth (or the clipped
-        cross-entropy of the truth under ``clipped_xent``) for categorical
-        tasks, one row-wise IoU for grounding, pair-F1 per pair for reports.
-        Each cost equals ``domain.cost`` of its pair bit for bit."""
-        valid = [n for n, (tool, lq) in enumerate(zip(tools, lqs)) if validity(tool, lq.query)]
-        preds = self.tool_predictions([tools[n] for n in valid], [lqs[n].query for n in valid])
-        groups = {}                  # task -> (batch rows, predictions)
-        for n, pred in zip(valid, preds):
-            if pred.is_null:
-                raise ValueError("cost requested for a null prediction")
-            rows, task_preds = groups.setdefault(lqs[n].query.task, ([], []))
-            rows.append(n)
-            task_preds.append(pred)
+        the tool does not support the query's task. Each cost equals
+        ``domain.cost`` of its pair bit for bit."""
+        return [None if c != c else c for c in self.cost_array(tools, lqs).tolist()]
+
+    def tool_predictions(self, tools, queries):
+        """Aligned predictions of ``tools[i]`` on ``queries[i]``, built from
+        the outputs ``tool_outcomes`` reads."""
         out = [None] * len(tools)
-        for task, (rows, task_preds) in groups.items():
-            family = self.task_spec(task).family
-            gts = [lqs[n].gt for n in rows]
-            if family is TaskFamily.REPORT_GENERATION:
-                costs = [1.0 - pair_f1(pred.pairs, gt.pairs) for pred, gt in zip(task_preds, gts)]
-            elif family is TaskFamily.GROUNDING:
-                costs = (1.0 - iou([pred.box for pred in task_preds],
-                                   [gt.box for gt in gts])).tolist()
-            else:
-                probs = np.array([pred.probs for pred in task_preds])
-                if family is TaskFamily.CLASSIFICATION:
-                    truths = np.array([gt.label for gt in gts])
-                else:
-                    truths = np.array([gt.option for gt in gts])
-                if family is TaskFamily.CLASSIFICATION and self.cfg.clipped_xent:
-                    p = np.clip(probs[np.arange(len(rows)), truths], 1e-12, 1.0)
-                    costs = np.minimum(1.0, -np.log(p)).tolist()
-                else:
-                    costs = np.where(probs.argmax(axis=1) == truths, 0.0, 1.0).tolist()
-            for n, c in zip(rows, costs):
-                out[n] = c
+        for group in self.tool_outcomes(tools, queries):
+            spec = self.task_spec(group.task)
+            for n, ok, row in zip(group.positions.tolist(), group.valid.tolist(), group.outputs):
+                out[n] = _prediction(spec, tools[n], row) if ok else null_prediction(spec.space)
         return out
+
+    def tool_prediction(self, tool, query):
+        """The aligned prediction of a tool on a query: read from the outcome
+        table when the pair has a place in it, else computed by
+        ``tool_predict`` with the pair's keyed RNG."""
+        spec = self.task_spec(query.task)
+        if query.task not in tool.supported_tasks:
+            return null_prediction(spec.space)
+        table = self._table(query.task)
+        row = table.row_of(query)
+        col = table.tools.row_of(tool) if row >= 0 else -1
+        if col < 0:
+            return tool_predict(self, tool, query, self._pair_rng(tool, query))
+        table.fill(self, np.array([row]), np.array([col]), DRAWN)
+        return _prediction(spec, tool, table.outputs[row, col])
 
     def tool_cost(self, tool, lq):
         """The one-pair ``tool_costs``: None when the tool is invalid."""
         if not validity(tool, lq.query):
             return None
-        return self._cost(lq, self.tool_prediction(tool, lq.query))
+        table = self._table(lq.query.task)
+        row = table.row_of(lq.query, lq)
+        col = table.tools.row_of(tool) if row >= 0 else -1
+        if col < 0:
+            return cost(self.task_spec(lq.query.task).family,
+                        self.tool_prediction(tool, lq.query), lq.gt,
+                        clipped_xent=self.cfg.clipped_xent)
+        table.fill(self, np.array([row]), np.array([col]))
+        return float(table.costs[row, col])
+
+
+class _Store:
+    """A world's outcome tables (task -> ``_OutcomeTable``) and tool arrays
+    (task -> ``_TaskTools`` of all its tools), with a weak reference to the
+    world they belong to."""
+
+    def __init__(self, world):
+        self.owner = weakref.ref(world)
+        self.split_rows = None     # task -> its split queries, in table row order
+        self.tables = {}
+        self.tool_arrays = {}
+
+
+class _OutcomeTable:
+    """Outcomes of a task's population (columns) on the task's split queries
+    (rows, split by split in split order): ``filled`` flags, ``costs`` and
+    canonical ``outputs``, allocated on the first fill and filled lazily."""
+
+    def __init__(self, spec, population, lqs):
+        self.spec = spec
+        self.lqs = lqs
+        self.population = population
+        self.outputs_shape, self.outputs_dtype = _output_layout(spec)
+        n = len(lqs)
+        self.uid = np.array([lq.query.uid for lq in lqs], dtype=np.int64)
+        # runs of consecutive uids, sorted by first uid
+        firsts = np.flatnonzero(np.diff(self.uid, prepend=-2) != 1) if n else np.zeros(0, int)
+        lengths = np.diff(np.append(firsts, n))
+        order = np.argsort(self.uid[firsts], kind="stable")
+        self._run_uid = self.uid[firsts][order]
+        self._run_row = firsts[order]
+        self._run_len = lengths[order]
+        self._runs = (self._run_uid.tolist(), self._run_row.tolist(), self._run_len.tolist())
+        self._query_ids = np.fromiter(map(id, (lq.query for lq in lqs)), np.int64, n)
+        self._lq_ids = np.fromiter(map(id, lqs), np.int64, n)
+        self.filled = None
+        self.data = None
+
+    @cached_property
+    def tools(self):
+        """The columns' ``_TaskTools``."""
+        return _TaskTools(self.spec, list(self.population))
+
+    def rows(self, queries, lqs):
+        """Row of each query, -1 where it has none: the query (and, when
+        ``lqs`` is given, the labeled query) must be the row's own object."""
+        n = len(queries)
+        if not len(self._run_uid):
+            return np.full(n, -1)
+        if n <= SCALAR_PAIRS_MAX:
+            return np.array([self.row_of(query) for query in queries] if lqs is None else
+                            [self.row_of(query, lq) for query, lq in zip(queries, lqs)],
+                            dtype=np.int64)
+        try:
+            uids = np.array([query.uid for query in queries], dtype=np.int64)
+        except OverflowError:
+            return np.full(n, -1)
+        run = np.searchsorted(self._run_uid, uids, side="right") - 1
+        offset = uids - self._run_uid[run]
+        rows = np.where((run >= 0) & (offset < self._run_len[run]), self._run_row[run] + offset, -1)
+        if lqs is None:
+            same = self._query_ids[rows] == np.fromiter(map(id, queries), np.int64, n)
+        else:
+            same = self._lq_ids[rows] == np.fromiter(map(id, lqs), np.int64, n)
+        return np.where(same & (rows >= 0), rows, -1)
+
+    def row_of(self, query, lq=None):
+        """``rows`` of one query, in Python scalars."""
+        uids, firsts, lengths = self._runs
+        run = bisect.bisect_right(uids, query.uid) - 1
+        if run < 0 or query.uid - uids[run] >= lengths[run]:
+            return -1
+        row = firsts[run] + query.uid - uids[run]
+        own = self.lqs[row]
+        return row if (own is lq if lq is not None else own.query is query) else -1
+
+    def fill(self, world, rows, cols, level=SCORED):
+        """Bring the pairs (rows, cols) to ``filled`` level ``level``, in one
+        pass over the ones below it (duplicates computed once): outputs by
+        ``_draw`` for pairs at ``EMPTY``, then, for ``SCORED``, costs by
+        ``_score``. Prediction-only readers leave costs unscored."""
+        if self.filled is None:
+            shape = (len(self.lqs), len(self.tools.tools))
+            self.filled = np.zeros(shape, dtype=np.int8)
+            self.costs = np.zeros(shape)
+            self.outputs = np.zeros(shape + self.outputs_shape, self.outputs_dtype)
+        missing = self.filled[rows, cols] < level
+        if not missing.any():
+            return
+        rows, cols = rows[missing], cols[missing]
+        if len(rows) > SCALAR_PAIRS_MAX:
+            rows, cols = np.divmod(np.unique(rows * self.filled.shape[1] + cols),
+                                   self.filled.shape[1])
+        elif len(rows) > 1:
+            rows, cols = np.array(sorted(set(zip(rows.tolist(), cols.tolist())))).T
+        if self.data is None:
+            self.data = _Rows(self.spec, [lq.query for lq in self.lqs],
+                              [lq.gt for lq in self.lqs], boxes_from_gt=True)
+        empty = self.filled[rows, cols] == EMPTY
+        if empty.all():
+            outputs = self._draw_into(world, rows, cols)
+        else:
+            if empty.any():
+                self._draw_into(world, rows[empty], cols[empty])
+            outputs = self.outputs[rows, cols]
+        if level == SCORED:
+            self.costs[rows, cols] = _score(world, self.spec, outputs, self.data, rows)
+        self.filled[rows, cols] = level
+
+    def _draw_into(self, world, rows, cols):
+        rngs = _pair_rngs(world.seed, self.tools.index[cols], self.uid[rows])
+        outputs = _draw(world, self.spec, self.tools, cols, self.data, rows, rngs)
+        self.outputs[rows, cols] = outputs
+        return outputs
+
+
+class _TaskTools:
+    """Arrays of the parameters of a list of tools on one task, one row per
+    tool: what ``_draw`` reads. For a categorical task also each tool's
+    canonical-to-tool label map and its aligned output for every tool label
+    (``align_rows`` of ``_raw_label_rows``), built once here."""
+
+    def __init__(self, spec, tools):
+        task = spec.task
+        n = len(tools)
+        self.tools = tools
+        self.index = np.array([tool.index for tool in tools], dtype=np.int64)
+        self._ids = np.fromiter(map(id, tools), np.int64, n)
+        self._row_of = np.full(int(self.index.max(initial=-1)) + 2, -1)
+        self._row_of[self.index] = np.arange(n)
+        self._row_dict = {tool.index: i for i, tool in enumerate(tools)}
+        self.supported = np.array([task in tool.supported_tasks for tool in tools], dtype=bool)
+        self.mu = np.array([tool.mu for tool in tools], dtype=np.float64)
+        self.beta = np.array([tool.beta for tool in tools], dtype=np.float64)
+        self.pmax = np.array([tool.pmax for tool in tools], dtype=np.float64)
+        if spec.family in CATEGORICAL_FAMILIES:
+            k = len(spec.space.labels)
+            counts = [tool.tool_label_count[task] if ok else 1
+                      for tool, ok in zip(tools, self.supported.tolist())]
+            self.label_count = np.array(counts, dtype=np.int64)
+            self.correct = np.zeros((n, k), dtype=np.int64)
+            self.aligned = np.zeros((n, max(counts, default=1), k))
+            for i, tool in enumerate(tools):
+                if self.supported[i]:
+                    self.correct[i] = [_canon_to_tool_label(tool, task, y) for y in range(k)]
+                    preds = align_rows([tool] * counts[i], spec.space, _raw_label_rows(counts[i]))
+                    self.aligned[i, :counts[i]] = [pred.probs for pred in preds]
+
+    def row_of(self, tool):
+        """``rows`` of one tool, in Python scalars."""
+        row = self._row_dict.get(tool.index, -1)
+        return row if row >= 0 and self.tools[row] is tool else -1
+
+    def rows(self, tools):
+        """Row of each tool, -1 for a tool not in the list (by index and identity)."""
+        n = len(tools)
+        if n <= SCALAR_PAIRS_MAX:
+            return np.array([self.row_of(tool) for tool in tools], dtype=np.int64)
+        index = np.fromiter((tool.index for tool in tools), np.int64, n)
+        rows = self._row_of[np.minimum(index, len(self._row_of) - 1)]
+        same = self._ids[rows] == np.fromiter(map(id, tools), np.int64, n)
+        return np.where(same & (rows >= 0), rows, -1)
+
+
+class _Rows:
+    """Per-query arrays that ``_draw`` and ``_score`` read, one row per query.
+
+    ``truth`` is what a tool's output is built around: the nearest
+    centroid of categorical queries, the ground-truth box (the query's own,
+    or recomputed from ``x``), the sorted vocabulary indices of the report
+    pairs derivable from ``x`` (``n_true`` of them, padded with V). ``gt``,
+    present when ground truths are given, is what ``_score`` scores
+    against."""
+
+    def __init__(self, spec, queries, gts=None, boxes_from_gt=False):
+        n = len(queries)
+        self.x = np.array([query.x for query in queries]).reshape(n, -1)
+        family = spec.family
+        if family in CATEGORICAL_FAMILIES:
+            self.truth = _centroid_distances(spec, self.x).argmin(axis=1)
+            if gts is not None:
+                self.gt = np.array([gt.label if family is TaskFamily.CLASSIFICATION
+                                    else gt.option for gt in gts], dtype=np.int64)
+        elif family is TaskFamily.GROUNDING:
+            if gts is not None:
+                self.gt = np.array([gt.box for gt in gts], dtype=np.float64).reshape(n, 4)
+            if boxes_from_gt:
+                self.truth = self.gt
+            else:
+                self.truth = np.array([_box_from_x(spec, x) for x in self.x]).reshape(n, 4)
+        else:
+            self.truth, self.n_true = _report_pair_indices(spec, self.x)
+            if gts is not None:
+                index = {pair: i for i, pair in enumerate(spec.space.pair_vocab)}
+                self.gt = np.zeros((n, len(index)), dtype=bool)
+                for row, gt in enumerate(gts):
+                    self.gt[row, [index[pair] for pair in gt.pairs]] = True
+
+
+def _output_layout(spec):
+    """Per-pair shape and dtype of a task's canonical outputs."""
+    if spec.family in CATEGORICAL_FAMILIES:
+        return (len(spec.space.labels),), np.float64
+    if spec.family is TaskFamily.GROUNDING:
+        return (4,), np.float64
+    return (len(spec.space.pair_vocab),), bool
+
+
+def _null_output(spec):
+    """The canonical output of ``null_prediction``."""
+    if spec.family in CATEGORICAL_FAMILIES:
+        return np.full(len(spec.space.labels), 1.0 / len(spec.space.labels))
+    if spec.family is TaskFamily.GROUNDING:
+        return np.array([0.0, 0.0, 1.0, 1.0])
+    return np.zeros(len(spec.space.pair_vocab), dtype=bool)
+
+
+def _prediction(spec, tool, output):
+    """The ``AlignedPrediction`` of one canonical output of a supporting tool."""
+    if spec.family in CATEGORICAL_FAMILIES:
+        return AlignedPrediction(spec.family, probs=np.array(output, dtype=np.float64))
+    if spec.family is TaskFamily.GROUNDING:
+        return align(tool, spec.space, tuple(output.tolist()))
+    vocab = spec.space.pair_vocab
+    return align(tool, spec.space, frozenset(vocab[i] for i in np.flatnonzero(output).tolist()))
 
 
 def keyed_rng(*key):
@@ -280,6 +635,23 @@ def keyed_rngs(keys):
     when read: ``rngs[i]`` is a new generator at the start of key i's
     stream, so a batch never holds its generators all at once."""
     return _KeyedRngs(_pcg64_states(keys))
+
+
+def _pair_rngs(seed, tool_index, uids):
+    """The prediction RNGs of pairs (``tool_index[i]``, ``uids[i]``): their
+    keys' words built as one array when every entry is one word."""
+    uids = np.asarray(uids)      # of dtype object past int64
+    if (len(uids) >= BATCH_SEEDING_MIN and uids.dtype.kind == "i" and 0 <= seed <= 0xFFFFFFFF
+            and 0 <= uids.min() and uids.max() <= 0xFFFFFFFF
+            and 0 <= tool_index.min() and tool_index.max() <= 0xFFFFFFFF):
+        words = np.empty((len(uids), 4), dtype=np.uint32)
+        words[:, 0] = seed
+        words[:, 1] = PREDICTION_KEY
+        words[:, 2] = tool_index
+        words[:, 3] = uids
+        return _KeyedRngs(_states_of_pools(_mix_pools(words)))
+    return keyed_rngs([(seed, PREDICTION_KEY, t, u)
+                       for t, u in zip(tool_index.tolist(), uids.tolist())])
 
 
 class _KeyedRngs:
@@ -306,6 +678,76 @@ class _PCG64State(ISeedSequence):
         return self.state
 
 
+# SeedSequence.mix_entropy hashes words with a running constant: call i xors
+# in HASH[i] and multiplies by HASH[i + 1] (mod 2**32), then xors in the top
+# 16 bits; mix(x, y) is MIX_L * x - MIX_R * y, top bits xored in likewise.
+def _hash_constants(count):
+    out = [0x43B0D7E5]
+    for _ in range(count):
+        out.append(out[-1] * 0x931E8875 % 2**32)
+    return np.array(out, dtype=np.uint32)
+
+
+_HASH = _hash_constants(64)
+_MIX_L = np.uint32(0xCA01F9DD)
+_MIX_R = np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+
+
+def _mix(x, y):
+    out = _MIX_L * x
+    out -= _MIX_R * y
+    out ^= out >> _SHIFT
+    return out
+
+
+def _mix_pools(words):
+    """The 4-word entropy pools ``np.random.SeedSequence(row).pool`` of the
+    rows of an ``(n, L)`` uint32 array, as column operations: the pool
+    words first, then each pool word's hash mixed into the three others
+    (one source word at a time, its three calls as one ``(n, 3)`` step),
+    then each word past the fourth mixed into all four."""
+    n, width = words.shape
+    calls = 4 + 12 + 4 * max(0, width - 4)
+    hashes = _HASH if calls < len(_HASH) else _hash_constants(calls)
+    pool = np.zeros((n, 4), dtype=np.uint32)
+    pool[:, :min(width, 4)] = words[:, :4]
+    pool = _hashmix(pool, hashes, 0, 4)
+    call = 4
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, [src]], hashes, call, 3))
+        call += 3
+    for src in range(4, width):
+        pool = _mix(pool, _hashmix(words[:, [src]], hashes, call, 4))
+        call += 4
+    return pool
+
+
+def _hashmix(values, hashes, first, k):
+    """numpy's ``hashmix`` of ``values`` (n, 1 or k) as calls first ... first
+    + k - 1, one per column."""
+    out = values ^ hashes[first:first + k]
+    out *= hashes[first + 1:first + k + 1]    # wraps mod 2**32, as numpy's uint32 does
+    out ^= out >> _SHIFT
+    return out
+
+
+def _pools(words):
+    """``_mix_pools`` of an ``(n, L)`` array, or of a list of per-key word
+    arrays, grouped by length."""
+    if isinstance(words, np.ndarray):
+        return _mix_pools(words)
+    pools = np.empty((len(words), 4), dtype=np.uint32)
+    by_length = {}
+    for i, row in enumerate(words):
+        by_length.setdefault(len(row), []).append(i)
+    for width, idx in by_length.items():
+        pools[idx] = _mix_pools(np.array([words[i] for i in idx],
+                                         dtype=np.uint32).reshape(len(idx), width))
+    return pools
+
+
 # SeedSequence.generate_state: output word i hashes pool word i % 4 (numpy's
 # pool size) with the xor and multiply constants INIT_B * MULT_B**i and
 # INIT_B * MULT_B**(i + 1) (mod 2**32), then xors in its own top 16 bits.
@@ -317,17 +759,22 @@ _STATE_MUL = np.array([0x8B51F9DD * 0x58F38DED ** (i + 1) % 2**32 for i in range
 
 def _pcg64_states(keys):
     """The ``(n, 4)`` uint64 PCG64 states ``keyed_rng`` seeds for ``keys``:
-    each key's pool mixed by numpy, then numpy's ``generate_state(4,
-    np.uint64)`` of all the pools as one array pass, or of each pool by
-    numpy itself below ``BATCH_SEEDING_MIN`` keys."""
+    the keys' entropy pools, mixed by ``_pools`` (or by numpy's
+    ``SeedSequence`` per key below ``BATCH_SEEDING_MIN`` keys), then numpy's
+    ``generate_state(4, np.uint64)`` of all of them as one array pass."""
     if len(keys) < BATCH_SEEDING_MIN:
-        return np.array([np.random.SeedSequence(_uint32_words(key)).generate_state(4, np.uint64)
-                         for key in keys], dtype=np.uint64).reshape(len(keys), 4)
-    pools = np.array([np.random.SeedSequence(words).pool for words in _key_words(keys)],
-                     dtype=np.uint32).reshape(len(keys), 4)
+        pools = np.array([np.random.SeedSequence(_uint32_words(key)).pool for key in keys],
+                         dtype=np.uint32).reshape(len(keys), 4)
+    else:
+        pools = _pools(_key_words(keys))
+    return _states_of_pools(pools)
+
+
+def _states_of_pools(pools):
+    """numpy's ``generate_state(4, np.uint64)`` of ``(n, 4)`` entropy pools."""
     words = pools[:, _STATE_WORDS] ^ _STATE_XOR
     words *= _STATE_MUL          # wraps mod 2**32, as numpy's uint32 arithmetic does
-    words ^= words >> np.uint32(16)
+    words ^= words >> _SHIFT
     return np.ascontiguousarray(words, dtype="<u4").view("<u8").astype(np.uint64)
 
 
@@ -433,6 +880,7 @@ def _make_task(cfg, task, family, rng):
     else:
         pair_idx = rng.choice(len(space.pair_vocab), size=k, replace=False)
         spec.centroid_pairs = tuple(space.pair_vocab[i] for i in pair_idx)
+        spec.centroid_vocab = np.asarray(pair_idx, dtype=np.int64)
         codes = rng.standard_normal((len(space.pair_vocab), hint_dim))
         spec.hint_codes = codes / np.linalg.norm(codes, axis=1, keepdims=True)
         spec.p_floor = 0.05 if cfg.p_floor < 0 else cfg.p_floor
@@ -486,15 +934,6 @@ def _centroid_distances(spec, xs):
     centroids, summed as ``np.linalg.norm`` sums them."""
     diff = spec.centroids[None, :, :] - xs[:, None, :]
     return np.sqrt(np.add.reduce(diff * diff, axis=2))
-
-
-def _report_pair_sets(spec, xs):
-    """Ground-truth finding pairs of report queries with features ``xs`` (n, d_x),
-    derivable from x alone: the pairs of the 1 to 3 nearest centroids."""
-    nearest = np.argsort(_centroid_distances(spec, xs), axis=1)
-    n_pairs = [1 + math.floor(min(max(1.5 * (t + 1.0), 0.0), 2.999))
-               for t in np.tanh(xs[:, 0]).tolist()]
-    return [frozenset(spec.centroid_pairs[j] for j in row[:n]) for row, n in zip(nearest, n_pairs)]
 
 
 def _canon_to_tool_label(tool, task, y):
@@ -573,144 +1012,151 @@ def _sample_uids(world, task, rng, first_uid, count):
     return out
 
 
-def _competences(world, spec, tools, xs):
-    """Competence of ``tools[i]`` on features ``xs[i]``: a radial function of
-    the squared distance to the tool's centroid, from the task's floor up to
-    the tool's ``pmax``."""
-    diff = xs - np.array([tool.mu for tool in tools])
+_THREE = np.arange(3)
+
+
+def _report_pair_indices(spec, xs):
+    """Ground-truth finding pairs of report queries with features ``xs`` (n,
+    d_x), derivable from x alone: the pairs of the 1 to 3 nearest centroids,
+    as ``(n, 3)`` sorted pair-vocabulary indices padded with V, and their
+    counts."""
+    nearest = np.argsort(_centroid_distances(spec, xs), axis=1)[:, :3]
+    counts = 1 + np.floor(np.minimum(np.maximum(1.5 * (np.tanh(xs[:, 0]) + 1.0), 0.0),
+                                     2.999)).astype(np.int64)
+    picked = np.where(_THREE < counts[:, None], spec.centroid_vocab[nearest],
+                      len(spec.space.pair_vocab))
+    return np.sort(picked, axis=1), counts
+
+
+def _report_pair_sets(spec, xs):
+    """The ``_report_pair_indices`` of ``xs`` as pair sets."""
+    vocab = spec.space.pair_vocab
+    indices, counts = _report_pair_indices(spec, xs)
+    return [frozenset(vocab[i] for i in row[:count])
+            for row, count in zip(indices.tolist(), counts.tolist())]
+
+
+def _kappas(world, spec, tools, rows, xs):
+    """Competence of tool row ``rows[i]`` of ``tools`` on features
+    ``xs[i]``: a radial function of the squared distance to the tool's
+    centroid, from the task's floor up to the tool's ``pmax``."""
+    diff = xs - tools.mu[rows]
     dist2 = np.add.reduce(diff * diff, axis=1) / world.cfg.d_x
-    return [spec.p_floor + (tool.pmax - spec.p_floor) * math.exp(-tool.beta * d)
-            for tool, d in zip(tools, dist2.tolist())]
+    floor = spec.p_floor
+    return [floor + (pmax - floor) * math.exp(-beta * d)
+            for pmax, beta, d in zip(tools.pmax[rows].tolist(), tools.beta[rows].tolist(),
+                                     dist2.tolist())]
+
+
+_FIRST_ROW = np.zeros(1, dtype=np.int64)
 
 
 def competence(world, tool, task, x):
-    return _competences(world, world.task_spec(task), [tool], np.asarray(x)[None, :])[0]
+    spec = world.task_spec(task)
+    return _kappas(world, spec, _TaskTools(spec, [tool]), _FIRST_ROW, np.asarray(x)[None, :])[0]
 
 
 def tool_predict(world, tool, query, rng):
     """Raw tool output aligned into the canonical space; null if unsupported.
-    The one-pair call of ``predict_batch``."""
-    return predict_batch(world, [tool], [query], [rng])[0]
+    The one-pair call of ``_draw``."""
+    spec = world.task_spec(query.task)
+    if query.task not in tool.supported_tasks:
+        return null_prediction(spec.space)
+    tools, rows = world._tool_rows(spec, [tool])
+    output = _draw(world, spec, tools, rows, _Rows(spec, [query]), _FIRST_ROW, (rng,))[0]
+    return _prediction(spec, tool, output)
 
 
-def predict_batch(world, tools, queries, rngs):
-    """Aligned prediction of ``tools[i]`` on ``queries[i]``, drawing from
-    ``rngs[i]``; null where the tool does not support the query's task.
-    ``rngs`` is a sequence read once per supported pair, when that pair's
-    draws start (``keyed_rngs`` builds each generator then).
+def _draw(world, spec, tools, tool_rows, data, rows, rngs):
+    """Canonical outputs of the tools at ``tool_rows`` of ``tools`` (all
+    supporting the task) on the queries at ``rows`` of ``data``, pair i
+    drawing from ``rngs[i]``, which is read once, when its draws start.
 
-    One pass per task computes the competences, nearest centroids,
-    ground-truth boxes and report pair sets of all its pairs as array
-    operations; each pair then makes its own draws, in a fixed order, so its
-    prediction does not depend on the rest of the batch. A task's
-    categorical outputs, from ``ALIGN_ROWS_MIN`` pairs on, are built and
-    aligned as arrays (``_predict_labels``).
+    Only the draws run per pair, in ``tool_predict``'s order; the
+    competences before them and the outputs after them are array
+    operations over the batch:
+
+    - categorical: ``random()``; below the competence the tool outputs its
+      label for the true one, else ``integers(k_tool - 1)`` picks one of its
+      other labels. The output is that label's aligned row.
+    - grounding: ``standard_normal(4)`` perturbs the true box at the
+      competence's calibrated scale.
+    - report: ``random(n_true + 1)`` keeps each true pair below the
+      competence and adds ``integers(V)``'s pair when the last draw is
+      below one minus it.
     """
-    out = [None] * len(tools)
-    rows_of = {}                 # task -> batch rows of its supported pairs
-    for n, (tool, query) in enumerate(zip(tools, queries)):
-        if query.task in tool.supported_tasks:
-            rows_of.setdefault(query.task, []).append(n)
-        else:
-            out[n] = null_prediction(world.task_spec(query.task).space)
-    for task, rows in rows_of.items():
-        spec = world.task_spec(task)
-        pair_tools = [tools[n] for n in rows]
-        xs = np.array([queries[n].x for n in rows])
-        kappas = _competences(world, spec, pair_tools, xs)
-        if spec.family in CATEGORICAL_FAMILIES:
-            # ground truth is recoverable from the query's nearest centroid
-            truths = _centroid_distances(spec, xs).argmin(axis=1).tolist()
-            if len(rows) < ALIGN_ROWS_MIN:
-                for n, tool, kappa, y in zip(rows, pair_tools, kappas, truths):
-                    out[n] = _predict_label(tool, spec, y, kappa, rngs[n])
-            else:
-                preds = _predict_labels(spec, pair_tools, truths, kappas, rngs, rows)
-                for n, pred in zip(rows, preds):
-                    out[n] = pred
-        elif spec.family is TaskFamily.GROUNDING:
-            gt_boxes = np.array([_box_from_x(spec, x) for x in xs])
-            scales = np.interp(kappas, spec.calib_kappa, spec.calib_scale)
-            normals = np.array([rngs[n].standard_normal(4) for n in rows])
-            for n, tool, box in zip(rows, pair_tools,
-                                    _perturb_boxes(gt_boxes, scales, normals)):
-                out[n] = align(tool, spec.space, tuple(box.tolist()))
-        else:
-            for n, tool, kappa, pairs in zip(rows, pair_tools, kappas,
-                                            _report_pair_sets(spec, xs)):
-                out[n] = _predict_pairs(tool, spec, pairs, kappa, rngs[n])
-    return out
+    n = len(rows)
+    kappas = _kappas(world, spec, tools, tool_rows, data.x[rows])
+    if spec.family in CATEGORICAL_FAMILIES:
+        correct = tools.correct[tool_rows, data.truth[rows]]
+        wrong, picks = [], []
+        for i, (kappa, count) in enumerate(zip(kappas, tools.label_count[tool_rows].tolist())):
+            rng = rngs[i]
+            if rng.random() >= kappa and count > 1:
+                wrong.append(i)
+                picks.append(rng.integers(count - 1))
+        labels = correct.copy()
+        if wrong:
+            picks = np.array(picks, dtype=np.int64)
+            labels[wrong] = picks + (picks >= correct[wrong])
+        return tools.aligned[tool_rows, labels]
+    if spec.family is TaskFamily.GROUNDING:
+        normals = np.empty((n, 4))
+        for i in range(n):
+            rngs[i].standard_normal(out=normals[i])
+        scales = np.interp(kappas, spec.calib_kappa, spec.calib_scale)
+        return _perturb_boxes(data.truth[rows], scales, normals)
+    truth, counts = data.truth[rows], data.n_true[rows]
+    n_vocab = len(spec.space.pair_vocab)
+    draws = np.ones((n, truth.shape[1] + 1))
+    extra = np.full(n, n_vocab)
+    for i, (kappa, count) in enumerate(zip(kappas, counts.tolist())):
+        rng = rngs[i]
+        rng.random(out=draws[i, :count + 1])
+        if draws[i, count] < 1.0 - kappa:
+            extra[i] = rng.integers(n_vocab)
+    kept = draws[:, :-1] < np.array(kappas)[:, None]
+    out = np.zeros((n, n_vocab + 1), dtype=bool)
+    out[np.arange(n)[:, None], np.where(kept, truth, n_vocab)] = True
+    out[np.arange(n), extra] = True
+    return out[:, :n_vocab]
 
 
-def _predict_labels(spec, tools, ys, kappas, rngs, rows):
-    """``_predict_label`` of a task's pairs, pair i drawing from
-    ``rngs[rows[i]]``, read when its draws start. Pairs whose tools share a
-    tool label count draw one by one as ``_predict_label`` does, then their
-    raw rows are built as one array and aligned by ``domain.align_rows``; a
-    group of fewer than ``ALIGN_ROWS_MIN`` pairs goes through
-    ``_predict_label``."""
-    task = spec.task
-    groups = {}                  # tool label count -> positions of its pairs
-    for i, tool in enumerate(tools):
-        groups.setdefault(tool.tool_label_count[task], []).append(i)
-    out = [None] * len(tools)
-    for k_tool, positions in groups.items():
-        if len(positions) < ALIGN_ROWS_MIN:
-            for i in positions:
-                out[i] = _predict_label(tools[i], spec, ys[i], kappas[i], rngs[rows[i]])
-            continue
-        labels = [_draw_label(tools[i], task, ys[i], kappas[i], rngs[rows[i]])
-                  for i in positions]
-        preds = align_rows([tools[i] for i in positions], spec.space,
-                           _raw_label_rows(k_tool, labels))
-        for i, pred in zip(positions, preds):
-            out[i] = pred
-    return out
+def _score(world, spec, outputs, data, rows):
+    """Costs of canonical outputs against the ground truths at ``rows`` of
+    ``data``, each the value ``domain.cost`` gives its pair: argmax against
+    the truth (or the clipped cross-entropy of the truth under
+    ``clipped_xent``), one minus the row-wise IoU, one minus the pair-F1
+    from indicator counts with ``pair_f1``'s operations."""
+    family = spec.family
+    if family in CATEGORICAL_FAMILIES:
+        truths = data.gt[rows]
+        if family is TaskFamily.CLASSIFICATION and world.cfg.clipped_xent:
+            p = np.clip(outputs[np.arange(len(rows)), truths], 1e-12, 1.0)
+            return np.minimum(1.0, -np.log(p))
+        return np.where(outputs.argmax(axis=1) == truths, 0.0, 1.0)
+    if family is TaskFamily.GROUNDING:
+        return 1.0 - iou(outputs, data.gt[rows])
+    gt = data.gt[rows]
+    n_pred, n_gt = outputs.sum(axis=1), gt.sum(axis=1)
+    hits = (outputs & gt).sum(axis=1)
+    f1 = np.where((n_pred == 0) & (n_gt == 0), 1.0, 0.0)
+    scored = hits > 0            # then both sets are non-empty and precision + recall > 0
+    precision = hits[scored] / n_pred[scored]
+    recall = hits[scored] / n_gt[scored]
+    f1[scored] = 2.0 * precision * recall / (precision + recall)
+    return 1.0 - f1
 
 
-def _draw_label(tool, task, y, kappa, rng):
-    """The tool label a tool outputs for true label ``y``: its own label for
-    ``y`` with probability kappa, else a uniformly drawn wrong one."""
-    k_tool = tool.tool_label_count[task]
-    correct = _canon_to_tool_label(tool, task, y)
-    if rng.random() < kappa:
-        return correct
-    wrong = [i for i in range(k_tool) if i != correct]
-    return int(wrong[rng.integers(len(wrong))]) if wrong else correct
-
-
-def _raw_label_rows(k_tool, labels):
-    """Raw categorical outputs, one row per chosen tool label: 0.9 on the
-    label and 0.1 spread evenly over the others (1.0 for a one-label tool)."""
-    raw = np.full((len(labels), k_tool), 0.1 / max(1, k_tool - 1))
-    for row, label in enumerate(labels):
-        raw[row, label] = 0.9
+def _raw_label_rows(k_tool):
+    """A tool's raw categorical output for each of its labels, one row each:
+    0.9 on the label and 0.1 spread evenly over the others (1.0 for a
+    one-label tool)."""
+    raw = np.full((k_tool, k_tool), 0.1 / max(1, k_tool - 1))
+    np.fill_diagonal(raw, 0.9)
     if k_tool == 1:
         raw[:] = 1.0
     return raw
-
-
-def _predict_label(tool, spec, y, kappa, rng):
-    """Categorical output of one pair: the raw row of ``_draw_label``'s tool
-    label, as ``_raw_label_rows`` builds it, aligned to the canonical space.
-    Built as one row here, which keeps the one-pair path as cheap as it was."""
-    k_tool = tool.tool_label_count[spec.task]
-    raw = np.full(k_tool, 0.1 / max(1, k_tool - 1))
-    raw[_draw_label(tool, spec.task, y, kappa, rng)] = 0.9
-    if k_tool == 1:
-        raw[:] = 1.0
-    return align(tool, spec.space, raw)
-
-
-def _predict_pairs(tool, spec, pairs, kappa, rng):
-    """Report output: each true pair kept with probability kappa, plus one
-    random pair with probability 1 - kappa."""
-    kept = [p for p in sorted(pairs) if rng.random() < kappa]
-    pred_pairs = set(kept)
-    if rng.random() < (1.0 - kappa):
-        extra = spec.space.pair_vocab[rng.integers(len(spec.space.pair_vocab))]
-        pred_pairs.add(extra)
-    return align(tool, spec.space, frozenset(pred_pairs))
 
 
 def sample_panel(population, query, m, rng, max_attempts=100):

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diffcore as dc
-from .anp_selector import SelectorConfig, SelectorModel, encode_slot, init_params
+from .anp_selector import SelectorConfig, SelectorModel, encode_slots, init_params
 from .domain import CATEGORICAL_FAMILIES
 from .errors import ConfigError
 from .evalharness import CHUNK
@@ -156,21 +156,16 @@ def default_selector_config(world):
 
 def make_predict_fn(world, selector_cfg):
     """Encoded-prediction supplier for the selector: the slot rows of a
-    batch's (tool, query) pairs, with the pairs it has not seen fetched by
-    one ``tool_predictions`` call; slot rows cached."""
-    cache = {}
+    batch's (tool, query) pairs, encoded by ``encode_slots`` from the
+    outputs one ``tool_outcomes`` call reads out of the world's tables."""
     width = selector_cfg.slot_width
 
     def predict(tools, queries):
-        keys = [(tool.index, query.uid) for tool, query in zip(tools, queries)]
-        missing = [n for n, key in enumerate(keys) if key not in cache]
-        if missing:
-            preds = world.tool_predictions([tools[n] for n in missing],
-                                           [queries[n] for n in missing])
-            for n, aligned in zip(missing, preds):
-                space = world.task_spec(queries[n].task).space
-                cache[keys[n]] = encode_slot(space, aligned, width)
-        return np.array([cache[key] for key in keys])
+        rows = np.zeros((len(tools), width))
+        for group in world.tool_outcomes(tools, queries):
+            rows[group.positions] = encode_slots(world.task_spec(group.task).space,
+                                                 group.outputs, width)
+        return rows
 
     return predict
 
@@ -181,19 +176,24 @@ def build_model(world, params, selector_cfg):
                          make_predict_fn(world, selector_cfg))
 
 
-def panel_costs(world, lq, panel):
-    costs = np.zeros(len(panel.tools))
-    valid = np.zeros(len(panel.tools), dtype=bool)
-    for j, c in enumerate(world.tool_costs(panel.tools, [lq] * len(panel.tools))):
-        if c is not None:
-            costs[j] = c
-            valid[j] = True
-    return PanelCosts(costs=costs, valid=valid)
+def panel_costs(world, items):
+    """The ``PanelCosts`` of (labeled query, panel) items, every slot's cost
+    read by one ``cost_array`` gather; NaN marks the invalid slots."""
+    costs = world.cost_array([tool for _, panel in items for tool in panel.tools],
+                             [lq for lq, panel in items for _ in panel.tools])
+    out = []
+    lo = 0
+    for _, panel in items:
+        row = costs[lo:lo + len(panel.tools)]
+        lo += len(panel.tools)
+        valid = ~np.isnan(row)
+        out.append(PanelCosts(costs=np.where(valid, row, 0.0), valid=valid))
+    return out
 
 
 def _batch_examples(world, items, fwd):
     """Per-example objective inputs of a batched forward's rows."""
-    pcs = [panel_costs(world, lq, panel) for lq, panel in items]
+    pcs = panel_costs(world, items)
     with_coverage = fwd.tensors.coverage_t is not None
     examples = [BatchExample(dist=dist, pc=pc, task=lq.query.task,
                              coverage_costs=pc.costs[dist.mask] if with_coverage else None)
@@ -207,8 +207,8 @@ def _validation_cost(world, model, val_items):
     for lo in range(0, len(val_items), CHUNK):
         part = val_items[lo:lo + CHUNK]
         fwd = model.batch_forward(part, training=False, with_coverage=False)
-        for c in world.tool_costs([panel.tools[dist.selected] for (_, panel), dist
-                                   in zip(part, fwd.dists)], [lq for lq, _ in part]):
+        for c in world.cost_array([panel.tools[dist.selected] for (_, panel), dist
+                                   in zip(part, fwd.dists)], [lq for lq, _ in part]).tolist():
             total += c
     return total / len(val_items)
 

@@ -244,9 +244,17 @@ def test_route_rejects_bad_records_with_an_error_line(tmp_path, cfg_path, capsys
     ("task_label_counts=5,0,0", "unknown config key 'task_label_counts'"),
     ("eta_dim=3", "unknown config key 'eta_dim'"),
     ("n_tasks=4", "unknown config key 'n_tasks'"),
+    ("lambda_h=nan", "objective config: lambda_h must be finite and non-negative, got nan"),
+    ("lambda_r=inf", "objective config: lambda_r must be finite and non-negative, got inf"),
+    ("lambda_cov=-1", "objective config: lambda_cov must be finite and non-negative, got -1"),
+    ("eps=0", "objective config: eps must be finite and positive, got 0"),
+    ("eps=-1e-9", "objective config: eps must be finite and positive"),
+    ("hidden=0", "selector config: hidden must be positive, got 0"),
+    ("dropout=1", "selector config: dropout must lie in [0, 1), got 1"),
 ], ids=["weights_too_short", "weights_too_long", "weights_off_simplex", "negative_weight",
         "batch_size_0", "patience_0", "max_epochs_0", "lr_nan", "beta2_1",
-        "task_label_counts", "eta_dim", "n_tasks"])
+        "task_label_counts", "eta_dim", "n_tasks", "lambda_h_nan", "lambda_r_inf",
+        "lambda_cov_negative", "eps_0", "eps_negative", "hidden_0", "dropout_1"])
 def test_train_rejects_unusable_config_before_training(tmp_path, capsys, line, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(FAST_CONFIG + line + "\n")
@@ -257,6 +265,15 @@ def test_train_rejects_unusable_config_before_training(tmp_path, capsys, line, m
     assert captured.err.startswith("error: ") and message in captured.err, captured.err
     assert "Traceback" not in captured.err
     assert "epoch=" not in captured.out and not (out / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "train", "eval", "route"])
+def test_negative_seed_is_a_usage_error_naming_the_option(tmp_path, capsys, command):
+    code = run([command, "--seed", "-1", "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: argument --seed: must be a non-negative integer, got -1" in err, err
+    assert "Traceback" not in err and not (tmp_path / "run").exists()
 
 
 def test_config_keys_set_their_own_section(tmp_path):

@@ -215,7 +215,7 @@ def _all_routers(world):
 def test_chunked_evaluate_and_compare_equal_a_per_query_loop(small_world):
     """Reports of the chunked evaluate, and of compare, equal those of a
     per-query loop exactly: costs, metrics, histogram and gap closures."""
-    fresh = dataclasses.replace(small_world, _pred_cache={})
+    fresh = dataclasses.replace(small_world)
     reports = compare(_all_routers(fresh), fresh, "test", 5, seed=21)
     panels = eval_panels(small_world, "test", 5, seed=21)
     expected = {r.name: _reference_evaluate(r, small_world, "test", panels, 21)

@@ -5,6 +5,7 @@ import pytest
 
 from toolselect import diffcore as dc
 from toolselect.anp_selector import BatchTensors, SelectionDistribution
+from toolselect.errors import ConfigError
 from toolselect.objective import (
     BatchExample,
     ObjectiveConfig,
@@ -293,3 +294,16 @@ def test_batch_objective_gradient(rng):
 def test_panel_costs_requires_valid_slot():
     with pytest.raises(ValueError):
         PanelCosts(costs=[0.1, 0.2], valid=[False, False])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lambda_h", math.nan), ("lambda_r", math.inf), ("lambda_cov", -1.0), ("lambda_h", -1e-9),
+    ("eps", 0.0), ("eps", -1e-12), ("eps", math.inf), ("eps", math.nan)])
+def test_objective_config_rejects_unusable_values(field, value):
+    with pytest.raises(ConfigError, match=f"objective config: {field} must be finite"):
+        ObjectiveConfig(**{field: value})
+
+
+def test_objective_config_accepts_zero_lambdas():
+    cfg = ObjectiveConfig(lambda_h=0.0, lambda_r=0.0, lambda_cov=0.0, eps=1e-300)
+    assert cfg.lambda_cov == 0.0

@@ -21,9 +21,13 @@ from toolselect.domain import GroundTruth, LabeledQuery, Query, TaskFamily
 from toolselect.errors import CheckpointError, ConfigError, NoValidCandidateError
 from toolselect.objective import PanelCosts, compsum_weights
 from toolselect.simworld import (
+    BATCH_SEEDING_MIN,
     WorldConfig,
     _box_from_x,
+    _key_words,
+    _pools,
     _report_pair_sets,
+    _uint32_words,
     generate_world,
     keyed_rng,
     keyed_rngs,
@@ -102,8 +106,29 @@ def test_keyed_rngs_equal_keyed_rng(keys):
         want = keyed_rng(*key)
         assert rng.bit_generator.state == want.bit_generator.state
         assert rng.random(3).tobytes() == want.random(3).tobytes()
-    for i in range(len(keys)):     # read by index, as predict_batch reads them
+    for i in range(len(keys)):     # read by index, as the table fill reads them
         assert rngs[i].bit_generator.state == keyed_rng(*keys[i]).bit_generator.state
+
+
+POOL_KEYS = (st.lists(st.lists(st.integers(0, 2**64), min_size=1, max_size=6).map(tuple),
+                     min_size=BATCH_SEEDING_MIN, max_size=40)
+             | st.integers(1, 6).flatmap(lambda width: st.lists(
+                 st.tuples(*[st.integers(0, 2**64)] * width),
+                 min_size=BATCH_SEEDING_MIN, max_size=40)))
+
+
+@given(POOL_KEYS)
+def test_mixed_pools_equal_seed_sequence_pools(keys):
+    """The column pass of ``_pools`` gives numpy's own entropy pools, for keys
+    of one and of mixed word lengths, and ``keyed_rngs`` of as many keys
+    (the column path) the generators of ``keyed_rng``."""
+    words = [_uint32_words(key) for key in keys]
+    want = np.array([np.random.SeedSequence(w).pool for w in words], dtype=np.uint32)
+    assert _pools(words).tobytes() == want.tobytes()
+    assert _pools(_key_words(keys)).tobytes() == want.tobytes()
+    rngs = keyed_rngs(keys)
+    for i, key in enumerate(keys):
+        assert rngs[i].bit_generator.state == keyed_rng(*key).bit_generator.state
 
 
 def test_keyed_rngs_reject_negative_entries_as_keyed_rng_does():

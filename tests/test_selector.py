@@ -17,7 +17,12 @@ from toolselect.anp_selector import (
     self_attend_refs,
 )
 from toolselect.domain import Panel, validity
-from toolselect.errors import NoValidCandidateError, NonFiniteScoreError, ShapeMismatchError
+from toolselect.errors import (
+    ConfigError,
+    NoValidCandidateError,
+    NonFiniteScoreError,
+    ShapeMismatchError,
+)
 from toolselect.kernels import gelu_fwd, softmax_rows
 from toolselect.simworld import sample_panel
 from toolselect.trainer import (
@@ -63,9 +68,9 @@ def test_init_forward_finite(setup):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="selector config: dropout"):
         SelectorConfig(dropout=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="selector config: hidden"):
         SelectorConfig(hidden=0)
 
 

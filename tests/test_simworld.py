@@ -170,8 +170,7 @@ def test_prediction_cache_is_deterministic(small_world):
     lq = small_world.splits["test"][0]
     tool = next(t for t in small_world.populations[lq.query.task])
     a = small_world.tool_prediction(tool, lq.query)
-    small_world._pred_cache.clear()
-    b = small_world.tool_prediction(tool, lq.query)
+    b = dataclasses.replace(small_world).tool_prediction(tool, lq.query)  # empty tables
     if a.probs is not None:
         np.testing.assert_array_equal(a.probs, b.probs)
     assert a.box == b.box and a.pairs == b.pairs
@@ -308,12 +307,12 @@ def test_batched_lookups_match_per_pair_tool_predict(small_world):
     tools = [pairs[i][0] for i in order]
     batch_lqs = [pairs[i][1] for i in order]
 
-    fresh = dataclasses.replace(w, _pred_cache={})
+    fresh = dataclasses.replace(w)
     preds, costs = [], []
     for lo in range(0, len(order), 3000):
         preds += fresh.tool_predictions(tools[lo:lo + 3000],
                                         [lq.query for lq in batch_lqs[lo:lo + 3000]])
-    costless = dataclasses.replace(w, _pred_cache={})
+    costless = dataclasses.replace(w)
     for lo in range(0, len(order), 5000):
         costs += costless.tool_costs(tools[lo:lo + 5000], batch_lqs[lo:lo + 5000])
 
@@ -335,11 +334,11 @@ def test_batched_lookups_match_per_pair_tool_predict(small_world):
 
 
 def test_one_pair_lookups_equal_batched_lookups(small_world):
-    w = dataclasses.replace(small_world, _pred_cache={})
+    w = dataclasses.replace(small_world)
     lqs = small_world.splits["val"][:10]
     tools = [small_world.populations[lq.query.task][0] for lq in lqs]
     single = [w.tool_cost(tool, lq) for tool, lq in zip(tools, lqs)]
-    assert single == dataclasses.replace(w, _pred_cache={}).tool_costs(tools, lqs)
+    assert single == dataclasses.replace(w).tool_costs(tools, lqs)
 
 
 @pytest.mark.parametrize("key", [(0, 104729, 0, 0), (7, 104729, 47, 12345),
@@ -369,7 +368,7 @@ def test_keyed_rng_is_the_keyed_default_rng(key):
 def test_tool_costs_equal_per_pair_cost_bit_for_bit(small_world, clipped_xent):
     """The per-task array costs of shuffled mixed-task batches equal
     ``domain.cost`` of each pair, on every family."""
-    w = dataclasses.replace(small_world, _pred_cache={},
+    w = dataclasses.replace(small_world,
                             cfg=dataclasses.replace(small_world.cfg, clipped_xent=clipped_xent))
     lqs = w.splits["val"] + w.splits["test"]
     pairs = [(tool, lq) for lq in lqs for tool in w.populations[lq.query.task]]
@@ -409,3 +408,151 @@ def test_perturb_boxes_equals_the_per_column_expressions(rng):
         want = np.clip(np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=1),
                        0.0, 1.0)
         assert _perturb_boxes(corners, scale, normals).tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------- outcome tables
+
+def _stored(world):
+    """Every filled entry of a world's outcome tables, as bytes."""
+    store = world._store
+    if store is None:
+        return {}
+    return {task: (t.filled.tobytes(), t.costs.tobytes(), t.outputs.tobytes())
+            for task, t in store.tables.items() if t.filled is not None}
+
+
+@pytest.mark.parametrize("clipped_xent", [False, True])
+def test_outcome_table_digest_equals_per_pair_tool_predict(small_world, clipped_xent):
+    """The tables, filled in shuffled mixed-task chunks with duplicate pairs
+    (predictions of half the chunks first, so costs are also scored for
+    pairs drawn earlier), equal per-pair ``tool_predict`` with fresh keyed
+    generators and ``domain.cost`` bit for bit, on every (tool, query) pair
+    of the splits."""
+    w = dataclasses.replace(small_world,
+                            cfg=dataclasses.replace(small_world.cfg, clipped_xent=clipped_xent))
+    lqs = [lq for split in ("train", "val", "test") for lq in w.splits[split]]
+    pairs = [(tool, lq) for lq in lqs for tool in w.all_tools]
+    order = np.random.default_rng(7).permutation(len(pairs))
+    order = np.concatenate([order, order[:700]])
+    tools = [pairs[i][0] for i in order]
+    batch_lqs = [pairs[i][1] for i in order]
+    preds, costs = [], []
+    for n, lo in enumerate(range(0, len(order), 389)):
+        part_tools, part_lqs = tools[lo:lo + 389], batch_lqs[lo:lo + 389]
+        if n % 2:
+            preds += w.tool_predictions(part_tools, [lq.query for lq in part_lqs])
+            costs += w.tool_costs(part_tools, part_lqs)
+        else:
+            costs += w.tool_costs(part_tools, part_lqs)
+            preds += w.tool_predictions(part_tools, [lq.query for lq in part_lqs])
+    got, want = hashlib.sha256(), hashlib.sha256()
+    tabled = 0
+    for tool, lq, pred, c in zip(tools, batch_lqs, preds, costs):
+        rng = np.random.default_rng([w.seed, 104729, tool.index, lq.query.uid])
+        ref = tool_predict(w, tool, lq.query, rng)
+        got.update(_prediction_bytes(pred))
+        want.update(_prediction_bytes(ref))
+        if validity(tool, lq.query):
+            family = w.task_spec(lq.query.task).family
+            expect = cost(family, ref, lq.gt, clipped_xent=clipped_xent)
+            got.update(np.float64(c).tobytes())
+            want.update(np.float64(expect).tobytes())
+            tabled += tool.home_task == lq.query.task
+        else:
+            assert c is None and ref.is_null
+    assert got.hexdigest() == want.hexdigest()
+    assert tabled > 1500
+    # every population pair of the splits is now stored, scored, exactly once
+    for task, table in w._store.tables.items():
+        valid = np.array([task in tool.supported_tasks for tool in table.tools.tools])
+        assert (table.filled[:, valid] == 2).all() and (table.filled[:, ~valid] == 0).all()
+
+
+def test_table_rows_are_the_split_queries_in_split_order(small_world):
+    w = dataclasses.replace(small_world)
+    for task in range(len(w.tasks)):
+        table = w._table(task)
+        assert table.lqs == [lq for split in w.splits.values() for lq in split
+                             if lq.query.task == task]
+        assert [tool.index for tool in table.tools.tools] == \
+            [tool.index for tool in w.populations[task]]
+        rows = table.rows([lq.query for lq in table.lqs], table.lqs)
+        assert rows.tolist() == list(range(len(table.lqs)))
+
+
+def test_queries_in_no_split_are_computed_and_not_stored(small_world):
+    """Reference-pool queries, copies of split queries and new queries are
+    routed, evaluated and scored without changing what the tables store."""
+    from toolselect.anp_selector import init_params
+    from toolselect.baselines import OracleRouter, ToolSelectRouter
+    from toolselect.trainer import build_model, default_selector_config
+
+    w = dataclasses.replace(small_world)
+    split = w.splits["test"][:30]
+    w.cost_array([w.populations[lq.query.task][0] for lq in split], split)
+    before = _stored(w)
+    rng = np.random.default_rng(3)
+    outside = [lq for task in sorted(w.ref_pools) for lq in w.ref_pools[task][:5]]
+    outside += [dataclasses.replace(lq, query=dataclasses.replace(lq.query)) for lq in split[:10]]
+    outside += [sample_query(w, task, rng, uid=10**6 + task) for task in range(len(w.tasks))]
+    cfg = default_selector_config(w)
+    routers = [OracleRouter(w), ToolSelectRouter(build_model(w, init_params(cfg, 0), cfg))]
+    for lq in outside:
+        panel = sample_panel(w.populations[lq.query.task], lq.query, 5, rng)
+        for router in routers:
+            slot = router.route(lq, panel, rng)
+            assert validity(panel.tools[slot], lq.query)
+        want = [None if not validity(t, lq.query) else
+                cost(w.task_spec(lq.query.task).family,
+                     tool_predict(w, t, lq.query, w._pair_rng(t, lq.query)), lq.gt)
+                for t in panel.tools]
+        assert w.tool_costs(list(panel.tools), [lq] * len(panel.tools)) == want
+    # one batch of every population tool on every such query: the array lookups
+    pairs = [(tool, lq) for lq in outside for tool in w.populations[lq.query.task]]
+    want = [None if not validity(t, lq.query) else
+            cost(w.task_spec(lq.query.task).family,
+                 tool_predict(w, t, lq.query, w._pair_rng(t, lq.query)), lq.gt)
+            for t, lq in pairs]
+    assert w.tool_costs([t for t, _ in pairs], [lq for _, lq in pairs]) == want
+    # a split's own queries with other labeled-query objects are scored, not stored
+    relabeled = [dataclasses.replace(lq) for lq in split]
+    tools = [w.populations[lq.query.task][1] for lq in relabeled]
+    want = [None if not validity(t, lq.query) else
+            cost(w.task_spec(lq.query.task).family,
+                 tool_predict(w, t, lq.query, w._pair_rng(t, lq.query)), lq.gt)
+            for t, lq in zip(tools, relabeled)]
+    assert w.tool_costs(tools, relabeled) == want
+    assert _stored(w) == before
+
+
+@pytest.mark.parametrize("slot_width", [5, 7, 9])
+def test_encode_slots_equals_encode_slot_on_every_family(small_world, slot_width):
+    from toolselect.anp_selector import encode_slot, encode_slots
+    w = dataclasses.replace(small_world)
+    for task, spec in enumerate(w.tasks):
+        lqs = [lq for lq in w.splits["val"] + w.splits["test"] if lq.query.task == task]
+        tools = [tool for tool in w.populations[task] if task in tool.supported_tasks]
+        pair_tools = [tool for _ in lqs for tool in tools]
+        queries = [lq.query for lq in lqs for _ in tools]
+        (group,) = w.tool_outcomes(pair_tools, queries)
+        rows = encode_slots(spec.space, group.outputs, slot_width)
+        want = np.array([encode_slot(spec.space, pred, slot_width)
+                         for pred in w.tool_predictions(pair_tools, queries)])
+        assert rows.tobytes() == want.tobytes(), spec.family
+        if spec.family is TaskFamily.REPORT_GENERATION:
+            assert (want.sum(axis=1) > 1).any()   # pairs fold onto shared slots
+
+
+def test_global_best_means_equal_running_sums_of_tool_cost(small_world):
+    from toolselect.baselines import GlobalBestRouter
+    sums, counts = {}, {}
+    for lq in small_world.splits["train"]:
+        for tool in small_world.populations[lq.query.task]:
+            c = small_world.tool_cost(tool, lq)
+            if c is not None:
+                sums[tool.index] = sums.get(tool.index, 0.0) + c
+                counts[tool.index] = counts.get(tool.index, 0) + 1
+    fitted = GlobalBestRouter.fit(dataclasses.replace(small_world)).mean_cost
+    assert list(fitted) == list(sums)
+    assert all(np.float64(fitted[k]).tobytes() == np.float64(sums[k] / counts[k]).tobytes()
+               for k in sums)
