@@ -290,13 +290,13 @@ def encode_reference_set(params, cfg, sets):
     return t, px
 
 
-def self_attend_refs(params, cfg, t, mask=None, training=False, rng=None):
+def self_attend_refs(params, cfg, t, mask, training=False, rng=None):
     """Single-head self-attention within each reference set; dropout on output rows.
 
     ``t`` holds G sets of R rows as (G*R, d), with ``mask`` (G, R) marking
-    real rows; without a mask, ``t`` is one set.
+    real rows.
     """
-    sets, width = (1, t.shape[0]) if mask is None else mask.shape
+    sets, width = mask.shape
 
     def project(name):
         return dc.reshape(dc.matmul(t, params[name]), (sets, width, cfg.d))
@@ -309,20 +309,15 @@ def self_attend_refs(params, cfg, t, mask=None, training=False, rng=None):
     return out
 
 
-def cross_attend(params, cfg, u_rows, keys, t_tilde, mask=None, sets_of_rows=None):
+def cross_attend(params, cfg, u_rows, keys, t_tilde, mask, sets_of_rows):
     """Query-conditioned tool descriptor psi for each query row.
 
     ``keys`` (G*R, d_xp) and ``t_tilde`` (G*R, d) hold G reference sets with
     ``mask`` (G, R); query row i attends over set ``sets_of_rows[i]``.
-    Without a mask the keys are one set that every row attends over.
     """
     n = u_rows.shape[0]
-    if mask is None:
-        sets, width = 1, keys.shape[0]
-        sets_of_rows = np.zeros(n, dtype=np.intp)
-    else:
-        sets, width = mask.shape
-        mask = mask[sets_of_rows]
+    sets, width = mask.shape
+    mask = mask[sets_of_rows]
     k = dc.reshape(dc.matmul(keys, params["cross_k_W"]), (sets, width, cfg.d_k))
     v = dc.reshape(dc.matmul(t_tilde, params["cross_v_W"]), (sets, width, cfg.d_v))
     q = dc.reshape(dc.matmul(u_rows, params["cross_q_W"]), (n, 1, cfg.d_k))

@@ -66,12 +66,12 @@ class OracleRouter(Router):
 
     def route_batch(self, items, rng):
         """The valid slot of least true cost per item, ties to the lowest
-        slot, with the costs of every valid slot read by one ``tool_costs``
+        slot, with the costs of every valid slot read by one ``cost_array``
         call."""
         _, valid = _panel_arrays(items)
         rows, slots = np.nonzero(valid)
         costs = np.full(valid.shape, np.inf)
-        costs[rows, slots] = self.world.tool_costs(
+        costs[rows, slots] = self.world.cost_array(
             [items[b][1].tools[j] for b, j in zip(rows, slots)], [items[b][0] for b in rows])
         return costs.argmin(axis=1).tolist()
 

@@ -206,7 +206,9 @@ def import_tools(path):
                                       for t, c in rec["tool_label_count"].items()},
                     eta=np.asarray(rec["eta"], dtype=np.float64),
                     reference_sets=refs)
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, AttributeError, OverflowError,
+                    RecursionError) as exc:
+                # AttributeError: a JSON list where an object is expected has no .items()
                 raise ConfigError(f"{path}:{lineno}: malformed record: {exc}") from exc
             tools.append(tool)
     return tools

@@ -4,12 +4,9 @@ Queries, tools, panels, task families, ground truths, label alignment,
 partial support, and the per-family cost functions. Everything here is
 immutable after construction and freely shareable.
 
-``align`` is the definition of label alignment for one prediction.
-``align_rows`` aligns a block of categorical rows at once, for tools whose
-canonical labels each have exactly one pre-image: then the canonical sum
-``raw @ A`` has a single term per entry and equals the gather
-``raw[:, preimage]`` bit for bit, and the per-row sums and divisions are
-the same operations ``align`` applies to one row.
+``align`` is the definition of label alignment for one prediction. The
+simulator aligns each tool's outputs once per (tool, task), one row per tool
+label, and gathers the aligned rows afterwards.
 """
 
 import enum
@@ -93,8 +90,6 @@ class Tool:
     reference_sets: dict = field(default_factory=dict)
     # (task, tool label count) -> 0/1 alignment matrix, built by ``align``
     _align_mats: dict = field(default_factory=dict, repr=False, compare=False)
-    # (task, tool label count) -> pre-image array or None, built by ``preimage``
-    _preimages: dict = field(default_factory=dict, repr=False, compare=False)
 
     def alignment_matrix(self, task, n_tool_labels, n_canonical):
         """The 0/1 ``(n_tool_labels, n_canonical)`` matrix of
@@ -108,19 +103,6 @@ class Tool:
                 mat[tool_label, list(canon_labels)] = 1.0
             self._align_mats[key] = mat
         return mat
-
-    def preimage(self, task, n_tool_labels, n_canonical):
-        """The tool label covering each canonical label: the row of the one
-        1 in each column of ``alignment_matrix``, so that for positive raw
-        rows ``raw[:, pre]`` equals ``raw @ A`` bit for bit. None when a
-        canonical label has no pre-image or several. Built once per (task,
-        tool label count)."""
-        key = (task, n_tool_labels)
-        if key not in self._preimages:
-            mat = self.alignment_matrix(task, n_tool_labels, n_canonical)
-            one_each = (mat.sum(axis=0) == 1.0).all()
-            self._preimages[key] = mat.argmax(axis=0) if one_each else None
-        return self._preimages[key]
 
 
 @dataclass(frozen=True)
@@ -183,35 +165,6 @@ def align(tool, space, raw):
     if total <= 0.0:
         return null_prediction(space)
     return AlignedPrediction(space.family, probs=summed / total)
-
-
-def align_rows(tools, space, raw):
-    """``align`` of each categorical row ``raw[i]`` (of ``tools[i]``, all with
-    the same tool label count) on the task of ``space``: the same
-    predictions, bit for bit, with each prediction owning its ``probs``.
-
-    When every tool supports the task and has a ``preimage``, the block is
-    aligned as arrays: ``align``'s simplex check per row (the error names
-    the tool), the canonical gather, which equals ``raw @ A`` for positive
-    rows, and the renormalisation of each row by its own sum. Otherwise each
-    row goes through ``align``.
-    """
-    task = space.task
-    pres = [tool.preimage(task, raw.shape[1], space.size()) if task in tool.supported_tasks
-            else None for tool in tools]
-    if any(pre is None for pre in pres):
-        return [align(tool, space, row) for tool, row in zip(tools, raw)]
-    sums = raw.sum(axis=1)
-    off = (np.abs(sums - 1.0) > 1e-6) | (raw.min(axis=1) < -1e-12)
-    if off.any():
-        i = int(off.argmax())
-        raise InvalidPredictionError(
-            f"tool {tools[i].tool_id}: raw probabilities off the simplex (sum={sums[i]:.8f})")
-    summed = raw[np.arange(len(tools))[:, None], np.array(pres)]
-    totals = summed.sum(axis=1)
-    probs = summed / totals[:, None]
-    return [AlignedPrediction(space.family, probs=row.copy()) if total > 0.0
-            else null_prediction(space) for row, total in zip(probs, totals.tolist())]
 
 
 def iou(boxes_a, boxes_b):

@@ -33,17 +33,21 @@ object), and a tool's column through its index (and identity). A pair
 without a row or column -- a query in no split, a tool outside the task's
 population -- is computed by the same ``_draw`` and not stored, so the
 tables never outgrow the splits. ``SimWorld.tool_outcomes`` is the batched
-reader; ``cost_array``, ``cost_matrix``, ``tool_costs``,
-``tool_predictions``, ``tool_prediction`` and ``tool_cost`` are built on
-it. The tables live in a store that only the world that built it uses, so
-``dataclasses.replace`` of a world gives a copy with empty tables.
+reader; ``cost_array`` (``tool_cost`` is its one-pair call) and
+``cost_matrix`` read costs through it, and ``tool_prediction`` reads one
+pair's output from the same table. The tables are fields the dataclass
+does not take as arguments, so ``dataclasses.replace`` of a world gives a
+copy with empty tables.
 
-``keyed_rngs`` seeds a batch of keyed RNGs at once: each key's
-``SeedSequence`` entropy pool is mixed as a column pass over the batch
-(``_mix_pools``, numpy's ``mix_entropy`` steps), and ``generate_state``'s
-hash of the pools runs as one array pass; each generator is then seeded
-with its row through numpy's ``ISeedSequence`` hook, which gives the same
-state, so the same stream, as ``keyed_rng``.
+``keyed_rngs`` seeds a batch of keyed RNGs at once. For at least
+``BATCH_SEEDING_MIN`` keys of at most four entries, each below 2**32 (every
+prediction key of a seed and uids below 2**32), the keys' ``SeedSequence``
+entropy pools are mixed as a column pass over the batch (``_mix_pools``,
+numpy's ``mix_entropy`` steps); other batches use numpy's ``SeedSequence``
+per key. ``generate_state``'s hash of the pools runs as one array pass, and
+each generator is then seeded with its row through numpy's
+``ISeedSequence`` hook, which gives the same state, so the same stream, as
+``keyed_rng``.
 
 ``sample_queries`` draws a block of one task's queries: per query one
 ``integers`` and one ``standard_normal`` draw of the feature and hint noise
@@ -56,8 +60,7 @@ call.
 
 import bisect
 import math
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -74,8 +77,6 @@ from .domain import (
     TaskFamily,
     Tool,
     align,
-    align_rows,
-    cost,
     iou,
     null_prediction,
     validity,
@@ -218,8 +219,10 @@ class SimWorld:
     all_tools: list
     splits: dict                   # name -> list[LabeledQuery]
     ref_pools: dict                # task -> list[LabeledQuery]
-    # outcome tables and tool arrays, built on first use (see _outcome_store)
-    _store: object = field(default=None, repr=False, compare=False)
+    # task -> _OutcomeTable and task -> _TaskTools of all_tools, built on first
+    # use; not init fields, so dataclasses.replace starts a copy with none
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _tool_arrays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def task_spec(self, task):
         return self.tasks[task]
@@ -234,38 +237,23 @@ class SimWorld:
         """The prediction RNG of a (tool, query) pair."""
         return keyed_rng(self.seed, PREDICTION_KEY, tool.index, query.uid)
 
-    def _outcome_store(self):
-        """This world's tables and tool arrays. A store is kept only by the
-        world that built it, so a copy (``dataclasses.replace``) starts with
-        empty tables."""
-        store = self._store
-        if store is None or store.owner() is not self:
-            store = self._store = _Store(self)
-        return store
-
     def _table(self, task):
         """The outcome table of a task, built on first use."""
-        store = self._outcome_store()
-        table = store.tables.get(task)
+        table = self._tables.get(task)
         if table is None:
-            if store.split_rows is None:
-                store.split_rows = {}
-                for records in self.splits.values():
-                    for lq in records:
-                        store.split_rows.setdefault(lq.query.task, []).append(lq)
-            table = store.tables[task] = _OutcomeTable(
+            table = self._tables[task] = _OutcomeTable(
                 self.task_spec(task), self.populations.get(task, []),
-                store.split_rows.get(task, []))
+                [lq for records in self.splits.values() for lq in records
+                 if lq.query.task == task])
         return table
 
     def _tool_rows(self, spec, tools):
         """(tool arrays, rows) of ``tools`` on a task: rows of the world's
         tools in arrays built once per task, or arrays of ``tools`` alone
         when one of them is not among the world's tools."""
-        store = self._outcome_store().tool_arrays
-        arrays = store.get(spec.task)
+        arrays = self._tool_arrays.get(spec.task)
         if arrays is None:
-            arrays = store[spec.task] = _TaskTools(spec, self.all_tools)
+            arrays = self._tool_arrays[spec.task] = _TaskTools(spec, self.all_tools)
         if len(tools) == 1:
             row = arrays.row_of(tools[0])
             return (arrays, np.array([row])) if row >= 0 else (_TaskTools(spec, list(tools)),
@@ -351,22 +339,6 @@ class SimWorld:
                                                      pair_lqs).reshape(len(part), len(tools))
         return out
 
-    def tool_costs(self, tools, lqs):
-        """Realized cost of ``tools[i]`` on labeled query ``lqs[i]``; None where
-        the tool does not support the query's task. Each cost equals
-        ``domain.cost`` of its pair bit for bit."""
-        return [None if c != c else c for c in self.cost_array(tools, lqs).tolist()]
-
-    def tool_predictions(self, tools, queries):
-        """Aligned predictions of ``tools[i]`` on ``queries[i]``, built from
-        the outputs ``tool_outcomes`` reads."""
-        out = [None] * len(tools)
-        for group in self.tool_outcomes(tools, queries):
-            spec = self.task_spec(group.task)
-            for n, ok, row in zip(group.positions.tolist(), group.valid.tolist(), group.outputs):
-                out[n] = _prediction(spec, tools[n], row) if ok else null_prediction(spec.space)
-        return out
-
     def tool_prediction(self, tool, query):
         """The aligned prediction of a tool on a query: read from the outcome
         table when the pair has a place in it, else computed by
@@ -383,30 +355,9 @@ class SimWorld:
         return _prediction(spec, tool, table.outputs[row, col])
 
     def tool_cost(self, tool, lq):
-        """The one-pair ``tool_costs``: None when the tool is invalid."""
-        if not validity(tool, lq.query):
-            return None
-        table = self._table(lq.query.task)
-        row = table.row_of(lq.query, lq)
-        col = table.tools.row_of(tool) if row >= 0 else -1
-        if col < 0:
-            return cost(self.task_spec(lq.query.task).family,
-                        self.tool_prediction(tool, lq.query), lq.gt,
-                        clipped_xent=self.cfg.clipped_xent)
-        table.fill(self, np.array([row]), np.array([col]))
-        return float(table.costs[row, col])
-
-
-class _Store:
-    """A world's outcome tables (task -> ``_OutcomeTable``) and tool arrays
-    (task -> ``_TaskTools`` of all its tools), with a weak reference to the
-    world they belong to."""
-
-    def __init__(self, world):
-        self.owner = weakref.ref(world)
-        self.split_rows = None     # task -> its split queries, in table row order
-        self.tables = {}
-        self.tool_arrays = {}
+        """The one-pair ``cost_array``: None when the tool is invalid."""
+        c = self.cost_array([tool], [lq])[0]
+        return None if c != c else float(c)
 
 
 class _OutcomeTable:
@@ -516,7 +467,7 @@ class _TaskTools:
     """Arrays of the parameters of a list of tools on one task, one row per
     tool: what ``_draw`` reads. For a categorical task also each tool's
     canonical-to-tool label map and its aligned output for every tool label
-    (``align_rows`` of ``_raw_label_rows``), built once here."""
+    (``align`` of each row of ``_raw_label_rows``), built once here."""
 
     def __init__(self, spec, tools):
         task = spec.task
@@ -541,8 +492,8 @@ class _TaskTools:
             for i, tool in enumerate(tools):
                 if self.supported[i]:
                     self.correct[i] = [_canon_to_tool_label(tool, task, y) for y in range(k)]
-                    preds = align_rows([tool] * counts[i], spec.space, _raw_label_rows(counts[i]))
-                    self.aligned[i, :counts[i]] = [pred.probs for pred in preds]
+                    self.aligned[i, :counts[i]] = [align(tool, spec.space, row).probs
+                                                   for row in _raw_label_rows(counts[i])]
 
     def row_of(self, tool):
         """``rows`` of one tool, in Python scalars."""
@@ -638,20 +589,20 @@ def keyed_rngs(keys):
 
 
 def _pair_rngs(seed, tool_index, uids):
-    """The prediction RNGs of pairs (``tool_index[i]``, ``uids[i]``): their
-    keys' words built as one array when every entry is one word."""
-    uids = np.asarray(uids)      # of dtype object past int64
-    if (len(uids) >= BATCH_SEEDING_MIN and uids.dtype.kind == "i" and 0 <= seed <= 0xFFFFFFFF
-            and 0 <= uids.min() and uids.max() <= 0xFFFFFFFF
-            and 0 <= tool_index.min() and tool_index.max() <= 0xFFFFFFFF):
-        words = np.empty((len(uids), 4), dtype=np.uint32)
-        words[:, 0] = seed
-        words[:, 1] = PREDICTION_KEY
-        words[:, 2] = tool_index
-        words[:, 3] = uids
-        return _KeyedRngs(_states_of_pools(_mix_pools(words)))
-    return keyed_rngs([(seed, PREDICTION_KEY, t, u)
-                       for t, u in zip(tool_index.tolist(), uids.tolist())])
+    """The prediction RNGs of pairs (``tool_index[i]``, ``uids[i]``), from
+    their ``(n, 4)`` keys: int64, or Python ints when the seed or a uid is
+    past int64."""
+    wide = seed >= 2**63
+    try:
+        uids = np.asarray(uids, dtype=np.int64)
+    except OverflowError:        # a uid past int64
+        wide = True
+    keys = np.empty((len(uids), 4), dtype=object if wide else np.int64)
+    keys[:, 0] = seed
+    keys[:, 1] = PREDICTION_KEY
+    keys[:, 2] = tool_index
+    keys[:, 3] = uids
+    return keyed_rngs(keys)
 
 
 class _KeyedRngs:
@@ -679,16 +630,10 @@ class _PCG64State(ISeedSequence):
 
 
 # SeedSequence.mix_entropy hashes words with a running constant: call i xors
-# in HASH[i] and multiplies by HASH[i + 1] (mod 2**32), then xors in the top
-# 16 bits; mix(x, y) is MIX_L * x - MIX_R * y, top bits xored in likewise.
-def _hash_constants(count):
-    out = [0x43B0D7E5]
-    for _ in range(count):
-        out.append(out[-1] * 0x931E8875 % 2**32)
-    return np.array(out, dtype=np.uint32)
-
-
-_HASH = _hash_constants(64)
+# in HASH[i] = INIT_A * MULT_A**i and multiplies by HASH[i + 1] (mod 2**32),
+# then xors in the top 16 bits; mix(x, y) is MIX_L * x - MIX_R * y, top bits
+# xored in likewise. A pool of up to four words takes 16 calls.
+_HASH = np.array([0x43B0D7E5 * 0x931E8875 ** i % 2**32 for i in range(17)], dtype=np.uint32)
 _MIX_L = np.uint32(0xCA01F9DD)
 _MIX_R = np.uint32(0x4973F715)
 _SHIFT = np.uint32(16)
@@ -703,49 +648,28 @@ def _mix(x, y):
 
 def _mix_pools(words):
     """The 4-word entropy pools ``np.random.SeedSequence(row).pool`` of the
-    rows of an ``(n, L)`` uint32 array, as column operations: the pool
-    words first, then each pool word's hash mixed into the three others
-    (one source word at a time, its three calls as one ``(n, 3)`` step),
-    then each word past the fourth mixed into all four."""
-    n, width = words.shape
-    calls = 4 + 12 + 4 * max(0, width - 4)
-    hashes = _HASH if calls < len(_HASH) else _hash_constants(calls)
-    pool = np.zeros((n, 4), dtype=np.uint32)
-    pool[:, :min(width, 4)] = words[:, :4]
-    pool = _hashmix(pool, hashes, 0, 4)
+    rows of an ``(n, L)`` uint32 array, L at most 4, as column operations:
+    the pool words (zero-padded) first, then each pool word's hash mixed
+    into the three others (one source word at a time, its three calls as
+    one ``(n, 3)`` step)."""
+    pool = np.zeros((len(words), 4), dtype=np.uint32)
+    pool[:, :words.shape[1]] = words
+    pool = _hashmix(pool, 0, 4)
     call = 4
     for src in range(4):
         dst = [d for d in range(4) if d != src]
-        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, [src]], hashes, call, 3))
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, [src]], call, 3))
         call += 3
-    for src in range(4, width):
-        pool = _mix(pool, _hashmix(words[:, [src]], hashes, call, 4))
-        call += 4
     return pool
 
 
-def _hashmix(values, hashes, first, k):
+def _hashmix(values, first, k):
     """numpy's ``hashmix`` of ``values`` (n, 1 or k) as calls first ... first
     + k - 1, one per column."""
-    out = values ^ hashes[first:first + k]
-    out *= hashes[first + 1:first + k + 1]    # wraps mod 2**32, as numpy's uint32 does
+    out = values ^ _HASH[first:first + k]
+    out *= _HASH[first + 1:first + k + 1]    # wraps mod 2**32, as numpy's uint32 does
     out ^= out >> _SHIFT
     return out
-
-
-def _pools(words):
-    """``_mix_pools`` of an ``(n, L)`` array, or of a list of per-key word
-    arrays, grouped by length."""
-    if isinstance(words, np.ndarray):
-        return _mix_pools(words)
-    pools = np.empty((len(words), 4), dtype=np.uint32)
-    by_length = {}
-    for i, row in enumerate(words):
-        by_length.setdefault(len(row), []).append(i)
-    for width, idx in by_length.items():
-        pools[idx] = _mix_pools(np.array([words[i] for i in idx],
-                                         dtype=np.uint32).reshape(len(idx), width))
-    return pools
 
 
 # SeedSequence.generate_state: output word i hashes pool word i % 4 (numpy's
@@ -759,14 +683,17 @@ _STATE_MUL = np.array([0x8B51F9DD * 0x58F38DED ** (i + 1) % 2**32 for i in range
 
 def _pcg64_states(keys):
     """The ``(n, 4)`` uint64 PCG64 states ``keyed_rng`` seeds for ``keys``:
-    the keys' entropy pools, mixed by ``_pools`` (or by numpy's
-    ``SeedSequence`` per key below ``BATCH_SEEDING_MIN`` keys), then numpy's
+    the keys' entropy pools, mixed by ``_mix_pools`` for at least
+    ``BATCH_SEEDING_MIN`` keys of at most four entries, each below 2**32,
+    else by numpy's ``SeedSequence`` per key, then numpy's
     ``generate_state(4, np.uint64)`` of all of them as one array pass."""
-    if len(keys) < BATCH_SEEDING_MIN:
-        pools = np.array([np.random.SeedSequence(_uint32_words(key)).pool for key in keys],
-                         dtype=np.uint32).reshape(len(keys), 4)
-    else:
-        pools = _pools(_key_words(keys))
+    words = _key_words(keys) if len(keys) >= BATCH_SEEDING_MIN else None
+    if words is not None:
+        return _states_of_pools(_mix_pools(words))
+    if isinstance(keys, np.ndarray):
+        keys = keys.tolist()       # Python ints split into words faster than numpy's
+    pools = np.array([np.random.SeedSequence(_uint32_words(key)).pool for key in keys],
+                     dtype=np.uint32).reshape(len(keys), 4)
     return _states_of_pools(pools)
 
 
@@ -779,16 +706,16 @@ def _states_of_pools(pools):
 
 
 def _key_words(keys):
-    """The ``_uint32_words`` of every key: one ``(n, len(key))`` array when
-    every entry is an int below 2**32, else a list of per-key word arrays."""
+    """The ``_uint32_words`` of every key as one ``(n, L)`` array when the
+    keys have the same L <= 4 entries, each an int below 2**32; else None."""
     try:
-        arr = np.array(keys)
+        arr = np.asarray(keys)
     except (ValueError, OverflowError):
-        arr = None
-    if (arr is not None and arr.dtype.kind == "i" and arr.ndim == 2
+        return None
+    if (arr.dtype.kind == "i" and arr.ndim == 2 and 0 < arr.shape[1] <= 4
             and arr.min() >= 0 and arr.max() <= 0xFFFFFFFF):
         return arr.astype(np.uint32)
-    return [_uint32_words(key) for key in keys]
+    return None
 
 
 def _uint32_words(values):
@@ -1053,7 +980,8 @@ _FIRST_ROW = np.zeros(1, dtype=np.int64)
 
 def competence(world, tool, task, x):
     spec = world.task_spec(task)
-    return _kappas(world, spec, _TaskTools(spec, [tool]), _FIRST_ROW, np.asarray(x)[None, :])[0]
+    tools, rows = world._tool_rows(spec, [tool])
+    return _kappas(world, spec, tools, rows, np.asarray(x)[None, :])[0]
 
 
 def tool_predict(world, tool, query, rng):
@@ -1174,11 +1102,11 @@ def sample_panel(population, query, m, rng, max_attempts=100):
         f"no valid panel for query {query.uid} after {max_attempts} attempts")
 
 
-def build_reference_sets(world, ref_size, rng):
-    """Populate every tool's per-task reference set from the reference pools."""
+def build_reference_sets(world, tools, ref_size, rng):
+    """Populate each tool's per-task reference sets from the reference pools."""
     if ref_size < 1:
         raise ValueError("ref_size must be >= 1")
-    for tool in world.all_tools:
+    for tool in tools:
         tool.reference_sets = {}
         for task in sorted(tool.supported_tasks):
             pool = world.ref_pools[task]
@@ -1225,7 +1153,7 @@ def generate_world(cfg, seed):
         count = cfg.n_ref_pool // n_tasks
         world.ref_pools[t] = _sample_uids(world, t, rng, uid, count)
         uid += count
-    build_reference_sets(world, cfg.ref_size, rng)
+    build_reference_sets(world, world.all_tools, cfg.ref_size, rng)
     return world
 
 
@@ -1241,31 +1169,17 @@ def regenerate_test_tools(world, fraction, seed):
     # surviving tools keep their indices so fitted routers still recognize
     # them; fresh tools get indices past the original range
     next_index = max(t.index for t in world.all_tools) + 1
+    fresh = []
     for t in range(cfg.n_tasks()):
-        pop = []
-        n_replace = int(round(fraction * len(world.populations[t])))
-        for i, tool in enumerate(world.populations[t]):
-            if i < n_replace:
-                made = _make_tool(cfg, world.tasks, t, next_index, rng)
-                fresh = SimTool(
-                    tool_id=f"t{t}_fresh{i:02d}", index=next_index,
-                    supported_tasks=made.supported_tasks, alignment=made.alignment,
-                    tool_label_count=made.tool_label_count, eta=made.eta,
-                    mu=made.mu, beta=made.beta, pmax=made.pmax, home_task=t)
-                next_index += 1
-                pop.append(fresh)
-            else:
-                pop.append(tool)
+        pop = list(world.populations[t])
+        for i in range(int(round(fraction * len(pop)))):
+            made = _make_tool(cfg, world.tasks, t, next_index, rng)
+            pop[i] = replace(made, tool_id=f"t{t}_fresh{i:02d}")
+            fresh.append(pop[i])
+            next_index += 1
         new_world.populations[t] = pop
         new_world.all_tools.extend(pop)
-    fresh_tools = [tool for tool in new_world.all_tools if not tool.reference_sets]
-    for tool in fresh_tools:
-        for task in sorted(tool.supported_tasks):
-            pool = new_world.ref_pools[task]
-            idx = rng.choice(len(pool), size=min(cfg.ref_size, len(pool)), replace=False)
-            tool.reference_sets[task] = [
-                (pool[i].query.x, pool[i].gt, new_world.tool_prediction(tool, pool[i].query))
-                for i in idx]
+    build_reference_sets(new_world, fresh, cfg.ref_size, rng)
     return new_world
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -47,8 +49,8 @@ class _CostWorld:
     def tool_cost(self, tool, lq):
         return self.costs[tool.index]
 
-    def tool_costs(self, tools, lqs):
-        return [self.tool_cost(tool, lq) for tool, lq in zip(tools, lqs)]
+    def cost_array(self, tools, lqs):
+        return np.array([self.tool_cost(tool, lq) for tool, lq in zip(tools, lqs)], dtype=float)
 
 
 # ------------------------------------------------------------------ Random
@@ -126,8 +128,7 @@ def test_global_best_fit_matches_hand_average(small_world):
 
 
 def test_global_best_empty_split_rejected(small_world):
-    stripped = type(small_world)(**{**small_world.__dict__,
-                                    "splits": {**small_world.splits, "train": []}})
+    stripped = dataclasses.replace(small_world, splits={**small_world.splits, "train": []})
     with pytest.raises(ValueError):
         GlobalBestRouter.fit(stripped)
 

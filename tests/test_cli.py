@@ -124,6 +124,35 @@ def test_tools_round_trip(small_world, tmp_path):
             assert len(b.reference_sets[task]) == len(a.reference_sets[task])
 
 
+@pytest.mark.parametrize("key, value", [("reference_sets", []), ("alignment", []),
+                                        ("tool_label_count", []), ("alignment", {"0": [[0]]})])
+def test_tools_list_for_an_object_names_its_line(small_world, tmp_path, key, value):
+    path = tmp_path / "tools.jsonl"
+    export_tools(small_world, str(path))
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    record[key] = value
+    lines[1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}:2: malformed record")):
+        import_tools(str(path))
+
+
+@pytest.mark.parametrize("damage", [
+    lambda line: line[:len(line) // 2],
+    lambda line: line.replace('"index": ', '"index": 1e400, "_": '),
+    lambda line: "[" * 100000 + "]" * 100000,
+], ids=["truncated", "infinite-index", "nested-past-the-recursion-limit"])
+def test_tools_unparsable_line_names_its_line(small_world, tmp_path, damage):
+    path = tmp_path / "tools.jsonl"
+    export_tools(small_world, str(path))
+    lines = path.read_text().splitlines()
+    lines[2] = damage(lines[2])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}:3: malformed record")):
+        import_tools(str(path))
+
+
 # ------------------------------------------------------------- subcommands
 
 def test_simulate_byte_identical(cfg_path, tmp_path, capsys):

@@ -10,7 +10,6 @@ from toolselect.domain import (
     TaskFamily,
     Tool,
     align,
-    align_rows,
     cost,
     iou,
     null_prediction,
@@ -193,78 +192,6 @@ def test_align_matrix_equals_the_summing_loop(small_world, rng):
                 assert np.array_equal(got, _align_by_loop(tool, space, raw)), (tool.tool_id, task)
                 checked += 1
     assert checked > 100
-
-
-def test_preimage_marks_labels_with_one_pre_image():
-    space_size = 3
-    one_each = _tool({0}, alignment={0: {0: (2,), 1: (0, 1)}}, counts={0: 2})
-    np.testing.assert_array_equal(one_each.preimage(0, 2, space_size), [1, 1, 0])
-    shared = _tool({0}, alignment={0: {0: (0, 1), 1: (1, 2)}}, counts={0: 2})
-    assert shared.preimage(0, 2, space_size) is None
-    uncovered = _tool({0}, alignment={0: {0: (0,), 1: (1,)}}, counts={0: 2})
-    assert uncovered.preimage(0, 2, space_size) is None
-
-
-def _align_rows_cases(small_world, rng):
-    """Per (categorical task, tool label count): the tools and raw rows of
-    every tool of the world, on one-hot-ish simulator rows and random
-    simplex points, shuffled."""
-    for spec in small_world.tasks:
-        if spec.family not in (TaskFamily.CLASSIFICATION, TaskFamily.MULTIPLE_CHOICE):
-            continue
-        by_count = {}
-        for tool in small_world.all_tools:
-            if spec.task in tool.supported_tasks:
-                by_count.setdefault(tool.tool_label_count[spec.task], []).append(tool)
-        for k, tools in by_count.items():
-            rows, row_tools = [], []
-            for tool in tools:
-                for chosen in range(k):
-                    raw = np.full(k, 0.1 / max(1, k - 1))
-                    raw[chosen] = 0.9
-                    rows.append(raw if k > 1 else np.ones(1))
-                    row_tools.append(tool)
-                for _ in range(5):
-                    raw = rng.random(k) + 0.01
-                    rows.append(raw / raw.sum())
-                    row_tools.append(tool)
-            order = rng.permutation(len(rows))
-            yield spec.space, [row_tools[i] for i in order], np.array(rows)[order]
-
-
-def test_align_rows_equals_align_row_by_row(small_world, rng):
-    """The array alignment gives ``align``'s bits on every (tool,
-    categorical task) of the world, and each prediction owns its probs."""
-    checked = 0
-    for space, tools, raw in _align_rows_cases(small_world, rng):
-        got = align_rows(tools, space, raw)
-        for tool, row, pred in zip(tools, raw, got):
-            want = align(tool, space, row)
-            assert pred.probs.tobytes() == want.probs.tobytes(), tool.tool_id
-            assert pred.probs.base is None and not pred.is_null
-            checked += 1
-    assert checked > 300
-
-
-def test_align_rows_falls_back_to_align_without_one_pre_image_each():
-    space = CanonicalLabelSpace(0, TaskFamily.CLASSIFICATION, labels=(0, 1, 2))
-    shared = _tool({0}, alignment={0: {0: (0, 1), 1: (2,)}}, counts={0: 2})
-    unsupported = _tool({1})
-    raw = np.array([[0.6, 0.4], [0.2, 0.8], [0.5, 0.5], [0.9, 0.1]])
-    got = align_rows([shared, shared, shared, unsupported], space, raw)
-    for tool, row, pred in zip([shared] * 3, raw, got):
-        assert pred.probs.tobytes() == align(tool, space, row).probs.tobytes()
-    assert got[3].is_null
-
-
-def test_align_rows_rejects_a_row_off_the_simplex_naming_its_tool():
-    space = CanonicalLabelSpace(0, TaskFamily.CLASSIFICATION, labels=(0, 1))
-    good = _tool({0}, alignment={0: {0: (0,), 1: (1,)}}, counts={0: 2})
-    bad = Tool(tool_id="off", index=1, supported_tasks=frozenset({0}),
-               alignment={0: {0: (1,), 1: (0,)}}, tool_label_count={0: 2}, eta=np.zeros(2))
-    raw = np.array([[0.5, 0.5], [0.1, 0.9], [0.7, 0.5], [1.0, 0.0]])
-    with pytest.raises(InvalidPredictionError, match="tool off: .*sum=1.2"):
-        align_rows([good, good, bad, good], space, raw)
 
 
 def _iou_scalar(box_a, box_b):

@@ -109,8 +109,7 @@ def test_evaluate_deterministic_for_seed(small_world):
 
 
 def test_evaluate_empty_split_rejected(small_world):
-    stripped = type(small_world)(**{**small_world.__dict__,
-                                    "splits": {**small_world.splits, "test": []}})
+    stripped = dataclasses.replace(small_world, splits={**small_world.splits, "test": []})
     with pytest.raises(ValueError):
         evaluate(RandomRouter(), stripped, "test", 4, seed=0)
 

@@ -24,10 +24,8 @@ from toolselect.simworld import (
     BATCH_SEEDING_MIN,
     WorldConfig,
     _box_from_x,
-    _key_words,
-    _pools,
+    _mix_pools,
     _report_pair_sets,
-    _uint32_words,
     generate_world,
     keyed_rng,
     keyed_rngs,
@@ -115,20 +113,23 @@ POOL_KEYS = (st.lists(st.lists(st.integers(0, 2**64), min_size=1, max_size=6).ma
              | st.integers(1, 6).flatmap(lambda width: st.lists(
                  st.tuples(*[st.integers(0, 2**64)] * width),
                  min_size=BATCH_SEEDING_MIN, max_size=40)))
+ONE_WORD_KEYS = st.integers(1, 4).flatmap(lambda width: st.lists(
+    st.tuples(*[st.integers(0, 2**32 - 1)] * width), min_size=1, max_size=40))
 
 
-@given(POOL_KEYS)
-def test_mixed_pools_equal_seed_sequence_pools(keys):
-    """The column pass of ``_pools`` gives numpy's own entropy pools, for keys
-    of one and of mixed word lengths, and ``keyed_rngs`` of as many keys
-    (the column path) the generators of ``keyed_rng``."""
-    words = [_uint32_words(key) for key in keys]
-    want = np.array([np.random.SeedSequence(w).pool for w in words], dtype=np.uint32)
-    assert _pools(words).tobytes() == want.tobytes()
-    assert _pools(_key_words(keys)).tobytes() == want.tobytes()
-    rngs = keyed_rngs(keys)
-    for i, key in enumerate(keys):
-        assert rngs[i].bit_generator.state == keyed_rng(*key).bit_generator.state
+@given(POOL_KEYS, ONE_WORD_KEYS)
+def test_mixed_pools_equal_seed_sequence_pools(keys, short_keys):
+    """The column pass of ``_mix_pools`` gives numpy's own entropy pools for
+    keys of up to four one-word entries, and ``keyed_rngs`` of at least
+    ``BATCH_SEEDING_MIN`` keys, one-word or multi-word, of one or of mixed
+    lengths, the generators of ``keyed_rng``."""
+    words = np.array(short_keys, dtype=np.uint32)
+    want = np.array([np.random.SeedSequence(row).pool for row in words], dtype=np.uint32)
+    assert _mix_pools(words).tobytes() == want.tobytes()
+    for batch in (keys, short_keys * BATCH_SEEDING_MIN):
+        rngs = keyed_rngs(batch)
+        for i, key in enumerate(batch):
+            assert rngs[i].bit_generator.state == keyed_rng(*key).bit_generator.state
 
 
 def test_keyed_rngs_reject_negative_entries_as_keyed_rng_does():

@@ -147,8 +147,8 @@ def test_reference_set_exchangeability_of_psi(setup):
 
     def psi_of(rs):
         t, keys = encode_reference_set(params, cfg, reference_arrays(cfg, space, rs))
-        t_tilde = self_attend_refs(params, cfg, t)
-        return cross_attend(params, cfg, u, keys, t_tilde).data
+        t_tilde = self_attend_refs(params, cfg, t, _one_set(t))
+        return _cross_attend_one_set(params, cfg, u, keys, t_tilde).data
 
     np.testing.assert_allclose(psi_of([refs[i] for i in perm]), psi_of(refs),
                                atol=1e-10)
@@ -156,10 +156,21 @@ def test_reference_set_exchangeability_of_psi(setup):
 
 # -------------------------------------------------------- self/cross attend
 
+def _one_set(t):
+    """The mask of one reference set holding every row of ``t``."""
+    return np.ones((1, t.shape[0]), dtype=bool)
+
+
+def _cross_attend_one_set(params, cfg, u, keys, t_tilde):
+    """``cross_attend`` of every query row over one set of all the keys."""
+    return cross_attend(params, cfg, u, keys, t_tilde, _one_set(keys),
+                        np.zeros(u.shape[0], dtype=np.intp))
+
+
 def test_self_attend_single_row_is_value_projection(setup):
     world, cfg, params, model = setup
     t = dc.constant(np.random.default_rng(0).standard_normal((1, cfg.d)))
-    out = self_attend_refs(params, cfg, t)
+    out = self_attend_refs(params, cfg, t, _one_set(t))
     np.testing.assert_allclose(out.data, t.data @ params["self_v_W"].data,
                                atol=1e-12)
 
@@ -168,7 +179,7 @@ def test_self_attend_identical_rows_stay_identical(setup):
     world, cfg, params, model = setup
     row = np.random.default_rng(1).standard_normal(cfg.d)
     t = dc.constant(np.stack([row] * 4))
-    out = self_attend_refs(params, cfg, t).data
+    out = self_attend_refs(params, cfg, t, _one_set(t)).data
     for i in range(1, 4):
         np.testing.assert_allclose(out[i], out[0], atol=1e-12)
 
@@ -176,7 +187,7 @@ def test_self_attend_identical_rows_stay_identical(setup):
 def test_self_attend_matches_brute_force(setup):
     world, cfg, params, model = setup
     t = np.random.default_rng(2).standard_normal((2, cfg.d))
-    out = self_attend_refs(params, cfg, dc.constant(t)).data
+    out = self_attend_refs(params, cfg, dc.constant(t), _one_set(t)).data
     q = t @ params["self_q_W"].data
     k = t @ params["self_k_W"].data
     v = t @ params["self_v_W"].data
@@ -191,8 +202,8 @@ def test_cross_attend_single_key_ignores_query(setup):
     t_tilde = dc.constant(g.standard_normal((1, cfg.d)))
     u1 = dc.constant(g.standard_normal((1, cfg.d_u)))
     u2 = dc.constant(g.standard_normal((1, cfg.d_u)))
-    a = cross_attend(params, cfg, u1, keys, t_tilde).data
-    b = cross_attend(params, cfg, u2, keys, t_tilde).data
+    a = _cross_attend_one_set(params, cfg, u1, keys, t_tilde).data
+    b = _cross_attend_one_set(params, cfg, u2, keys, t_tilde).data
     np.testing.assert_allclose(a, b, atol=1e-12)
     np.testing.assert_allclose(a, t_tilde.data @ params["cross_v_W"].data, atol=1e-12)
 
@@ -203,9 +214,9 @@ def test_cross_attend_duplicated_reference_invariance(setup):
     keys = g.standard_normal((3, cfg.d_xp))
     tt = g.standard_normal((3, cfg.d))
     u = dc.constant(g.standard_normal((1, cfg.d_u)))
-    a = cross_attend(params, cfg, u, dc.constant(keys), dc.constant(tt)).data
-    b = cross_attend(params, cfg, u, dc.constant(np.tile(keys, (2, 1))),
-                     dc.constant(np.tile(tt, (2, 1)))).data
+    a = _cross_attend_one_set(params, cfg, u, dc.constant(keys), dc.constant(tt)).data
+    b = _cross_attend_one_set(params, cfg, u, dc.constant(np.tile(keys, (2, 1))),
+                              dc.constant(np.tile(tt, (2, 1)))).data
     np.testing.assert_allclose(a, b, atol=1e-10)
 
 

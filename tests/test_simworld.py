@@ -5,9 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from toolselect.domain import CATEGORICAL_FAMILIES, TaskFamily, cost, validity
+from toolselect.domain import CATEGORICAL_FAMILIES, TaskFamily, cost, null_prediction, validity
 from toolselect.errors import ConfigError, NoValidPanelError
 from toolselect.simworld import (
+    BATCH_SEEDING_MIN,
     WorldConfig,
     competence,
     generate_world,
@@ -288,6 +289,23 @@ def test_three_task_world():
 
 # ------------------------------------------------------- batched lookups
 
+def _costs(world, tools, lqs):
+    """``cost_array`` as a list, None where the tool is invalid."""
+    return [None if c != c else c for c in world.cost_array(tools, lqs).tolist()]
+
+
+def _predictions(world, tools, queries):
+    """Aligned predictions of ``tools[i]`` on ``queries[i]``, built from the
+    outputs ``tool_outcomes`` reads."""
+    from toolselect.simworld import _prediction
+    out = [None] * len(tools)
+    for group in world.tool_outcomes(tools, queries):
+        spec = world.task_spec(group.task)
+        for n, ok, row in zip(group.positions.tolist(), group.valid.tolist(), group.outputs):
+            out[n] = _prediction(spec, tools[n], row) if ok else null_prediction(spec.space)
+    return out
+
+
 def _prediction_bytes(pred):
     """Every field of an aligned prediction, bit for bit."""
     probs = b"" if pred.probs is None else pred.probs.tobytes()
@@ -295,7 +313,7 @@ def _prediction_bytes(pred):
 
 
 def test_batched_lookups_match_per_pair_tool_predict(small_world):
-    """tool_predictions and tool_costs over mixed-task batches with duplicate
+    """tool_outcomes and cost_array over mixed-task batches with duplicate
     pairs equal tool_predict called per pair with a fresh keyed RNG, on every
     (tool, query) pair of the splits and the reference pools."""
     w = small_world
@@ -310,11 +328,11 @@ def test_batched_lookups_match_per_pair_tool_predict(small_world):
     fresh = dataclasses.replace(w)
     preds, costs = [], []
     for lo in range(0, len(order), 3000):
-        preds += fresh.tool_predictions(tools[lo:lo + 3000],
-                                        [lq.query for lq in batch_lqs[lo:lo + 3000]])
+        preds += _predictions(fresh, tools[lo:lo + 3000],
+                              [lq.query for lq in batch_lqs[lo:lo + 3000]])
     costless = dataclasses.replace(w)
     for lo in range(0, len(order), 5000):
-        costs += costless.tool_costs(tools[lo:lo + 5000], batch_lqs[lo:lo + 5000])
+        costs += _costs(costless, tools[lo:lo + 5000], batch_lqs[lo:lo + 5000])
 
     got, want = hashlib.sha256(), hashlib.sha256()
     n_valid = 0
@@ -338,7 +356,7 @@ def test_one_pair_lookups_equal_batched_lookups(small_world):
     lqs = small_world.splits["val"][:10]
     tools = [small_world.populations[lq.query.task][0] for lq in lqs]
     single = [w.tool_cost(tool, lq) for tool, lq in zip(tools, lqs)]
-    assert single == dataclasses.replace(w).tool_costs(tools, lqs)
+    assert single == _costs(dataclasses.replace(w), tools, lqs)
 
 
 @pytest.mark.parametrize("key", [(0, 104729, 0, 0), (7, 104729, 47, 12345),
@@ -354,6 +372,31 @@ def test_pair_rng_is_the_keyed_default_rng(small_world):
     tool, lq = small_world.all_tools[5], small_world.splits["val"][3]
     expected = np.random.default_rng([small_world.seed, 104729, tool.index, lq.query.uid])
     assert np.array_equal(small_world._pair_rng(tool, lq.query).random(16), expected.random(16))
+
+
+UID_BASES = (12345, 2**32 + 5, 2**63 + 5)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**70])
+@pytest.mark.parametrize("uid_base", [*UID_BASES, "mixed"])
+@pytest.mark.parametrize("n", [1, 5, BATCH_SEEDING_MIN, 64])
+def test_pair_rngs_equal_keyed_rng(seed, uid_base, n):
+    """The fill's batch seeding gives each pair the state of
+    ``keyed_rng(seed, PREDICTION_KEY, tool, uid)``, for uids as Python ints
+    and, below 2**63, as the int64 array a table passes."""
+    from toolselect.simworld import PREDICTION_KEY, _pair_rngs, keyed_rng
+    if uid_base == "mixed":
+        uids = [UID_BASES[i % 3] + i for i in range(n)]
+    else:
+        uids = [uid_base + 3 * i for i in range(n)]
+    tool_index = np.arange(n, dtype=np.int64) * 7 % 50
+    batches = [uids] + ([np.array(uids, dtype=np.int64)] if max(uids) < 2**63 else [])
+    for batch in batches:
+        rngs = _pair_rngs(seed, tool_index, batch)
+        assert len(rngs) == n
+        for i, (tool, uid) in enumerate(zip(tool_index.tolist(), uids)):
+            want = keyed_rng(seed, PREDICTION_KEY, tool, uid)
+            assert rngs[i].bit_generator.state == want.bit_generator.state, (i, tool, uid)
 
 
 @pytest.mark.parametrize("key", [(0, 104729, 0, 0), (7, 50331653, 12345),
@@ -377,7 +420,7 @@ def test_tool_costs_equal_per_pair_cost_bit_for_bit(small_world, clipped_xent):
     batch_lqs = [pairs[i][1] for i in order]
     costs = []
     for lo in range(0, len(order), 97):
-        costs += w.tool_costs(tools[lo:lo + 97], batch_lqs[lo:lo + 97])
+        costs += _costs(w, tools[lo:lo + 97], batch_lqs[lo:lo + 97])
     families = set()
     for tool, lq, c in zip(tools, batch_lqs, costs):
         if not validity(tool, lq.query):
@@ -414,11 +457,8 @@ def test_perturb_boxes_equals_the_per_column_expressions(rng):
 
 def _stored(world):
     """Every filled entry of a world's outcome tables, as bytes."""
-    store = world._store
-    if store is None:
-        return {}
     return {task: (t.filled.tobytes(), t.costs.tobytes(), t.outputs.tobytes())
-            for task, t in store.tables.items() if t.filled is not None}
+            for task, t in world._tables.items() if t.filled is not None}
 
 
 @pytest.mark.parametrize("clipped_xent", [False, True])
@@ -440,11 +480,11 @@ def test_outcome_table_digest_equals_per_pair_tool_predict(small_world, clipped_
     for n, lo in enumerate(range(0, len(order), 389)):
         part_tools, part_lqs = tools[lo:lo + 389], batch_lqs[lo:lo + 389]
         if n % 2:
-            preds += w.tool_predictions(part_tools, [lq.query for lq in part_lqs])
-            costs += w.tool_costs(part_tools, part_lqs)
+            preds += _predictions(w, part_tools, [lq.query for lq in part_lqs])
+            costs += _costs(w, part_tools, part_lqs)
         else:
-            costs += w.tool_costs(part_tools, part_lqs)
-            preds += w.tool_predictions(part_tools, [lq.query for lq in part_lqs])
+            costs += _costs(w, part_tools, part_lqs)
+            preds += _predictions(w, part_tools, [lq.query for lq in part_lqs])
     got, want = hashlib.sha256(), hashlib.sha256()
     tabled = 0
     for tool, lq, pred, c in zip(tools, batch_lqs, preds, costs):
@@ -463,7 +503,7 @@ def test_outcome_table_digest_equals_per_pair_tool_predict(small_world, clipped_
     assert got.hexdigest() == want.hexdigest()
     assert tabled > 1500
     # every population pair of the splits is now stored, scored, exactly once
-    for task, table in w._store.tables.items():
+    for task, table in w._tables.items():
         valid = np.array([task in tool.supported_tasks for tool in table.tools.tools])
         assert (table.filled[:, valid] == 2).all() and (table.filled[:, ~valid] == 0).all()
 
@@ -506,14 +546,14 @@ def test_queries_in_no_split_are_computed_and_not_stored(small_world):
                 cost(w.task_spec(lq.query.task).family,
                      tool_predict(w, t, lq.query, w._pair_rng(t, lq.query)), lq.gt)
                 for t in panel.tools]
-        assert w.tool_costs(list(panel.tools), [lq] * len(panel.tools)) == want
+        assert _costs(w, list(panel.tools), [lq] * len(panel.tools)) == want
     # one batch of every population tool on every such query: the array lookups
     pairs = [(tool, lq) for lq in outside for tool in w.populations[lq.query.task]]
     want = [None if not validity(t, lq.query) else
             cost(w.task_spec(lq.query.task).family,
                  tool_predict(w, t, lq.query, w._pair_rng(t, lq.query)), lq.gt)
             for t, lq in pairs]
-    assert w.tool_costs([t for t, _ in pairs], [lq for _, lq in pairs]) == want
+    assert _costs(w, [t for t, _ in pairs], [lq for _, lq in pairs]) == want
     # a split's own queries with other labeled-query objects are scored, not stored
     relabeled = [dataclasses.replace(lq) for lq in split]
     tools = [w.populations[lq.query.task][1] for lq in relabeled]
@@ -521,7 +561,7 @@ def test_queries_in_no_split_are_computed_and_not_stored(small_world):
             cost(w.task_spec(lq.query.task).family,
                  tool_predict(w, t, lq.query, w._pair_rng(t, lq.query)), lq.gt)
             for t, lq in zip(tools, relabeled)]
-    assert w.tool_costs(tools, relabeled) == want
+    assert _costs(w, tools, relabeled) == want
     assert _stored(w) == before
 
 
@@ -537,7 +577,7 @@ def test_encode_slots_equals_encode_slot_on_every_family(small_world, slot_width
         (group,) = w.tool_outcomes(pair_tools, queries)
         rows = encode_slots(spec.space, group.outputs, slot_width)
         want = np.array([encode_slot(spec.space, pred, slot_width)
-                         for pred in w.tool_predictions(pair_tools, queries)])
+                         for pred in _predictions(w, pair_tools, queries)])
         assert rows.tobytes() == want.tobytes(), spec.family
         if spec.family is TaskFamily.REPORT_GENERATION:
             assert (want.sum(axis=1) > 1).any()   # pairs fold onto shared slots
