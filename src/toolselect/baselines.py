@@ -282,7 +282,9 @@ class ToolSelectRouter(Router):
         self.model = model.detached()
         self._cache = {}
 
+    def distributions(self, items):
+        """The selection distributions of the items, from one batched forward."""
+        return self.model.batch_forward(items, with_coverage=False, cache=self._cache).dists
+
     def route_batch(self, items, rng):
-        """One batched forward over the items."""
-        fwd = self.model.batch_forward(items, with_coverage=False, cache=self._cache)
-        return [dist.selected for dist in fwd.dists]
+        return [dist.selected for dist in self.distributions(items)]

@@ -24,7 +24,7 @@ from .baselines import (
 from .checkpoint import load_checkpoint, save_checkpoint
 from .datasets import export_dataset, export_tools, parse_record
 from .errors import CheckpointError, ConfigError, ToolSelectError
-from .evalharness import PANEL_KEY, compare, machine_records, render_report
+from .evalharness import CHUNK, PANEL_KEY, compare, machine_records, render_report
 from .objective import ObjectiveConfig
 from .simworld import WorldConfig, generate_world, keyed_rng, sample_panel, world_digest
 from .trainer import TrainConfig, build_model, default_selector_config, fit
@@ -123,21 +123,32 @@ def _seed(text):
     return value
 
 
+def _panel_size(text):
+    """A ``--panel-size`` value: an integer of at least 2, as a panel needs."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 2, got {value}")
+    return value
+
+
 def _build_parser():
     parser = _Parser(prog="toolselect", description="Query-conditioned tool router")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, doc in (("simulate", "generate a world and export its splits"),
                       ("train", "fit the selector; write checkpoint and epoch log"),
                       ("eval", "evaluate routers on the test split; write a report"),
-                      ("route", "route one query record with a trained checkpoint")):
+                      ("route", "route query records with a trained checkpoint")):
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--out", default=".", help="output directory")
         if name == "route":
             p.add_argument("--input", default="-",
-                           help="query record file (JSON line); '-' reads stdin")
-            p.add_argument("--panel-size", type=int, default=6)
+                           help="query record file (JSON lines); '-' reads stdin")
+            p.add_argument("--panel-size", type=_panel_size, default=6)
     return parser
 
 
@@ -213,23 +224,28 @@ def cmd_eval(args, cfg):
 
 
 def cmd_route(args, cfg):
+    """Route every record of the input, one output line per record in input
+    order. Every line is parsed before any is routed, so a bad line fails
+    the call with no output."""
     if args.input == "-":
-        where = "<stdin>:1"
-        line = sys.stdin.readline()
+        name, lines = "<stdin>", sys.stdin.read().splitlines()
     else:
-        where = f"{args.input}:1"
+        name = args.input
         with open(args.input) as fh:
-            line = fh.readline()
+            lines = fh.read().splitlines()
     world = _load_world(cfg, args.seed)
-    lq = parse_record(line, where, world)
+    lqs = [parse_record(line, f"{name}:{n}", world)
+           for n, line in enumerate(lines or [""], start=1)]
     router = _toolselect_router(world, cfg, os.path.join(args.out, "checkpoint.bin"))
-    rng = keyed_rng(args.seed, PANEL_KEY, lq.query.uid)
-    panel = sample_panel(world.populations[lq.query.task], lq.query,
-                         args.panel_size, rng)
-    dist = router.model.select(lq.query, panel)
-    tool = panel.tools[dist.selected]
-    probs = " ".join(f"{p:.6f}" for p in dist.probs)
-    print(f"tool={tool.tool_id} slot={dist.selected} probs=[{probs}]")
+    items = [(lq, sample_panel(world.populations[lq.query.task], lq.query, args.panel_size,
+                               keyed_rng(args.seed, PANEL_KEY, lq.query.uid)))
+             for lq in lqs]
+    for lo in range(0, len(items), CHUNK):
+        chunk = items[lo:lo + CHUNK]
+        for (_, panel), dist in zip(chunk, router.distributions(chunk)):
+            probs = " ".join(f"{p:.6f}" for p in dist.probs)
+            print(f"tool={panel.tools[dist.selected].tool_id} slot={dist.selected} "
+                  f"probs=[{probs}]")
     return 0
 
 

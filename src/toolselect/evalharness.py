@@ -6,6 +6,13 @@ and Random->Oracle gap-closure analysis.
 ``SimWorld.tool_outcomes`` gather per chunk into split-long arrays. The
 per-task aggregation then runs over those arrays in split order, so a report
 does not depend on the chunk size.
+
+``keyed_panels`` draws the panel of every query of a list from its own
+keyed stream, ``keyed_rng(seed, key, uid)``: for evaluation (``eval_panels``,
+key ``PANEL_KEY``) and for the trainer's validation panels. A chunk's first
+attempts come from the streams' words as arrays; only a query whose first
+attempt has no valid tool builds its generator and calls ``sample_panel``.
+The panels are those of one ``sample_panel`` call per query.
 """
 
 from dataclasses import dataclass, field
@@ -13,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import CATEGORICAL_FAMILIES, TaskFamily
-from .simworld import keyed_rngs, sample_panel
+from .simworld import BATCH_SEEDING_MIN, keyed_rngs, panels_of, sample_panel
 
 CHUNK = 64   # queries per batched routing call, in evaluation and validation
 PANEL_KEY = 50331653   # second entry of every evaluation panel RNG key
@@ -66,17 +73,52 @@ class MetricsReport:
 
 def eval_panels(world, split, m, seed):
     """Per-query panels keyed by the query uid; identical for every router
-    evaluated with the same (world, split, m, seed). The queries' RNGs,
-    ``keyed_rng(seed, PANEL_KEY, uid)``, are seeded a chunk at a time, which
-    keeps the seeding temporaries of a large split small."""
+    evaluated with the same (world, split, m, seed): ``keyed_panels`` of the
+    split with key ``PANEL_KEY``."""
+    return keyed_panels(world, world.splits[split], m, seed, PANEL_KEY)
+
+
+def keyed_panels(world, lqs, m, seed, key):
+    """The panel ``sample_panel`` draws for each labeled query of ``lqs``
+    from its population with ``keyed_rng(seed, key, uid)``.
+
+    The RNGs are seeded ``CHUNK`` queries at a time, which keeps the
+    seeding temporaries of a large split small. A chunk of at least
+    ``BATCH_SEEDING_MIN`` queries draws every query's first attempt, m
+    ``integers`` draws, from the low then high halves of its generator's
+    first ``ceil(m / 2)`` words (``_KeyedRngs.words``), as numpy's buffered
+    32-bit draws take them. A query whose first attempt holds no valid tool,
+    or one of whose draws numpy might redraw, goes through ``sample_panel``
+    with its generator, which replays the same stream from its start, so
+    every panel is the one ``sample_panel`` gives."""
     panels = []
-    records = world.splits[split]
-    for lo in range(0, len(records), CHUNK):
-        part = records[lo:lo + CHUNK]
-        rngs = keyed_rngs([(seed, PANEL_KEY, lq.query.uid) for lq in part])
-        panels += [sample_panel(world.populations[lq.query.task], lq.query, m, rng)
-                   for lq, rng in zip(part, rngs)]
+    for lo in range(0, len(lqs), CHUNK):
+        part = lqs[lo:lo + CHUNK]
+        rngs = keyed_rngs([(seed, key, lq.query.uid) for lq in part])
+        drawn = (_first_attempts(world, part, m, rngs)
+                 if len(part) >= BATCH_SEEDING_MIN and m >= 2 else [None] * len(part))
+        panels += [panel if panel is not None else
+                   sample_panel(world.populations[lq.query.task], lq.query, m, rngs[i])
+                   for i, (lq, panel) in enumerate(zip(part, drawn))]
     return panels
+
+
+def _first_attempts(world, lqs, m, rngs):
+    """Per query, the panel of its first attempt drawn from words, or None
+    where ``sample_panel`` must draw it."""
+    out = [None] * len(lqs)
+    tasks = np.array([lq.query.task for lq in lqs])
+    picks, redraw = rngs.first_integers([len(world.populations[t]) for t in tasks.tolist()], m)
+    for task in np.unique(tasks).tolist():
+        population = world.populations[task]
+        if not population:
+            continue
+        supported = np.array([task in tool.supported_tasks for tool in population])
+        rows = np.flatnonzero((tasks == task) & ~redraw)
+        rows = rows[supported[picks[rows]].any(axis=1)]
+        for row, panel in zip(rows.tolist(), panels_of(population, task, picks[rows])):
+            out[row] = panel
+    return out
 
 
 def panel_digest(panels):

@@ -49,6 +49,17 @@ each generator is then seeded with its row through numpy's
 ``ISeedSequence`` hook, which gives the same state, so the same stream, as
 ``keyed_rng``.
 
+Keyed streams as arrays. A batch of at least ``BATCH_SEEDING_MIN`` streams
+need not build its generators: ``_pcg64_words`` computes the first words of
+every stream from the states with uint64 array arithmetic (numpy's PCG64
+seeding, 128-bit LCG step and XSL-RR output), ``_uniforms`` turns a word
+into ``random()`` and ``_bounded`` a 32-bit half into ``integers(k)``
+(Lemire's method, as numpy's buffered 32-bit draws compute it). A draw that
+numpy's rejection loop might redraw is flagged, and its stream is drawn by
+its generator. ``_draw`` makes the categorical and report draws of such a
+batch this way, and ``evalharness.keyed_panels`` the first attempt of each
+query's panel (``_KeyedRngs.first_integers``).
+
 ``sample_queries`` draws a block of one task's queries: per query one
 ``integers`` and one ``standard_normal`` draw of the feature and hint noise
 together (the same values as the two draws it replaces, since the normal
@@ -59,6 +70,7 @@ call.
 """
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -85,7 +97,9 @@ from .errors import ConfigError, NoValidPanelError
 
 PREDICTION_KEY = 104729   # second entry of every per-(tool, query) prediction RNG key
 # Below this many keys numpy's own SeedSequence per key mixes the entropy
-# pools faster than the fixed cost of the column pass of _mix_pools.
+# pools faster than the fixed cost of the column pass of _mix_pools, and
+# building one generator per stream draws faster than the fixed cost of
+# the word arrays (crossovers measured at about 16 fills and 8 panels).
 BATCH_SEEDING_MIN = 20
 # Levels of an outcome table's ``filled`` array: nothing yet, the output,
 # the output and its cost.
@@ -617,6 +631,23 @@ class _KeyedRngs:
     def __getitem__(self, i):
         return np.random.Generator(np.random.PCG64(_PCG64State(self.states[i])))
 
+    def words(self, n_words):
+        """The first ``n_words`` 64-bit outputs of every generator, as an
+        ``(n, n_words)`` array (``_pcg64_words``), without building one."""
+        return _pcg64_words(self.states, n_words)
+
+    def first_integers(self, k, m):
+        """The first m ``integers(k)`` draws of every generator, from the low
+        then high halves of its first ``ceil(m / 2)`` words, as numpy's
+        buffered 32-bit draws take them: an ``(n, m)`` int64 array, and a
+        mask of the generators where numpy might redraw one of them
+        (``_bounded``), whose rows are not numpy's. ``k`` is one bound or one
+        per generator."""
+        words = self.words((m + 1) // 2)
+        halves = np.stack([words & _LO32, words >> _U32], axis=2).reshape(len(words), -1)
+        values, redraw = _bounded(halves[:, :m], np.reshape(k, (-1, 1)))
+        return values, redraw.any(axis=1)
+
 
 class _PCG64State(ISeedSequence):
     """A precomputed PCG64 state behind numpy's seed-sequence interface:
@@ -703,6 +734,93 @@ def _states_of_pools(pools):
     words *= _STATE_MUL          # wraps mod 2**32, as numpy's uint32 arithmetic does
     words ^= words >> _SHIFT
     return np.ascontiguousarray(words, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+# numpy's PCG64 (pcg64.h): a 128-bit LCG, state = state * MUL + inc mod 2**128;
+# each output steps, then takes the XSL-RR of the new state. Seeding
+# (pcg64_set_seed) sets inc = (initseq << 1) | 1, state 0, steps, adds
+# initstate and steps, so output j (from 0) is the XSL-RR of
+# MUL**(j + 2) * initstate + (1 + MUL + ... + MUL**(j + 2)) * inc.
+_MUL = 0x2360ED051FC65DA44385DF649FCCF645
+_LO32 = np.uint64(0xFFFFFFFF)
+_U1, _U11, _U32, _U58, _U63, _U64 = (np.uint64(k) for k in (1, 11, 32, 58, 63, 64))
+
+
+def _pcg64_words(states, n_words):
+    """The first ``n_words`` 64-bit outputs of the PCG64 generators seeded
+    with the rows of ``(n, 4)`` uint64 ``states`` (initstate high and low,
+    initseq high and low), as an ``(n, n_words)`` array: the words numpy's
+    ``PCG64(...).random_raw(n_words)`` returns. 128-bit values are (high,
+    low) uint64 limbs, whose array arithmetic wraps mod 2**64 as C's does,
+    so every word is exact."""
+    # (n_words, n) arrays, so numpy's inner loops run along the n streams
+    seed_hi, seed_lo, seq_hi, seq_lo = np.asarray(states, dtype=np.uint64).T
+    inc_hi = (seq_hi << _U1) | (seq_lo >> _U63)
+    inc_lo = (seq_lo << _U1) | _U1
+    seed_mul, inc_mul = _jump_limbs(n_words)
+    hi, lo = _add128(*_mul128(seed_hi, seed_lo, seed_mul), *_mul128(inc_hi, inc_lo, inc_mul))
+    x = hi ^ lo
+    rot = hi >> _U58
+    return ((x >> rot) | (x << ((_U64 - rot) & _U63))).T
+
+
+@functools.lru_cache(maxsize=None)
+def _jump_limbs(n_words):
+    """Limbs of the multipliers of initstate and of inc in outputs 0 ...
+    n_words - 1 (MUL**(j + 2) and 1 + MUL + ... + MUL**(j + 2)), each as
+    ``_limbs`` gives them."""
+    seed_mul, inc_mul = [], []
+    power, total = _MUL, 1 + _MUL
+    for _ in range(n_words):
+        power = power * _MUL % 2**128
+        total = (total + power) % 2**128
+        seed_mul.append(power)
+        inc_mul.append(total)
+    return _limbs(seed_mul), _limbs(inc_mul)
+
+
+def _limbs(values):
+    """128-bit ints as ``(len(values), 1)`` read-only uint64 arrays: the high
+    limb, the low limb, and the low limb's high and low 32 bits."""
+    out = []
+    for shift, mask in ((64, 2**64 - 1), (0, 2**64 - 1), (32, 2**32 - 1), (0, 2**32 - 1)):
+        limb = np.array([[(v >> shift) & mask] for v in values], dtype=np.uint64)
+        limb.flags.writeable = False
+        out.append(limb)
+    return tuple(out)
+
+
+def _mul128(a_hi, a_lo, b):
+    """(a_hi, a_lo) * b mod 2**128, b given by its four ``_limbs``;
+    the high limb of ``a_lo * b_lo`` comes from its four 32 x 32-bit parts."""
+    b_hi, b_lo, b1, b0 = b
+    a0, a1 = a_lo & _LO32, a_lo >> _U32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> _U32) + (p01 & _LO32) + (p10 & _LO32)
+    hi = a1 * b1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32) + a_hi * b_lo + a_lo * b_hi
+    return hi, a_lo * b_lo
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _uniforms(words):
+    """``Generator.random()`` of each word: its top 53 bits times 2**-53."""
+    return (words >> _U11).astype(np.float64) * (1.0 / 9007199254740992.0)
+
+
+def _bounded(halves, k):
+    """``Generator.integers(k)`` from 32-bit ``halves`` (uint64 arrays below
+    2**32) by Lemire's method, as numpy's ``buffered_bounded_lemire_uint32``
+    computes it: ``(half * k) >> 32``. Returns the values and a mask of the
+    entries whose low 32 bits of ``half * k`` fall below ``k``, where numpy
+    may reject the half and draw again; their values are not numpy's. For
+    ``k == 1`` numpy draws nothing and returns 0, which the value is too."""
+    k = np.asarray(k, dtype=np.uint64)
+    product = halves * k
+    return (product >> _U32).astype(np.int64), ((product & _LO32) < k) & (k > _U1)
 
 
 def _key_words(keys):
@@ -1000,9 +1118,8 @@ def _draw(world, spec, tools, tool_rows, data, rows, rngs):
     supporting the task) on the queries at ``rows`` of ``data``, pair i
     drawing from ``rngs[i]``, which is read once, when its draws start.
 
-    Only the draws run per pair, in ``tool_predict``'s order; the
-    competences before them and the outputs after them are array
-    operations over the batch:
+    The draws follow ``tool_predict``'s order; the competences before them
+    and the outputs after them are array operations over the batch:
 
     - categorical: ``random()``; below the competence the tool outputs its
       label for the true one, else ``integers(k_tool - 1)`` picks one of its
@@ -1012,21 +1129,36 @@ def _draw(world, spec, tools, tool_rows, data, rows, rngs):
     - report: ``random(n_true + 1)`` keeps each true pair below the
       competence and adds ``integers(V)``'s pair when the last draw is
       below one minus it.
+
+    A batch of at least ``BATCH_SEEDING_MIN`` categorical or report pairs
+    (``rngs`` then a ``keyed_rngs`` sequence) makes its draws from the
+    generators' first words, computed as arrays (``_KeyedRngs.words``):
+    ``random()`` of a word is ``_uniforms``, ``integers`` takes the low half
+    of the next word (``_bounded``). Only a pair whose ``integers`` numpy
+    might redraw builds its generator and draws again. Grounding draws stay
+    per pair: numpy's ``standard_normal`` is a ziggurat over tables it does
+    not expose.
     """
     n = len(rows)
     kappas = _kappas(world, spec, tools, tool_rows, data.x[rows])
+    from_words = n >= BATCH_SEEDING_MIN
     if spec.family in CATEGORICAL_FAMILIES:
         correct = tools.correct[tool_rows, data.truth[rows]]
-        wrong, picks = [], []
-        for i, (kappa, count) in enumerate(zip(kappas, tools.label_count[tool_rows].tolist())):
+        counts = tools.label_count[tool_rows]
+        if from_words:
+            words = rngs.words(2)
+            wrong = (_uniforms(words[:, 0]) >= np.array(kappas)) & (counts > 1)
+            picks, redraw = _bounded(words[:, 1] & _LO32, counts - 1)
+            by_rng = np.flatnonzero(wrong & redraw).tolist()
+        else:
+            wrong, picks, by_rng = np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64), range(n)
+        for i in by_rng:
             rng = rngs[i]
-            if rng.random() >= kappa and count > 1:
-                wrong.append(i)
-                picks.append(rng.integers(count - 1))
-        labels = correct.copy()
-        if wrong:
-            picks = np.array(picks, dtype=np.int64)
-            labels[wrong] = picks + (picks >= correct[wrong])
+            count = int(counts[i])
+            wrong[i] = rng.random() >= kappas[i] and count > 1
+            if wrong[i]:
+                picks[i] = rng.integers(count - 1)
+        labels = np.where(wrong, picks + (picks >= correct), correct)
         return tools.aligned[tool_rows, labels]
     if spec.family is TaskFamily.GROUNDING:
         normals = np.empty((n, 4))
@@ -1038,10 +1170,23 @@ def _draw(world, spec, tools, tool_rows, data, rows, rngs):
     n_vocab = len(spec.space.pair_vocab)
     draws = np.ones((n, truth.shape[1] + 1))
     extra = np.full(n, n_vocab)
-    for i, (kappa, count) in enumerate(zip(kappas, counts.tolist())):
+    if from_words:
+        words = rngs.words(int(counts.max()) + 2)
+        width = words.shape[1] - 1
+        every = np.arange(n)
+        uniforms = _uniforms(words[:, :width])
+        draws[:, :width] = np.where(np.arange(width) <= counts[:, None], uniforms, 1.0)
+        adds = uniforms[every, counts] < 1.0 - np.array(kappas)
+        picks, redraw = _bounded(words[every, counts + 1] & _LO32, n_vocab)
+        extra[adds] = picks[adds]
+        by_rng = np.flatnonzero(adds & redraw).tolist()
+    else:
+        by_rng = range(n)
+    for i in by_rng:
         rng = rngs[i]
+        count = int(counts[i])
         rng.random(out=draws[i, :count + 1])
-        if draws[i, count] < 1.0 - kappa:
+        if draws[i, count] < 1.0 - kappas[i]:
             extra[i] = rng.integers(n_vocab)
     kept = draws[:, :-1] < np.array(kappas)[:, None]
     out = np.zeros((n, n_vocab + 1), dtype=bool)
@@ -1100,6 +1245,14 @@ def sample_panel(population, query, m, rng, max_attempts=100):
             return Panel(task=query.task, tools=tools)
     raise NoValidPanelError(
         f"no valid panel for query {query.uid} after {max_attempts} attempts")
+
+
+def panels_of(population, task, picks):
+    """The panels of ``task`` holding ``population[i]`` for the tool indices
+    ``i`` of each row of ``picks``, gathered as one object array."""
+    tools = np.empty(len(population), dtype=object)
+    tools[:] = population
+    return [Panel(task=task, tools=tuple(row)) for row in tools[picks].tolist()]
 
 
 def build_reference_sets(world, tools, ref_size, rng):

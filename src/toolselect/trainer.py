@@ -10,9 +10,11 @@ from . import diffcore as dc
 from .anp_selector import SelectorConfig, SelectorModel, encode_slots, init_params
 from .domain import CATEGORICAL_FAMILIES
 from .errors import ConfigError
-from .evalharness import CHUNK
+from .evalharness import CHUNK, keyed_panels
 from .objective import BatchExample, ObjectiveConfig, PanelCosts, batch_objective
-from .simworld import keyed_rngs, sample_panel
+from .simworld import panels_of, sample_panel
+
+VAL_PANEL_KEY = 7919   # second entry of every validation panel RNG key
 
 
 @dataclass
@@ -31,10 +33,13 @@ class TrainConfig:
 
     def __post_init__(self):
         """Reject, with ``ConfigError``, values training cannot use."""
-        for name in ("max_epochs", "patience", "batch_size", "panel_size"):
+        for name in ("max_epochs", "patience", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"train config: {name} must be at least 1, "
                                   f"got {getattr(self, name)}")
+        if self.panel_size < 2:
+            raise ConfigError(f"train config: panel_size must be at least 2 (a panel "
+                              f"holds two tools or more), got {self.panel_size}")
         for name in ("lr", "weight_decay", "min_delta", "eps_opt"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
@@ -191,6 +196,25 @@ def panel_costs(world, items):
     return out
 
 
+def step_panels(population, lqs, m, rng):
+    """The panels B sequential ``sample_panel`` calls draw from ``rng`` for
+    the labeled queries ``lqs`` (B of them, all of one task): one
+    ``integers(0, n, size=(B, m))`` draw, which takes the same values and
+    leaves ``rng`` in the same state as B draws of size m. When a panel of
+    it holds no valid tool, ``rng`` goes back to its state before the draw
+    and the calls run one by one, redrawing that panel as ``sample_panel``
+    does."""
+    state = rng.bit_generator.state
+    if population and m >= 2:
+        picks = rng.integers(0, len(population), size=(len(lqs), m))
+        task = lqs[0].query.task
+        supported = np.array([task in tool.supported_tasks for tool in population])
+        if supported[picks].any(axis=1).all():
+            return panels_of(population, task, picks)
+        rng.bit_generator.state = state
+    return [sample_panel(population, lq.query, m, rng) for lq in lqs]
+
+
 def _batch_examples(world, items, fwd):
     """Per-example objective inputs of a batched forward's rows."""
     pcs = panel_costs(world, items)
@@ -255,10 +279,8 @@ def fit(cfg, world, objective_cfg=None, selector_cfg=None, log_fn=None):
 
     # validation panels are fixed across epochs so the metric is comparable
     val_split = world.splits["val"]
-    val_rngs = keyed_rngs([(cfg.seed, 7919, lq.query.uid) for lq in val_split])
-    val_items = [(lq, sample_panel(world.populations[lq.query.task], lq.query,
-                                   cfg.panel_size, vr))
-                 for lq, vr in zip(val_split, val_rngs)]
+    val_items = list(zip(val_split, keyed_panels(world, val_split, cfg.panel_size,
+                                                 cfg.seed, VAL_PANEL_KEY)))
 
     history = []
     best_val = math.inf
@@ -270,12 +292,9 @@ def fit(cfg, world, objective_cfg=None, selector_cfg=None, log_fn=None):
             t = sample_task(task_weights, task_rng)
             pool = train_by_task[t]
             idx = batch_rng.integers(0, len(pool), size=cfg.batch_size)
-            items = []
-            for i in idx:
-                lq = pool[i]
-                panel = sample_panel(world.populations[t], lq.query,
-                                     cfg.panel_size, panel_rng)
-                items.append((lq, panel))
+            lqs = [pool[i] for i in idx]
+            items = list(zip(lqs, step_panels(world.populations[t], lqs, cfg.panel_size,
+                                              panel_rng)))
             fwd = model.batch_forward(items, training=True, rng=dropout_rng)
             examples, _ = _batch_examples(world, items, fwd)
             loss = batch_objective(objective_cfg, examples, n_tasks)

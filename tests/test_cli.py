@@ -270,6 +270,7 @@ def test_route_rejects_bad_records_with_an_error_line(tmp_path, cfg_path, capsys
     ("max_epochs=0", "train config: max_epochs must be at least 1, got 0"),
     ("lr=nan", "train config: lr must be finite"),
     ("beta2=1", "train config: beta2 must lie in [0, 1)"),
+    ("panel_size=1", "train config: panel_size must be at least 2"),
     ("task_label_counts=5,0,0", "unknown config key 'task_label_counts'"),
     ("eta_dim=3", "unknown config key 'eta_dim'"),
     ("n_tasks=4", "unknown config key 'n_tasks'"),
@@ -281,7 +282,7 @@ def test_route_rejects_bad_records_with_an_error_line(tmp_path, cfg_path, capsys
     ("hidden=0", "selector config: hidden must be positive, got 0"),
     ("dropout=1", "selector config: dropout must lie in [0, 1), got 1"),
 ], ids=["weights_too_short", "weights_too_long", "weights_off_simplex", "negative_weight",
-        "batch_size_0", "patience_0", "max_epochs_0", "lr_nan", "beta2_1",
+        "batch_size_0", "patience_0", "max_epochs_0", "lr_nan", "beta2_1", "panel_size_1",
         "task_label_counts", "eta_dim", "n_tasks", "lambda_h_nan", "lambda_r_inf",
         "lambda_cov_negative", "eps_0", "eps_negative", "hidden_0", "dropout_1"])
 def test_train_rejects_unusable_config_before_training(tmp_path, capsys, line, message):
@@ -392,3 +393,61 @@ def test_checkpoint_shapes_must_match_the_selector_config(tmp_path, cfg_path, ca
 def test_route_accepts_a_checkpoint_of_the_selector_config(tmp_path, cfg_path, capsys):
     code, err = _checkpoint_probe(tmp_path, cfg_path, capsys, "route", lambda t: None)
     assert code == 0, err
+
+
+# ------------------------------------------------ route over many records
+
+def _trained_run(tmp_path, cfg_path):
+    """A simulated world and a checkpoint of its default selector config."""
+    out = tmp_path / "run"
+    assert run(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    world = generate_world(parse_config(cfg_path).world, 0)
+    tensors = {name: t.data for name, t in init_params(default_selector_config(world), 0).items()}
+    save_checkpoint(tensors, str(out / "checkpoint.bin"))
+    return out
+
+
+def test_route_of_many_records_equals_one_route_per_record(tmp_path, cfg_path, capsys):
+    """A file of 70 records (two chunks of routing) prints one line per
+    record, in input order, each the line of routing that record alone."""
+    out = _trained_run(tmp_path, cfg_path)
+    lines = (out / "test.jsonl").read_text().splitlines()
+    lines = (lines * 3)[:70]
+    many = tmp_path / "many.jsonl"
+    many.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    argv = ["route", "--config", cfg_path, "--out", str(out), "--panel-size", "4"]
+    assert run(argv + ["--input", str(many)]) == 0
+    routed = capsys.readouterr().out.splitlines()
+    assert len(routed) == 70 and routed[:30] == routed[30:60]
+    for n in (0, 1, 2, 31, 63, 64, 69):
+        one = tmp_path / f"one_{n}.jsonl"
+        one.write_text(lines[n] + "\n")
+        assert run(argv + ["--input", str(one)]) == 0
+        assert capsys.readouterr().out.splitlines() == [routed[n]], n
+
+
+def test_route_with_a_bad_line_prints_nothing(tmp_path, cfg_path, capsys):
+    out = _trained_run(tmp_path, cfg_path)
+    lines = (out / "test.jsonl").read_text().splitlines()[:4]
+    lines[2] = "{not json"
+    path = tmp_path / "bad_third.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = run(["route", "--config", cfg_path, "--out", str(out), "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {path}:3: "), captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+# ------------------------------------------------------- panel size bound
+
+@pytest.mark.parametrize("value", ["1", "0", "-3"])
+def test_route_panel_size_below_2_is_a_usage_error(tmp_path, capsys, value):
+    code = run(["route", "--panel-size", value, "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"error: argument --panel-size: must be an integer of at least 2, got {value}" \
+        in err, err
+    assert "Traceback" not in err
