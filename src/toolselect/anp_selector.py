@@ -167,9 +167,9 @@ def encode_query(params, cfg, x_rows, q_rows):
         raise ShapeMismatchError(
             f"encode_query: feature dims {x_rows.shape[1]}/{q_rows.shape[1]} "
             f"do not match config {cfg.d_x}/{cfg.d_q}")
-    px = dc.add(dc.matmul(dc.constant(x_rows), params["phi_x_W"]), params["phi_x_b"])
-    pq = dc.add(dc.matmul(dc.constant(q_rows), params["phi_q_W"]), params["phi_q_b"])
-    return dc.add(dc.matmul(dc.concat_cols([px, pq]), params["fuse_W"]), params["fuse_b"])
+    px = dc.linear(dc.constant(x_rows), params["phi_x_W"], params["phi_x_b"])
+    pq = dc.linear(dc.constant(q_rows), params["phi_q_W"], params["phi_q_b"])
+    return dc.linear(dc.concat_cols([px, pq]), params["fuse_W"], params["fuse_b"])
 
 
 def _label_offsets(cfg):
@@ -279,14 +279,13 @@ def encode_reference_set(params, cfg, sets):
     """Embed a ``ReferenceStack`` of G sets of R rows: the rows t (G*R, d) and
     the keys phi_x(x) (G*R, d_xp)."""
     n = sets.mask.size
-    px = dc.add(dc.matmul(dc.constant(sets.x.reshape(n, cfg.d_x)), params["phi_x_W"]),
-                params["phi_x_b"])
+    px = dc.linear(dc.constant(sets.x.reshape(n, cfg.d_x)), params["phi_x_W"],
+                   params["phi_x_b"])
     labels = dc.add(dc.take_rows(_label_table(params, cfg), sets.label_ids.reshape(n)),
                     dc.constant(sets.label_enc.reshape(n, cfg.label_embed_dim)))
-    m_emb = dc.add(dc.matmul(dc.constant(sets.slots.reshape(n, cfg.slot_width)),
-                             params["rho_m_W"]), params["rho_m_b"])
-    t = dc.add(dc.matmul(dc.concat_cols([px, labels, m_emb]), params["ref_W"]),
-               params["ref_b"])
+    m_emb = dc.linear(dc.constant(sets.slots.reshape(n, cfg.slot_width)),
+                      params["rho_m_W"], params["rho_m_b"])
+    t = dc.linear(dc.concat_cols([px, labels, m_emb]), params["ref_W"], params["ref_b"])
     return t, px
 
 
@@ -328,16 +327,16 @@ def cross_attend(params, cfg, u_rows, keys, t_tilde, mask, sets_of_rows):
 
 def score_rows(params, cfg, features, training=False, rng=None):
     """Selector head: two-layer GELU MLP mapping feature rows to scores."""
-    h = dc.gelu(dc.add(dc.matmul(features, params["head1_W"]), params["head1_b"]))
+    h = dc.gelu(dc.linear(features, params["head1_W"], params["head1_b"]))
     if training and cfg.dropout > 0.0:
         h = dc.dropout(h, cfg.dropout, rng)
-    return dc.add(dc.matmul(h, params["head2_W"]), params["head2_b"])
+    return dc.linear(h, params["head2_W"], params["head2_b"])
 
 
 def coverage_rows(params, cfg, features):
     """Coverage head: sigmoid MLP estimating per-tool success probability."""
-    h = dc.gelu(dc.add(dc.matmul(features, params["cov1_W"]), params["cov1_b"]))
-    return dc.sigmoid(dc.add(dc.matmul(h, params["cov2_W"]), params["cov2_b"]))
+    h = dc.gelu(dc.linear(features, params["cov1_W"], params["cov1_b"]))
+    return dc.sigmoid(dc.linear(h, params["cov2_W"], params["cov2_b"]))
 
 
 @dataclass

@@ -243,8 +243,8 @@ class MLPIndexRouter(Router):
         onehot = np.zeros((feats.shape[0], n_out))
         onehot[np.arange(feats.shape[0]), labels] = 1.0
         for _ in range(iters):
-            h = dc.gelu(dc.add(dc.matmul(x, params["W1"]), params["b1"]))
-            logits = dc.add(dc.matmul(h, params["W2"]), params["b2"])
+            h = dc.gelu(dc.linear(x, params["W1"], params["b1"]))
+            logits = dc.linear(h, params["W2"], params["b2"])
             probs = dc.softmax_rows(logits)
             loss = dc.scale(dc.wsum(dc.log_clamped(probs), -onehot), 1.0 / feats.shape[0])
             dc.zero_grads(params.values())

@@ -145,8 +145,7 @@ def parse_record(line, where, world=None):
             if len(getattr(query, name)) != dim:
                 raise ConfigError(f"{where}: {name!r} has {len(getattr(query, name))} "
                                   f"features, the world {dim}")
-        known = next((lq.query for records in (*world.splits.values(), *world.ref_pools.values())
-                      for lq in records if lq.query.uid == query.uid), None)
+        known = world.query_of_uid(query.uid)
         if known is not None and (known.task != query.task or not np.array_equal(known.x, query.x)
                                   or not np.array_equal(known.q, query.q)):
             raise ConfigError(f"{where}: uid {query.uid} is a query of the world with another "

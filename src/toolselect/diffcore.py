@@ -2,11 +2,16 @@
 
 Tensors wrap a numpy array plus a backward closure; calling ``backward``
 on a scalar root walks the tape in reverse topological order. There is no
-broadcasting beyond row-vector bias addition -- every other shape must
-match exactly, which keeps shape bugs loud.
+broadcasting: ``linear`` is the one op that adds a row-vector bias, and
+every other shape must match exactly, which keeps shape bugs loud.
+
+A tensor's first gradient is ``g + 0.0`` into an array laid out like its
+data, the bits ``zeros + g`` gave (-0 becomes +0) without the zero fill;
+later ones add in place.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -37,19 +42,22 @@ class Tensor:
 
     def accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 def _make(data, parents, backward_fn):
-    req = any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=req)
-    if req:
-        out._prev = tuple(parents)
-        out._backward = backward_fn
+    out = Tensor(data)
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            out._prev = tuple(parents)
+            out._backward = backward_fn
+            break
     return out
 
 
@@ -58,22 +66,15 @@ def constant(data):
 
 
 def add(a, b):
-    """Elementwise add; also accepts a row-vector bias for a matrix ``a``."""
-    if a.data.shape == b.data.shape:
-        def back(g):
-            if a.requires_grad:
-                a.accumulate(g)
-            if b.requires_grad:
-                b.accumulate(g)
-        return _make(a.data + b.data, (a, b), back)
-    if a.data.ndim == 2 and b.data.ndim == 1 and a.data.shape[1] == b.data.shape[0]:
-        def back(g):
-            if a.requires_grad:
-                a.accumulate(g)
-            if b.requires_grad:
-                b.accumulate(g.sum(axis=0))
-        return _make(a.data + b.data[None, :], (a, b), back)
-    raise ShapeMismatchError(f"add: incompatible shapes {a.data.shape} and {b.data.shape}")
+    if a.data.shape != b.data.shape:
+        raise ShapeMismatchError(f"add: incompatible shapes {a.data.shape} and {b.data.shape}")
+
+    def back(g):
+        if a.requires_grad:
+            a.accumulate(g)
+        if b.requires_grad:
+            b.accumulate(g)
+    return _make(a.data + b.data, (a, b), back)
 
 
 def mul(a, b):
@@ -124,6 +125,33 @@ def matmul(a, b):
     return _make(a.data @ b.data, (a, b), back)
 
 
+def linear(a, w, bias):
+    """``a @ w + bias`` for a matrix ``a`` and a row-vector ``bias``, as one node.
+
+    The same bits as ``matmul`` followed by a bias add: the bias is added in
+    place to the product, and the backward computes the three gradients
+    those two nodes computed, from the same upstream gradient.
+    """
+    if a.data.ndim != 2 or w.data.ndim != 2 or bias.data.ndim != 1:
+        raise ShapeMismatchError(
+            f"linear: expected 2-D input and weight and a 1-D bias, got {a.data.shape}, "
+            f"{w.data.shape} and {bias.data.shape}")
+    if a.data.shape[1] != w.data.shape[0] or w.data.shape[1] != bias.data.shape[0]:
+        raise ShapeMismatchError(
+            f"linear: shapes disagree: {a.data.shape} @ {w.data.shape} + {bias.data.shape}")
+    out = a.data @ w.data
+    out += bias.data
+
+    def back(g):
+        if a.requires_grad:
+            a.accumulate(g @ w.data.T)
+        if w.requires_grad:
+            w.accumulate(a.data.T @ g)
+        if bias.requires_grad:
+            bias.accumulate(g.sum(axis=0))
+    return _make(out, (a, w, bias), back)
+
+
 def bmm(a, b):
     """Batched matrix product of 3-D tensors: (G, n, k) @ (G, k, m) -> (G, n, m)."""
     if a.data.ndim != 3 or b.data.ndim != 3:
@@ -168,15 +196,32 @@ def stack_rows(parts):
 
 
 def take_rows(a, idx):
-    """Gather entries of ``a`` along axis 0; repeated indices are allowed."""
+    """Gather entries of ``a`` along axis 0; repeated indices are allowed.
+
+    The backward sums each row's gradients in index order from zero, as
+    ``np.add.at`` does: for a vector with ``np.add.at`` itself, otherwise
+    with one ``np.bincount`` over the flat positions of the gathered rows,
+    which adds its weights in input order.
+    """
     idx = np.asarray(idx, dtype=np.intp)
+    data = a.data[idx]
 
     def back(g):
-        if a.requires_grad:
+        if not a.requires_grad:
+            return
+        if a.data.ndim == 1:
             acc = np.zeros_like(a.data)
             np.add.at(acc, idx, g)
-            a.accumulate(acc)
-    return _make(a.data[idx], (a,), back)
+        else:
+            rows = idx.reshape(-1)
+            if rows.size and rows.min() < 0:
+                rows = rows % a.data.shape[0]
+            width = math.prod(a.data.shape[1:])
+            flat = (rows[:, None] * width + np.arange(width)).reshape(-1)
+            acc = np.bincount(flat, weights=g.reshape(-1),
+                              minlength=a.data.size).reshape(a.data.shape)
+        a.accumulate(acc)
+    return _make(data, (a,), back)
 
 
 def scatter_1d(a, idx, size):
@@ -338,6 +383,8 @@ def backward(root):
         raise ShapeMismatchError(f"backward: root must be scalar, got shape {root.data.shape}")
     if not np.isfinite(root.data):
         raise ValueError("backward: root is not finite")
+    # depth-first post-order over the nodes with a backward; leaves finish
+    # at once, so leaving them out does not change the order of the rest
     topo = []
     visited = set()
     stack = [(root, False)]
@@ -345,14 +392,11 @@ def backward(root):
         node, processed = stack.pop()
         if processed:
             topo.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for p in node._prev:
-            if id(p) not in visited and p.requires_grad:
-                stack.append((p, False))
+        elif node not in visited:
+            visited.add(node)
+            stack.append((node, True))
+            stack.extend([(p, False) for p in node._prev
+                          if p._backward is not None and p not in visited])
     root.grad = np.ones_like(root.data)
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:

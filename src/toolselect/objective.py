@@ -1,6 +1,7 @@
 """Training losses: hard selection loss, comp-sum surrogate, entropy and
 score regularizers, coverage BCE, and the combined task-marginalized batch
-objective."""
+objective, which reads its examples' panel costs, weights and tasks as
+``(B, M)`` and ``(B,)`` arrays."""
 
 import math
 from dataclasses import dataclass
@@ -13,14 +14,16 @@ from .errors import ConfigError
 
 @dataclass
 class PanelCosts:
+    """Slot costs and validity of one panel, ``(M,)``, or of a batch of
+    panels, ``(B, M)``, narrower panels padded with invalid slots."""
     costs: np.ndarray   # per slot; meaningful only where valid
     valid: np.ndarray   # boolean per slot
 
     def __post_init__(self):
         self.costs = np.asarray(self.costs, dtype=np.float64)
         self.valid = np.asarray(self.valid, dtype=bool)
-        if not self.valid.any():
-            raise ValueError("PanelCosts requires at least one valid slot")
+        if not self.valid.any(axis=-1).all():
+            raise ValueError("PanelCosts requires at least one valid slot in every panel")
 
 
 @dataclass
@@ -42,11 +45,6 @@ class ObjectiveConfig:
         if not (math.isfinite(self.eps) and self.eps > 0.0):
             raise ConfigError(f"objective config: eps must be finite and positive, got {self.eps}")
 
-    def weight_for(self, task, n_tasks):
-        if self.task_weights is None:
-            return 1.0 / n_tasks
-        return float(self.task_weights[task])
-
 
 def selection_loss(pc, dist):
     """Realized cost of the selected tool (the hard routing loss)."""
@@ -57,16 +55,36 @@ def selection_loss(pc, dist):
 
 
 def compsum_weights(pc):
-    """w_j = (sum of the other valid slots' costs) - m_valid + 2.
+    """w_j = (sum of the other valid slots' costs) - m_valid + 2 per panel,
+    0 on invalid slots; for a batch of panels, per row.
 
     Invalid slots contribute neither cost nor count. Weights can go
     negative once more than two slots are valid.
     """
-    m_valid = int(pc.valid.sum())
-    total = float(pc.costs[pc.valid].sum())
-    w = np.zeros_like(pc.costs)
-    w[pc.valid] = total - pc.costs[pc.valid] - m_valid + 2.0
-    return w
+    m_valid = pc.valid.sum(axis=-1, keepdims=True)
+    total = _valid_sums(pc.costs, pc.valid)[..., None]
+    return np.where(pc.valid, total - pc.costs - m_valid + 2.0, 0.0)
+
+
+def _valid_sums(costs, valid):
+    """Per panel (last axis), the sum of the valid costs, bit for bit
+    ``costs[valid].sum()`` of that panel alone.
+
+    numpy sums fewer than 8 entries in order, so zeros in place of invalid
+    costs change nothing there. Longer rows it sums pairwise, in a grouping
+    fixed by the row's length, so panels of 8 slots or more are summed in
+    groups of equal valid count, each compacted to that many columns.
+    """
+    if costs.shape[-1] < 8:
+        return np.where(valid, costs, 0.0).sum(axis=-1)
+    rows_costs = costs.reshape(-1, costs.shape[-1])
+    rows_valid = valid.reshape(rows_costs.shape)
+    counts = rows_valid.sum(axis=1)
+    out = np.empty(len(counts))
+    for k in np.unique(counts).tolist():
+        rows = counts == k
+        out[rows] = rows_costs[rows][rows_valid[rows]].reshape(-1, k).sum(axis=1)
+    return out.reshape(costs.shape[:-1])
 
 
 def compsum_loss(dist, weights, eps=1e-12):
@@ -99,48 +117,70 @@ def coverage_loss(s_t, costs, eps=1e-12):
 
 
 class BatchExample:
-    """Objective inputs of one row of a batched forward: its selection
-    distribution, panel costs and task, and the costs of its valid slots
-    that the coverage head is scored against (None without)."""
+    """Objective inputs of one row of a ``BatchExamples``: its selection
+    distribution, and its panel costs and task, read on access from the
+    batch's arrays (which it holds, not the list: no reference cycle keeps
+    a step's tape alive)."""
 
-    def __init__(self, dist, pc, task, coverage_costs=None):
+    def __init__(self, dist, batch_pc, tasks):
         self.dist = dist            # SelectionDistribution, row ``dist.row`` of ``dist.batch``
-        self.pc = pc
-        self.task = task
-        self.coverage_costs = coverage_costs
+        self._batch_pc = batch_pc
+        self._tasks = tasks
+
+    @property
+    def pc(self):
+        i, m = self.dist.row, len(self.dist.mask)
+        return PanelCosts(self._batch_pc.costs[i, :m], self._batch_pc.valid[i, :m])
+
+    @property
+    def task(self):
+        return int(self._tasks[self.dist.row])
 
     @property
     def coverage_t(self):
         """Coverage scores over the row's valid slots, in slot order, or None."""
         return self.dist.coverage_t
 
+    @property
+    def coverage_costs(self):
+        """Costs of the row's valid slots, which its coverage scores are
+        scored against, or None without a coverage head."""
+        return None if self.dist.batch.coverage_t is None else self.pc.costs[self.dist.mask]
 
-def _stacked(examples):
-    """The (B, M) probabilities, scores and slot mask of the batched forward
-    whose rows the examples are, and its coverage as (vector, entry of each
-    covered slot, its cost, its example) or None."""
+
+class BatchExamples(list):
+    """The rows of one batched forward, in order, as ``BatchExample``s over
+    the batch's ``(B, M)`` ``PanelCosts`` and ``(B,)`` tasks, the arrays
+    ``batch_objective`` reads."""
+
+    def __init__(self, dists, pc, tasks):
+        tasks = np.asarray(tasks)
+        super().__init__(BatchExample(dist, pc, tasks) for dist in dists)
+        self.pc = pc
+        self.tasks = tasks
+
+
+def _checked_batch(examples):
+    """The batched forward whose rows, all of them and in order, the
+    ``BatchExamples`` are; ``ValueError`` for any other list."""
     batch = examples[0].dist.batch
-    if batch is None or len(examples) != batch.mask.shape[0] or any(
-            ex.dist.batch is not batch or ex.dist.row != i for i, ex in enumerate(examples)):
+    if not isinstance(examples, BatchExamples) or batch is None or \
+            len(examples) != batch.mask.shape[0] or any(
+                ex.dist.batch is not batch or ex.dist.row != i for i, ex in enumerate(examples)):
         raise ValueError("batch_objective: the examples must be the rows of one batched "
                          "forward, in order")
-    probs, scores, mask = batch.probs_t, batch.scores_t, batch.mask
-    covered = [] if batch.coverage_t is None else [
-        (i, ex.coverage_costs) for i, ex in enumerate(examples) if ex.coverage_costs is not None]
-    if not covered:
-        return probs, scores, mask, None
-    costs = np.concatenate([c for _, c in covered])
-    owner = np.concatenate([np.full(len(c), i) for i, c in covered])
-    if costs.shape != batch.slot_pair.shape:
-        raise ValueError("batch_objective: coverage costs do not match the coverage slots")
-    return probs, scores, mask, (batch.coverage_t, batch.slot_pair, costs, owner)
+    if not np.array_equal(examples.pc.valid, batch.mask):
+        raise ValueError("batch_objective: the panel costs' valid slots are not the forward's")
+    return batch
 
 
 def batch_objective(cfg, examples, n_tasks):
     """Mean task-weighted training loss over a batch; differentiable scalar.
 
-    ``examples`` are the rows of one ``batch_forward``, all of them and in
-    order; any other list raises ``ValueError``. Per example: compsum -
+    ``examples`` are a ``BatchExamples``: the rows of one ``batch_forward``,
+    all of them and in order; any other list raises ``ValueError``. Each
+    example's comp-sum weights, task scale and coverage costs come from its
+    ``(B, M)`` panel costs and tasks as array operations. Per example: compsum -
     lambda_h * entropy + lambda_r * mean(r^2 over valid slots) + lambda_cov *
     mean coverage BCE, scaled by task_weight * n_tasks so uniform weights are
     neutral. Each term is one weighted sum over the forward's stacked
@@ -149,12 +189,13 @@ def batch_objective(cfg, examples, n_tasks):
     """
     if not examples:
         raise ValueError("batch_objective: empty batch")
-    probs, scores, mask, coverage = _stacked(examples)
-    scale = np.array([cfg.weight_for(ex.task, n_tasks) * n_tasks
-                      for ex in examples]) / len(examples)
-    w_comp = np.zeros(mask.shape)
-    for i, ex in enumerate(examples):
-        w_comp[i, :len(ex.dist.mask)] = compsum_weights(ex.pc)
+    batch = _checked_batch(examples)
+    pc, tasks = examples.pc, examples.tasks
+    probs, scores, mask = batch.probs_t, batch.scores_t, batch.mask
+    weights = (np.full(len(tasks), 1.0 / n_tasks) if cfg.task_weights is None
+               else np.asarray(cfg.task_weights, dtype=np.float64)[tasks])
+    scale = weights * n_tasks / len(examples)
+    w_comp = compsum_weights(pc)
     logp = dc.log_clamped(probs, cfg.eps)
     loss = dc.wsum(logp, np.where(mask, -w_comp, 0.0) * scale[:, None])
     if cfg.lambda_h != 0.0:
@@ -162,8 +203,10 @@ def batch_objective(cfg, examples, n_tasks):
     if cfg.lambda_r != 0.0:
         per_slot = cfg.lambda_r * scale / mask.sum(axis=1)
         loss = dc.add(loss, dc.wsum(dc.mul(scores, scores), mask * per_slot[:, None]))
-    if cfg.lambda_cov != 0.0 and coverage is not None:
-        cov, cov_index, costs, owner = coverage
+    if cfg.lambda_cov != 0.0 and batch.coverage_t is not None:
+        cov, cov_index = batch.coverage_t, batch.slot_pair
+        # the valid slots' costs and rows, in the row-major order of slot_pair
+        costs, owner = pc.costs[mask], np.nonzero(mask)[0]
         # mean BCE per example: each covered slot weighs 1 / (its example's count)
         weights = cfg.lambda_cov * scale[owner] / np.bincount(owner)[owner]
         n = cov.shape[0]

@@ -33,9 +33,10 @@ object), and a tool's column through its index (and identity). A pair
 without a row or column -- a query in no split, a tool outside the task's
 population -- is computed by the same ``_draw`` and not stored, so the
 tables never outgrow the splits. ``SimWorld.tool_outcomes`` is the batched
-reader; ``cost_array`` (``tool_cost`` is its one-pair call) and
-``cost_matrix`` read costs through it, and ``tool_prediction`` reads one
-pair's output from the same table. The tables are fields the dataclass
+reader; ``cost_array`` (``tool_cost`` is its one-pair call) reads costs
+through it, ``cost_matrix`` fills and gathers a dense block of table pairs
+directly (finding each tool's column and each query's row once), and
+``tool_prediction`` reads one pair's output from the same table. The tables are fields the dataclass
 does not take as arguments, so ``dataclasses.replace`` of a world gives a
 copy with empty tables.
 
@@ -237,6 +238,8 @@ class SimWorld:
     # use; not init fields, so dataclasses.replace starts a copy with none
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _tool_arrays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # uid -> query of the splits and reference pools, built on first use
+    _queries_by_uid: dict = field(default=None, init=False, repr=False, compare=False)
 
     def task_spec(self, task):
         return self.tasks[task]
@@ -246,6 +249,17 @@ class SimWorld:
         for lq in self.splits[split]:
             out[lq.query.task].append(lq)
         return out
+
+    def query_of_uid(self, uid):
+        """The world's query with this uid, None if none: the first over the
+        splits, then the reference pools, each in order."""
+        if self._queries_by_uid is None:
+            index = {}
+            for records in (*self.splits.values(), *self.ref_pools.values()):
+                for lq in records:
+                    index.setdefault(lq.query.uid, lq.query)
+            self._queries_by_uid = index
+        return self._queries_by_uid.get(uid)
 
     def _pair_rng(self, tool, query):
         """The prediction RNG of a (tool, query) pair."""
@@ -343,14 +357,36 @@ class SimWorld:
 
     def cost_matrix(self, lqs, tools):
         """``(len(lqs), len(tools))`` costs of every tool on every labeled
-        query, NaN where a tool does not support the query's task; filled
-        ``DENSE_ROWS`` queries at a time."""
-        out = np.empty((len(lqs), len(tools)))
-        for lo in range(0, len(lqs), DENSE_ROWS):
-            part = lqs[lo:lo + DENSE_ROWS]
-            pair_lqs = [lq for lq in part for _ in tools]
-            out[lo:lo + len(part)] = self.cost_array(list(tools) * len(part),
-                                                     pair_lqs).reshape(len(part), len(tools))
+        query, NaN where a tool does not support the query's task.
+
+        Per task, the tools' validity and table columns are found once and
+        the queries' table rows once; the tabled pairs are filled
+        ``DENSE_ROWS`` queries at a time and gathered, and the rest (queries
+        or tools the table does not hold) are read by ``cost_array``.
+        """
+        tools = list(tools)
+        out = np.full((len(lqs), len(tools)), np.nan)
+        by_task = {}
+        for n, lq in enumerate(lqs):
+            by_task.setdefault(lq.query.task, []).append(n)
+        for task, idx in by_task.items():
+            task_lqs = [lqs[n] for n in idx]
+            idx = np.array(idx)
+            table = self._table(task)
+            valid = np.array([task in tool.supported_tasks for tool in tools], dtype=bool)
+            cols = table.tools.rows(tools)
+            rows = table.rows([lq.query for lq in task_lqs], task_lqs)
+            for lo in range(0, len(idx), DENSE_ROWS):
+                part = rows[lo:lo + DENSE_ROWS]
+                tabled = (part >= 0)[:, None] & (valid & (cols >= 0))
+                r, c = np.nonzero(tabled)
+                if len(r):
+                    table.fill(self, part[r], cols[c], SCORED)
+                    out[idx[lo + r], c] = table.costs[part[r], cols[c]]
+                r, c = np.nonzero(valid & ~tabled)
+                if len(r):
+                    out[idx[lo + r], c] = self.cost_array([tools[j] for j in c.tolist()],
+                                                          [task_lqs[lo + i] for i in r.tolist()])
         return out
 
     def tool_prediction(self, tool, query):

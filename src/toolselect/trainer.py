@@ -1,5 +1,12 @@
 """Stochastic training loop: task/panel sampling, AdamW updates with
-decoupled weight decay, validation-cost tracking, and early stopping."""
+decoupled weight decay, validation-cost tracking, and early stopping.
+
+``fit`` fills the outcome tables of its training split once, before the
+first step, so every simulator read of a step is a gather. A step's
+objective inputs are ``(B, M)`` arrays over the batch's panel slots
+(``panel_costs``, ``_batch_examples``), and ``AdamW`` updates all parameters
+as one flat buffer.
+"""
 
 import math
 from dataclasses import dataclass, field
@@ -11,7 +18,7 @@ from .anp_selector import SelectorConfig, SelectorModel, encode_slots, init_para
 from .domain import CATEGORICAL_FAMILIES
 from .errors import ConfigError
 from .evalharness import CHUNK, keyed_panels
-from .objective import BatchExample, ObjectiveConfig, PanelCosts, batch_objective
+from .objective import BatchExamples, ObjectiveConfig, PanelCosts, batch_objective
 from .simworld import panels_of, sample_panel
 
 VAL_PANEL_KEY = 7919   # second entry of every validation panel RNG key
@@ -67,7 +74,14 @@ class EpochRecord:
 
 
 class AdamW:
-    """Decoupled-weight-decay adaptive update with bias correction."""
+    """Decoupled-weight-decay adaptive update with bias correction, over one
+    flat buffer.
+
+    The constructor copies the parameters, in name order, into one float64
+    array and makes each ``p.data`` a view of its part, so every update is
+    written through to the tensors. The moments, the gradients and two
+    scratch arrays are one flat array each.
+    """
 
     def __init__(self, params, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = params  # dict name -> Tensor
@@ -77,44 +91,60 @@ class AdamW:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
-        # two scratch arrays per parameter for the in-place update
-        self._tmp = {k: (np.empty_like(p.data), np.empty_like(p.data))
-                     for k, p in params.items()}
+        names = sorted(params)
+        ends = np.cumsum([params[name].data.size for name in names], dtype=np.intp)
+        self.flat = np.empty(int(ends[-1]) if names else 0)
+        self._grad = np.empty_like(self.flat)
+        # name -> the parameter's gradient part of ``_grad``, in its shape
+        self._grads = {}
+        for name, hi in zip(names, ends.tolist()):
+            p = params[name]
+            part = slice(hi - p.data.size, hi)
+            self.flat[part] = p.data.reshape(-1)
+            p.data = self.flat[part].reshape(p.data.shape)
+            self._grads[name] = self._grad[part].reshape(p.data.shape)
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self._tmp = (np.empty_like(self.flat), np.empty_like(self.flat))
 
     def step(self):
-        """One update of every parameter, in place, into scratch buffers. The
-        operations are those of the expressions below, in the same order, so
-        results are bit-identical to evaluating them with temporaries:
+        """One update of every parameter, in place: each operation below is
+        one pass over the flat buffers, in this order, so results are
+        bit-identical to evaluating the expressions per parameter with
+        temporaries:
 
             m = beta1 * m + (1 - beta1) * g
             v = beta2 * v + (1 - beta2) * g * g
             p -= lr * (m / b1c) / (sqrt(v / b2c) + eps)
             p -= lr * weight_decay * p
+
+        A parameter without a gradient has a zero one. A non-finite gradient
+        aborts the step before anything changes, naming the first such
+        parameter in name order.
         """
+        for name, g in self._grads.items():
+            grad = self.params[name].grad
+            g[...] = 0.0 if grad is None else grad
+        if not np.isfinite(self._grad).all():
+            name = next(name for name, g in self._grads.items() if not np.isfinite(g).all())
+            raise ValueError(f"non-finite gradient in parameter {name!r}; step aborted")
         self.step_count += 1
         b1c = 1.0 - self.beta1 ** self.step_count
         b2c = 1.0 - self.beta2 ** self.step_count
-        for name in sorted(self.params):
-            p = self.params[name]
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if not np.isfinite(g).all():
-                raise ValueError(f"non-finite gradient in parameter {name!r}; step aborted")
-            m, v = self.m[name], self.v[name]
-            a, b = self._tmp[name]
-            m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=a)
-            v *= self.beta2
-            np.multiply(g, 1.0 - self.beta2, out=a)
-            v += np.multiply(a, g, out=a)
-            np.divide(m, b1c, out=a)
-            a *= self.lr
-            np.divide(v, b2c, out=b)
-            np.sqrt(b, out=b)
-            b += self.eps
-            p.data -= np.divide(a, b, out=a)
-            p.data -= np.multiply(p.data, self.lr * self.weight_decay, out=a)
+        g, m, v, p = self._grad, self.m, self.v, self.flat
+        a, b = self._tmp
+        m *= self.beta1
+        m += np.multiply(g, 1.0 - self.beta1, out=a)
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=a)
+        v += np.multiply(a, g, out=a)
+        np.divide(m, b1c, out=a)
+        a *= self.lr
+        np.divide(v, b2c, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        p -= np.divide(a, b, out=a)
+        p -= np.multiply(p, self.lr * self.weight_decay, out=a)
 
 
 def sample_task(task_weights, rng):
@@ -182,18 +212,21 @@ def build_model(world, params, selector_cfg):
 
 
 def panel_costs(world, items):
-    """The ``PanelCosts`` of (labeled query, panel) items, every slot's cost
-    read by one ``cost_array`` gather; NaN marks the invalid slots."""
+    """The ``(B, M)`` ``PanelCosts`` of B (labeled query, panel) items, M the
+    widest panel: every slot's cost read by one ``cost_array`` gather, 0 on
+    the invalid slots (NaN in the gather) and on the padding of narrower
+    panels."""
+    widths = np.array([len(panel.tools) for _, panel in items])
     costs = world.cost_array([tool for _, panel in items for tool in panel.tools],
                              [lq for lq, panel in items for _ in panel.tools])
-    out = []
-    lo = 0
-    for _, panel in items:
-        row = costs[lo:lo + len(panel.tools)]
-        lo += len(panel.tools)
-        valid = ~np.isnan(row)
-        out.append(PanelCosts(costs=np.where(valid, row, 0.0), valid=valid))
-    return out
+    width = int(widths.max())
+    if len(costs) != len(items) * width:
+        padded = np.full((len(items), width), np.nan)
+        padded[np.arange(width) < widths[:, None]] = costs
+        costs = padded
+    costs = costs.reshape(len(items), width)
+    valid = ~np.isnan(costs)
+    return PanelCosts(costs=np.where(valid, costs, 0.0), valid=valid)
 
 
 def step_panels(population, lqs, m, rng):
@@ -216,13 +249,10 @@ def step_panels(population, lqs, m, rng):
 
 
 def _batch_examples(world, items, fwd):
-    """Per-example objective inputs of a batched forward's rows."""
-    pcs = panel_costs(world, items)
-    with_coverage = fwd.tensors.coverage_t is not None
-    examples = [BatchExample(dist=dist, pc=pc, task=lq.query.task,
-                             coverage_costs=pc.costs[dist.mask] if with_coverage else None)
-                for (lq, _), dist, pc in zip(items, fwd.dists, pcs)]
-    return examples, pcs
+    """The objective inputs of a batched forward's rows, as ``BatchExamples``
+    over the items' ``(B, M)`` panel costs, and those panel costs."""
+    pc = panel_costs(world, items)
+    return BatchExamples(fwd.dists, pc, np.array([lq.query.task for lq, _ in items])), pc
 
 
 def _validation_cost(world, model, val_items):
@@ -275,6 +305,9 @@ def fit(cfg, world, objective_cfg=None, selector_cfg=None, log_fn=None):
 
     train_by_task = world.split_by_task("train")
     total_train = len(world.splits["train"])
+    # every outcome a step reads is then a gather from the filled tables
+    for task, records in train_by_task.items():
+        world.cost_matrix(records, world.populations.get(task, []))
     steps_per_epoch = max(1, math.ceil(total_train / cfg.batch_size))
 
     # validation panels are fixed across epochs so the metric is comparable

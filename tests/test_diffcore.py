@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from toolselect import diffcore as dc
 from toolselect.errors import (
@@ -45,6 +47,46 @@ def test_matmul_gradients_finite_difference(rng):
     a = dc.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     b = dc.Tensor(rng.standard_normal((4, 2)), requires_grad=True)
     _fd_check(lambda: _sum(dc.matmul(a, b)), [a, b])
+
+
+# ----------------------------------------------------------------- linear
+
+def test_linear_equals_matmul_plus_bias_bit_for_bit(rng):
+    """The value and the three gradients are the bits the two-node
+    ``add(matmul(a, w), bias)`` gave: ``a @ w + bias``, then ``g @ w.T``,
+    ``a.T @ g`` and ``g.sum(axis=0)`` of the upstream gradient ``g``."""
+    for rows, d_in, d_out in ((1, 3, 2), (7, 5, 4), (90, 47, 512), (90, 512, 1)):
+        a = dc.Tensor(rng.standard_normal((rows, d_in)), requires_grad=True)
+        w = dc.Tensor(rng.standard_normal((d_in, d_out)), requires_grad=True)
+        bias = dc.Tensor(rng.standard_normal(d_out), requires_grad=True)
+        g = rng.standard_normal((rows, d_out)) * 10.0 ** rng.uniform(-6, 6, (rows, d_out))
+        out = dc.linear(a, w, bias)
+        assert out.data.tobytes() == (a.data @ w.data + bias.data[None, :]).tobytes()
+        dc.backward(dc.wsum(out, g))
+        assert a.grad.tobytes() == (g @ w.data.T).tobytes()
+        assert w.grad.tobytes() == (a.data.T @ g).tobytes()
+        assert bias.grad.tobytes() == g.sum(axis=0).tobytes()
+
+
+def test_linear_of_a_constant_input_has_only_weight_gradients(rng):
+    x = dc.constant(rng.standard_normal((4, 3)))
+    w = dc.Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    bias = dc.Tensor(np.zeros(2), requires_grad=True)
+    dc.backward(_sum(dc.linear(x, w, bias)))
+    assert x.grad is None
+    np.testing.assert_array_equal(bias.grad, [4.0, 4.0])
+
+
+def test_linear_and_add_reject_mismatched_shapes():
+    a, w = dc.constant(np.zeros((3, 4))), dc.constant(np.zeros((4, 2)))
+    for bias in (np.zeros(3), np.zeros((1, 2))):
+        with pytest.raises(ShapeMismatchError):
+            dc.linear(a, w, dc.constant(bias))
+    with pytest.raises(ShapeMismatchError):
+        dc.linear(a, dc.constant(np.zeros((3, 2))), dc.constant(np.zeros(2)))
+    # add has no broadcasting: a bias row goes through linear
+    with pytest.raises(ShapeMismatchError):
+        dc.add(a, dc.constant(np.zeros(4)))
 
 
 # --------------------------------------------------------- masked_softmax
@@ -208,6 +250,50 @@ def test_backward_diamond_graph_accumulates_once():
     assert abs(float(x.grad) - 8.0) < 1e-12
 
 
+def test_first_gradient_is_a_fresh_array_laid_out_like_the_data():
+    """The first gradient is ``g + 0.0``: -0 becomes +0, as ``zeros + g``
+    gave, the array is not the one passed in, and it has the data's layout
+    even when the gradient arrives transposed."""
+    x = dc.Tensor(np.ones((2, 3)), requires_grad=True)
+    g = np.array([[-0.0, 1.0, -2.0], [0.0, -0.0, 3.0]])
+    x.accumulate(g)
+    assert x.grad is not g
+    assert x.grad.tobytes() == (np.zeros((2, 3)) + g).tobytes()
+    assert not np.signbit(x.grad[0, 0]) and not np.signbit(x.grad[1, 1])
+    x.accumulate(g)
+    assert x.grad.tobytes() == (np.zeros((2, 3)) + g + g).tobytes()
+    t = dc.transpose(dc.Tensor(np.ones((3, 2)), requires_grad=True))
+    t.accumulate(np.ascontiguousarray(g))
+    assert t.grad.strides == np.zeros_like(t.data).strides
+
+
+# take_rows: a row count, the shape of one row (a vector's entries have none)
+# and indices with repeats, negative ones included
+TAKE_CASES = st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.sampled_from([(), (1,), (5,), (8,), (3, 4), (2, 16)]),
+    st.lists(st.integers(-n, n - 1), max_size=40),
+    st.integers(0, 2**32 - 1)))
+
+
+@given(TAKE_CASES)
+def test_take_rows_backward_equals_add_at_bit_for_bit(case):
+    """Each row's gradient is the ``np.add.at`` sum, in index order from
+    zero, for vectors, matrices and 3-D stacks alike."""
+    n, row_shape, idx, seed = case
+    rng = np.random.default_rng(seed)
+    a = dc.Tensor(rng.standard_normal((n,) + row_shape), requires_grad=True)
+    g = rng.standard_normal((len(idx),) + row_shape) * 10.0 ** rng.uniform(
+        -8, 8, (len(idx),) + row_shape)
+    g[rng.random(g.shape) < 0.1] = -0.0
+    out = dc.take_rows(a, idx)
+    assert out.data.tobytes() == a.data[np.asarray(idx, dtype=np.intp)].tobytes()
+    dc.backward(dc.wsum(out, g))
+    want = np.zeros(a.data.shape)
+    np.add.at(want, np.asarray(idx, dtype=np.intp), g)
+    assert a.grad.tobytes() == (np.zeros(a.data.shape) + want).tobytes()
+
+
 # ------------------------------------------------------------- grad_check
 
 def test_grad_check_square():
@@ -227,7 +313,6 @@ def test_grad_check_rejects_nonpositive_h():
 def test_every_op_passes_isolated_grad_check(rng):
     a = dc.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
     b = dc.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-    bias = dc.Tensor(rng.standard_normal(3), requires_grad=True)
     vec = dc.Tensor(rng.standard_normal(5), requires_grad=True)
     w_fixed = rng.standard_normal((4, 3))
     x3 = dc.Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
@@ -243,9 +328,11 @@ def test_every_op_passes_isolated_grad_check(rng):
     key_mask = np.array([[True, True, False, True, False], [True] * 5])
     w_att = rng.standard_normal((2, 3, 3))
     w_scatter = rng.standard_normal((3, 4))
+    w_lin = dc.Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    bias_lin = dc.Tensor(rng.standard_normal(2), requires_grad=True)
     cases = [
         (lambda: _sum(dc.add(a, b)), [a, b]),
-        (lambda: _sum(dc.add(a, bias)), [a, bias]),
+        (lambda: dc.wsum(dc.linear(a, w_lin, bias_lin), w_fixed[:, :2]), [a, w_lin, bias_lin]),
         (lambda: _sum(dc.mul(a, b)), [a, b]),
         (lambda: _sum(dc.scale(a, -2.5)), [a]),
         (lambda: _sum(dc.affine(a, 1.7, 0.3)), [a]),

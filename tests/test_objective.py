@@ -7,7 +7,7 @@ from toolselect import diffcore as dc
 from toolselect.anp_selector import BatchTensors, SelectionDistribution
 from toolselect.errors import ConfigError
 from toolselect.objective import (
-    BatchExample,
+    BatchExamples,
     ObjectiveConfig,
     PanelCosts,
     batch_objective,
@@ -222,29 +222,29 @@ def _examples(rows, leaves=None):
     one ``BatchTensors`` whose coverage has one pair per valid slot."""
     leaves = _leaves(rows) if leaves is None else leaves
     mask = np.zeros(leaves[0].shape, dtype=bool)
+    costs = np.zeros(leaves[0].shape)
     for i, r in enumerate(rows):
         mask[i, :len(r[1])] = r[1]
+        costs[i, :len(r[2])] = r[2]
     probs_t = dc.masked_softmax(leaves[0], mask)
     cov_t = dc.sigmoid(leaves[1]) if len(leaves) > 1 else None
     batch = BatchTensors(probs_t=probs_t, scores_t=leaves[0], mask=mask, coverage_t=cov_t,
                          slot_pair=np.arange(int(mask.sum())))
-    examples = []
-    for i, (scores, valid, costs, task, _) in enumerate(rows):
+    dists = []
+    for i, (scores, valid, _, _, _) in enumerate(rows):
         m = len(scores)
         probs = probs_t.data[i, :m].copy()
-        dist = SelectionDistribution(scores=leaves[0].data[i, :m].copy(), mask=valid,
-                                     probs=probs, selected=int(np.argmax(probs)),
-                                     batch=batch, row=i)
-        pc = PanelCosts(costs=costs, valid=valid)
-        examples.append(BatchExample(dist=dist, pc=pc, task=task,
-                                     coverage_costs=None if cov_t is None else pc.costs[valid]))
-    return examples
+        dists.append(SelectionDistribution(scores=leaves[0].data[i, :m].copy(), mask=valid,
+                                           probs=probs, selected=int(np.argmax(probs)),
+                                           batch=batch, row=i))
+    return BatchExamples(dists, PanelCosts(costs=costs, valid=mask), [r[3] for r in rows])
 
 
 def test_batch_objective_degenerates_to_compsum(rng):
-    [ex] = _examples([_row(rng)])
+    examples = _examples([_row(rng)])
+    ex = examples[0]
     cfg = ObjectiveConfig(lambda_h=0.0, lambda_r=0.0, lambda_cov=0.0)
-    total = batch_objective(cfg, [ex], n_tasks=4).item()
+    total = batch_objective(cfg, examples, n_tasks=4).item()
     expect = compsum_loss(ex.dist, compsum_weights(ex.pc)).item()
     assert total == pytest.approx(expect, abs=1e-12)
 

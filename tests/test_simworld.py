@@ -596,3 +596,38 @@ def test_global_best_means_equal_running_sums_of_tool_cost(small_world):
     assert list(fitted) == list(sums)
     assert all(np.float64(fitted[k]).tobytes() == np.float64(sums[k] / counts[k]).tobytes()
                for k in sums)
+
+
+def test_cost_matrix_equals_one_cost_array_per_pair(small_world, monkeypatch):
+    """Split queries of every task, reference-pool queries, copies of split
+    queries and tools outside a task's population, duplicates included: the
+    matrix equals one ``cost_array`` per pair, bit for bit, over several
+    ``DENSE_ROWS`` blocks."""
+    import toolselect.simworld as simworld
+    monkeypatch.setattr(simworld, "DENSE_ROWS", 7)
+    w = dataclasses.replace(small_world)
+    lqs = (w.splits["train"][:25] + w.splits["test"][-8:]
+           + [lq for task in sorted(w.ref_pools) for lq in w.ref_pools[task][:3]]
+           + [dataclasses.replace(lq) for lq in w.splits["val"][:3]] + w.splits["train"][:2])
+    tools = w.all_tools[::2] + w.all_tools[:1]
+    got = w.cost_matrix(lqs, tools)
+    fresh = dataclasses.replace(small_world)
+    want = np.array([[fresh.cost_array([tool], [lq])[0] for tool in tools] for lq in lqs])
+    assert got.shape == (len(lqs), len(tools))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_query_of_uid_is_the_first_split_then_pool_query(small_world):
+    w = dataclasses.replace(small_world)
+    split_query = w.splits["val"][3].query
+    pool_query = w.ref_pools[1][0].query
+    assert w.query_of_uid(split_query.uid) is split_query
+    assert w.query_of_uid(pool_query.uid) is pool_query
+    assert w.query_of_uid(10**12) is None
+    # a pool query reusing a split uid: the split's query is the first match;
+    # dataclasses.replace starts the copy without the parent's index
+    clash = dataclasses.replace(w.ref_pools[1][0],
+                                query=dataclasses.replace(pool_query, uid=split_query.uid))
+    w2 = dataclasses.replace(w, ref_pools={**w.ref_pools, 1: [clash] + w.ref_pools[1][1:]})
+    assert w2.query_of_uid(split_query.uid) is split_query
+    assert w2.query_of_uid(pool_query.uid) is None

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from toolselect import diffcore as dc
-from toolselect.simworld import WorldConfig, generate_world
+from toolselect.simworld import WorldConfig, generate_world, sample_panel
 from toolselect.trainer import (
     AdamW,
     TrainConfig,
@@ -99,6 +101,51 @@ def test_adamw_aborts_on_nonfinite_gradient():
         opt.step()
 
 
+def test_adamw_flat_buffer_matches_textbook_expressions_per_parameter(rng):
+    """Parameters of several shapes, one of them at times without a
+    gradient, each update bit for bit the textbook expressions of that
+    parameter alone; every ``p.data`` stays one view of the flat buffer."""
+    lr, wd, b1, b2, eps = 3e-3, 1e-2, 0.9, 0.999, 1e-8
+    shapes = {"w": (4, 3), "b": (3,), "s": (), "z": (2, 1, 2)}
+    # weights as small as the updates, so a last-bit change of an update shows
+    params = {k: dc.Tensor(rng.standard_normal(shape) * 10.0 ** rng.uniform(-5, 0, shape),
+                           requires_grad=True) for k, shape in shapes.items()}
+    want = {k: p.data.copy() for k, p in params.items()}
+    m = {k: np.zeros(shape) for k, shape in shapes.items()}
+    v = {k: np.zeros(shape) for k, shape in shapes.items()}
+    opt = AdamW(params, lr=lr, weight_decay=wd, beta1=b1, beta2=b2, eps=eps)
+    views = {k: p.data for k, p in params.items()}
+    for k, p in params.items():
+        assert np.shares_memory(p.data, opt.flat)
+        assert p.data.tobytes() == want[k].tobytes()
+    for t in range(1, 6):
+        for k, p in params.items():
+            p.grad = None if k == "z" and t % 2 else \
+                rng.standard_normal(shapes[k]) * 10.0 ** rng.uniform(-3, 3, shapes[k])
+        opt.step()
+        for k, p in params.items():
+            g = np.zeros(shapes[k]) if p.grad is None else p.grad
+            m[k] = b1 * m[k] + (1.0 - b1) * g
+            v[k] = b2 * v[k] + (1.0 - b2) * g * g
+            want[k] -= lr * (m[k] / (1.0 - b1 ** t)) / (np.sqrt(v[k] / (1.0 - b2 ** t)) + eps)
+            want[k] -= lr * wd * want[k]
+            assert p.data is views[k]
+            assert p.data.tobytes() == np.asarray(want[k]).tobytes(), (k, t)
+
+
+def test_adamw_nonfinite_gradient_names_the_first_parameter_and_changes_nothing():
+    params = {name: dc.Tensor(np.ones(2), requires_grad=True) for name in ("c", "a", "b")}
+    params["a"].grad = np.ones(2)
+    params["b"].grad = np.array([1.0, np.inf])
+    params["c"].grad = np.array([np.nan, 1.0])
+    opt = AdamW(params, lr=0.1, weight_decay=0.1)
+    with pytest.raises(ValueError, match="'b'"):
+        opt.step()
+    assert opt.step_count == 0 and not opt.m.any() and not opt.v.any()
+    for p in params.values():
+        np.testing.assert_array_equal(p.data, [1.0, 1.0])
+
+
 # -------------------------------------------------------------- early_stop
 
 def test_early_stop_improving_history():
@@ -182,3 +229,125 @@ def test_fit_does_not_mutate_tools():
     fit(TrainConfig(max_epochs=1, batch_size=8, panel_size=4, seed=0), w)
     for t, mu in zip(w.all_tools, before):
         np.testing.assert_array_equal(t.mu, mu)
+
+
+# ------------------------------------------------------- objective inputs
+
+def _objective_before(cfg, world, items, fwd, n_tasks):
+    """The batch objective as it was computed from per-item inputs: one
+    ``PanelCosts``, compsum weight row, task weight and coverage cost slice
+    per example, then the same weighted sums."""
+    costs = world.cost_array([tool for _, panel in items for tool in panel.tools],
+                             [lq for lq, panel in items for _ in panel.tools])
+    batch = fwd.tensors
+    w_comp = np.zeros(batch.mask.shape)
+    scale, cov_costs, owner = [], [], []
+    lo = 0
+    for i, ((lq, panel), dist) in enumerate(zip(items, fwd.dists)):
+        row = costs[lo:lo + len(panel.tools)]
+        lo += len(panel.tools)
+        valid = ~np.isnan(row)
+        c = np.where(valid, row, 0.0)
+        total, m_valid = float(c[valid].sum()), int(valid.sum())
+        w_comp[i, :len(c)][valid] = total - c[valid] - m_valid + 2.0
+        weight = 1.0 / n_tasks if cfg.task_weights is None else \
+            float(cfg.task_weights[lq.query.task])
+        scale.append(weight * n_tasks)
+        cov_costs.append(c[dist.mask])
+        owner.append(np.full(int(dist.mask.sum()), i))
+    scale = np.array(scale) / len(items)
+    probs, scores, mask = batch.probs_t, batch.scores_t, batch.mask
+    logp = dc.log_clamped(probs, cfg.eps)
+    loss = dc.wsum(logp, np.where(mask, -w_comp, 0.0) * scale[:, None])
+    loss = dc.add(loss, dc.wsum(dc.mul(probs, logp), mask * (cfg.lambda_h * scale)[:, None]))
+    per_slot = cfg.lambda_r * scale / mask.sum(axis=1)
+    loss = dc.add(loss, dc.wsum(dc.mul(scores, scores), mask * per_slot[:, None]))
+    cov, costs, owner = batch.coverage_t, np.concatenate(cov_costs), np.concatenate(owner)
+    weights = cfg.lambda_cov * scale[owner] / np.bincount(owner)[owner]
+    n = cov.shape[0]
+    w_s = np.bincount(batch.slot_pair, weights=-(1.0 - costs) * weights, minlength=n)
+    w_1ms = np.bincount(batch.slot_pair, weights=-costs * weights, minlength=n)
+    return dc.add(loss, dc.add(
+        dc.wsum(dc.log_clamped(cov, cfg.eps), w_s),
+        dc.wsum(dc.log_clamped(dc.affine(cov, -1.0, 1.0), cfg.eps), w_1ms)))
+
+
+@pytest.mark.parametrize("task_weights", [None, [0.1, 0.2, 0.3, 0.4]])
+def test_objective_inputs_equal_the_per_item_ones_bit_for_bit(small_world, task_weights):
+    """On ragged panels of 2 to 12 slots over every task, the (B, M) panel
+    costs, compsum weights, loss and every parameter gradient are the bits
+    the per-item inputs gave, panels of 8 valid slots or more included."""
+    from toolselect.anp_selector import init_params
+    from toolselect.objective import ObjectiveConfig, PanelCosts, batch_objective, compsum_weights
+    from toolselect.simworld import sample_panel
+    from toolselect.trainer import _batch_examples, build_model, default_selector_config
+
+    world = small_world
+    scfg = dataclasses.replace(default_selector_config(world), hidden=16, dropout=0.0)
+    params = init_params(scfg, 0)
+    model = build_model(world, params, scfg)
+    ocfg = ObjectiveConfig(task_weights=task_weights)
+    rng = np.random.default_rng(5)
+    wide = 0
+    for lo in range(0, 96, 24):
+        lqs = world.splits["train"][lo * 2:lo * 2 + 24]
+        items = [(lq, sample_panel(world.populations[lq.query.task], lq.query,
+                                   int(rng.integers(2, 13)), rng)) for lq in lqs]
+        fwd = model.batch_forward(items, training=False)
+        examples, pc = _batch_examples(world, items, fwd)
+        weights = compsum_weights(pc)
+        for i, (lq, panel) in enumerate(items):
+            m = len(panel.tools)
+            row = world.cost_array(list(panel.tools), [lq] * m)
+            valid = ~np.isnan(row)
+            c = np.where(valid, row, 0.0)
+            assert pc.costs[i, :m].tobytes() == c.tobytes()
+            assert (pc.valid[i, :m] == valid).all() and not pc.valid[i, m:].any()
+            want = np.zeros(m)
+            want[valid] = float(c[valid].sum()) - c[valid] - int(valid.sum()) + 2.0
+            assert weights[i, :m].tobytes() == want.tobytes()
+            assert compsum_weights(PanelCosts(c, valid)).tobytes() == want.tobytes()
+            assert examples[i].pc.costs.tobytes() == c.tobytes()
+            assert examples[i].coverage_costs.tobytes() == c[valid].tobytes()
+            assert examples[i].task == lq.query.task
+            wide += int(valid.sum()) >= 8
+        grads = []
+        for loss_of in (lambda f: batch_objective(ocfg, _batch_examples(world, items, f)[0], 4),
+                        lambda f: _objective_before(ocfg, world, items, f, 4)):
+            dc.zero_grads(params.values())
+            loss = loss_of(model.batch_forward(items, training=False))
+            dc.backward(loss)
+            grads.append((loss.data.tobytes(),
+                          [params[k].grad.tobytes() for k in sorted(params)]))
+        assert grads[0] == grads[1]
+    assert wide, "no panel of 8 valid slots or more was drawn"
+
+
+def test_a_steps_objective_inputs_hold_no_reference_cycle(small_world):
+    """The rows of ``BatchExamples`` point at the batch's arrays, not at the
+    list, so a step's forward (and with it its whole tape) is freed as soon
+    as the step drops it, without the cycle collector."""
+    import gc
+    import weakref
+
+    from toolselect.anp_selector import init_params
+    from toolselect.objective import ObjectiveConfig, batch_objective
+    from toolselect.trainer import _batch_examples, build_model, default_selector_config
+
+    world = small_world
+    scfg = dataclasses.replace(default_selector_config(world), hidden=16)
+    model = build_model(world, init_params(scfg, 0), scfg)
+    rng = np.random.default_rng(0)
+    items = [(lq, sample_panel(world.populations[lq.query.task], lq.query, 6, rng))
+             for lq in world.splits["train"][:8]]
+    gc.disable()
+    try:
+        fwd = model.batch_forward(items, training=True, rng=rng)
+        examples, _ = _batch_examples(world, items, fwd)
+        dc.backward(batch_objective(ObjectiveConfig(), examples, 4))
+        assert examples[0].task == items[0][0].query.task
+        tensors = weakref.ref(fwd.tensors)
+        del fwd, examples
+        assert tensors() is None
+    finally:
+        gc.enable()
