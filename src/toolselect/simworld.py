@@ -61,13 +61,19 @@ its generator. ``_draw`` makes the categorical and report draws of such a
 batch this way, and ``evalharness.keyed_panels`` the first attempt of each
 query's panel (``_KeyedRngs.first_integers``).
 
-``sample_queries`` draws a block of one task's queries: per query one
-``integers`` and one ``standard_normal`` draw of the feature and hint noise
-together (the same values as the two draws it replaces, since the normal
-sampler consumes the stream value by value), then the features, hints and
-ground truths of the block as array operations, each element computed by
-the same operations as for one query. ``sample_query`` is its one-query
-call.
+World generation in array passes. ``sample_queries`` draws a block of one
+task's queries: per query one ``integers`` and one ``standard_normal`` draw
+of the feature and hint noise together (the same values as the two draws
+it replaces, since the normal sampler consumes the stream value by value),
+then the features, hints and ground truths of the block as array passes,
+each element computed by the same operations as for one query: grounding
+boxes by one stacked mat-vec per map (``_boxes``), report pair sets and
+hint means from one ``_report_pair_indices`` call. ``sample_query`` is its
+one-query call. ``build_reference_sets`` seeds every element's prediction
+RNG in one batch and reads the pool queries' arrays from one ``_Rows`` per
+pool, then makes one ``tool_predict`` call per element.
+``_calibrate_box_noise`` bisects all kappas side by side, one array pass a
+step. Every generated value is the one the per-query code gives.
 """
 
 import bisect
@@ -161,6 +167,9 @@ class WorldConfig:
         if self.d_q - self.n_tasks() < 2:
             raise ConfigError(f"world config: d_q ({self.d_q}) must exceed the task count "
                               f"({self.n_tasks()}) by at least 2")
+        if self.n_ref_pool < self.n_tasks():
+            raise ConfigError(f"world config: n_ref_pool ({self.n_ref_pool}) must be at least the "
+                              f"task count ({self.n_tasks()}), or a task's reference pool is empty")
         if self.n_findings * self.n_locations < 5:
             raise ConfigError("world config: n_findings * n_locations must be at least 5, "
                               "the number of report centroids")
@@ -402,7 +411,7 @@ class SimWorld:
         if col < 0:
             return tool_predict(self, tool, query, self._pair_rng(tool, query))
         table.fill(self, np.array([row]), np.array([col]), DRAWN)
-        return _prediction(spec, tool, table.outputs[row, col])
+        return _prediction(spec, table.outputs[row, col])
 
     def tool_cost(self, tool, lq):
         """The one-pair ``cost_array``: None when the tool is invalid."""
@@ -530,8 +539,9 @@ class _TaskTools:
         self._row_dict = {tool.index: i for i, tool in enumerate(tools)}
         self.supported = np.array([task in tool.supported_tasks for tool in tools], dtype=bool)
         self.mu = np.array([tool.mu for tool in tools], dtype=np.float64)
-        self.beta = np.array([tool.beta for tool in tools], dtype=np.float64)
-        self.pmax = np.array([tool.pmax for tool in tools], dtype=np.float64)
+        # (pmax, beta) of each tool in Python floats, which _kappas reads per pair
+        self.pmax_beta = np.array([(tool.pmax, tool.beta) for tool in tools],
+                                  dtype=np.float64).reshape(n, 2).tolist()
         if spec.family in CATEGORICAL_FAMILIES:
             k = len(spec.space.labels)
             counts = [tool.tool_label_count[task] if ok else 1
@@ -585,8 +595,10 @@ class _Rows:
                 self.gt = np.array([gt.box for gt in gts], dtype=np.float64).reshape(n, 4)
             if boxes_from_gt:
                 self.truth = self.gt
+            elif n == 1:
+                self.truth = np.array([_box_from_x(spec, self.x[0])])
             else:
-                self.truth = np.array([_box_from_x(spec, x) for x in self.x]).reshape(n, 4)
+                self.truth = _boxes(spec, self.x)
         else:
             self.truth, self.n_true = _report_pair_indices(spec, self.x)
             if gts is not None:
@@ -614,14 +626,16 @@ def _null_output(spec):
     return np.zeros(len(spec.space.pair_vocab), dtype=bool)
 
 
-def _prediction(spec, tool, output):
-    """The ``AlignedPrediction`` of one canonical output of a supporting tool."""
+def _prediction(spec, output):
+    """The ``AlignedPrediction`` of one canonical output of a supporting tool
+    (``align`` passes boxes and pair sets through unchanged)."""
     if spec.family in CATEGORICAL_FAMILIES:
         return AlignedPrediction(spec.family, probs=np.array(output, dtype=np.float64))
     if spec.family is TaskFamily.GROUNDING:
-        return align(tool, spec.space, tuple(output.tolist()))
+        return AlignedPrediction(spec.family, box=tuple(output.tolist()))
     vocab = spec.space.pair_vocab
-    return align(tool, spec.space, frozenset(vocab[i] for i in np.flatnonzero(output).tolist()))
+    return AlignedPrediction(spec.family,
+                             pairs=frozenset([vocab[i] for i in output.nonzero()[0].tolist()]))
 
 
 def keyed_rng(*key):
@@ -888,7 +902,20 @@ def _uint32_words(values):
     return np.array(words, dtype=np.uint32)
 
 
+def _boxes(spec, xs):
+    """The ``(n, 4)`` ``_box_from_x`` boxes of features ``xs`` (n, d_x). The
+    maps apply as one stacked mat-vec, ``map @ xs[:, :, None]``, which gives
+    each row the bits of ``map @ x``; a plain ``xs @ map.T`` does not."""
+    stacked = xs[:, :, None]
+    centers = 0.5 + 0.45 * np.tanh((spec.box_center_map @ stacked)[:, :, 0])
+    half = (0.2 + 0.1 * np.tanh((spec.box_size_map @ stacked)[:, :, 0])) / 2.0
+    return np.concatenate([np.maximum(0.0, centers - half), np.minimum(1.0, centers + half)],
+                          axis=1)
+
+
 def _box_from_x(spec, x):
+    """The ground-truth box of features ``x``, a tuple: the one-query
+    ``_boxes``, in Python floats, which costs a third less for one query."""
     cx, cy = (0.5 + 0.45 * np.tanh(spec.box_center_map @ x)).tolist()
     w, h = (0.2 + 0.1 * np.tanh(spec.box_size_map @ x)).tolist()
     return (max(0.0, cx - w / 2.0), max(0.0, cy - h / 2.0),
@@ -903,30 +930,29 @@ def _perturb_boxes(boxes, scale, normals):
     b = np.ascontiguousarray(boxes.T)
     z = np.ascontiguousarray(normals.T)
     centers = (b[:2] + b[2:]) / 2.0 + scale * 0.25 * z[:2]
-    sizes = (b[2:] - b[:2]) * np.exp(scale * z[2:])
-    return np.clip(np.concatenate([centers - sizes / 2, centers + sizes / 2]).T, 0.0, 1.0)
+    half = (b[2:] - b[:2]) * np.exp(scale * z[2:]) / 2
+    return np.clip(np.concatenate([centers - half, centers + half]).T, 0.0, 1.0)
 
 
 def _calibrate_box_noise(spec, cfg, rng, n_probe=256, n_draws=4):
-    """Bisect a perturbation scale per kappa so mean IoU tracks kappa."""
+    """Bisect a perturbation scale per kappa so mean IoU tracks kappa. The
+    kappas are bisected side by side: each step perturbs one copy of the
+    probe boxes per kappa, as one array pass, and takes each copy's mean
+    IoU as a row mean, which sums as the mean of one copy alone does."""
     ks, noise = _draw_queries(rng, len(spec.centroids), n_probe, cfg.d_x)
     xs = spec.centroids[ks] + cfg.feature_noise * noise
-    probes = np.array([_box_from_x(spec, x) for x in xs])
-    tiled = np.repeat(probes, n_draws, axis=0)
+    tiled = np.repeat(_boxes(spec, xs), n_draws, axis=0)
     normals = rng.standard_normal((tiled.shape[0], 4))
     kappas = np.linspace(spec.p_floor, cfg.p_max, 9)
-    scales = np.empty_like(kappas)
-    for gi, kappa in enumerate(kappas):
-        lo, hi = 0.0, 4.0
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            mean_iou = iou(tiled, _perturb_boxes(tiled, mid, normals)).mean()
-            if mean_iou > kappa:
-                lo = mid
-            else:
-                hi = mid
-        scales[gi] = 0.5 * (lo + hi)
-    return kappas, scales
+    copies = (len(kappas), 1)
+    boxes, normals = np.tile(tiled, copies), np.tile(normals, copies)
+    lo, hi = np.zeros_like(kappas), np.full_like(kappas, 4.0)
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        perturbed = _perturb_boxes(boxes, np.repeat(mid, len(tiled)), normals)
+        above = iou(boxes, perturbed).reshape(len(kappas), -1).mean(axis=1) > kappas
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    return kappas, 0.5 * (lo + hi)
 
 
 def _make_task(cfg, task, family, rng):
@@ -1041,8 +1067,10 @@ def sample_queries(world, task, rng, uids):
     Each query draws its centroid, then its feature noise and hint noise in
     one ``standard_normal`` call, which gives the values of two consecutive
     calls. Features, hints and ground truths are computed for the block as
-    array operations, element by element the arithmetic of one query;
-    grounding boxes and report hint means are computed per query.
+    array passes, element by element the arithmetic of one query: grounding
+    boxes by ``_boxes``' stacked mat-vecs, report pair sets and hint means
+    from one ``_report_pair_indices`` call, each mean the sum of the padded
+    pair codes over the count, as ``np.mean`` of the sorted pairs' codes.
     """
     cfg = world.cfg
     spec = world.task_spec(task)
@@ -1058,25 +1086,25 @@ def sample_queries(world, task, rng, uids):
         else:
             gts = [GroundTruth(spec.family, option=y) for y in ks.tolist()]
     elif spec.family is TaskFamily.GROUNDING:
-        boxes = [_box_from_x(spec, x) for x in xs]
+        boxes = _boxes(spec, xs)
         shown = min(4, hint_dim)
         hints = np.zeros((len(uids), hint_dim))
-        if boxes:
-            hints[:, :shown] = np.array(boxes)[:, :shown]
+        hints[:, :shown] = boxes[:, :shown]
         hints = hints + hint_noise
-        gts = [GroundTruth(spec.family, box=box) for box in boxes]
+        gts = [GroundTruth(spec.family, box=tuple(box)) for box in boxes.tolist()]
     else:
-        pair_sets = _report_pair_sets(spec, xs)
-        vocab = spec.space.pair_vocab
-        means = [np.mean([spec.hint_codes[vocab.index(p)] for p in sorted(pairs)], axis=0)
-                 for pairs in pair_sets]
-        hints = np.array(means).reshape(len(uids), hint_dim) + hint_noise
-        gts = [GroundTruth(spec.family, pairs=pairs) for pairs in pair_sets]
+        indices, counts = _report_pair_indices(spec, xs)
+        # np.mean of a query's codes in sorted pair order, with -0.0 (which
+        # adds nothing, whatever the sign of the sum) padding short pair sets
+        codes = np.vstack([spec.hint_codes, np.full(hint_dim, -0.0)])[indices]
+        hints = (codes[:, 0] + codes[:, 1] + codes[:, 2]) / counts[:, None] + hint_noise
+        gts = [GroundTruth(spec.family, pairs=pairs)
+               for pairs in _pair_sets(spec, indices, counts)]
     qs = np.zeros((len(uids), cfg.d_q))
     qs[:, task] = 1.0
     qs[:, n_tasks:] = hints
-    return [LabeledQuery(Query(uid=uid, task=task, x=x, q=q), gt)
-            for uid, x, q, gt in zip(uids, xs, qs, gts)]
+    # positional fields build the frozen Query faster than keywords
+    return [LabeledQuery(Query(uid, task, x, q), gt) for uid, x, q, gt in zip(uids, xs, qs, gts)]
 
 
 def sample_query(world, task, rng, uid):
@@ -1111,8 +1139,12 @@ def _report_pair_indices(spec, xs):
 
 def _report_pair_sets(spec, xs):
     """The ``_report_pair_indices`` of ``xs`` as pair sets."""
+    return _pair_sets(spec, *_report_pair_indices(spec, xs))
+
+
+def _pair_sets(spec, indices, counts):
+    """Pair sets of ``_report_pair_indices`` rows."""
     vocab = spec.space.pair_vocab
-    indices, counts = _report_pair_indices(spec, xs)
     return [frozenset(vocab[i] for i in row[:count])
             for row, count in zip(indices.tolist(), counts.tolist())]
 
@@ -1122,11 +1154,12 @@ def _kappas(world, spec, tools, rows, xs):
     ``xs[i]``: a radial function of the squared distance to the tool's
     centroid, from the task's floor up to the tool's ``pmax``."""
     diff = xs - tools.mu[rows]
-    dist2 = np.add.reduce(diff * diff, axis=1) / world.cfg.d_x
+    diff *= diff
+    d_x = world.cfg.d_x
     floor = spec.p_floor
-    return [floor + (pmax - floor) * math.exp(-beta * d)
-            for pmax, beta, d in zip(tools.pmax[rows].tolist(), tools.beta[rows].tolist(),
-                                     dist2.tolist())]
+    return [floor + (pmax - floor) * math.exp(-beta * (d / d_x))
+            for (pmax, beta), d in zip(map(tools.pmax_beta.__getitem__, rows.tolist()),
+                                       np.add.reduce(diff, axis=1).tolist())]
 
 
 _FIRST_ROW = np.zeros(1, dtype=np.int64)
@@ -1138,15 +1171,18 @@ def competence(world, tool, task, x):
     return _kappas(world, spec, tools, rows, np.asarray(x)[None, :])[0]
 
 
-def tool_predict(world, tool, query, rng):
+def tool_predict(world, tool, query, rng, block=None):
     """Raw tool output aligned into the canonical space; null if unsupported.
-    The one-pair call of ``_draw``."""
+    The one-pair call of ``_draw``. ``block``, when given, is ``(data, row)``:
+    a ``_Rows`` block that holds the query at ``row`` (a one-element index
+    array), which spares computing the query's arrays for this one call."""
     spec = world.task_spec(query.task)
     if query.task not in tool.supported_tasks:
         return null_prediction(spec.space)
-    tools, rows = world._tool_rows(spec, [tool])
-    output = _draw(world, spec, tools, rows, _Rows(spec, [query]), _FIRST_ROW, (rng,))[0]
-    return _prediction(spec, tool, output)
+    tools, tool_rows = world._tool_rows(spec, [tool])
+    data, row = (_Rows(spec, [query]), _FIRST_ROW) if block is None else block
+    output = _draw(world, spec, tools, tool_rows, data, row, (rng,))[0]
+    return _prediction(spec, output)
 
 
 def _draw(world, spec, tools, tool_rows, data, rows, rngs):
@@ -1292,20 +1328,37 @@ def panels_of(population, task, picks):
 
 
 def build_reference_sets(world, tools, ref_size, rng):
-    """Populate each tool's per-task reference sets from the reference pools."""
+    """Populate each tool's per-task reference sets from the reference pools.
+
+    Every (tool, task) draws its pool queries from ``rng`` first, in order;
+    the pairs' prediction RNGs are then seeded as one ``_pair_rngs`` batch,
+    and each element is one ``tool_predict`` call with its pair's RNG and
+    its pool's ``_Rows``: the prediction ``world.tool_prediction`` gives.
+    """
     if ref_size < 1:
         raise ValueError("ref_size must be >= 1")
+    picks = []                   # (tool, task, pool rows), in draw order
+    for tool in tools:
+        for task in sorted(tool.supported_tasks):
+            size = len(world.ref_pools[task])
+            picks.append((tool, task, rng.choice(size, size=min(ref_size, size), replace=False)))
+    # each pool's query arrays, computed once for all of its elements
+    data = {task: _Rows(world.task_spec(task), [lq.query for lq in world.ref_pools[task]])
+            for task in {task for _, task, idx in picks if len(idx)}}
+    rngs = _pair_rngs(world.seed, [tool.index for tool, _, idx in picks for _ in idx],
+                      [world.ref_pools[task][i].query.uid
+                       for _, task, idx in picks for i in idx.tolist()])
     for tool in tools:
         tool.reference_sets = {}
-        for task in sorted(tool.supported_tasks):
-            pool = world.ref_pools[task]
-            idx = rng.choice(len(pool), size=min(ref_size, len(pool)), replace=False)
-            elements = []
-            for i in idx:
-                lq = pool[i]
-                pred = world.tool_prediction(tool, lq.query)
-                elements.append((lq.query.x, lq.gt, pred))
-            tool.reference_sets[task] = elements
+    k = 0
+    for tool, task, idx in picks:
+        pool, elements = world.ref_pools[task], []
+        for n, i in enumerate(idx.tolist()):
+            query = pool[i].query
+            pred = tool_predict(world, tool, query, rngs[k], (data[task], idx[n:n + 1]))
+            elements.append((query.x, pool[i].gt, pred))
+            k += 1
+        tool.reference_sets[task] = elements
 
 
 def generate_world(cfg, seed):

@@ -293,6 +293,11 @@ def fit(cfg, world, objective_cfg=None, selector_cfg=None, log_fn=None):
             or not abs(task_weights.sum() - 1.0) <= 1e-9):
         raise ConfigError(f"task_weights must be a probability vector over the world's "
                           f"{n_tasks} tasks, got {task_weights.tolist()}")
+    train_by_task = world.split_by_task("train")
+    for task, weight in enumerate(task_weights.tolist()):
+        if weight > 0 and not train_by_task[task]:
+            raise ConfigError(f"task {task} has weight {weight:g} but no training queries "
+                              f"(n_train={world.cfg.n_train} over {n_tasks} tasks)")
 
     params = init_params(selector_cfg, cfg.seed)
     model = build_model(world, params, selector_cfg)
@@ -303,7 +308,6 @@ def fit(cfg, world, objective_cfg=None, selector_cfg=None, log_fn=None):
     panel_rng = np.random.default_rng([cfg.seed, 17])
     dropout_rng = np.random.default_rng([cfg.seed, 19])
 
-    train_by_task = world.split_by_task("train")
     total_train = len(world.splits["train"])
     # every outcome a step reads is then a gather from the filled tables
     for task, records in train_by_task.items():

@@ -297,6 +297,24 @@ def test_train_rejects_unusable_config_before_training(tmp_path, capsys, line, m
     assert "epoch=" not in captured.out and not (out / "checkpoint.bin").exists()
 
 
+@pytest.mark.parametrize("line, message", [
+    ("n_ref_pool=3", "world config: n_ref_pool (3) must be at least the task count (4)"),
+    ("n_train=2", "task 2 has weight 0.25 but no training queries (n_train=2 over 4 tasks)"),
+], ids=["n_ref_pool_below_task_count", "task_without_training_queries"])
+def test_train_rejects_a_world_it_cannot_train_on(tmp_path, capsys, line, message):
+    """A task with an empty reference pool, or with weight but no training
+    queries, is a config error named before the first step."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(FAST_CONFIG + line + "\n")
+    out = tmp_path / "run"
+    code = run(["train", "--config", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {message}"), captured.err
+    assert "Traceback" not in captured.err
+    assert "epoch=" not in captured.out and not (out / "checkpoint.bin").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "train", "eval", "route"])
 def test_negative_seed_is_a_usage_error_naming_the_option(tmp_path, capsys, command):
     code = run([command, "--seed", "-1", "--out", str(tmp_path / "run")])

@@ -22,8 +22,10 @@ from toolselect.errors import CheckpointError, ConfigError, NoValidCandidateErro
 from toolselect.objective import PanelCosts, compsum_weights
 from toolselect.simworld import (
     BATCH_SEEDING_MIN,
+    TaskSpec,
     WorldConfig,
     _box_from_x,
+    _boxes,
     _mix_pools,
     _report_pair_sets,
     generate_world,
@@ -212,6 +214,45 @@ def test_block_sampling_equals_per_query_sampling(cfg, seed, n):
                    for a, b, c in zip(block, reference, one_by_one))
         assert (rngs[0].bit_generator.state == rngs[1].bit_generator.state
                 == rngs[2].bit_generator.state)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_empty_and_one_query_blocks_of_every_family(small_world, n):
+    """A block of no query draws nothing; a block of one equals the former
+    per-query sampler; on every family."""
+    families = set()
+    for task, spec in enumerate(small_world.tasks):
+        families.add(spec.family)
+        rngs = [np.random.default_rng([5, task]) for _ in range(2)]
+        block = sample_queries(small_world, task, rngs[0], range(7, 7 + n))
+        reference = [_reference_sample_query(small_world, task, rngs[1], 7 + i) for i in range(n)]
+        assert len(block) == n and all(map(_same_query, block, reference))
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    assert families == set(TaskFamily)
+
+
+MAT_VEC_SHAPES = st.tuples(st.integers(0, 40), st.integers(1, 40), st.integers(1, 3))
+
+
+@settings(max_examples=60)
+@given(MAT_VEC_SHAPES, st.integers(0, 2**32 - 1), st.floats(0.01, 100.0))
+def test_stacked_mat_vec_equals_per_row_mat_vec(shape, seed, spread):
+    """``map @ xs[:, :, None]`` gives each row the bits of ``map @ x`` (what
+    ``_boxes`` relies on for ground-truth boxes), and ``_boxes`` gives each
+    row the box of ``_box_from_x``."""
+    n, d, rows = shape
+    rng = np.random.default_rng(seed)
+    xs = spread * rng.standard_normal((n, d))
+    mat = rng.standard_normal((rows, d)) / np.sqrt(d)
+    stacked = (mat @ xs[:, :, None])[:, :, 0]
+    assert stacked.shape == (n, rows)
+    assert all(row.tobytes() == (mat @ x).tobytes() for row, x in zip(stacked, xs))
+    spec = TaskSpec(task=0, family=TaskFamily.GROUNDING, space=None, centroids=None,
+                    box_center_map=rng.standard_normal((2, d)) / np.sqrt(d),
+                    box_size_map=rng.standard_normal((2, d)) / np.sqrt(d))
+    boxes = _boxes(spec, xs)
+    assert boxes.shape == (n, 4)
+    assert boxes.tobytes() == np.array([_box_from_x(spec, x) for x in xs]).reshape(n, 4).tobytes()
 
 
 # ----------------------------------------------------- row-wise masked softmax

@@ -76,6 +76,7 @@ def test_split_sizes(small_world):
     ({"sharpness": float("nan")}, "sharpness must be finite"),
     ({"support_prob": 0.0}, "support_prob must lie in (0, 1]"),
     ({"support_prob": 1.5}, "support_prob must lie in (0, 1]"),
+    ({"n_ref_pool": 3}, "n_ref_pool (3) must be at least the task count (4)"),
 ])
 def test_world_config_rejects_unusable_values(bad, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
@@ -302,7 +303,7 @@ def _predictions(world, tools, queries):
     for group in world.tool_outcomes(tools, queries):
         spec = world.task_spec(group.task)
         for n, ok, row in zip(group.positions.tolist(), group.valid.tolist(), group.outputs):
-            out[n] = _prediction(spec, tools[n], row) if ok else null_prediction(spec.space)
+            out[n] = _prediction(spec, row) if ok else null_prediction(spec.space)
     return out
 
 
@@ -631,3 +632,106 @@ def test_query_of_uid_is_the_first_split_then_pool_query(small_world):
     w2 = dataclasses.replace(w, ref_pools={**w.ref_pools, 1: [clash] + w.ref_pools[1][1:]})
     assert w2.query_of_uid(split_query.uid) is split_query
     assert w2.query_of_uid(pool_query.uid) is None
+
+
+# ------------------------------------------------------- reference sets
+
+def _reference_sets(world, tools, ref_size, rng):
+    """The per-element builder ``build_reference_sets`` replaced: per tool
+    and supported task, one ``rng.choice`` of pool queries, then one
+    ``world.tool_prediction`` per element. Returns tool index -> task ->
+    elements; the tools are left as they are."""
+    out = {}
+    for tool in tools:
+        out[tool.index] = {}
+        for task in sorted(tool.supported_tasks):
+            pool = world.ref_pools[task]
+            idx = rng.choice(len(pool), size=min(ref_size, len(pool)), replace=False)
+            out[tool.index][task] = [(pool[i].query.x, pool[i].gt,
+                                      world.tool_prediction(tool, pool[i].query)) for i in idx]
+    return out
+
+
+def _same_elements(got, want):
+    return len(got) == len(want) and all(
+        gx is wx and ggt is wgt and _prediction_bytes(gp) == _prediction_bytes(wp)
+        for (gx, ggt, gp), (wx, wgt, wp) in zip(got, want))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
+def test_build_reference_sets_equals_one_tool_prediction_per_element(seed):
+    """Batched seeding draws the same pool queries from ``rng`` and gives each
+    element the prediction ``world.tool_prediction`` gives, bit for bit; a
+    seed past int64 takes the keys' wide path."""
+    from toolselect.simworld import build_reference_sets
+    w = generate_world(WorldConfig(**SMALL), seed)
+    rngs = [np.random.default_rng(3) for _ in range(2)]
+    want = _reference_sets(dataclasses.replace(w), w.all_tools, 5, rngs[1])
+    build_reference_sets(w, w.all_tools, 5, rngs[0])
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    for tool in w.all_tools:
+        assert sorted(tool.reference_sets) == sorted(want[tool.index])
+        for task, elements in tool.reference_sets.items():
+            assert _same_elements(elements, want[tool.index][task]), (tool.index, task)
+
+
+def test_generated_reference_sets_equal_tool_prediction(small_world):
+    """Every element of a generated world's reference sets, and of the fresh
+    tools of ``regenerate_test_tools``, is a pool query with its own ground
+    truth and the prediction ``world.tool_prediction`` gives, bit for bit."""
+    regenerated = regenerate_test_tools(small_world, 0.5, 11)
+    fresh = [t for t in regenerated.all_tools if "fresh" in t.tool_id]
+    assert fresh
+    for world, tools in ((small_world, small_world.all_tools), (regenerated, fresh)):
+        lookup = dataclasses.replace(world)
+        for tool in tools:
+            for task, elements in tool.reference_sets.items():
+                by_x = {id(lq.query.x): lq for lq in world.ref_pools[task]}
+                assert len(elements) == world.cfg.ref_size
+                for x, gt, pred in elements:
+                    lq = by_x[id(x)]
+                    assert gt is lq.gt
+                    want = lookup.tool_prediction(tool, lq.query)
+                    assert _prediction_bytes(pred) == _prediction_bytes(want)
+
+
+# ------------------------------------------------------- box calibration
+
+def _per_kappa_calibration(spec, cfg, rng, n_probe=256, n_draws=4):
+    """The calibration ``_calibrate_box_noise`` replaced: one bisection per
+    kappa, each step a mean IoU over one perturbed copy of the probes."""
+    from toolselect.domain import iou
+    from toolselect.simworld import _box_from_x, _draw_queries, _perturb_boxes
+    ks, noise = _draw_queries(rng, len(spec.centroids), n_probe, cfg.d_x)
+    xs = spec.centroids[ks] + cfg.feature_noise * noise
+    tiled = np.repeat(np.array([_box_from_x(spec, x) for x in xs]), n_draws, axis=0)
+    normals = rng.standard_normal((tiled.shape[0], 4))
+    kappas = np.linspace(spec.p_floor, cfg.p_max, 9)
+    scales = np.empty_like(kappas)
+    for gi, kappa in enumerate(kappas):
+        lo, hi = 0.0, 4.0
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            if iou(tiled, _perturb_boxes(tiled, mid, normals)).mean() > kappa:
+                lo = mid
+            else:
+                hi = mid
+        scales[gi] = 0.5 * (lo + hi)
+    return kappas, scales
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("extra", [{}, {"d_x": 5, "feature_noise": 0.05, "p_floor": 0.3},
+                                   {"d_x": 40, "feature_noise": 1.5, "p_max": 0.6}],
+                         ids=["default", "narrow", "wide"])
+def test_one_pass_calibration_equals_per_kappa_bisection(seed, extra):
+    from toolselect.simworld import _calibrate_box_noise
+    cfg = WorldConfig(**{**SMALL, **extra})
+    spec = generate_world(cfg, seed).task_spec(1)
+    assert spec.family is TaskFamily.GROUNDING
+    rngs = [np.random.default_rng([seed, 99]) for _ in range(2)]
+    kappas, scales = _calibrate_box_noise(spec, cfg, rngs[0])
+    want_kappas, want_scales = _per_kappa_calibration(spec, cfg, rngs[1])
+    assert kappas.tobytes() == want_kappas.tobytes()
+    assert scales.tobytes() == want_scales.tobytes()
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state

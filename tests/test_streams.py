@@ -221,5 +221,5 @@ def test_redrawn_fills_equal_per_pair_tool_predict(small_world, monkeypatch):
         for (tool, lq), output in zip(pairs, group.outputs):
             rng = np.random.default_rng([w.seed, simworld.PREDICTION_KEY, tool.index,
                                          lq.query.uid])
-            assert _output_bytes(simworld._prediction(spec, tool, output)) == \
+            assert _output_bytes(simworld._prediction(spec, output)) == \
                 _output_bytes(tool_predict(w, tool, lq.query, rng))

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from toolselect import diffcore as dc
+from toolselect.errors import ConfigError
+from toolselect.objective import ObjectiveConfig
 from toolselect.simworld import WorldConfig, generate_world, sample_panel
 from toolselect.trainer import (
     AdamW,
@@ -210,6 +212,18 @@ def test_fit_near_perfect_world_matches_single_tool_cost():
     assert res.history[-1].val_cost == pytest.approx(floor, abs=1e-12)
     # per-tool competence ceiling is jittered, so the floor is small not zero
     assert floor < 0.25
+
+
+def test_fit_trains_without_the_queries_of_a_task_of_weight_0():
+    """n_train=2 leaves tasks 2 and 3 without training queries: fit names
+    the first of them, unless the task weights leave both out."""
+    w = generate_world(WorldConfig(**{**FAST, "n_train": 2}), 3)
+    cfg = TrainConfig(max_epochs=1, batch_size=4, panel_size=4, seed=5)
+    with pytest.raises(ConfigError, match=r"task 2 has weight 0\.25 but no training queries "
+                                          r"\(n_train=2 over 4 tasks\)"):
+        fit(cfg, w)
+    res = fit(cfg, w, objective_cfg=ObjectiveConfig(task_weights=(0.5, 0.5, 0.0, 0.0)))
+    assert len(res.history) == 1
 
 
 def test_fit_returns_best_snapshot():
