@@ -540,8 +540,7 @@ class _TaskTools:
         self.supported = np.array([task in tool.supported_tasks for tool in tools], dtype=bool)
         self.mu = np.array([tool.mu for tool in tools], dtype=np.float64)
         # (pmax, beta) of each tool in Python floats, which _kappas reads per pair
-        self.pmax_beta = np.array([(tool.pmax, tool.beta) for tool in tools],
-                                  dtype=np.float64).reshape(n, 2).tolist()
+        self.pmax_beta = [(float(tool.pmax), float(tool.beta)) for tool in tools]
         if spec.family in CATEGORICAL_FAMILIES:
             k = len(spec.space.labels)
             counts = [tool.tool_label_count[task] if ok else 1
@@ -593,12 +592,7 @@ class _Rows:
         elif family is TaskFamily.GROUNDING:
             if gts is not None:
                 self.gt = np.array([gt.box for gt in gts], dtype=np.float64).reshape(n, 4)
-            if boxes_from_gt:
-                self.truth = self.gt
-            elif n == 1:
-                self.truth = np.array([_box_from_x(spec, self.x[0])])
-            else:
-                self.truth = _boxes(spec, self.x)
+            self.truth = self.gt if boxes_from_gt else _boxes(spec, self.x)
         else:
             self.truth, self.n_true = _report_pair_indices(spec, self.x)
             if gts is not None:
@@ -903,7 +897,7 @@ def _uint32_words(values):
 
 
 def _boxes(spec, xs):
-    """The ``(n, 4)`` ``_box_from_x`` boxes of features ``xs`` (n, d_x). The
+    """The ``(n, 4)`` ground-truth boxes of features ``xs`` (n, d_x). The
     maps apply as one stacked mat-vec, ``map @ xs[:, :, None]``, which gives
     each row the bits of ``map @ x``; a plain ``xs @ map.T`` does not."""
     stacked = xs[:, :, None]
@@ -911,15 +905,6 @@ def _boxes(spec, xs):
     half = (0.2 + 0.1 * np.tanh((spec.box_size_map @ stacked)[:, :, 0])) / 2.0
     return np.concatenate([np.maximum(0.0, centers - half), np.minimum(1.0, centers + half)],
                           axis=1)
-
-
-def _box_from_x(spec, x):
-    """The ground-truth box of features ``x``, a tuple: the one-query
-    ``_boxes``, in Python floats, which costs a third less for one query."""
-    cx, cy = (0.5 + 0.45 * np.tanh(spec.box_center_map @ x)).tolist()
-    w, h = (0.2 + 0.1 * np.tanh(spec.box_size_map @ x)).tolist()
-    return (max(0.0, cx - w / 2.0), max(0.0, cy - h / 2.0),
-            min(1.0, cx + w / 2.0), min(1.0, cy + h / 2.0))
 
 
 def _perturb_boxes(boxes, scale, normals):
@@ -1135,11 +1120,6 @@ def _report_pair_indices(spec, xs):
     picked = np.where(_THREE < counts[:, None], spec.centroid_vocab[nearest],
                       len(spec.space.pair_vocab))
     return np.sort(picked, axis=1), counts
-
-
-def _report_pair_sets(spec, xs):
-    """The ``_report_pair_indices`` of ``xs`` as pair sets."""
-    return _pair_sets(spec, *_report_pair_indices(spec, xs))
 
 
 def _pair_sets(spec, indices, counts):

@@ -24,16 +24,18 @@ from toolselect.simworld import (
     BATCH_SEEDING_MIN,
     TaskSpec,
     WorldConfig,
-    _box_from_x,
     _boxes,
     _mix_pools,
-    _report_pair_sets,
+    _pair_sets,
+    _report_pair_indices,
     generate_world,
     keyed_rng,
     keyed_rngs,
     sample_queries,
     sample_query,
 )
+
+from per_query import box_from_x
 
 # ------------------------------------------------------------- parse_record
 
@@ -164,13 +166,13 @@ def _reference_sample_query(world, task, rng, uid):
         else:
             gt = GroundTruth(spec.family, option=y)
     elif spec.family is TaskFamily.GROUNDING:
-        box = _box_from_x(spec, x)
+        box = box_from_x(spec, x)
         hint = np.zeros(hint_dim)
         hint[: min(4, hint_dim)] = np.asarray(box)[: min(4, hint_dim)]
         hint = hint + cfg.hint_noise * rng.standard_normal(hint_dim)
         gt = GroundTruth(spec.family, box=box)
     else:
-        pairs = _report_pair_sets(spec, x[None, :])[0]
+        pairs = _pair_sets(spec, *_report_pair_indices(spec, x[None, :]))[0]
         codes = [spec.hint_codes[spec.space.pair_vocab.index(p)] for p in sorted(pairs)]
         hint = np.mean(codes, axis=0) + cfg.hint_noise * rng.standard_normal(hint_dim)
         gt = GroundTruth(spec.family, pairs=pairs)
@@ -239,7 +241,7 @@ MAT_VEC_SHAPES = st.tuples(st.integers(0, 40), st.integers(1, 40), st.integers(1
 def test_stacked_mat_vec_equals_per_row_mat_vec(shape, seed, spread):
     """``map @ xs[:, :, None]`` gives each row the bits of ``map @ x`` (what
     ``_boxes`` relies on for ground-truth boxes), and ``_boxes`` gives each
-    row the box of ``_box_from_x``."""
+    row the box of the per-query ``box_from_x``."""
     n, d, rows = shape
     rng = np.random.default_rng(seed)
     xs = spread * rng.standard_normal((n, d))
@@ -252,7 +254,7 @@ def test_stacked_mat_vec_equals_per_row_mat_vec(shape, seed, spread):
                     box_size_map=rng.standard_normal((2, d)) / np.sqrt(d))
     boxes = _boxes(spec, xs)
     assert boxes.shape == (n, 4)
-    assert boxes.tobytes() == np.array([_box_from_x(spec, x) for x in xs]).reshape(n, 4).tobytes()
+    assert boxes.tobytes() == np.array([box_from_x(spec, x) for x in xs]).reshape(n, 4).tobytes()
 
 
 # ----------------------------------------------------- row-wise masked softmax

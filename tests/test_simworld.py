@@ -19,6 +19,8 @@ from toolselect.simworld import (
     world_digest,
 )
 
+from per_query import box_from_x
+
 SMALL = dict(n_train=200, n_val=40, n_test=120, n_ref_pool=200,
              tools_per_task=6, ref_size=8)
 
@@ -701,10 +703,10 @@ def _per_kappa_calibration(spec, cfg, rng, n_probe=256, n_draws=4):
     """The calibration ``_calibrate_box_noise`` replaced: one bisection per
     kappa, each step a mean IoU over one perturbed copy of the probes."""
     from toolselect.domain import iou
-    from toolselect.simworld import _box_from_x, _draw_queries, _perturb_boxes
+    from toolselect.simworld import _draw_queries, _perturb_boxes
     ks, noise = _draw_queries(rng, len(spec.centroids), n_probe, cfg.d_x)
     xs = spec.centroids[ks] + cfg.feature_noise * noise
-    tiled = np.repeat(np.array([_box_from_x(spec, x) for x in xs]), n_draws, axis=0)
+    tiled = np.repeat(np.array([box_from_x(spec, x) for x in xs]), n_draws, axis=0)
     normals = rng.standard_normal((tiled.shape[0], 4))
     kappas = np.linspace(spec.p_floor, cfg.p_max, 9)
     scales = np.empty_like(kappas)
