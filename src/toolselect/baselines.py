@@ -67,13 +67,18 @@ class OracleRouter(Router):
     def route_batch(self, items, rng):
         """The valid slot of least true cost per item, ties to the lowest
         slot, with the costs of every valid slot read by one ``cost_array``
-        call."""
-        _, valid = _panel_arrays(items)
-        rows, slots = np.nonzero(valid)
-        costs = np.full(valid.shape, np.inf)
-        costs[rows, slots] = self.world.cost_array(
-            [items[b][1].tools[j] for b, j in zip(rows, slots)], [items[b][0] for b in rows])
-        return costs.argmin(axis=1).tolist()
+        call. A valid slot's cost is never NaN, so the first least value of
+        each item's costs is the slot ``argmin`` picks."""
+        slots = [_valid_slots(lq, panel) for lq, panel in items]
+        costs = self.world.cost_array(
+            [panel.tools[j] for (_, panel), valid in zip(items, slots) for j in valid],
+            [lq for (lq, _), valid in zip(items, slots) for _ in valid]).tolist()
+        out, end = [], 0
+        for valid in slots:
+            start, end = end, end + len(valid)
+            item_costs = costs[start:end]
+            out.append(valid[item_costs.index(min(item_costs))])
+        return out
 
 
 def _index_table(tool_ids, values, missing):

@@ -32,14 +32,71 @@ def _gt_payload(gt):
     return {"pairs": sorted(list(p) for p in gt.pairs)}
 
 
-def _gt_from_payload(family, payload):
-    if family is TaskFamily.CLASSIFICATION:
-        return GroundTruth(family, label=int(payload["label"]))
-    if family is TaskFamily.MULTIPLE_CHOICE:
-        return GroundTruth(family, option=int(payload["option"]))
+def _gt_from_payload(family, payload, where, space=None):
+    """The ``GroundTruth`` of a ``_gt_payload`` object. Labels and options
+    must be JSON integers, a box four finite numbers and pairs two-integer
+    lists; with the task's ``space`` every label, option and pair must be
+    one of its own and every box coordinate lie in [0, 1]. Raises
+    ``ConfigError`` naming ``where`` and the field."""
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{where}: 'gt' must be an object, got {_shown(payload)}")
+    if family in (TaskFamily.CLASSIFICATION, TaskFamily.MULTIPLE_CHOICE):
+        key = "label" if family is TaskFamily.CLASSIFICATION else "option"
+        value = _integer(_key(payload, key, where), where, f"gt.{key}")
+        if space is not None and value not in space.labels:
+            raise ConfigError(f"{where}: 'gt.{key}' {value} is not a label of task "
+                              f"{space.task} (0..{len(space.labels) - 1})")
+        return GroundTruth(family, **{key: value})
     if family is TaskFamily.GROUNDING:
-        return GroundTruth(family, box=tuple(payload["box"]))
-    return GroundTruth(family, pairs=frozenset(tuple(p) for p in payload["pairs"]))
+        box = _numbers(_key(payload, "box", where), where, "gt.box")
+        if len(box) != 4 or (space is not None and not ((box >= 0.0) & (box <= 1.0)).all()):
+            raise ConfigError(f"{where}: 'gt.box' must be 4 coordinates"
+                              + ("" if space is None else " in [0, 1]"))
+        return GroundTruth(family, box=tuple(box.tolist()))
+    pairs = _key(payload, "pairs", where)
+    if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise ConfigError(f"{where}: 'gt.pairs' must be a list of [finding, location] pairs, "
+                          f"got {_shown(pairs)}")
+    pairs = frozenset(tuple(_integer(v, where, "gt.pairs") for v in p) for p in pairs)
+    if space is not None and not pairs <= frozenset(space.pair_vocab):
+        raise ConfigError(f"{where}: 'gt.pairs' {sorted(pairs - frozenset(space.pair_vocab))} "
+                          f"are not pairs of task {space.task}")
+    return GroundTruth(family, pairs=pairs)
+
+
+def _shown(value, limit=40):
+    """A JSON value as its JSON text, cut to ``limit`` characters."""
+    text = json.dumps(value)
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
+def _key(obj, key, where):
+    """``obj[key]``; a missing key fails naming ``where`` and the key."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise ConfigError(f"{where}: malformed record: missing key {key!r}") from None
+
+
+def _integer(value, where, name):
+    """A JSON integer: a float, even an integral one, or a boolean fails."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: {name!r} must be an integer, got {_shown(value)}")
+    return value
+
+
+def _numbers(value, where, name):
+    """A JSON list of finite numbers, booleans refused, as a float64 vector."""
+    if not isinstance(value, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
+        raise ConfigError(f"{where}: {name!r} must be a list of numbers, got {_shown(value)}")
+    try:
+        out = np.array(value, dtype=np.float64)
+    except OverflowError:        # an integer past the float range
+        out = None
+    if out is None or not np.isfinite(out).all():
+        raise ConfigError(f"{where}: {name!r} must be a vector of finite numbers")
+    return out
 
 
 def _pred_payload(pred):
@@ -108,48 +165,55 @@ def parse_record(line, where, world=None):
     """One dataset line -> LabeledQuery; ``where`` ("path:line") names the
     line in errors.
 
-    The uid must be non-negative (it keys the query's RNGs) and the
-    features finite vectors. With a ``world`` the record must
-    also fit it: a task of the world, that task's family and the world's
-    feature dimensions. A uid of one of the world's queries (splits or
-    reference pools) names that query, whose tool outputs the simulator
-    keys by uid, so the record's task, ``x`` and ``q`` must equal it.
-    Every failure raises ``ConfigError``.
+    ``uid`` and ``task`` must be JSON integers (a float or a boolean would be
+    read as another query) and the uid non-negative: it keys the query's
+    RNGs. ``x`` and ``q`` must be lists of finite numbers, and the ground
+    truth the record's family's (``_gt_from_payload``). With a ``world`` the
+    record must also fit it: a task of the world and that task's family,
+    both checked before the ground truth is read, the world's feature
+    dimensions, and labels, options, pairs and boxes in the task's canonical
+    space. A uid of one of the world's queries (splits or reference pools)
+    names that query, whose tool outputs the simulator keys by uid, so the
+    record's task, ``x`` and ``q`` must equal it. Every failure raises
+    ``ConfigError`` naming ``where`` and the field.
     """
     try:
         rec = json.loads(line)
-        family = TaskFamily(rec["family"])
-        query = Query(uid=int(rec["uid"]), task=int(rec["task"]),
-                      x=np.asarray(rec["x"], dtype=np.float64),
-                      q=np.asarray(rec["q"], dtype=np.float64))
-        gt = _gt_from_payload(family, rec["gt"])
-    except KeyError as exc:
-        raise ConfigError(f"{where}: malformed record: missing key {exc}") from exc
-    except (ValueError, TypeError, OverflowError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{where}: malformed record: {exc}") from exc
-    if query.uid < 0:
-        raise ConfigError(f"{where}: 'uid' must be non-negative, got {query.uid}")
-    for name in ("x", "q"):
-        v = getattr(query, name)
-        if v.ndim != 1 or not np.isfinite(v).all():
-            raise ConfigError(f"{where}: {name!r} must be a vector of finite numbers")
-    if world is not None:
-        if not 0 <= query.task < len(world.tasks):
-            raise ConfigError(f"{where}: task {query.task} is not a task of the world "
-                              f"(0..{len(world.tasks) - 1})")
-        expected = world.task_spec(query.task).family
-        if family is not expected:
-            raise ConfigError(f"{where}: task {query.task} has family {expected.value!r}, "
-                              f"the record {family.value!r}")
-        for name, dim in (("x", world.cfg.d_x), ("q", world.cfg.d_q)):
-            if len(getattr(query, name)) != dim:
-                raise ConfigError(f"{where}: {name!r} has {len(getattr(query, name))} "
-                                  f"features, the world {dim}")
-        known = world.query_of_uid(query.uid)
-        if known is not None and (known.task != query.task or not np.array_equal(known.x, query.x)
-                                  or not np.array_equal(known.q, query.q)):
-            raise ConfigError(f"{where}: uid {query.uid} is a query of the world with another "
-                              f"task or features; a new query needs a uid of its own")
+    if not isinstance(rec, dict):
+        raise ConfigError(f"{where}: malformed record: expected an object, got {_shown(rec)}")
+    uid = _integer(_key(rec, "uid", where), where, "uid")
+    task = _integer(_key(rec, "task", where), where, "task")
+    family = _key(rec, "family", where)
+    if not isinstance(family, str) or family not in {f.value for f in TaskFamily}:
+        raise ConfigError(f"{where}: 'family' must be one of "
+                          f"{', '.join(f.value for f in TaskFamily)}, got {_shown(family)}")
+    family = TaskFamily(family)
+    query = Query(uid=uid, task=task, x=_numbers(_key(rec, "x", where), where, "x"),
+                  q=_numbers(_key(rec, "q", where), where, "q"))
+    payload = _key(rec, "gt", where)
+    if uid < 0:
+        raise ConfigError(f"{where}: 'uid' must be non-negative, got {uid}")
+    if world is None:
+        return LabeledQuery(query, _gt_from_payload(family, payload, where))
+    if not 0 <= task < len(world.tasks):
+        raise ConfigError(f"{where}: task {task} is not a task of the world "
+                          f"(0..{len(world.tasks) - 1})")
+    spec = world.task_spec(task)
+    if family is not spec.family:
+        raise ConfigError(f"{where}: task {task} has family {spec.family.value!r}, "
+                          f"the record {family.value!r}")
+    for name, dim in (("x", world.cfg.d_x), ("q", world.cfg.d_q)):
+        if len(getattr(query, name)) != dim:
+            raise ConfigError(f"{where}: {name!r} has {len(getattr(query, name))} "
+                              f"features, the world {dim}")
+    gt = _gt_from_payload(family, payload, where, spec.space)
+    known = world.query_of_uid(uid)
+    if known is not None and (known.task != task or not np.array_equal(known.x, query.x)
+                              or not np.array_equal(known.q, query.q)):
+        raise ConfigError(f"{where}: uid {uid} is a query of the world with another "
+                          f"task or features; a new query needs a uid of its own")
     return LabeledQuery(query, gt)
 
 
@@ -192,7 +256,8 @@ def import_tools(path):
                 for t, elements in rec["reference_sets"].items():
                     refs[int(t)] = [
                         (np.asarray(e["x"], dtype=np.float64),
-                         _gt_from_payload(TaskFamily(e["family"]), e["gt"]),
+                         _gt_from_payload(TaskFamily(e["family"]), e["gt"],
+                                          f"{path}:{lineno}"),
                          _pred_from_payload(e["pred"]))
                         for e in elements]
                 tool = Tool(

@@ -36,9 +36,13 @@ tables never outgrow the splits. ``SimWorld.tool_outcomes`` is the batched
 reader; ``cost_array`` (``tool_cost`` is its one-pair call) reads costs
 through it, ``cost_matrix`` fills and gathers a dense block of table pairs
 directly (finding each tool's column and each query's row once), and
-``tool_prediction`` reads one pair's output from the same table. The tables are fields the dataclass
-does not take as arguments, so ``dataclasses.replace`` of a world gives a
-copy with empty tables.
+``tool_prediction`` reads one pair's output from the same table. A read
+whose pairs share one query object (a one-query route: Oracle's ``route``,
+the selector's ``predict_fn`` in a one-item forward, ``tool_prediction``,
+``tool_cost``) finds that query's row once and reads it with
+``_OutcomeTable.fill_row``. The tables are fields the dataclass does not
+take as arguments, so ``dataclasses.replace`` of a world gives a copy with
+empty tables.
 
 ``keyed_rngs`` seeds a batch of keyed RNGs at once. For at least
 ``BATCH_SEEDING_MIN`` keys of at most four entries, each below 2**32 (every
@@ -111,9 +115,6 @@ BATCH_SEEDING_MIN = 20
 # Levels of an outcome table's ``filled`` array: nothing yet, the output,
 # the output and its cost.
 EMPTY, DRAWN, SCORED = 0, 1, 2
-# Up to this many pairs, rows, columns and duplicates are looked up with
-# Python scalars: below it numpy's per-call overhead outweighs the arrays.
-SCALAR_PAIRS_MAX = 16
 # Queries per sampled block in generate_world. Whole (split, task) blocks of
 # 1250 queries make temporaries above glibc's 128 KB mmap threshold; they
 # raised peak RSS on the train benchmark by about 1 MB.
@@ -328,18 +329,34 @@ class SimWorld:
         return out
 
     def _task_outcomes(self, task, positions, tools, queries, lqs):
+        """``TaskOutcomes`` of the pairs of one task. Pairs of one query
+        object whose tools are all valid and in the population are read
+        from the query's table row (``_OutcomeTable.fill_row``); any other
+        read finds each pair's row and column, fills the tabled pairs with
+        ``_OutcomeTable.fill`` and computes the rest without storing them."""
         spec = self.task_spec(task)
         n = len(tools)
-        valid = np.fromiter((task in tool.supported_tasks for tool in tools), bool, n)
         table = self._table(task)
+        level = DRAWN if lqs is None else SCORED
+        query, lq = queries[0], None if lqs is None else lqs[0]
+        if all(q is query for q in queries) and (lqs is None or all(o is lq for o in lqs)):
+            row = table.row_of(query, lq)
+            cols = [table.tools.row_of(tool) if row >= 0 and task in tool.supported_tasks
+                    else -1 for tool in tools]
+            if min(cols) >= 0:
+                table.fill_row(self, row, cols, level)
+                return TaskOutcomes(task, positions, np.ones(n, dtype=bool),
+                                    table.outputs[row, cols], table.costs[row, cols])
+            rows, cols = np.full(n, row), np.array(cols)
+        else:
+            rows, cols = table.rows(queries, lqs), table.tools.rows(tools)
+        valid = np.fromiter((task in tool.supported_tasks for tool in tools), bool, n)
         outputs = np.empty((n,) + table.outputs_shape, table.outputs_dtype)
         costs = np.full(n, np.nan)
-        rows = table.rows(queries, lqs)
-        cols = table.tools.rows(tools)
         tabled = valid & (rows >= 0) & (cols >= 0)
         if tabled.any():
             rows, cols = rows[tabled], cols[tabled]
-            table.fill(self, rows, cols, DRAWN if lqs is None else SCORED)
+            table.fill(self, rows, cols, level)
             outputs[tabled] = table.outputs[rows, cols]
             costs[tabled] = table.costs[rows, cols]
         loose = np.flatnonzero(valid & ~tabled)
@@ -359,8 +376,11 @@ class SimWorld:
     def cost_array(self, tools, lqs):
         """Realized cost of ``tools[i]`` on labeled query ``lqs[i]`` as one
         array, NaN where the tool does not support the query's task."""
+        groups = self.tool_outcomes(tools, [lq.query for lq in lqs], lqs)
+        if len(groups) == 1:         # one task: its costs are the batch's, in order
+            return groups[0].costs
         out = np.full(len(tools), np.nan)
-        for group in self.tool_outcomes(tools, [lq.query for lq in lqs], lqs):
+        for group in groups:
             out[group.positions] = group.costs
         return out
 
@@ -410,7 +430,7 @@ class SimWorld:
         col = table.tools.row_of(tool) if row >= 0 else -1
         if col < 0:
             return tool_predict(self, tool, query, self._pair_rng(tool, query))
-        table.fill(self, np.array([row]), np.array([col]), DRAWN)
+        table.fill_row(self, row, [col], DRAWN)
         return _prediction(spec, table.outputs[row, col])
 
     def tool_cost(self, tool, lq):
@@ -455,10 +475,6 @@ class _OutcomeTable:
         n = len(queries)
         if not len(self._run_uid):
             return np.full(n, -1)
-        if n <= SCALAR_PAIRS_MAX:
-            return np.array([self.row_of(query) for query in queries] if lqs is None else
-                            [self.row_of(query, lq) for query, lq in zip(queries, lqs)],
-                            dtype=np.int64)
         try:
             uids = np.array([query.uid for query in queries], dtype=np.int64)
         except OverflowError:
@@ -473,7 +489,7 @@ class _OutcomeTable:
         return np.where(same & (rows >= 0), rows, -1)
 
     def row_of(self, query, lq=None):
-        """``rows`` of one query, in Python scalars."""
+        """``rows`` of one query, as a Python int."""
         uids, firsts, lengths = self._runs
         run = bisect.bisect_right(uids, query.uid) - 1
         if run < 0 or query.uid - uids[run] >= lengths[run]:
@@ -483,29 +499,50 @@ class _OutcomeTable:
         return row if (own is lq if lq is not None else own.query is query) else -1
 
     def fill(self, world, rows, cols, level=SCORED):
-        """Bring the pairs (rows, cols) to ``filled`` level ``level``, in one
-        pass over the ones below it (duplicates computed once): outputs by
-        ``_draw`` for pairs at ``EMPTY``, then, for ``SCORED``, costs by
-        ``_score``. Prediction-only readers leave costs unscored."""
+        """Bring the pairs (rows, cols) to ``filled`` level ``level``: the
+        distinct pairs below it, found with array operations, are filled in
+        one ``_fill_missing`` pass. Prediction-only readers (``DRAWN``) leave
+        costs unscored."""
+        filled = self._levels()
+        missing = filled[rows, cols] < level
+        if not missing.any():
+            return
+        width = filled.shape[1]
+        rows, cols = np.divmod(np.unique(rows[missing] * width + cols[missing]), width)
+        empty = filled[rows, cols] == EMPTY
+        self._fill_missing(world, rows, cols, level, None if empty.all() else empty)
+
+    def fill_row(self, world, row, cols, level):
+        """``fill`` of the pairs (row, c) of one row, ``cols`` a list of
+        columns: the row's levels are read once, as Python ints, and its
+        distinct columns below ``level`` filled in one ``_fill_missing``
+        pass, without ``fill``'s array bookkeeping."""
+        levels = self._levels()[row].tolist()
+        missing = sorted({col for col in cols if levels[col] < level})
+        if missing:
+            empty = [levels[col] == EMPTY for col in missing]
+            self._fill_missing(world, np.full(len(missing), row), np.array(missing), level,
+                               None if all(empty) else np.array(empty))
+
+    def _levels(self):
+        """The ``filled`` levels, allocated with the costs and outputs on
+        first use."""
         if self.filled is None:
             shape = (len(self.lqs), len(self.tools.tools))
             self.filled = np.zeros(shape, dtype=np.int8)
             self.costs = np.zeros(shape)
             self.outputs = np.zeros(shape + self.outputs_shape, self.outputs_dtype)
-        missing = self.filled[rows, cols] < level
-        if not missing.any():
-            return
-        rows, cols = rows[missing], cols[missing]
-        if len(rows) > SCALAR_PAIRS_MAX:
-            rows, cols = np.divmod(np.unique(rows * self.filled.shape[1] + cols),
-                                   self.filled.shape[1])
-        elif len(rows) > 1:
-            rows, cols = np.array(sorted(set(zip(rows.tolist(), cols.tolist())))).T
+        return self.filled
+
+    def _fill_missing(self, world, rows, cols, level, empty):
+        """Bring distinct pairs below ``level`` to it: outputs by ``_draw``
+        for the pairs at ``EMPTY`` (the mask ``empty``, None when all are),
+        then, for ``SCORED``, costs by ``_score``. The query arrays are
+        built on the first call."""
         if self.data is None:
             self.data = _Rows(self.spec, [lq.query for lq in self.lqs],
                               [lq.gt for lq in self.lqs], boxes_from_gt=True)
-        empty = self.filled[rows, cols] == EMPTY
-        if empty.all():
+        if empty is None:
             outputs = self._draw_into(world, rows, cols)
         else:
             if empty.any():
@@ -555,15 +592,13 @@ class _TaskTools:
                                                    for row in _raw_label_rows(counts[i])]
 
     def row_of(self, tool):
-        """``rows`` of one tool, in Python scalars."""
+        """``rows`` of one tool, as a Python int."""
         row = self._row_dict.get(tool.index, -1)
         return row if row >= 0 and self.tools[row] is tool else -1
 
     def rows(self, tools):
         """Row of each tool, -1 for a tool not in the list (by index and identity)."""
         n = len(tools)
-        if n <= SCALAR_PAIRS_MAX:
-            return np.array([self.row_of(tool) for tool in tools], dtype=np.int64)
         index = np.fromiter((tool.index for tool in tools), np.int64, n)
         rows = self._row_of[np.minimum(index, len(self._row_of) - 1)]
         same = self._ids[rows] == np.fromiter(map(id, tools), np.int64, n)
@@ -1201,16 +1236,16 @@ def _draw(world, spec, tools, tool_rows, data, rows, rngs):
             words = rngs.words(2)
             wrong = (_uniforms(words[:, 0]) >= np.array(kappas)) & (counts > 1)
             picks, redraw = _bounded(words[:, 1] & _LO32, counts - 1)
+            labels = np.where(wrong, picks + (picks >= correct), correct)
             by_rng = np.flatnonzero(wrong & redraw).tolist()
         else:
-            wrong, picks, by_rng = np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64), range(n)
+            labels, by_rng = correct, range(n)
+        counts, correct = counts.tolist(), correct.tolist()
         for i in by_rng:
             rng = rngs[i]
-            count = int(counts[i])
-            wrong[i] = rng.random() >= kappas[i] and count > 1
-            if wrong[i]:
-                picks[i] = rng.integers(count - 1)
-        labels = np.where(wrong, picks + (picks >= correct), correct)
+            if rng.random() >= kappas[i] and counts[i] > 1:
+                pick = int(rng.integers(counts[i] - 1))
+                labels[i] = pick + (pick >= correct[i])
         return tools.aligned[tool_rows, labels]
     if spec.family is TaskFamily.GROUNDING:
         normals = np.empty((n, 4))
@@ -1220,30 +1255,30 @@ def _draw(world, spec, tools, tool_rows, data, rows, rngs):
         return _perturb_boxes(data.truth[rows], scales, normals)
     truth, counts = data.truth[rows], data.n_true[rows]
     n_vocab = len(spec.space.pair_vocab)
+    kappa, every = np.array(kappas), np.arange(n)
     draws = np.ones((n, truth.shape[1] + 1))
     extra = np.full(n, n_vocab)
     if from_words:
         words = rngs.words(int(counts.max()) + 2)
         width = words.shape[1] - 1
-        every = np.arange(n)
         uniforms = _uniforms(words[:, :width])
         draws[:, :width] = np.where(np.arange(width) <= counts[:, None], uniforms, 1.0)
-        adds = uniforms[every, counts] < 1.0 - np.array(kappas)
+        adds = uniforms[every, counts] < 1.0 - kappa
         picks, redraw = _bounded(words[every, counts + 1] & _LO32, n_vocab)
         extra[adds] = picks[adds]
         by_rng = np.flatnonzero(adds & redraw).tolist()
     else:
         by_rng = range(n)
+    counts = counts.tolist()
     for i in by_rng:
         rng = rngs[i]
-        count = int(counts[i])
+        count = counts[i]
         rng.random(out=draws[i, :count + 1])
         if draws[i, count] < 1.0 - kappas[i]:
             extra[i] = rng.integers(n_vocab)
-    kept = draws[:, :-1] < np.array(kappas)[:, None]
     out = np.zeros((n, n_vocab + 1), dtype=bool)
-    out[np.arange(n)[:, None], np.where(kept, truth, n_vocab)] = True
-    out[np.arange(n), extra] = True
+    out[every[:, None], np.where(draws[:, :-1] < kappa[:, None], truth, n_vocab)] = True
+    out[every, extra] = True
     return out[:, :n_vocab]
 
 

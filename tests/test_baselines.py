@@ -264,6 +264,47 @@ def test_route_batch_equals_routing_one_at_a_time(small_world):
         assert all(isinstance(slot, int) for slot in chunks)
 
 
+def test_oracle_route_equals_route_batch_with_ties_and_repeated_tools(small_world):
+    """Over every query of a split, with panels that repeat tools (equal
+    costs, so ties) and hold invalid tools, Oracle's one-item ``route`` (the
+    one-row read) and its ``route_batch`` over chunks of every task (the
+    array read) both pick the slot ``argmin`` picks over the costs
+    ``tool_cost`` gives, ties to the lowest slot, each on a fresh world."""
+    from toolselect.domain import Panel
+    w = small_world
+    rng = np.random.default_rng(4)
+    items = []
+    for lq in w.splits["val"] + w.splits["test"]:
+        pop = w.populations[lq.query.task]
+        picks = rng.integers(0, len(pop), size=3)
+        invalid = next(t for t in w.all_tools if lq.query.task not in t.supported_tasks)
+        tools = [pop[i] for i in picks] + [invalid, pop[picks[0]], pop[picks[1]]]
+        if not any(lq.query.task in t.supported_tasks for t in tools):
+            tools.append(next(t for t in pop if lq.query.task in t.supported_tasks))
+        items.append((lq, Panel(task=lq.query.task, tools=tuple(tools))))
+    order = rng.permutation(len(items))
+    items = [items[i] for i in order]   # chunks mix tasks
+    reference = dataclasses.replace(w)
+    want = []
+    for lq, panel in items:
+        costs = [reference.tool_cost(tool, lq) for tool in panel.tools]
+        want.append(int(np.argmin([np.inf if c is None else c for c in costs])))
+    one = OracleRouter(dataclasses.replace(w))
+    batched = OracleRouter(dataclasses.replace(w))
+    assert [one.route(lq, panel, None) for lq, panel in items] == want
+    chunks = []
+    for lo in range(0, len(items), 23):
+        chunks += batched.route_batch(items[lo:lo + 23], None)
+    assert chunks == want
+    # a repeated tool ties with itself, and the earliest of its slots wins
+    repeated = 0
+    for (_, panel), slot in zip(items, want):
+        same = [j for j, tool in enumerate(panel.tools) if tool is panel.tools[slot]]
+        assert same[0] == slot
+        repeated += len(same) > 1
+    assert repeated > 50
+
+
 def test_oracle_route_batch_raises_on_a_panel_without_valid_slot():
     panel = _Panel([_Tool(0, supported=(1,)), _Tool(1, supported=(1,))])
     with pytest.raises(NoValidCandidateError):

@@ -232,7 +232,12 @@ def _route_probe(tmp_path, cfg_path, capsys, edit):
     capsys.readouterr()
     code = run(["route", "--config", cfg_path, "--out", str(out), "--input", str(path),
                 "--panel-size", "4"])
-    return code, capsys.readouterr().err, str(path)
+    captured = capsys.readouterr()
+    return code, captured.err, str(path), captured.out
+
+
+def _set_box(record, box):
+    record.update(family="grounding", gt={"box": box})
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -247,15 +252,49 @@ def _route_probe(tmp_path, cfg_path, capsys, edit):
     (lambda r: r.update(uid=0), "uid 0 is a query of the world with another task or features"),
     (lambda r: r.update(uid=110), "uid 110 is a query of the world"),
     (lambda r: r["x"].__setitem__(0, r["x"][0] + 1e-9), "is a query of the world"),
+    (lambda r: r.update(uid=1000000000.5), "'uid' must be an integer, got 1000000000.5"),
+    (lambda r: r.update(uid=float(r["uid"])), "'uid' must be an integer, got "),
+    (lambda r: r.update(uid=True), "'uid' must be an integer, got true"),
+    (lambda r: r.update(task=0.7), "'task' must be an integer, got 0.7"),
+    (lambda r: r.update(task=False), "'task' must be an integer, got false"),
+    (lambda r: r.update(x=[True] * len(r["x"])), "'x' must be a list of numbers, got [true, "),
+    (lambda r: r["q"].__setitem__(2, False), "'q' must be a list of numbers"),
+    (lambda r: r.update(x="0.5"), "'x' must be a list of numbers, got \"0.5\""),
+    (lambda r: r.update(gt={"label": 99}), "'gt.label' 99 is not a label of task 0 (0..4)"),
+    (lambda r: r.update(gt={"label": -1}), "'gt.label' -1 is not a label of task 0 (0..4)"),
+    (lambda r: r.update(gt={"label": 1.0}), "'gt.label' must be an integer, got 1.0"),
+    (lambda r: r.update(gt={"label": True}), "'gt.label' must be an integer, got true"),
+    (lambda r: r.update(gt=[1]), "'gt' must be an object, got [1]"),
+    (lambda r: r.update(family="grounding"),
+     "task 0 has family 'classification', the record 'grounding'"),
+    (lambda r: r.update(family="no-such-family"), "'family' must be one of classification, "),
+    (lambda r: (r.update(task=1), _set_box(r, [0.1, 0.2, 0.3])),
+     "'gt.box' must be 4 coordinates in [0, 1]"),
+    (lambda r: (r.update(task=1), _set_box(r, [0.1, 0.2, 0.3, 1.5])),
+     "'gt.box' must be 4 coordinates in [0, 1]"),
+    (lambda r: (r.update(task=1), _set_box(r, [0.1, 0.2, True, 0.5])),
+     "'gt.box' must be a list of numbers"),
+    (lambda r: r.update(task=2, family="report_generation", gt={"pairs": [[0, 1], [6, 0]]}),
+     "'gt.pairs' [(6, 0)] are not pairs of task 2"),
+    (lambda r: r.update(task=2, family="report_generation", gt={"pairs": [[0, 1.0]]}),
+     "'gt.pairs' must be an integer, got 1.0"),
+    (lambda r: r.update(task=2, family="report_generation", gt={"pairs": [[0, 1, 2]]}),
+     "'gt.pairs' must be a list of [finding, location] pairs"),
 ], ids=["missing_key", "short_x", "long_q", "nan_x", "inf_q", "task_outside_world",
         "family_mismatch", "negative_uid", "uid_of_a_training_query",
-        "uid_of_a_reference_pool_query", "own_uid_other_features"])
+        "uid_of_a_reference_pool_query", "own_uid_other_features", "fractional_uid",
+        "integral_float_uid", "boolean_uid", "fractional_task", "boolean_task", "boolean_x",
+        "boolean_in_q", "string_x", "label_past_the_space", "negative_label", "float_label",
+        "boolean_label", "gt_not_an_object", "grounding_record_of_a_classification_task",
+        "unknown_family", "three_box_coordinates", "box_outside_unit_square", "boolean_box",
+        "pair_past_the_vocabulary", "float_in_a_pair", "three_entry_pair"])
 def test_route_rejects_bad_records_with_an_error_line(tmp_path, cfg_path, capsys, edit,
                                                       message):
-    code, err, path = _route_probe(tmp_path, cfg_path, capsys, edit)
+    code, err, path, out = _route_probe(tmp_path, cfg_path, capsys, edit)
     assert code == 2
     assert err.startswith(f"error: {path}:1: ") and message in err, err
     assert "Traceback" not in err
+    assert out == ""
 
 
 # -------------------------------------------------- train config values

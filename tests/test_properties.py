@@ -88,6 +88,55 @@ def test_parse_record_on_arbitrary_records_raises_only_config_error(small_world,
     out = _parses_or_config_error(line, small_world)
     if out is not None:
         assert out.query.uid >= 0 and 0 <= out.query.task < len(small_world.tasks)
+        assert type(record["uid"]) is int and type(record["task"]) is int
+
+
+SCALARS = (st.none() | st.booleans() | st.integers(-3, 30) | st.integers(10**6, 2**70)
+           | st.floats() | st.floats(0.0, 1.0) | st.text(max_size=3))
+
+
+@given(st.integers(0, 3), st.sampled_from(["uid", "task", "x", "q", "gt"]), SCALARS)
+def test_parse_record_reads_only_integers_numbers_and_labels_of_the_task(small_world, task,
+                                                                         field, value):
+    """A new query's export record with one entry replaced: ``uid``,
+    ``task``, ``x[0]``, ``q[0]`` or the ground truth's label, option, first
+    box coordinate or first pair's finding. It parses only when the entry is
+    a JSON integer (a number for features and boxes, never a boolean) inside
+    the world's ranges, and then holds exactly that value."""
+    from toolselect.datasets import _gt_payload
+    spec = small_world.task_spec(task)
+    lq = sample_query(small_world, task, np.random.default_rng(task), uid=10**6 + task)
+    record = {"uid": lq.query.uid, "task": task, "family": spec.family.value,
+              "x": lq.query.x.tolist(), "q": lq.query.q.tolist(), "gt": _gt_payload(lq.gt)}
+    (key,) = record["gt"]
+    if field in ("x", "q"):
+        record[field][0] = value
+    elif field == "gt" and key == "box":
+        record["gt"]["box"][0] = value
+    elif field == "gt" and key == "pairs":
+        record["gt"]["pairs"][0][0] = value
+    elif field == "gt":
+        record["gt"][key] = value
+    else:
+        record[field] = value
+    out = _parses_or_config_error(json.dumps(record), small_world)
+    if out is None:
+        return
+    assert not isinstance(value, bool) and isinstance(value, (int, float))
+    if field in ("uid", "task") or (field == "gt" and key != "box"):
+        assert type(value) is int
+    if field == "uid":
+        assert out.query.uid == value >= 0 and small_world.query_of_uid(value) is None
+    elif field == "task":
+        assert value == task
+    elif field in ("x", "q"):
+        assert np.isfinite(value) and getattr(out.query, field)[0] == value
+    elif key == "box":
+        assert 0.0 <= value <= 1.0 and out.gt.box[0] == value
+    elif key == "pairs":
+        assert all(pair in spec.space.pair_vocab for pair in out.gt.pairs)
+    else:
+        assert value in spec.space.labels and getattr(out.gt, key) == value
 
 
 # ----------------------------------------------------------- batched seeding

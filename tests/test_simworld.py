@@ -620,6 +620,115 @@ def test_cost_matrix_equals_one_cost_array_per_pair(small_world, monkeypatch):
     assert got.tobytes() == want.tobytes()
 
 
+def _outcome_bytes(groups, n):
+    """Validity, output and (where valid) cost of each pair of a
+    ``tool_outcomes`` read, as bytes, in batch order."""
+    out = [None] * n
+    for g in groups:
+        for k, pos in enumerate(g.positions.tolist()):
+            valid = bool(g.valid[k])
+            out[pos] = (bytes([valid]) + g.outputs[k].tobytes()
+                        + (g.costs[k].tobytes() if valid else b""))
+    return out
+
+
+def _reference_outcome(world, tool, lq):
+    """``_outcome_bytes`` of one pair from ``tool_predict`` with a fresh keyed
+    generator and ``domain.cost``."""
+    from toolselect.simworld import _null_output, _output_layout
+    spec = world.task_spec(lq.query.task)
+    if not validity(tool, lq.query):
+        return bytes([False]) + _null_output(spec).tobytes()
+    pred = tool_predict(world, tool, lq.query, world._pair_rng(tool, lq.query))
+    if spec.family in CATEGORICAL_FAMILIES:
+        output = pred.probs
+    elif spec.family is TaskFamily.GROUNDING:
+        output = np.array(pred.box)
+    else:
+        output = np.array([pair in pred.pairs for pair in spec.space.pair_vocab])
+    c = cost(spec.family, pred, lq.gt, clipped_xent=world.cfg.clipped_xent)
+    return (bytes([True]) + output.astype(_output_layout(spec)[1]).tobytes()
+            + np.float64(c).tobytes())
+
+
+@pytest.mark.parametrize("scored_first", [False, True])
+def test_one_query_reads_equal_mixed_chunk_reads_and_tool_predict(small_world, scored_first,
+                                                                  monkeypatch):
+    """Reads of one query object's pairs equal the same pairs read in one
+    shuffled mixed-task chunk, and per-pair ``tool_predict`` with a fresh
+    keyed generator and ``domain.cost``, bit for bit. Each query is read
+    with a repeated tool, and again with an invalid tool and a copy of a
+    population tool (a tool outside the population); predictions of part of
+    its pairs come before or after the costs, so its row holds mixed fill
+    levels. Split queries of every task, a split query under another
+    labeled-query object, a reference-pool query and a new query are read.
+    Both worlds end up storing the same tables."""
+    from toolselect.simworld import _OutcomeTable
+    row_reads, drawn = [], []
+    fill_row, draw_into = _OutcomeTable.fill_row, _OutcomeTable._draw_into
+
+    def counted_read(self, world, row, cols, level):
+        row_reads.append(row)
+        return fill_row(self, world, row, cols, level)
+
+    def counted_draw(self, world, rows, cols):
+        if world is one:
+            drawn.extend((self.spec.task, r, c) for r, c in zip(rows.tolist(), cols.tolist()))
+        return draw_into(self, world, rows, cols)
+
+    monkeypatch.setattr(_OutcomeTable, "fill_row", counted_read)
+    monkeypatch.setattr(_OutcomeTable, "_draw_into", counted_draw)
+    w = small_world
+    one, chunk = dataclasses.replace(w), dataclasses.replace(w)
+    split_lqs = [split[k] for split in w.splits.values() for k in (0, 5, -1)]
+    lqs = split_lqs + [dataclasses.replace(w.splits["val"][2]), w.ref_pools[2][0],
+                       sample_query(w, 3, np.random.default_rng(5), uid=10**7)]
+    reads = []   # (tools, labeled query) of each one-query read
+    for lq in lqs:
+        task = lq.query.task
+        valid = [tool for tool in w.populations[task] if task in tool.supported_tasks]
+        invalid = next(t for t in w.all_tools if task not in t.supported_tasks)
+        reads.append(([valid[1], valid[0], valid[1]] + valid[2:], lq))
+        reads.append(([valid[-1], invalid, valid[0], dataclasses.replace(valid[0]), valid[-1]],
+                      lq))
+    got = []
+    for tools, lq in reads:
+        part = tools[::2]
+        if not scored_first:
+            one.tool_outcomes(part, [lq.query] * len(part))
+        got += _outcome_bytes(one.tool_outcomes(tools, [lq.query] * len(tools),
+                                                [lq] * len(tools)), len(tools))
+        if scored_first:
+            one.tool_outcomes(part, [lq.query] * len(part))
+    # the same reads in two chunks of every query: the predictions in
+    # reverse order, the costs shuffled
+    part_tools = [tool for tools, _ in reads[::-1] for tool in tools[::2]]
+    part_queries = [lq.query for tools, lq in reads[::-1] for _ in tools[::2]]
+    pairs = [(tool, lq) for tools, lq in reads for tool in tools]
+    order = np.random.default_rng(11).permutation(len(pairs))
+    if not scored_first:
+        chunk.tool_outcomes(part_tools, part_queries)
+    mixed = _outcome_bytes(chunk.tool_outcomes([pairs[i][0] for i in order],
+                                               [pairs[i][1].query for i in order],
+                                               [pairs[i][1] for i in order]), len(pairs))
+    if scored_first:
+        chunk.tool_outcomes(part_tools, part_queries)
+    in_order = [None] * len(pairs)
+    for k, i in enumerate(order.tolist()):
+        in_order[i] = mixed[k]
+    want = [_reference_outcome(w, tool, lq) for tool, lq in pairs]
+    assert got == want
+    assert in_order == want
+    assert _stored(one) == _stored(chunk)
+    # reads of only valid population tools read one row: per split query
+    # both reads of predictions and one of costs; per foreign labeled query
+    # (its query is a split query) only the two reads of predictions
+    assert len(row_reads) == 3 * len(split_lqs) + 2
+    # every tabled pair was drawn once, however many reads asked for it
+    assert len(drawn) == len(set(drawn)) == sum(
+        int((t.filled > 0).sum()) for t in one._tables.values() if t.filled is not None)
+
+
 def test_query_of_uid_is_the_first_split_then_pool_query(small_world):
     w = dataclasses.replace(small_world)
     split_query = w.splits["val"][3].query
