@@ -19,7 +19,7 @@ One batched forward scores B (query, panel) items at once:
 ``SelectorModel.select`` is the forward of a one-item batch.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -340,54 +340,40 @@ def coverage_rows(params, cfg, features):
 
 
 @dataclass
-class BatchTensors:
-    """Stacked differentiable outputs of one batched forward over B items."""
-    probs_t: object         # Tensor (B, M): selection distribution per row, M the largest panel
-    scores_t: object        # Tensor (B, M): raw scores, zero on invalid and padding slots
-    mask: np.ndarray        # (B, M) valid slots
-    coverage_t: object      # Tensor (P,): coverage per distinct (example, tool) pair, or None
-    slot_pair: np.ndarray   # (V,) pair of each valid slot, in row-major slot order
-
-
-@dataclass
 class SelectionDistribution:
-    """One item's selection distribution: a row of a ``BatchTensors``."""
+    """One item's selection distribution over its panel's slots."""
     scores: np.ndarray
     mask: np.ndarray
     probs: np.ndarray
     selected: int
-    batch: BatchTensors = field(default=None, repr=False, compare=False)
-    row: int = 0
-
-    def _row_of(self, t):
-        width = self.batch.mask.shape[1]
-        flat = dc.reshape(t, (t.data.size,))
-        return dc.take_rows(flat, self.row * width + np.arange(len(self.mask)))
-
-    @cached_property
-    def probs_t(self):
-        return self._row_of(self.batch.probs_t)
-
-    @cached_property
-    def scores_t(self):
-        return self._row_of(self.batch.scores_t)
-
-    @cached_property
-    def coverage_t(self):
-        """Coverage over this item's valid slots, or None without a coverage head."""
-        if self.batch.coverage_t is None:
-            return None
-        start = int(self.batch.mask[:self.row].sum())
-        pairs = self.batch.slot_pair[start:start + int(self.mask.sum())]
-        return dc.take_rows(self.batch.coverage_t, pairs)
 
 
 @dataclass
 class BatchForward:
-    """Outputs of one batched forward: per-item distributions and the
-    stacked tensors they are rows of."""
-    dists: list
-    tensors: BatchTensors
+    """Outputs of one batched forward over B items, M the widest panel: the
+    stacked tensors the objective reads, and per-item distributions built
+    only when read."""
+    probs_t: object         # Tensor (B, M): selection distribution per row
+    scores_t: object        # Tensor (B, M): raw scores, zero on invalid and padding slots
+    mask: np.ndarray        # (B, M) valid slots
+    coverage_t: object      # Tensor (P,): coverage per distinct (example, tool) pair, or None
+    slot_pair: np.ndarray   # (V,) pair of each valid slot, in row-major slot order
+    tasks: np.ndarray       # (B,) task of each item
+    widths: list            # panel size of each item
+
+    @property
+    def selected(self):
+        """Each item's selected slot, the first of its most probable ones:
+        the padding slots of narrower panels hold probability 0."""
+        return self.probs_t.data.argmax(axis=1).tolist()
+
+    @cached_property
+    def dists(self):
+        """Each item's ``SelectionDistribution`` over its own panel's slots."""
+        probs, scores = self.probs_t.data, self.scores_t.data
+        return [SelectionDistribution(scores=scores[i, :m].copy(), mask=self.mask[i, :m].copy(),
+                                      probs=probs[i, :m].copy(), selected=selected)
+                for i, (m, selected) in enumerate(zip(self.widths, self.selected))]
 
 
 class SelectorModel:
@@ -517,14 +503,7 @@ class SelectorModel:
         if with_coverage:
             coverage_t = dc.reshape(coverage_rows(
                 self.params, self.cfg, dc.concat_cols([u_pairs, psi])), (n_pairs,))
-        tensors = BatchTensors(probs_t=probs_t, scores_t=scores_t, mask=mask,
-                               coverage_t=coverage_t,
-                               slot_pair=np.asarray(slot_pair, dtype=np.intp))
-        dists = []
-        for i, (_, panel) in enumerate(items):
-            m = len(panel.tools)
-            probs = probs_t.data[i, :m].copy()
-            dists.append(SelectionDistribution(
-                scores=scores_t.data[i, :m].copy(), mask=mask[i, :m].copy(), probs=probs,
-                selected=int(np.argmax(probs)), batch=tensors, row=i))
-        return BatchForward(dists=dists, tensors=tensors)
+        return BatchForward(probs_t=probs_t, scores_t=scores_t, mask=mask,
+                            coverage_t=coverage_t, slot_pair=np.asarray(slot_pair, dtype=np.intp),
+                            tasks=np.array([q.task for q in queries]),
+                            widths=[len(panel.tools) for _, panel in items])

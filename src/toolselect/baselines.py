@@ -287,9 +287,9 @@ class ToolSelectRouter(Router):
         self.model = model.detached()
         self._cache = {}
 
-    def distributions(self, items):
-        """The selection distributions of the items, from one batched forward."""
-        return self.model.batch_forward(items, with_coverage=False, cache=self._cache).dists
+    def forward(self, items):
+        """The ``BatchForward`` of the items, without the coverage head."""
+        return self.model.batch_forward(items, with_coverage=False, cache=self._cache)
 
     def route_batch(self, items, rng):
-        return [dist.selected for dist in self.distributions(items)]
+        return self.forward(items).selected

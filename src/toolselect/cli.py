@@ -35,7 +35,8 @@ _WORLD_FIELDS = {f.name: f for f in dataclasses.fields(WorldConfig)}
 # default_selector_config derives these from the world
 _SELECTOR_FIELDS = {f.name: f for f in dataclasses.fields(SelectorConfig)
                     if f.name not in ("task_label_counts", "eta_dim")}
-_TRAIN_FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
+# the training seed is --seed
+_TRAIN_FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig) if f.name != "seed"}
 _OBJECTIVE_FIELDS = {f.name: f for f in dataclasses.fields(ObjectiveConfig)}
 
 
@@ -152,12 +153,8 @@ def _build_parser():
     return parser
 
 
-def _load_world(cfg, seed):
-    return generate_world(cfg.world, seed)
-
-
 def cmd_simulate(args, cfg):
-    world = _load_world(cfg, args.seed)
+    world = generate_world(cfg.world, args.seed)
     os.makedirs(args.out, exist_ok=True)
     for split in ("train", "val", "test"):
         export_dataset(world, split, os.path.join(args.out, f"{split}.jsonl"))
@@ -168,7 +165,7 @@ def cmd_simulate(args, cfg):
 
 
 def cmd_train(args, cfg):
-    world = _load_world(cfg, args.seed)
+    world = generate_world(cfg.world, args.seed)
     os.makedirs(args.out, exist_ok=True)
     train_cfg = dataclasses.replace(cfg.train, seed=args.seed)
     log_path = os.path.join(args.out, "epochs.log")
@@ -205,7 +202,7 @@ def _toolselect_router(world, cfg, ckpt_path):
 
 
 def cmd_eval(args, cfg):
-    world = _load_world(cfg, args.seed)
+    world = generate_world(cfg.world, args.seed)
     routers = [RandomRouter(), OracleRouter(world),
                GlobalBestRouter.fit(world), KNNRouter.fit(world),
                MLPIndexRouter.fit(world, seed=args.seed)]
@@ -233,7 +230,7 @@ def cmd_route(args, cfg):
         name = args.input
         with open(args.input) as fh:
             lines = fh.read().splitlines()
-    world = _load_world(cfg, args.seed)
+    world = generate_world(cfg.world, args.seed)
     lqs = [parse_record(line, f"{name}:{n}", world)
            for n, line in enumerate(lines or [""], start=1)]
     router = _toolselect_router(world, cfg, os.path.join(args.out, "checkpoint.bin"))
@@ -242,7 +239,7 @@ def cmd_route(args, cfg):
              for lq in lqs]
     for lo in range(0, len(items), CHUNK):
         chunk = items[lo:lo + CHUNK]
-        for (_, panel), dist in zip(chunk, router.distributions(chunk)):
+        for (_, panel), dist in zip(chunk, router.forward(chunk).dists):
             probs = " ".join(f"{p:.6f}" for p in dist.probs)
             print(f"tool={panel.tools[dist.selected].tool_id} slot={dist.selected} "
                   f"probs=[{probs}]")

@@ -323,7 +323,7 @@ def masked_softmax(scores, mask):
     return _make(y, (scores,), back)
 
 
-def attend(query_rows, keys, values, key_mask=None, dk_scale=None):
+def attend(query_rows, keys, values, key_mask=None):
     """Single-head scaled dot-product attention; no output projection.
 
     out[i] = softmax(query_rows[i] . keys^T / sqrt(d_k)) @ values
@@ -347,8 +347,7 @@ def attend(query_rows, keys, values, key_mask=None, dk_scale=None):
         raise ShapeMismatchError(
             f"attend: queries {query_rows.data.shape} do not match keys {keys.data.shape}")
     product = matmul if ndim == 2 else bmm
-    dk = keys.data.shape[-1] if dk_scale is None else dk_scale
-    logits = scale(product(query_rows, transpose(keys)), 1.0 / np.sqrt(dk))
+    logits = scale(product(query_rows, transpose(keys)), 1.0 / np.sqrt(keys.data.shape[-1]))
     if key_mask is None or np.all(key_mask):
         weights = softmax_rows(logits)
     else:

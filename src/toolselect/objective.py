@@ -1,7 +1,7 @@
 """Training losses: hard selection loss, comp-sum surrogate, entropy and
 score regularizers, coverage BCE, and the combined task-marginalized batch
-objective, which reads its examples' panel costs, weights and tasks as
-``(B, M)`` and ``(B,)`` arrays."""
+objective, which reads a batched forward's stacked tensors and its items'
+``(B, M)`` panel costs."""
 
 import math
 from dataclasses import dataclass
@@ -88,7 +88,9 @@ def _valid_sums(costs, valid):
 
 
 def compsum_loss(dist, weights, eps=1e-12):
-    """Logistic comp-sum surrogate: sum over valid slots of w_j * -log(pi_j)."""
+    """Logistic comp-sum surrogate: sum over valid slots of w_j * -log(pi_j).
+
+    ``dist`` is any object with a ``probs_t`` tensor and a ``mask``."""
     logp = dc.log_clamped(dist.probs_t, eps)
     w = np.where(dist.mask, -np.asarray(weights, dtype=np.float64), 0.0)
     return dc.wsum(logp, w)
@@ -116,85 +118,27 @@ def coverage_loss(s_t, costs, eps=1e-12):
     return dc.add(dc.wsum(log_s, -(1.0 - costs) / n), dc.wsum(log_1ms, -costs / n))
 
 
-class BatchExample:
-    """Objective inputs of one row of a ``BatchExamples``: its selection
-    distribution, and its panel costs and task, read on access from the
-    batch's arrays (which it holds, not the list: no reference cycle keeps
-    a step's tape alive)."""
-
-    def __init__(self, dist, batch_pc, tasks):
-        self.dist = dist            # SelectionDistribution, row ``dist.row`` of ``dist.batch``
-        self._batch_pc = batch_pc
-        self._tasks = tasks
-
-    @property
-    def pc(self):
-        i, m = self.dist.row, len(self.dist.mask)
-        return PanelCosts(self._batch_pc.costs[i, :m], self._batch_pc.valid[i, :m])
-
-    @property
-    def task(self):
-        return int(self._tasks[self.dist.row])
-
-    @property
-    def coverage_t(self):
-        """Coverage scores over the row's valid slots, in slot order, or None."""
-        return self.dist.coverage_t
-
-    @property
-    def coverage_costs(self):
-        """Costs of the row's valid slots, which its coverage scores are
-        scored against, or None without a coverage head."""
-        return None if self.dist.batch.coverage_t is None else self.pc.costs[self.dist.mask]
-
-
-class BatchExamples(list):
-    """The rows of one batched forward, in order, as ``BatchExample``s over
-    the batch's ``(B, M)`` ``PanelCosts`` and ``(B,)`` tasks, the arrays
-    ``batch_objective`` reads."""
-
-    def __init__(self, dists, pc, tasks):
-        tasks = np.asarray(tasks)
-        super().__init__(BatchExample(dist, pc, tasks) for dist in dists)
-        self.pc = pc
-        self.tasks = tasks
-
-
-def _checked_batch(examples):
-    """The batched forward whose rows, all of them and in order, the
-    ``BatchExamples`` are; ``ValueError`` for any other list."""
-    batch = examples[0].dist.batch
-    if not isinstance(examples, BatchExamples) or batch is None or \
-            len(examples) != batch.mask.shape[0] or any(
-                ex.dist.batch is not batch or ex.dist.row != i for i, ex in enumerate(examples)):
-        raise ValueError("batch_objective: the examples must be the rows of one batched "
-                         "forward, in order")
-    if not np.array_equal(examples.pc.valid, batch.mask):
-        raise ValueError("batch_objective: the panel costs' valid slots are not the forward's")
-    return batch
-
-
-def batch_objective(cfg, examples, n_tasks):
+def batch_objective(cfg, fwd, pc, n_tasks):
     """Mean task-weighted training loss over a batch; differentiable scalar.
 
-    ``examples`` are a ``BatchExamples``: the rows of one ``batch_forward``,
-    all of them and in order; any other list raises ``ValueError``. Each
-    example's comp-sum weights, task scale and coverage costs come from its
-    ``(B, M)`` panel costs and tasks as array operations. Per example: compsum -
-    lambda_h * entropy + lambda_r * mean(r^2 over valid slots) + lambda_cov *
-    mean coverage BCE, scaled by task_weight * n_tasks so uniform weights are
-    neutral. Each term is one weighted sum over the forward's stacked
-    tensors; ``compsum_loss``, ``entropy_reg`` and ``coverage_loss`` are the
-    per-example definitions these sums reproduce.
+    ``fwd`` is the ``BatchForward`` of B items and ``pc`` their ``(B, M)``
+    ``PanelCosts``, whose valid slots must be ``fwd.mask``; an empty batch
+    or panel costs of another shape or other valid slots raise
+    ``ValueError``. Per item: compsum - lambda_h * entropy + lambda_r *
+    mean(r^2 over valid slots) + lambda_cov * mean coverage BCE, scaled by
+    task_weight * n_tasks so uniform weights are neutral. Each term is one
+    weighted sum over the forward's stacked tensors; ``compsum_loss``,
+    ``entropy_reg`` and ``coverage_loss`` are the per-item definitions these
+    sums reproduce.
     """
-    if not examples:
+    probs, scores, mask, tasks = fwd.probs_t, fwd.scores_t, fwd.mask, fwd.tasks
+    if not len(mask):
         raise ValueError("batch_objective: empty batch")
-    batch = _checked_batch(examples)
-    pc, tasks = examples.pc, examples.tasks
-    probs, scores, mask = batch.probs_t, batch.scores_t, batch.mask
+    if pc.costs.shape != mask.shape or not np.array_equal(pc.valid, mask):
+        raise ValueError("batch_objective: the panel costs' slots are not the forward's")
     weights = (np.full(len(tasks), 1.0 / n_tasks) if cfg.task_weights is None
                else np.asarray(cfg.task_weights, dtype=np.float64)[tasks])
-    scale = weights * n_tasks / len(examples)
+    scale = weights * n_tasks / len(tasks)
     w_comp = compsum_weights(pc)
     logp = dc.log_clamped(probs, cfg.eps)
     loss = dc.wsum(logp, np.where(mask, -w_comp, 0.0) * scale[:, None])
@@ -203,11 +147,11 @@ def batch_objective(cfg, examples, n_tasks):
     if cfg.lambda_r != 0.0:
         per_slot = cfg.lambda_r * scale / mask.sum(axis=1)
         loss = dc.add(loss, dc.wsum(dc.mul(scores, scores), mask * per_slot[:, None]))
-    if cfg.lambda_cov != 0.0 and batch.coverage_t is not None:
-        cov, cov_index = batch.coverage_t, batch.slot_pair
+    if cfg.lambda_cov != 0.0 and fwd.coverage_t is not None:
+        cov, cov_index = fwd.coverage_t, fwd.slot_pair
         # the valid slots' costs and rows, in the row-major order of slot_pair
         costs, owner = pc.costs[mask], np.nonzero(mask)[0]
-        # mean BCE per example: each covered slot weighs 1 / (its example's count)
+        # mean BCE per item: each covered slot weighs 1 / (its item's count)
         weights = cfg.lambda_cov * scale[owner] / np.bincount(owner)[owner]
         n = cov.shape[0]
         w_s = np.bincount(cov_index, weights=-(1.0 - costs) * weights, minlength=n)

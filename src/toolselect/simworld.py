@@ -36,7 +36,7 @@ tables never outgrow the splits. ``SimWorld.tool_outcomes`` is the batched
 reader; ``cost_array`` (``tool_cost`` is its one-pair call) reads costs
 through it, ``cost_matrix`` fills and gathers a dense block of table pairs
 directly (finding each tool's column and each query's row once), and
-``tool_prediction`` reads one pair's output from the same table. A read
+``tool_prediction`` reads one pair's output through it. A read
 whose pairs share one query object (a one-query route: Oracle's ``route``,
 the selector's ``predict_fn`` in a one-item forward, ``tool_prediction``,
 ``tool_cost``) finds that query's row once and reads it with
@@ -121,6 +121,8 @@ EMPTY, DRAWN, SCORED = 0, 1, 2
 QUERY_BLOCK = 256
 # Queries per cost_matrix pass: bounds the temporaries of a dense fill.
 DENSE_ROWS = 512
+# Whole-panel draws sample_panel makes before it gives up.
+PANEL_ATTEMPTS = 100
 
 FAMILY_CYCLE = (
     TaskFamily.CLASSIFICATION,
@@ -419,19 +421,13 @@ class SimWorld:
         return out
 
     def tool_prediction(self, tool, query):
-        """The aligned prediction of a tool on a query: read from the outcome
-        table when the pair has a place in it, else computed by
-        ``tool_predict`` with the pair's keyed RNG."""
+        """The aligned prediction of a tool on a query: the one-pair
+        ``tool_outcomes`` read, tabled when the pair has a place in the
+        outcome table, else drawn with the pair's keyed RNG."""
         spec = self.task_spec(query.task)
         if query.task not in tool.supported_tasks:
             return null_prediction(spec.space)
-        table = self._table(query.task)
-        row = table.row_of(query)
-        col = table.tools.row_of(tool) if row >= 0 else -1
-        if col < 0:
-            return tool_predict(self, tool, query, self._pair_rng(tool, query))
-        table.fill_row(self, row, [col], DRAWN)
-        return _prediction(spec, table.outputs[row, col])
+        return _prediction(spec, self.tool_outcomes([tool], [query])[0].outputs[0])
 
     def tool_cost(self, tool, lq):
         """The one-pair ``cost_array``: None when the tool is invalid."""
@@ -1319,19 +1315,20 @@ def _raw_label_rows(k_tool):
     return raw
 
 
-def sample_panel(population, query, m, rng, max_attempts=100):
-    """Sample m i.i.d. tools; redraw whole panel until one is valid."""
+def sample_panel(population, query, m, rng):
+    """Sample m i.i.d. tools; redraw whole panel until one is valid, at most
+    ``PANEL_ATTEMPTS`` times."""
     if not population:
         raise NoValidPanelError("empty tool population")
     if m < 2:
         raise ValueError("panel size m must be >= 2")
-    for _ in range(max_attempts):
+    for _ in range(PANEL_ATTEMPTS):
         idx = rng.integers(0, len(population), size=m)
         tools = tuple(population[i] for i in idx)
         if any(validity(t, query) for t in tools):
             return Panel(task=query.task, tools=tools)
     raise NoValidPanelError(
-        f"no valid panel for query {query.uid} after {max_attempts} attempts")
+        f"no valid panel for query {query.uid} after {PANEL_ATTEMPTS} attempts")
 
 
 def panels_of(population, task, picks):

@@ -3,9 +3,9 @@ decoupled weight decay, validation-cost tracking, and early stopping.
 
 ``fit`` fills the outcome tables of its training split once, before the
 first step, so every simulator read of a step is a gather. A step's
-objective inputs are ``(B, M)`` arrays over the batch's panel slots
-(``panel_costs``, ``_batch_examples``), and ``AdamW`` updates all parameters
-as one flat buffer.
+objective reads the batched forward's stacked tensors and the batch's
+``(B, M)`` ``panel_costs``, and ``AdamW`` updates all parameters as one flat
+buffer.
 """
 
 import math
@@ -18,7 +18,7 @@ from .anp_selector import SelectorConfig, SelectorModel, encode_slots, init_para
 from .domain import CATEGORICAL_FAMILIES
 from .errors import ConfigError
 from .evalharness import CHUNK, keyed_panels
-from .objective import BatchExamples, ObjectiveConfig, PanelCosts, batch_objective
+from .objective import ObjectiveConfig, PanelCosts, batch_objective
 from .simworld import panels_of, sample_panel
 
 VAL_PANEL_KEY = 7919   # second entry of every validation panel RNG key
@@ -248,21 +248,14 @@ def step_panels(population, lqs, m, rng):
     return [sample_panel(population, lq.query, m, rng) for lq in lqs]
 
 
-def _batch_examples(world, items, fwd):
-    """The objective inputs of a batched forward's rows, as ``BatchExamples``
-    over the items' ``(B, M)`` panel costs, and those panel costs."""
-    pc = panel_costs(world, items)
-    return BatchExamples(fwd.dists, pc, np.array([lq.query.task for lq, _ in items])), pc
-
-
 def _validation_cost(world, model, val_items):
     """Mean realized routed cost of argmax selection on fixed panels."""
     total = 0.0
     for lo in range(0, len(val_items), CHUNK):
         part = val_items[lo:lo + CHUNK]
         fwd = model.batch_forward(part, training=False, with_coverage=False)
-        for c in world.cost_array([panel.tools[dist.selected] for (_, panel), dist
-                                   in zip(part, fwd.dists)], [lq for lq, _ in part]).tolist():
+        for c in world.cost_array([panel.tools[j] for (_, panel), j
+                                   in zip(part, fwd.selected)], [lq for lq, _ in part]).tolist():
             total += c
     return total / len(val_items)
 
@@ -333,8 +326,7 @@ def fit(cfg, world, objective_cfg=None, selector_cfg=None, log_fn=None):
             items = list(zip(lqs, step_panels(world.populations[t], lqs, cfg.panel_size,
                                               panel_rng)))
             fwd = model.batch_forward(items, training=True, rng=dropout_rng)
-            examples, _ = _batch_examples(world, items, fwd)
-            loss = batch_objective(objective_cfg, examples, n_tasks)
+            loss = batch_objective(objective_cfg, fwd, panel_costs(world, items), n_tasks)
             if not np.isfinite(loss.data):
                 raise ValueError(f"non-finite loss at epoch {epoch}")
             dc.zero_grads(params.values())

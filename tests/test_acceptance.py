@@ -41,11 +41,11 @@ from toolselect.simworld import (
 )
 from toolselect.trainer import (
     TrainConfig,
-    _batch_examples,
     _validation_cost,
     build_model,
     default_selector_config,
     fit,
+    panel_costs,
 )
 
 SMALL = dict(n_train=120, n_val=30, n_test=30, n_ref_pool=120,
@@ -87,8 +87,7 @@ def test_criterion1_full_objective_gradient():
 
     def f(ps):
         fwd = model.batch_forward(items, training=False)
-        examples, _ = _batch_examples(world, items, fwd)
-        return batch_objective(ObjectiveConfig(), examples, n_tasks=3)
+        return batch_objective(ObjectiveConfig(), fwd, panel_costs(world, items), n_tasks=3)
 
     err = dc.grad_check(f, plist, h=1e-5)
     elapsed = time.monotonic() - t0
@@ -275,11 +274,9 @@ def _coverage_bce(world, params, seed):
     for lo in range(0, len(items), 64):
         part = items[lo:lo + 64]
         fwd = model.batch_forward(part, training=False, with_coverage=True)
-        examples, _ = _batch_examples(world, part, fwd)
-        for ex in examples:
-            if ex.coverage_t is not None:
-                svals.extend(np.asarray(ex.coverage_t.data).ravel().tolist())
-                costs.extend(np.asarray(ex.coverage_costs).ravel().tolist())
+        pc = panel_costs(world, part)
+        svals.extend(fwd.coverage_t.data[fwd.slot_pair].tolist())
+        costs.extend(pc.costs[fwd.mask].tolist())
     svals = np.asarray(svals)
     costs = np.asarray(costs)
     bce = float(np.mean([coverage_loss_value(s, c) for s, c in zip(svals, costs)]))

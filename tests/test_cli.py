@@ -313,6 +313,7 @@ def test_route_rejects_bad_records_with_an_error_line(tmp_path, cfg_path, capsys
     ("task_label_counts=5,0,0", "unknown config key 'task_label_counts'"),
     ("eta_dim=3", "unknown config key 'eta_dim'"),
     ("n_tasks=4", "unknown config key 'n_tasks'"),
+    ("seed=5", "unknown config key 'seed'"),
     ("lambda_h=nan", "objective config: lambda_h must be finite and non-negative, got nan"),
     ("lambda_r=inf", "objective config: lambda_r must be finite and non-negative, got inf"),
     ("lambda_cov=-1", "objective config: lambda_cov must be finite and non-negative, got -1"),
@@ -322,7 +323,7 @@ def test_route_rejects_bad_records_with_an_error_line(tmp_path, cfg_path, capsys
     ("dropout=1", "selector config: dropout must lie in [0, 1), got 1"),
 ], ids=["weights_too_short", "weights_too_long", "weights_off_simplex", "negative_weight",
         "batch_size_0", "patience_0", "max_epochs_0", "lr_nan", "beta2_1", "panel_size_1",
-        "task_label_counts", "eta_dim", "n_tasks", "lambda_h_nan", "lambda_r_inf",
+        "task_label_counts", "eta_dim", "n_tasks", "seed", "lambda_h_nan", "lambda_r_inf",
         "lambda_cov_negative", "eps_0", "eps_negative", "hidden_0", "dropout_1"])
 def test_train_rejects_unusable_config_before_training(tmp_path, capsys, line, message):
     cfg = tmp_path / "bad.cfg"

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from toolselect import diffcore as dc
-from toolselect.anp_selector import BatchTensors, SelectionDistribution
+from toolselect.anp_selector import BatchForward
 from toolselect.errors import ConfigError
 from toolselect.objective import (
-    BatchExamples,
     ObjectiveConfig,
     PanelCosts,
     batch_objective,
@@ -217,67 +216,62 @@ def _leaves(rows):
     return leaves
 
 
-def _examples(rows, leaves=None):
-    """The rows as the examples of one hand-built batched forward, in order:
-    one ``BatchTensors`` whose coverage has one pair per valid slot."""
+def _forward(rows, leaves=None):
+    """The rows as one hand-built batched forward, whose coverage has one
+    pair per valid slot, and their ``(B, M)`` panel costs."""
     leaves = _leaves(rows) if leaves is None else leaves
     mask = np.zeros(leaves[0].shape, dtype=bool)
     costs = np.zeros(leaves[0].shape)
     for i, r in enumerate(rows):
         mask[i, :len(r[1])] = r[1]
         costs[i, :len(r[2])] = r[2]
-    probs_t = dc.masked_softmax(leaves[0], mask)
-    cov_t = dc.sigmoid(leaves[1]) if len(leaves) > 1 else None
-    batch = BatchTensors(probs_t=probs_t, scores_t=leaves[0], mask=mask, coverage_t=cov_t,
-                         slot_pair=np.arange(int(mask.sum())))
-    dists = []
-    for i, (scores, valid, _, _, _) in enumerate(rows):
-        m = len(scores)
-        probs = probs_t.data[i, :m].copy()
-        dists.append(SelectionDistribution(scores=leaves[0].data[i, :m].copy(), mask=valid,
-                                           probs=probs, selected=int(np.argmax(probs)),
-                                           batch=batch, row=i))
-    return BatchExamples(dists, PanelCosts(costs=costs, valid=mask), [r[3] for r in rows])
+    fwd = BatchForward(probs_t=dc.masked_softmax(leaves[0], mask), scores_t=leaves[0],
+                       mask=mask, coverage_t=dc.sigmoid(leaves[1]) if len(leaves) > 1 else None,
+                       slot_pair=np.arange(int(mask.sum())), tasks=np.array([r[3] for r in rows]),
+                       widths=[len(r[0]) for r in rows])
+    return fwd, PanelCosts(costs=costs, valid=mask)
 
 
 def test_batch_objective_degenerates_to_compsum(rng):
-    examples = _examples([_row(rng)])
-    ex = examples[0]
+    scores, valid, costs, _, _ = row = _row(rng)
     cfg = ObjectiveConfig(lambda_h=0.0, lambda_r=0.0, lambda_cov=0.0)
-    total = batch_objective(cfg, examples, n_tasks=4).item()
-    expect = compsum_loss(ex.dist, compsum_weights(ex.pc)).item()
+    total = batch_objective(cfg, *_forward([row]), n_tasks=4).item()
+    expect = compsum_loss(_dist(scores, valid), compsum_weights(PanelCosts(costs, valid))).item()
     assert total == pytest.approx(expect, abs=1e-12)
 
 
 def test_batch_objective_duplicate_invariance(rng):
     row = _row(rng, with_cov=True)
     cfg = ObjectiveConfig()
-    one = batch_objective(cfg, _examples([row]), n_tasks=4).item()
-    two = batch_objective(cfg, _examples([row, row]), n_tasks=4).item()
+    one = batch_objective(cfg, *_forward([row]), n_tasks=4).item()
+    two = batch_objective(cfg, *_forward([row, row]), n_tasks=4).item()
     assert one == pytest.approx(two, abs=1e-12)
 
 
 def test_batch_objective_matches_flat_resummation(rng):
-    examples = _examples([_row(rng, task=i % 4, with_cov=True) for i in range(6)])
+    rows = [_row(rng, task=i % 4, with_cov=True) for i in range(6)]
     cfg = ObjectiveConfig(lambda_h=0.05, lambda_r=1e-4, lambda_cov=1.0)
-    got = batch_objective(cfg, examples, n_tasks=4).item()
+    got = batch_objective(cfg, *_forward(rows), n_tasks=4).item()
     total = 0.0
-    for ex in examples:
-        w = compsum_weights(ex.pc)
-        term = compsum_loss(ex.dist, w).item()
-        term -= cfg.lambda_h * entropy_reg(ex.dist).item()
-        sq = ex.dist.scores_t.data[ex.dist.mask] ** 2
-        term += cfg.lambda_r * sq.mean()
+    for scores, valid, costs, _, cov in rows:
+        d = _dist(scores, valid)
+        term = compsum_loss(d, compsum_weights(PanelCosts(costs, valid))).item()
+        term -= cfg.lambda_h * entropy_reg(d).item()
+        term += cfg.lambda_r * (scores[valid] ** 2).mean()
         term += cfg.lambda_cov * np.mean(
-            [coverage_loss_value(s, c) for s, c in
-             zip(ex.coverage_t.data, ex.coverage_costs)])
+            [coverage_loss_value(1.0 / (1.0 + math.exp(-z)), c)
+             for z, c in zip(cov, costs[valid])])
         total += term * (1.0 / 4) * 4
-    assert got == pytest.approx(total / len(examples), abs=1e-10)
+    assert got == pytest.approx(total / len(rows), abs=1e-10)
 
 
 def test_batch_objective_empty_batch_rejected():
-    with pytest.raises(ValueError):
-        batch_objective(ObjectiveConfig(), [], n_tasks=4)
+    zeros, empty = np.zeros((0, 2)), np.zeros((0, 2), dtype=bool)
+    fwd = BatchForward(probs_t=dc.constant(zeros), scores_t=dc.constant(zeros), mask=empty,
+                       coverage_t=None, slot_pair=np.zeros(0, dtype=np.intp),
+                       tasks=np.zeros(0, dtype=int), widths=[])
+    with pytest.raises(ValueError, match="empty batch"):
+        batch_objective(ObjectiveConfig(), fwd, PanelCosts(zeros, empty), n_tasks=4)
 
 
 def test_batch_objective_gradient(rng):
@@ -286,7 +280,7 @@ def test_batch_objective_gradient(rng):
     params = _leaves(rows)
 
     def f(ps):
-        return batch_objective(cfg, _examples(rows, ps), n_tasks=4)
+        return batch_objective(cfg, *_forward(rows, ps), n_tasks=4)
 
     assert dc.grad_check(f, params) < 1e-6
 

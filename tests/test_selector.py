@@ -256,7 +256,7 @@ def test_coverage_in_open_interval(setup):
     lq = world.splits["test"][0]
     tool = next(t for t in world.populations[lq.query.task] if validity(t, lq.query))
     fwd = model.batch_forward([(lq, Panel(task=lq.query.task, tools=(tool, tool)))])
-    s = float(fwd.tensors.coverage_t.data.reshape(()))
+    s = float(fwd.coverage_t.data.reshape(()))
     assert 0.0 < s < 1.0
 
 
@@ -327,13 +327,13 @@ def test_batch_forward_matches_single_select(setup):
     world, cfg, params, model = setup
     items = []
     for i, lq in enumerate(world.splits["test"][:8]):
-        items.append((lq, _panel_for(world, lq, seed=i)))
+        items.append((lq, _panel_for(world, lq, m=2 + i % 5, seed=i)))
     fwd = model.batch_forward(items, training=False)
     for (lq, panel), dist_b in zip(items, fwd.dists):
         dist_s = model.select(lq.query, panel)
         np.testing.assert_allclose(dist_b.probs, dist_s.probs, atol=1e-10)
         np.testing.assert_allclose(dist_b.scores, dist_s.scores, atol=1e-10)
-        assert dist_b.selected == dist_s.selected
+        assert dist_b.selected == dist_s.selected == int(np.argmax(dist_b.probs))
 
 
 def _tiny_config(world):
@@ -353,13 +353,13 @@ def test_full_pipeline_grad_check(small_world):
     plist = [params[k] for k in sorted(params)]
 
     def f(ps):
-        dist = model.select(lq.query, panel)
-        w = np.where(dist.mask, 0.7, 0.0)
-        loss = dc.wsum(dc.log_clamped(dist.probs_t), w)
+        fwd = model.batch_forward([(lq, panel)], with_coverage=False)
+        w = np.where(fwd.mask, 0.7, 0.0)
+        loss = dc.wsum(dc.log_clamped(fwd.probs_t), w)
         # score L2 breaks softmax shift invariance so every head parameter
         # carries a non-degenerate gradient for the finite-difference check
-        sq = dc.mul(dist.scores_t, dist.scores_t)
-        return dc.add(loss, dc.scale(dc.wsum(sq, dist.mask.astype(float)), 0.01))
+        sq = dc.mul(fwd.scores_t, fwd.scores_t)
+        return dc.add(loss, dc.scale(dc.wsum(sq, fwd.mask.astype(float)), 0.01))
 
     assert dc.grad_check(f, plist) < 1e-4
 
@@ -368,7 +368,7 @@ def test_batch_objective_grad_check_over_batch_forward(small_world):
     """Gradient of the batched objective through one batched forward that
     spans several tasks, with dropout off."""
     from toolselect.objective import ObjectiveConfig, batch_objective
-    from toolselect.trainer import _batch_examples
+    from toolselect.trainer import panel_costs
     world = small_world
     cfg = _tiny_config(world)
     params = init_params(cfg, 0)
@@ -381,26 +381,29 @@ def test_batch_objective_grad_check_over_batch_forward(small_world):
 
     def f(ps):
         fwd = model.batch_forward(items, training=False)
-        examples, _ = _batch_examples(world, items, fwd)
-        return batch_objective(ObjectiveConfig(), examples, n_tasks=4)
+        return batch_objective(ObjectiveConfig(), fwd, panel_costs(world, items), n_tasks=4)
 
     assert dc.grad_check(f, plist) < 1e-4
 
 
-def test_batch_objective_rejects_rows_out_of_order(setup):
-    """Only the rows of one batched forward, all of them and in order, are
-    a batch of the objective."""
-    from toolselect.objective import ObjectiveConfig, batch_objective
-    from toolselect.trainer import _batch_examples
+def test_batch_objective_rejects_panel_costs_of_other_items(setup):
+    """Panel costs of other items than the forward's, or of another shape,
+    raise ``ValueError``."""
+    from toolselect.objective import ObjectiveConfig, PanelCosts, batch_objective
+    from toolselect.trainer import panel_costs
     world, cfg, params, model = setup
     items = [(lq, _panel_for(world, lq, seed=i))
              for i, lq in enumerate(world.splits["train"][::50])]
     fwd = model.batch_forward(items, training=False)
-    examples, _ = _batch_examples(world, items, fwd)
-    assert np.isfinite(batch_objective(ObjectiveConfig(), examples, n_tasks=4).item())
-    for wrong in (examples[::-1], examples[:-1], examples + examples[:1]):
-        with pytest.raises(ValueError, match="rows of one batched forward"):
-            batch_objective(ObjectiveConfig(), wrong, n_tasks=4)
+    pc = panel_costs(world, items)
+    assert np.isfinite(batch_objective(ObjectiveConfig(), fwd, pc, n_tasks=4).item())
+    rotated = panel_costs(world, items[1:] + items[:1])
+    assert rotated.valid.shape == fwd.mask.shape and not (rotated.valid == fwd.mask).all()
+    padded = PanelCosts(np.pad(pc.costs, ((0, 0), (0, 1))), np.pad(pc.valid, ((0, 0), (0, 1))))
+    for wrong in (rotated, panel_costs(world, items[:-1]), panel_costs(world, items + items[:1]),
+                  padded):
+        with pytest.raises(ValueError, match="panel costs' slots are not the forward's"):
+            batch_objective(ObjectiveConfig(), fwd, wrong, n_tasks=4)
 
 
 def test_duplicate_tool_copies_tie_exactly_and_lowest_slot_wins(setup):

@@ -253,7 +253,7 @@ def _objective_before(cfg, world, items, fwd, n_tasks):
     per example, then the same weighted sums."""
     costs = world.cost_array([tool for _, panel in items for tool in panel.tools],
                              [lq for lq, panel in items for _ in panel.tools])
-    batch = fwd.tensors
+    batch = fwd
     w_comp = np.zeros(batch.mask.shape)
     scale, cov_costs, owner = [], [], []
     lo = 0
@@ -294,7 +294,7 @@ def test_objective_inputs_equal_the_per_item_ones_bit_for_bit(small_world, task_
     from toolselect.anp_selector import init_params
     from toolselect.objective import ObjectiveConfig, PanelCosts, batch_objective, compsum_weights
     from toolselect.simworld import sample_panel
-    from toolselect.trainer import _batch_examples, build_model, default_selector_config
+    from toolselect.trainer import build_model, default_selector_config, panel_costs
 
     world = small_world
     scfg = dataclasses.replace(default_selector_config(world), hidden=16, dropout=0.0)
@@ -308,7 +308,7 @@ def test_objective_inputs_equal_the_per_item_ones_bit_for_bit(small_world, task_
         items = [(lq, sample_panel(world.populations[lq.query.task], lq.query,
                                    int(rng.integers(2, 13)), rng)) for lq in lqs]
         fwd = model.batch_forward(items, training=False)
-        examples, pc = _batch_examples(world, items, fwd)
+        pc = panel_costs(world, items)
         weights = compsum_weights(pc)
         for i, (lq, panel) in enumerate(items):
             m = len(panel.tools)
@@ -321,12 +321,11 @@ def test_objective_inputs_equal_the_per_item_ones_bit_for_bit(small_world, task_
             want[valid] = float(c[valid].sum()) - c[valid] - int(valid.sum()) + 2.0
             assert weights[i, :m].tobytes() == want.tobytes()
             assert compsum_weights(PanelCosts(c, valid)).tobytes() == want.tobytes()
-            assert examples[i].pc.costs.tobytes() == c.tobytes()
-            assert examples[i].coverage_costs.tobytes() == c[valid].tobytes()
-            assert examples[i].task == lq.query.task
+            assert (fwd.mask[i, :m] == valid).all() and not fwd.mask[i, m:].any()
+            assert fwd.tasks[i] == lq.query.task
             wide += int(valid.sum()) >= 8
         grads = []
-        for loss_of in (lambda f: batch_objective(ocfg, _batch_examples(world, items, f)[0], 4),
+        for loss_of in (lambda f: batch_objective(ocfg, f, panel_costs(world, items), 4),
                         lambda f: _objective_before(ocfg, world, items, f, 4)):
             dc.zero_grads(params.values())
             loss = loss_of(model.batch_forward(items, training=False))
@@ -338,15 +337,14 @@ def test_objective_inputs_equal_the_per_item_ones_bit_for_bit(small_world, task_
 
 
 def test_a_steps_objective_inputs_hold_no_reference_cycle(small_world):
-    """The rows of ``BatchExamples`` point at the batch's arrays, not at the
-    list, so a step's forward (and with it its whole tape) is freed as soon
-    as the step drops it, without the cycle collector."""
+    """A step's forward, distributions read or not, is freed with its whole
+    tape as soon as the step drops it, without the cycle collector."""
     import gc
     import weakref
 
     from toolselect.anp_selector import init_params
     from toolselect.objective import ObjectiveConfig, batch_objective
-    from toolselect.trainer import _batch_examples, build_model, default_selector_config
+    from toolselect.trainer import build_model, default_selector_config, panel_costs
 
     world = small_world
     scfg = dataclasses.replace(default_selector_config(world), hidden=16)
@@ -357,11 +355,11 @@ def test_a_steps_objective_inputs_hold_no_reference_cycle(small_world):
     gc.disable()
     try:
         fwd = model.batch_forward(items, training=True, rng=rng)
-        examples, _ = _batch_examples(world, items, fwd)
-        dc.backward(batch_objective(ObjectiveConfig(), examples, 4))
-        assert examples[0].task == items[0][0].query.task
-        tensors = weakref.ref(fwd.tensors)
-        del fwd, examples
-        assert tensors() is None
+        dc.backward(batch_objective(ObjectiveConfig(), fwd, panel_costs(world, items), 4))
+        assert fwd.tasks[0] == items[0][0].query.task
+        assert len(fwd.dists) == len(items)
+        forward, probs = weakref.ref(fwd), weakref.ref(fwd.probs_t.data)
+        del fwd
+        assert forward() is None and probs() is None
     finally:
         gc.enable()
