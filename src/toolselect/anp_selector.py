@@ -6,8 +6,10 @@ One batched forward scores B (query, panel) items at once:
 - Each (tool, task) reference set the batch needs is read from the model's
   ``ReferenceBank``, which builds a set's constant arrays (inputs, label ids
   or encodings, slot matrix, row mask) once, on first use. The G sets are
-  encoded as one (G, R, .) stack and self-attended with one batched,
-  row-masked attention.
+  encoded as one (G, R, .) stack, self-attended with one batched, row-masked
+  attention and projected to cross-attention keys and values. Those do not
+  depend on the query, so a forward-only caller's cache keeps them per bank
+  row and a cached forward gathers them.
 - Each distinct (example, tool) pair cross-attends from its query over its
   tool's set once; the score head, and the coverage head that predicts each
   tool's per-query success probability, run once over all pairs.
@@ -308,20 +310,27 @@ def self_attend_refs(params, cfg, t, mask, training=False, rng=None):
     return out
 
 
-def cross_attend(params, cfg, u_rows, keys, t_tilde, mask, sets_of_rows):
-    """Query-conditioned tool descriptor psi for each query row.
-
-    ``keys`` (G*R, d_xp) and ``t_tilde`` (G*R, d) hold G reference sets with
-    ``mask`` (G, R); query row i attends over set ``sets_of_rows[i]``.
-    """
-    n = u_rows.shape[0]
+def project_sets(params, cfg, keys, t_tilde, mask):
+    """Cross-attention keys K (G, R, d_k) and values V (G, R, d_v) of G
+    reference sets, from their keys (G*R, d_xp) and self-attended rows
+    (G*R, d) with ``mask`` (G, R). Neither depends on the query."""
     sets, width = mask.shape
-    mask = mask[sets_of_rows]
     k = dc.reshape(dc.matmul(keys, params["cross_k_W"]), (sets, width, cfg.d_k))
     v = dc.reshape(dc.matmul(t_tilde, params["cross_v_W"]), (sets, width, cfg.d_v))
+    return k, v
+
+
+def cross_attend(params, cfg, u_rows, k_sets, v_sets, mask, sets_of_rows):
+    """Query-conditioned tool descriptor psi for each query row.
+
+    ``k_sets`` (N, R, d_k) and ``v_sets`` (N, R, d_v) are ``project_sets``
+    of N reference sets with ``mask`` (N, R); query row i attends over set
+    ``sets_of_rows[i]``.
+    """
+    n = u_rows.shape[0]
     q = dc.reshape(dc.matmul(u_rows, params["cross_q_W"]), (n, 1, cfg.d_k))
-    psi = dc.attend(q, dc.take_rows(k, sets_of_rows), dc.take_rows(v, sets_of_rows),
-                    key_mask=mask)
+    psi = dc.attend(q, dc.take_rows(k_sets, sets_of_rows), dc.take_rows(v_sets, sets_of_rows),
+                    key_mask=mask[sets_of_rows])
     return dc.reshape(psi, (n, cfg.d_v))
 
 
@@ -337,6 +346,28 @@ def coverage_rows(params, cfg, features):
     """Coverage head: sigmoid MLP estimating per-tool success probability."""
     h = dc.gelu(dc.linear(features, params["cov1_W"], params["cov1_b"]))
     return dc.sigmoid(dc.linear(h, params["cov2_W"], params["cov2_b"]))
+
+
+def _cache_arrays(cache, bank, cfg):
+    """A forward-only cache's arrays, sized to the bank: keys "k" (N, R, d_k),
+    values "v" (N, R, d_v) and the flags "filled" (N,) of the bank rows
+    encoded so far. The stacks grow with the bank's rows. When the bank
+    widens they start again from zeros, and every set is encoded anew on its
+    next use: a set's self-attention sums over its padded width, so one
+    encoded at a narrower width would not have the bits a fresh encoding
+    gives."""
+    capacity, width = bank.sets.mask.shape
+    old = cache.get("k")
+    if old is None or old.shape[:2] != (capacity, width):
+        grown = {"k": np.zeros((capacity, width, cfg.d_k)),
+                 "v": np.zeros((capacity, width, cfg.d_v)),
+                 "filled": np.zeros(capacity, dtype=bool)}
+        if old is not None and old.shape[1] == width:
+            grown["k"][:len(old)] = old
+            grown["v"][:len(old)] = cache["v"]
+            grown["filled"][:len(old)] = cache["filled"]
+        cache.update(grown)
+    return cache["k"], cache["v"], cache["filled"]
 
 
 @dataclass
@@ -399,41 +430,34 @@ class SelectorModel:
         return SelectorModel(self.cfg, detached, self.spaces, self.predict_fn, self.bank)
 
     def _encode_sets(self, rows, training, rng):
+        """``project_sets`` of the bank's sets ``rows``, and their row mask."""
         sets = self.bank.sets.take(rows)
         t, keys = encode_reference_set(self.params, self.cfg, sets)
         t_tilde = self_attend_refs(self.params, self.cfg, t, sets.mask, training, rng)
-        return keys, t_tilde, sets.mask
+        return (*project_sets(self.params, self.cfg, keys, t_tilde, sets.mask), sets.mask)
 
     def _reference_encodings(self, tool_tasks, training, rng, cache):
-        """Keys (G*R, d_xp), self-attended rows (G*R, d) and row mask (G, R)
-        of G (tool, task) reference sets.
+        """Cross-attention keys (N, R, d_k), values (N, R, d_v) and row mask
+        (N, R) of N reference sets, and the positions among them of the G
+        (tool, task) sets ``tool_tasks``.
 
-        ``cache``, kept by a forward-only caller, maps (tool index, task) to
-        a set's encoded rows, so each set is encoded once per cache.
+        Without a cache the N sets are the G sets. ``cache``, a dict kept by
+        a forward-only caller, holds the keys and values of every bank row
+        encoded so far, so each set is encoded once per cache; the N sets are
+        then the bank's rows, and a forward gathers its pairs' keys and
+        values from them once.
         """
         rows = self.bank.rows(tool_tasks)
         if cache is None:
-            return self._encode_sets(rows, training, rng)
-        keys_of = [(tool.index, task) for tool, task in tool_tasks]
-        missing = [g for g, key in enumerate(keys_of) if key not in cache]
-        if missing:
-            keys, t_tilde, mask = self._encode_sets(rows[missing], training, rng)
-            width = mask.shape[1]
-            keys = keys.data.reshape(len(missing), width, -1)
-            t_tilde = t_tilde.data.reshape(len(missing), width, -1)
-            for n, g in enumerate(missing):
-                real = int(mask[n].sum())
-                cache[keys_of[g]] = (keys[n, :real].copy(), t_tilde[n, :real].copy())
-        mask = self.bank.sets.mask[rows]
-        sets, width = mask.shape
-        keys = np.zeros((sets, width, self.cfg.d_xp))
-        t_tilde = np.zeros((sets, width, self.cfg.d))
-        for g, key in enumerate(keys_of):
-            k, t = cache[key]
-            keys[g, :len(k)] = k
-            t_tilde[g, :len(t)] = t
-        return (dc.constant(keys.reshape(sets * width, -1)),
-                dc.constant(t_tilde.reshape(sets * width, -1)), mask)
+            return (*self._encode_sets(rows, training, rng), np.arange(len(rows)))
+        k, v, filled = _cache_arrays(cache, self.bank, self.cfg)
+        missing = rows[~filled[rows]]
+        if missing.size:
+            k_new, v_new, _ = self._encode_sets(missing, training, rng)
+            k[missing] = k_new.data
+            v[missing] = v_new.data
+            filled[missing] = True
+        return dc.constant(k), dc.constant(v), self.bank.sets.mask, rows
 
     def select(self, query, panel, cache=None):
         """Score a panel and produce the masked selection distribution: the
@@ -483,10 +507,11 @@ class SelectorModel:
         queries = [lq.query for lq, _ in items]
         u = encode_query(self.params, self.cfg, np.array([q.x for q in queries]),
                          np.array([q.q for q in queries]))
-        keys, t_tilde, ref_mask = self._reference_encodings(tool_tasks, training, rng, cache)
+        k_sets, v_sets, ref_mask, set_rows = self._reference_encodings(
+            tool_tasks, training, rng, cache)
         u_pairs = dc.take_rows(u, pair_example)
-        psi = cross_attend(self.params, self.cfg, u_pairs, keys, t_tilde, ref_mask,
-                           np.asarray(pair_set, dtype=np.intp))
+        psi = cross_attend(self.params, self.cfg, u_pairs, k_sets, v_sets, ref_mask,
+                           set_rows[pair_set])
         features = dc.concat_cols([u_pairs, psi,
                                    dc.constant(self.predict_fn(pair_tools, pair_queries)),
                                    dc.constant(np.array([tool.eta for tool in pair_tools]))])

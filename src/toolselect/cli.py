@@ -27,7 +27,7 @@ from .errors import CheckpointError, ConfigError, ToolSelectError
 from .evalharness import CHUNK, PANEL_KEY, compare, machine_records, render_report
 from .objective import ObjectiveConfig
 from .simworld import WorldConfig, generate_world, keyed_rng, sample_panel, world_digest
-from .trainer import TrainConfig, build_model, default_selector_config, fit
+from .trainer import MAX_PANEL_SIZE, TrainConfig, build_model, default_selector_config, fit
 
 from . import diffcore as dc
 
@@ -125,13 +125,16 @@ def _seed(text):
 
 
 def _panel_size(text):
-    """A ``--panel-size`` value: an integer of at least 2, as a panel needs."""
+    """A ``--panel-size`` value: an integer of at least 2, as a panel needs,
+    and at most ``MAX_PANEL_SIZE``."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 2:
         raise argparse.ArgumentTypeError(f"must be an integer of at least 2, got {value}")
+    if value > MAX_PANEL_SIZE:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_PANEL_SIZE}, got {value}")
     return value
 
 

@@ -324,13 +324,22 @@ def masked_softmax(scores, mask):
 
 
 def attend(query_rows, keys, values, key_mask=None):
-    """Single-head scaled dot-product attention; no output projection.
+    """Single-head scaled dot-product attention, as one node; no output projection.
 
     out[i] = softmax(query_rows[i] . keys^T / sqrt(d_k)) @ values
 
     3-D operands stack G independent attentions: (G, n, d_k) queries over
     (G, R, d_k) keys and (G, R, d_v) values. ``key_mask`` ((R,) or (G, R))
     marks the real keys of sets padded to R rows.
+
+    The same bits as the chain transpose, product, scale, softmax, product:
+    the forward computes the chain's expressions, and the backward its
+    gradients, giving values, then queries, then keys theirs. The chain's
+    intermediate gradients were normalised (``+ 0.0``); that changes only
+    the signs of zeros, which products and sums carry into zero results
+    alone, and ``accumulate`` normalises every input's gradient, so leaving
+    them out changes no bit of an input's gradient, whose first term
+    ``accumulate`` normalises.
     """
     ndim = keys.data.ndim
     if ndim not in (2, 3) or query_rows.data.ndim != ndim or values.data.ndim != ndim:
@@ -346,14 +355,32 @@ def attend(query_rows, keys, values, key_mask=None):
             query_rows.data.shape[:-2] != keys.data.shape[:-2]:
         raise ShapeMismatchError(
             f"attend: queries {query_rows.data.shape} do not match keys {keys.data.shape}")
-    product = matmul if ndim == 2 else bmm
-    logits = scale(product(query_rows, transpose(keys)), 1.0 / np.sqrt(keys.data.shape[-1]))
-    if key_mask is None or np.all(key_mask):
-        weights = softmax_rows(logits)
+    q, k, v = query_rows.data, keys.data, values.data
+    c = float(1.0 / np.sqrt(k.shape[-1]))
+    logits = (q @ np.swapaxes(k, -1, -2)) * c
+    if key_mask is not None:
+        key_mask = np.asarray(key_mask, dtype=bool)
+    if key_mask is None or key_mask.all():
+        weights = kernels.softmax_rows(logits.reshape(-1, logits.shape[-1])).reshape(logits.shape)
     else:
-        row_mask = np.expand_dims(np.asarray(key_mask, dtype=bool), -2)
-        weights = masked_softmax(logits, np.broadcast_to(row_mask, logits.data.shape))
-    return product(weights, values)
+        mask = np.broadcast_to(np.expand_dims(key_mask, -2), logits.shape)
+        if not mask.any(axis=-1).all():
+            raise NoValidCandidateError("attend: every key of a set is masked")
+        weights = kernels.masked_softmax(logits, mask)
+
+    def back(g):
+        if values.requires_grad:
+            values.accumulate(np.swapaxes(weights, -1, -2) @ g)
+        if not (query_rows.requires_grad or keys.requires_grad):
+            return
+        g_w = g @ np.swapaxes(v, -1, -2)
+        g_logits = weights * (g_w - (g_w * weights).sum(axis=-1, keepdims=True))
+        g_logits *= c
+        if query_rows.requires_grad:
+            query_rows.accumulate(g_logits @ k)
+        if keys.requires_grad:
+            keys.accumulate(np.swapaxes(np.swapaxes(q, -1, -2) @ g_logits, -1, -2))
+    return _make(weights @ v, (query_rows, keys, values), back)
 
 
 def transpose(a):

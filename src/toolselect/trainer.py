@@ -22,6 +22,10 @@ from .objective import ObjectiveConfig, PanelCosts, batch_objective
 from .simworld import panels_of, sample_panel
 
 VAL_PANEL_KEY = 7919   # second entry of every validation panel RNG key
+# Largest panel a config or ``--panel-size`` may ask for: panels are drawn
+# and scored as (queries, panel size) arrays, so a huge size fails on memory
+# instead of routing.
+MAX_PANEL_SIZE = 1024
 
 
 @dataclass
@@ -47,6 +51,9 @@ class TrainConfig:
         if self.panel_size < 2:
             raise ConfigError(f"train config: panel_size must be at least 2 (a panel "
                               f"holds two tools or more), got {self.panel_size}")
+        if self.panel_size > MAX_PANEL_SIZE:
+            raise ConfigError(f"train config: panel_size must be at most {MAX_PANEL_SIZE}, "
+                              f"got {self.panel_size}")
         for name in ("lr", "weight_decay", "min_delta", "eps_opt"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):

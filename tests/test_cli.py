@@ -15,7 +15,7 @@ from toolselect.datasets import (
 )
 from toolselect.errors import ConfigError
 from toolselect.simworld import generate_world
-from toolselect.trainer import default_selector_config
+from toolselect.trainer import MAX_PANEL_SIZE, TrainConfig, default_selector_config
 
 FAST_CONFIG = """\
 # small world for command-line round trips
@@ -310,6 +310,8 @@ def test_route_rejects_bad_records_with_an_error_line(tmp_path, cfg_path, capsys
     ("lr=nan", "train config: lr must be finite"),
     ("beta2=1", "train config: beta2 must lie in [0, 1)"),
     ("panel_size=1", "train config: panel_size must be at least 2"),
+    ("panel_size=100000000000",
+     f"train config: panel_size must be at most {MAX_PANEL_SIZE}, got 100000000000"),
     ("task_label_counts=5,0,0", "unknown config key 'task_label_counts'"),
     ("eta_dim=3", "unknown config key 'eta_dim'"),
     ("n_tasks=4", "unknown config key 'n_tasks'"),
@@ -323,6 +325,7 @@ def test_route_rejects_bad_records_with_an_error_line(tmp_path, cfg_path, capsys
     ("dropout=1", "selector config: dropout must lie in [0, 1), got 1"),
 ], ids=["weights_too_short", "weights_too_long", "weights_off_simplex", "negative_weight",
         "batch_size_0", "patience_0", "max_epochs_0", "lr_nan", "beta2_1", "panel_size_1",
+        "panel_size_huge",
         "task_label_counts", "eta_dim", "n_tasks", "seed", "lambda_h_nan", "lambda_r_inf",
         "lambda_cov_negative", "eps_0", "eps_negative", "hidden_0", "dropout_1"])
 def test_train_rejects_unusable_config_before_training(tmp_path, capsys, line, message):
@@ -509,3 +512,34 @@ def test_route_panel_size_below_2_is_a_usage_error(tmp_path, capsys, value):
     assert f"error: argument --panel-size: must be an integer of at least 2, got {value}" \
         in err, err
     assert "Traceback" not in err
+
+
+# The values below are rejected before any panel is drawn, so they allocate
+# nothing: a panel of 10**11 tools would not fit in memory.
+@pytest.mark.parametrize("value", [str(MAX_PANEL_SIZE + 1), "100000000000"])
+def test_route_panel_size_above_the_bound_is_a_usage_error(tmp_path, capsys, value):
+    code = run(["route", "--panel-size", value, "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"error: argument --panel-size: must be at most {MAX_PANEL_SIZE}, got {value}" \
+        in err, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_config_panel_size_above_the_bound_fails_before_any_draw(tmp_path, capsys, command):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(FAST_CONFIG + f"panel_size={MAX_PANEL_SIZE + 1}\n")
+    out = tmp_path / "run"
+    code = run([command, "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and \
+        f"panel_size must be at most {MAX_PANEL_SIZE}, got {MAX_PANEL_SIZE + 1}" in err, err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_train_config_accepts_the_panel_size_bound():
+    assert TrainConfig(panel_size=MAX_PANEL_SIZE).panel_size == MAX_PANEL_SIZE
+    with pytest.raises(ConfigError, match=f"at most {MAX_PANEL_SIZE}"):
+        TrainConfig(panel_size=MAX_PANEL_SIZE + 1)

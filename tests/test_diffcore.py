@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from per_query import attend_chain
 from toolselect import diffcore as dc
 from toolselect.errors import (
     EmptyReferenceSetError,
@@ -222,6 +223,75 @@ def test_attend_empty_keys_raises():
                   dc.constant(np.zeros((0, 4))), dc.constant(np.zeros((0, 3))))
 
 
+def _bits(a):
+    """The bytes of an array, so -0.0 and 0.0 compare unequal."""
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _attend_run(attend, inputs, key_mask, w):
+    """Output and the three input gradients of ``wsum(attend(...), w)``."""
+    leaves = [dc.Tensor(x.copy(), requires_grad=True) for x in inputs]
+    out = attend(*leaves, key_mask=key_mask)
+    dc.backward(dc.wsum(out, w))
+    return [out.data] + [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("ndim", [2, 3])
+@pytest.mark.parametrize("masking", ["none", "all_valid", "padded"])
+def test_fused_attend_equals_the_chain_bit_for_bit(rng, ndim, masking):
+    lead = () if ndim == 2 else (3,)
+    inputs = [rng.standard_normal(lead + (4, 5)), rng.standard_normal(lead + (6, 5)),
+              rng.standard_normal(lead + (6, 3))]
+    lengths = np.array([2, 6, 4])[:, None] if ndim == 3 else 4
+    key_mask = {"none": None, "all_valid": np.ones(lead + (6,), dtype=bool),
+                "padded": np.arange(6) < lengths}[masking]
+    w = rng.standard_normal(lead + (4, 3))
+    w[..., 0, :] = 0.0   # zero upstream gradients: the signs of zeros must agree too
+    fused = _attend_run(dc.attend, inputs, key_mask, w)
+    chain = _attend_run(attend_chain, inputs, key_mask, w)
+    for got, expect in zip(fused, chain):
+        assert _bits(got) == _bits(expect)
+
+
+def test_fused_attend_accumulates_shared_inputs_as_the_chain_does(rng):
+    """Self-attention's three projections of one tensor, and one tensor
+    passed as queries, keys and values at once: every gradient has the
+    chain's bits."""
+    t0 = rng.standard_normal((2, 5, 4))
+    ws0 = [rng.standard_normal((4, 4)) for _ in range(3)]
+    mask = np.array([[True] * 3 + [False] * 2, [True] * 5])
+    w = rng.standard_normal((2, 5, 4))
+
+    def grads(attend):
+        t = dc.Tensor(t0.copy(), requires_grad=True)
+        ws = [dc.Tensor(x.copy(), requires_grad=True) for x in ws0]
+        flat = dc.reshape(t, (10, 4))
+        q, k, v = (dc.reshape(dc.matmul(flat, m), (2, 5, 4)) for m in ws)
+        same = dc.Tensor(t0.copy(), requires_grad=True)
+        loss = dc.add(dc.wsum(attend(q, k, v, key_mask=mask), w),
+                      dc.wsum(attend(same, same, same, key_mask=mask), w))
+        dc.backward(loss)
+        return [loss.data, t.grad, same.grad] + [m.grad for m in ws]
+
+    for got, expect in zip(grads(dc.attend), grads(attend_chain)):
+        assert _bits(got) == _bits(expect)
+
+
+def test_fused_attend_is_one_node(rng):
+    q, k, v = (dc.Tensor(rng.standard_normal(s), requires_grad=True)
+               for s in ((2, 3, 4), (2, 5, 4), (2, 5, 3)))
+    out = dc.attend(q, k, v, key_mask=np.array([[True] * 5, [True, False] * 2 + [True]]))
+    assert out._prev == (q, k, v)
+
+
+def test_attend_rejects_a_set_with_every_key_masked(rng):
+    q = dc.constant(rng.standard_normal((2, 1, 4)))
+    k = dc.constant(rng.standard_normal((2, 3, 4)))
+    v = dc.constant(rng.standard_normal((2, 3, 2)))
+    with pytest.raises(NoValidCandidateError):
+        dc.attend(q, k, v, key_mask=np.array([[True, False, False], [False] * 3]))
+
+
 # --------------------------------------------------------------- backward
 
 def test_backward_sum_gives_ones(rng):
@@ -327,6 +397,10 @@ def test_every_op_passes_isolated_grad_check(rng):
     v3 = dc.Tensor(rng.standard_normal((2, 5, 3)), requires_grad=True)
     key_mask = np.array([[True, True, False, True, False], [True] * 5])
     w_att = rng.standard_normal((2, 3, 3))
+    q2 = dc.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    k2 = dc.Tensor(rng.standard_normal((5, 4)), requires_grad=True)
+    v2 = dc.Tensor(rng.standard_normal((5, 2)), requires_grad=True)
+    w_att2 = rng.standard_normal((3, 2))
     w_scatter = rng.standard_normal((3, 4))
     w_lin = dc.Tensor(rng.standard_normal((3, 2)), requires_grad=True)
     bias_lin = dc.Tensor(rng.standard_normal(2), requires_grad=True)
@@ -354,6 +428,9 @@ def test_every_op_passes_isolated_grad_check(rng):
         (lambda: dc.wsum(dc.softmax_rows(x3), w_x3), [x3]),
         (lambda: dc.wsum(dc.masked_softmax(a, row_mask), w_fixed), [a]),
         (lambda: dc.wsum(dc.attend(q3, k3, v3, key_mask=key_mask), w_att), [q3, k3, v3]),
+        (lambda: dc.wsum(dc.attend(q3, k3, v3), w_att), [q3, k3, v3]),
+        (lambda: dc.wsum(dc.attend(q2, k2, v2), w_att2), [q2, k2, v2]),
+        (lambda: dc.wsum(dc.attend(q2, k2, v2, key_mask=key_mask[0]), w_att2), [q2, k2, v2]),
         (lambda: _sum(dc.take_rows(x3, [1, 0, 1])), [x3]),
         (lambda: dc.wsum(dc.scatter_1d(vec, [7, 1, 0, 11, 3], (3, 4)), w_scatter), [vec]),
     ]

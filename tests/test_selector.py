@@ -11,11 +11,13 @@ from toolselect.anp_selector import (
     encode_reference_set,
     init_params,
     param_shapes,
+    project_sets,
     reference_arrays,
     score_rows,
     coverage_rows,
     self_attend_refs,
 )
+from toolselect.baselines import ToolSelectRouter
 from toolselect.domain import Panel, validity
 from toolselect.errors import (
     ConfigError,
@@ -163,7 +165,9 @@ def _one_set(t):
 
 def _cross_attend_one_set(params, cfg, u, keys, t_tilde):
     """``cross_attend`` of every query row over one set of all the keys."""
-    return cross_attend(params, cfg, u, keys, t_tilde, _one_set(keys),
+    mask = _one_set(keys)
+    k_sets, v_sets = project_sets(params, cfg, keys, t_tilde, mask)
+    return cross_attend(params, cfg, u, k_sets, v_sets, mask,
                         np.zeros(u.shape[0], dtype=np.intp))
 
 
@@ -492,9 +496,75 @@ def test_cached_select_matches_uncached(setup):
         panel = _panel_for(world, lq, seed=i)
         cached = view.select(lq.query, panel, cache=cache)
         fresh = view.select(lq.query, panel)
-        np.testing.assert_allclose(cached.probs, fresh.probs, atol=1e-12)
+        np.testing.assert_array_equal(cached.probs, fresh.probs)
         assert cached.selected == fresh.selected
-    assert cache
+    assert cache["filled"].any()
+
+
+def _routes_like_fresh_routers(model, items):
+    """Route each item through one long-lived ``ToolSelectRouter`` and then
+    through a router of its own: the same slot and the same probability bits."""
+    long_lived = ToolSelectRouter(model)
+    for item in items:
+        kept, fresh = long_lived.forward([item]), ToolSelectRouter(model).forward([item])
+        assert kept.selected == fresh.selected
+        assert kept.probs_t.data.tobytes() == fresh.probs_t.data.tobytes()
+    return long_lived
+
+
+@pytest.mark.parametrize("short_rows", [1, 3, 5, 7])
+def test_serve_cache_matches_fresh_routers_as_the_bank_widens(setup, short_rows):
+    """A short-set tool first, then full sets: the bank widens after the
+    short set is cached."""
+    world, cfg, params, _ = setup
+    task = 1
+    lqs = [lq for lq in world.splits["test"] if lq.query.task == task][:12]
+    valid = next(t for t in world.populations[task] if validity(t, lqs[0].query))
+    short = dataclasses.replace(valid, index=10_000, reference_sets={
+        task: valid.reference_sets[task][:short_rows]})
+    items = [(lqs[0], Panel(task=task, tools=(short, short)))]
+    items += [(lq, Panel(task=task, tools=(short,) + _panel_for(world, lq, seed=i).tools))
+              for i, lq in enumerate(lqs[1:])]
+    model = build_model(world, params, cfg)
+    _routes_like_fresh_routers(model, items[:1])
+    assert model.bank.sets.mask.shape[1] == short_rows
+    _routes_like_fresh_routers(model, items)
+    assert model.bank.sets.mask.shape[1] > short_rows
+
+
+def test_serve_cache_matches_fresh_routers_on_unseen_tools(setup):
+    from toolselect.simworld import regenerate_test_tools
+    world, cfg, params, _ = setup
+    fresh = regenerate_test_tools(world, 0.5, seed=3)
+    model = build_model(fresh, params, cfg)
+    items = [(lq, _panel_for(fresh, lq, m=6, seed=i))
+             for i, lq in enumerate(fresh.splits["test"][::4])]
+    router = _routes_like_fresh_routers(model, items)
+    unseen = [row for (index, _), row in model.bank.row_of.items()
+              if index >= len(world.all_tools)]
+    assert unseen and router._cache["filled"][unseen].all()
+
+
+def test_serve_cache_encodes_each_set_once(setup, monkeypatch):
+    from toolselect import anp_selector
+    world, cfg, params, _ = setup
+    model = build_model(world, params, cfg)
+    items = [(lq, _panel_for(world, lq, seed=i))
+             for i, lq in enumerate(world.splits["test"][::6])]
+    encoded = []
+    original = anp_selector.encode_reference_set
+    monkeypatch.setattr(anp_selector, "encode_reference_set",
+                        lambda p, c, sets: encoded.append(sets.mask.shape[0]) or
+                        original(p, c, sets))
+    router = ToolSelectRouter(model)
+    for item in items:
+        router.forward([item])
+    assert sum(encoded) == len(_tool_tasks(items)) and len(encoded) <= len(items)
+    calls = len(encoded)
+    router.route_batch(items, None)
+    for item in items:
+        router.forward([item])
+    assert len(encoded) == calls
 
 
 def test_param_shapes_are_the_shapes_init_params_draws():
