@@ -12,7 +12,6 @@ valid slots all hold unseen tools routes to its first valid slot.
 """
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import diffcore as dc
 from .domain import validity
@@ -163,6 +162,9 @@ class KNNRouter(Router):
 
     @classmethod
     def fit(cls, world, split="train", k=5):
+        # imported here, so that importing the package does not load scipy.spatial
+        from scipy.spatial import cKDTree
+
         records = world.splits[split]
         if not records:
             raise ValueError("KNN: empty training split")
@@ -200,7 +202,8 @@ class KNNRouter(Router):
 
 
 class MLPIndexRouter(Router):
-    """Per-task two-layer classifier over tool indices (hidden width 64)."""
+    """Per-task two-layer classifier over tool indices (hidden width 64),
+    trained and evaluated in float32."""
     name = "MLPIndex"
 
     def __init__(self, heads):
@@ -230,22 +233,25 @@ class MLPIndexRouter(Router):
 
     @staticmethod
     def _train_head(feats, labels, n_out, hidden, lr, iters, seed):
+        """Full-batch AdamW on the mean cross-entropy, in float32: the Xavier
+        weights are drawn in float64 and cast, as are the features and the
+        one-hot targets."""
         rng = np.random.default_rng([seed, 811])
         d_in = feats.shape[1]
 
         def xavier(fi, fo):
             lim = np.sqrt(6.0 / (fi + fo))
-            return rng.uniform(-lim, lim, size=(fi, fo))
+            return rng.uniform(-lim, lim, size=(fi, fo)).astype(np.float32)
 
         params = {
             "W1": dc.Tensor(xavier(d_in, hidden), requires_grad=True),
-            "b1": dc.Tensor(np.zeros(hidden), requires_grad=True),
+            "b1": dc.Tensor(np.zeros(hidden, dtype=np.float32), requires_grad=True),
             "W2": dc.Tensor(xavier(hidden, n_out), requires_grad=True),
-            "b2": dc.Tensor(np.zeros(n_out), requires_grad=True),
+            "b2": dc.Tensor(np.zeros(n_out, dtype=np.float32), requires_grad=True),
         }
         opt = AdamW(params, lr=lr, weight_decay=0.0)
-        x = dc.constant(feats)
-        onehot = np.zeros((feats.shape[0], n_out))
+        x = dc.constant(feats.astype(np.float32))
+        onehot = np.zeros((feats.shape[0], n_out), dtype=np.float32)
         onehot[np.arange(feats.shape[0]), labels] = 1.0
         for _ in range(iters):
             h = dc.gelu(dc.linear(x, params["W1"], params["b1"]))
@@ -261,7 +267,7 @@ class MLPIndexRouter(Router):
     def _logits(self, task, feat):
         w1, b1, w2, b2, tool_ids = self.heads[task]
         from .kernels import gelu_fwd
-        h = gelu_fwd(feat @ w1 + b1)
+        h = gelu_fwd(feat.astype(np.float32) @ w1 + b1)
         return h @ w2 + b2, tool_ids
 
     def route_batch(self, items, rng):

@@ -1,9 +1,15 @@
-"""Minimal dense reverse-mode differentiation over float64 numpy arrays.
+"""Minimal dense reverse-mode differentiation over float64 or float32 numpy
+arrays.
 
 Tensors wrap a numpy array plus a backward closure; calling ``backward``
 on a scalar root walks the tape in reverse topological order. There is no
 broadcasting: ``linear`` is the one op that adds a row-vector bias, and
 every other shape must match exactly, which keeps shape bugs loud.
+
+A tensor keeps float32 data as float32 and makes everything else float64.
+Every op's value and gradients keep its inputs' dtype: constants are cast
+to it, and scale factors are Python floats, which never promote float32
+(a ``np.float64`` scalar does under numpy 2).
 
 A tensor's first gradient is ``g + 0.0`` into an array laid out like its
 data, the bits ``zeros + g`` gave (-0 becomes +0) without the zero fill;
@@ -23,11 +29,16 @@ from .errors import (
 )
 
 
+_FLOAT32 = np.dtype(np.float32)
+_FLOAT64 = np.dtype(np.float64)
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev")
 
     def __init__(self, data, requires_grad=False):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = np.asarray(
+            data, dtype=_FLOAT32 if getattr(data, "dtype", None) is _FLOAT32 else _FLOAT64)
         self.grad = None
         self.requires_grad = requires_grad
         self._backward = None
@@ -130,7 +141,10 @@ def linear(a, w, bias):
 
     The same bits as ``matmul`` followed by a bias add: the bias is added in
     place to the product, and the backward computes the three gradients
-    those two nodes computed, from the same upstream gradient.
+    those two nodes computed, from the same upstream gradient. For a
+    one-column weight, the input's gradient ``g @ w.T`` is the broadcast
+    product ``g * w.T``: each entry is one product either way, and the two
+    differ only in the signs of zeros, which ``accumulate`` normalises.
     """
     if a.data.ndim != 2 or w.data.ndim != 2 or bias.data.ndim != 1:
         raise ShapeMismatchError(
@@ -144,7 +158,7 @@ def linear(a, w, bias):
 
     def back(g):
         if a.requires_grad:
-            a.accumulate(g @ w.data.T)
+            a.accumulate(g * w.data.T if w.data.shape[1] == 1 else g @ w.data.T)
         if w.requires_grad:
             w.accumulate(a.data.T @ g)
         if bias.requires_grad:
@@ -201,7 +215,8 @@ def take_rows(a, idx):
     The backward sums each row's gradients in index order from zero, as
     ``np.add.at`` does: for a vector with ``np.add.at`` itself, otherwise
     with one ``np.bincount`` over the flat positions of the gathered rows,
-    which adds its weights in input order.
+    which adds its weights in input order. ``np.bincount`` sums in float64,
+    so a float32 tensor's sums are rounded to float32 once, at the end.
     """
     idx = np.asarray(idx, dtype=np.intp)
     data = a.data[idx]
@@ -218,8 +233,8 @@ def take_rows(a, idx):
                 rows = rows % a.data.shape[0]
             width = math.prod(a.data.shape[1:])
             flat = (rows[:, None] * width + np.arange(width)).reshape(-1)
-            acc = np.bincount(flat, weights=g.reshape(-1),
-                              minlength=a.data.size).reshape(a.data.shape)
+            acc = np.bincount(flat, weights=g.reshape(-1), minlength=a.data.size)
+            acc = acc.astype(a.data.dtype, copy=False).reshape(a.data.shape)
         a.accumulate(acc)
     return _make(data, (a,), back)
 
@@ -231,7 +246,7 @@ def scatter_1d(a, idx, size):
     if a.data.ndim != 1 or idx.shape != a.data.shape:
         raise ShapeMismatchError(
             f"scatter_1d: values {a.data.shape} vs indices {idx.shape}")
-    data = np.zeros(size)
+    data = np.zeros(size, dtype=a.data.dtype)
     data.reshape(-1)[idx] = a.data
 
     def back(g):
@@ -248,8 +263,9 @@ def reshape(a, shape):
 
 
 def wsum(a, w):
-    """Weighted sum against a constant numpy array of identical shape."""
-    w = np.asarray(w, dtype=np.float64)
+    """Weighted sum against a constant numpy array of identical shape, cast
+    to the tensor's dtype."""
+    w = np.asarray(w, dtype=a.data.dtype)
     if w.shape != a.data.shape:
         raise ShapeMismatchError(f"wsum: weight shape {w.shape} != tensor shape {a.data.shape}")
 
@@ -395,7 +411,7 @@ def dropout(a, p, rng):
     """Inverted dropout; identity when p == 0."""
     if p <= 0.0:
         return a
-    keep = (rng.random(a.data.shape) >= p) / (1.0 - p)
+    keep = ((rng.random(a.data.shape) >= p) / (1.0 - p)).astype(a.data.dtype, copy=False)
 
     def back(g):
         if a.requires_grad:
@@ -438,10 +454,14 @@ def grad_check(f, params, h=1e-5):
     """Worst relative error between analytic and central-difference gradients.
 
     ``f`` maps the parameter list to a scalar Tensor and must be
-    deterministic (re-evaluated many times with perturbed parameters).
+    deterministic (re-evaluated many times with perturbed parameters). The
+    parameters must be float64: a float32 central difference is rounding
+    noise at the default ``h``.
     """
     if h <= 0:
         raise ValueError("grad_check: h must be positive")
+    if any(p.data.dtype != np.float64 for p in params):
+        raise ValueError("grad_check: parameters must be float64")
     zero_grads(params)
     out = f(params)
     backward(out)

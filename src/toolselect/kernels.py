@@ -1,4 +1,5 @@
-"""Hot elementwise and reduction kernels, in float64 numpy.
+"""Hot elementwise and reduction kernels in numpy; each keeps its input's
+dtype (float64, or float32 for the MLPIndex baseline).
 
 Matrix products go through numpy/BLAS; only the elementwise-heavy kernels
 live here.

@@ -84,10 +84,11 @@ class AdamW:
     """Decoupled-weight-decay adaptive update with bias correction, over one
     flat buffer.
 
-    The constructor copies the parameters, in name order, into one float64
-    array and makes each ``p.data`` a view of its part, so every update is
-    written through to the tensors. The moments, the gradients and two
-    scratch arrays are one flat array each.
+    The constructor copies the parameters, in name order, into one array of
+    their dtype and makes each ``p.data`` a view of its part, so every
+    update is written through to the tensors. The moments, the gradients
+    and two scratch arrays are one flat array each. Parameters of more than
+    one dtype are a ``ValueError``.
     """
 
     def __init__(self, params, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -99,8 +100,11 @@ class AdamW:
         self.eps = eps
         self.step_count = 0
         names = sorted(params)
+        dtypes = {params[name].data.dtype for name in names}
+        if len(dtypes) > 1:
+            raise ValueError(f"AdamW: parameters of mixed dtypes {sorted(map(str, dtypes))}")
         ends = np.cumsum([params[name].data.size for name in names], dtype=np.intp)
-        self.flat = np.empty(int(ends[-1]) if names else 0)
+        self.flat = np.empty(int(ends[-1]) if names else 0, dtype=dtypes.pop() if dtypes else None)
         self._grad = np.empty_like(self.flat)
         # name -> the parameter's gradient part of ``_grad``, in its shape
         self._grads = {}

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from toolselect import diffcore as dc
 from toolselect.simworld import WorldConfig, generate_world
 
 # Property tests draw the same examples on every run and have no deadline,
@@ -21,3 +22,17 @@ def small_world():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def handed_dtypes(monkeypatch):
+    """The set of dtypes of the gradients handed to ``Tensor.accumulate``
+    while the test runs; a test may clear it between cases."""
+    handed = set()
+    accumulate = dc.Tensor.accumulate
+
+    def spy(self, g):
+        handed.add(np.asarray(g).dtype)
+        accumulate(self, g)
+    monkeypatch.setattr(dc.Tensor, "accumulate", spy)
+    return handed

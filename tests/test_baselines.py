@@ -1,8 +1,12 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import toolselect
 from toolselect.anp_selector import init_params
 from toolselect.baselines import (
     GlobalBestRouter,
@@ -175,9 +179,34 @@ def test_mlp_head_fits_separable_data():
     assert hits / len(labels) >= 0.95
 
 
+def test_mlp_head_draws_the_float64_xavier_weights_and_trains_in_float32(handed_dtypes):
+    """The head's first weights are the float64 draws of the same generator
+    calls, cast to float32; every gradient of its training and every trained
+    array is float32, and so are the logits, from float64 features."""
+    rng = np.random.default_rng(0)
+    feats = rng.standard_normal((50, 6))
+    labels = rng.integers(0, 3, 50)
+    draws = np.random.default_rng([7, 811])
+    lim1, lim2 = np.sqrt(6.0 / (6 + 8)), np.sqrt(6.0 / (8 + 3))
+    want_w1 = draws.uniform(-lim1, lim1, size=(6, 8)).astype(np.float32)
+    want_w2 = draws.uniform(-lim2, lim2, size=(8, 3)).astype(np.float32)
+    w1, b1, w2, b2 = MLPIndexRouter._train_head(feats, labels, 3, hidden=8,
+                                                lr=3e-3, iters=0, seed=7)
+    assert w1.tobytes() == want_w1.tobytes() and w2.tobytes() == want_w2.tobytes()
+    assert not b1.any() and not b2.any()
+    handed_dtypes.clear()
+    head = MLPIndexRouter._train_head(feats, labels, 3, hidden=8, lr=3e-3, iters=5, seed=7)
+    assert handed_dtypes == {np.dtype(np.float32)}
+    assert [a.dtype for a in head] == [np.float32] * 4
+    logits, _ = MLPIndexRouter({0: head + ([10, 11, 12],)})._logits(0, feats)
+    assert logits.dtype == np.float32
+
+
 def test_mlp_fit_routes_only_valid(small_world):
     from toolselect.domain import validity
     router = MLPIndexRouter.fit(small_world, iters=50)
+    for head in router.heads.values():
+        assert [a.dtype for a in head[:4]] == [np.float32] * 4
     rng = np.random.default_rng(5)
     panels = eval_panels(small_world, "test", 4, seed=13)
     for lq, panel in zip(small_world.splits["test"], panels):
@@ -426,3 +455,15 @@ def test_hand_built_mlp_index_router_routes():
     other_task = LabeledQuery(Query(uid=99, task=1, x=feats[0, :4], q=feats[0, 4:]), None)
     assert router.route(other_task, _Panel([_Tool(10, supported=(0,)), _Tool(11, supported=(1,))]),
                         None) == 1
+
+
+def test_importing_the_package_does_not_load_scipy_spatial():
+    """``cKDTree`` is imported by ``KNNRouter.fit``, so the other commands
+    do not pay for loading ``scipy.spatial``."""
+    src = os.path.dirname(os.path.dirname(toolselect.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, toolselect; print('scipy.spatial' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False", out.stderr

@@ -28,6 +28,7 @@ def test_round_trip_is_float32_exact(tmp_path):
         expect = np.asarray(arr, dtype=np.float32).astype(np.float64)
         np.testing.assert_array_equal(loaded[name], expect)
         assert loaded[name].shape == np.asarray(arr).shape
+        assert loaded[name].dtype == np.float64
 
 
 def test_export_is_byte_stable(tmp_path):

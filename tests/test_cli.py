@@ -210,6 +210,18 @@ def test_missing_config_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_a_world_too_large_to_allocate_is_an_error_line(tmp_path, capsys):
+    """d_x = 10**15 asks numpy for petabytes: the first allocation fails at
+    once, allocating nothing, and ``simulate`` exits 2 with an ``error:``
+    line, not a traceback."""
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("d_x=1000000000000000\n")
+    code = run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: out of memory: ") and "Traceback" not in err, err
+
+
 def test_route_malformed_input_exits_2(tmp_path, cfg_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json\n")

@@ -55,13 +55,18 @@ def test_matmul_gradients_finite_difference(rng):
 def test_linear_equals_matmul_plus_bias_bit_for_bit(rng):
     """The value and the three gradients are the bits the two-node
     ``add(matmul(a, w), bias)`` gave: ``a @ w + bias``, then ``g @ w.T``,
-    ``a.T @ g`` and ``g.sum(axis=0)`` of the upstream gradient ``g``."""
-    for rows, d_in, d_out in ((1, 3, 2), (7, 5, 4), (90, 47, 512), (90, 512, 1)):
-        a = dc.Tensor(rng.standard_normal((rows, d_in)), requires_grad=True)
-        w = dc.Tensor(rng.standard_normal((d_in, d_out)), requires_grad=True)
-        bias = dc.Tensor(rng.standard_normal(d_out), requires_grad=True)
-        g = rng.standard_normal((rows, d_out)) * 10.0 ** rng.uniform(-6, 6, (rows, d_out))
+    ``a.T @ g`` and ``g.sum(axis=0)`` of the upstream gradient ``g``, in
+    float64 and, on float32 inputs, in float32."""
+    for rows, d_in, d_out, dtype in ((1, 3, 2, np.float64), (7, 5, 4, np.float64),
+                                     (90, 47, 512, np.float64), (90, 512, 1, np.float64),
+                                     (7, 5, 4, np.float32), (90, 47, 64, np.float32)):
+        a = dc.Tensor(rng.standard_normal((rows, d_in)).astype(dtype), requires_grad=True)
+        w = dc.Tensor(rng.standard_normal((d_in, d_out)).astype(dtype), requires_grad=True)
+        bias = dc.Tensor(rng.standard_normal(d_out).astype(dtype), requires_grad=True)
+        g = (rng.standard_normal((rows, d_out))
+             * 10.0 ** rng.uniform(-6, 6, (rows, d_out))).astype(dtype)
         out = dc.linear(a, w, bias)
+        assert out.data.dtype == dtype
         assert out.data.tobytes() == (a.data @ w.data + bias.data[None, :]).tobytes()
         dc.backward(dc.wsum(out, g))
         assert a.grad.tobytes() == (g @ w.data.T).tobytes()
@@ -76,6 +81,29 @@ def test_linear_of_a_constant_input_has_only_weight_gradients(rng):
     dc.backward(_sum(dc.linear(x, w, bias)))
     assert x.grad is None
     np.testing.assert_array_equal(bias.grad, [4.0, 4.0])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_linear_one_column_weight_gradient_equals_the_product_after_accumulate(rng, dtype):
+    """For a (d, 1) weight the input gradient is ``g * w.T``, not the K=1
+    product ``g @ w.T``; with -0.0 in both factors the two may differ in the
+    signs of zeros only, and ``accumulate`` gives the same bits from either,
+    as a first gradient and as one added to another (in either order)."""
+    a = dc.Tensor(rng.standard_normal((6, 5)).astype(dtype), requires_grad=True)
+    w = dc.Tensor(rng.standard_normal((5, 1)).astype(dtype), requires_grad=True)
+    bias = dc.Tensor(np.zeros(1, dtype=dtype), requires_grad=True)
+    w.data[[1, 3], 0] = [-0.0, 0.0]
+    g = rng.standard_normal((6, 1)).astype(dtype)
+    g[[0, 2], 0] = [-0.0, 0.0]
+    product = g @ w.data.T
+    dc.backward(dc.wsum(dc.linear(a, w, bias), g))
+    assert a.grad.dtype == dtype
+    assert _bits(a.grad) == _bits(np.zeros_like(a.data) + product)
+    other = rng.standard_normal(a.data.shape).astype(dtype)
+    other[:, [1, 3]] = -0.0
+    dc.zero_grads([a, w, bias])
+    dc.backward(dc.add(dc.wsum(a, other), dc.wsum(dc.linear(a, w, bias), g)))
+    assert _bits(a.grad) == _bits(np.zeros_like(a.data) + other + product)
 
 
 def test_linear_and_add_reject_mismatched_shapes():
@@ -378,33 +406,68 @@ def test_grad_check_rejects_nonpositive_h():
         dc.grad_check(lambda ps: dc.reshape(dc.mul(x, x), ()), [x], h=0.0)
 
 
+def test_grad_check_rejects_float32_parameters():
+    x = dc.Tensor(np.array(1.0, dtype=np.float32), requires_grad=True)
+    with pytest.raises(ValueError, match="float64"):
+        dc.grad_check(lambda ps: dc.reshape(dc.mul(x, x), ()), [x])
+
+
+# ------------------------------------------------------------------- dtypes
+
+def test_tensor_keeps_float32_and_makes_everything_else_float64():
+    x32 = np.ones(3, dtype=np.float32)
+    x64 = np.ones(3)
+    assert dc.Tensor(x32).data is x32 and dc.Tensor(x64).data is x64
+    assert dc.Tensor(np.float32(2.0)).data.dtype == np.float32
+    for data in (np.ones(2, dtype=np.float16), np.arange(3), [1, 2], 1.5, np.float64(2.0)):
+        assert dc.Tensor(data).data.dtype == np.float64, data
+
+
+def test_mixed_dtypes_promote_the_value_and_keep_each_gradients_dtype(rng):
+    a = dc.Tensor(rng.standard_normal((2, 3)).astype(np.float32), requires_grad=True)
+    b = dc.Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    out = dc.mul(a, b)
+    assert out.data.dtype == np.float64
+    dc.backward(_sum(out))
+    assert a.grad.dtype == np.float32 and b.grad.dtype == np.float64
+    np.testing.assert_array_equal(a.grad, b.data.astype(np.float32))
+
+
 # ------------------------------------------------- per-op finite differences
 
-def test_every_op_passes_isolated_grad_check(rng):
-    a = dc.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-    b = dc.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-    vec = dc.Tensor(rng.standard_normal(5), requires_grad=True)
-    w_fixed = rng.standard_normal((4, 3))
-    x3 = dc.Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
-    y3 = dc.Tensor(rng.standard_normal((2, 4, 5)), requires_grad=True)
-    w_bmm = rng.standard_normal((2, 3, 5))
-    w_t3 = rng.standard_normal((2, 4, 3))
-    w_x3 = rng.standard_normal((2, 3, 4))
+def _op_cases(rng, dtype):
+    """(build, leaves) per op: ``build`` computes a scalar from the leaves
+    through the op, with every input and constant weight of ``dtype``."""
+
+    def normal(shape):
+        return rng.standard_normal(shape).astype(dtype)
+
+    a = dc.Tensor(normal((4, 3)), requires_grad=True)
+    b = dc.Tensor(normal((4, 3)), requires_grad=True)
+    vec = dc.Tensor(normal(5), requires_grad=True)
+    w_fixed = normal((4, 3))
+    x3 = dc.Tensor(normal((2, 3, 4)), requires_grad=True)
+    y3 = dc.Tensor(normal((2, 4, 5)), requires_grad=True)
+    w_bmm = normal((2, 3, 5))
+    w_t3 = normal((2, 4, 3))
+    w_x3 = normal((2, 3, 4))
     row_mask = np.array([[True, False, True], [False, True, False],
                          [True, True, True], [False, False, True]])
-    q3 = dc.Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
-    k3 = dc.Tensor(rng.standard_normal((2, 5, 4)), requires_grad=True)
-    v3 = dc.Tensor(rng.standard_normal((2, 5, 3)), requires_grad=True)
+    q3 = dc.Tensor(normal((2, 3, 4)), requires_grad=True)
+    k3 = dc.Tensor(normal((2, 5, 4)), requires_grad=True)
+    v3 = dc.Tensor(normal((2, 5, 3)), requires_grad=True)
     key_mask = np.array([[True, True, False, True, False], [True] * 5])
-    w_att = rng.standard_normal((2, 3, 3))
-    q2 = dc.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-    k2 = dc.Tensor(rng.standard_normal((5, 4)), requires_grad=True)
-    v2 = dc.Tensor(rng.standard_normal((5, 2)), requires_grad=True)
-    w_att2 = rng.standard_normal((3, 2))
-    w_scatter = rng.standard_normal((3, 4))
-    w_lin = dc.Tensor(rng.standard_normal((3, 2)), requires_grad=True)
-    bias_lin = dc.Tensor(rng.standard_normal(2), requires_grad=True)
-    cases = [
+    w_att = normal((2, 3, 3))
+    q2 = dc.Tensor(normal((3, 4)), requires_grad=True)
+    k2 = dc.Tensor(normal((5, 4)), requires_grad=True)
+    v2 = dc.Tensor(normal((5, 2)), requires_grad=True)
+    w_att2 = normal((3, 2))
+    w_scatter = normal((3, 4))
+    w_lin = dc.Tensor(normal((3, 2)), requires_grad=True)
+    bias_lin = dc.Tensor(normal(2), requires_grad=True)
+    w_col = dc.Tensor(normal((3, 1)), requires_grad=True)
+    bias_col = dc.Tensor(normal(1), requires_grad=True)
+    return [
         (lambda: _sum(dc.add(a, b)), [a, b]),
         (lambda: dc.wsum(dc.linear(a, w_lin, bias_lin), w_fixed[:, :2]), [a, w_lin, bias_lin]),
         (lambda: _sum(dc.mul(a, b)), [a, b]),
@@ -433,10 +496,37 @@ def test_every_op_passes_isolated_grad_check(rng):
         (lambda: dc.wsum(dc.attend(q2, k2, v2, key_mask=key_mask[0]), w_att2), [q2, k2, v2]),
         (lambda: _sum(dc.take_rows(x3, [1, 0, 1])), [x3]),
         (lambda: dc.wsum(dc.scatter_1d(vec, [7, 1, 0, 11, 3], (3, 4)), w_scatter), [vec]),
+        (lambda: dc.wsum(dc.matmul(a, w_lin), w_fixed[:, :2]), [a, w_lin]),
+        (lambda: dc.wsum(dc.linear(a, w_col, bias_col), w_fixed[:, :1]), [a, w_col, bias_col]),
+        (lambda: _sum(dc.take_rows(vec, [0, 3, 3])), [vec]),
+        (lambda: dc.wsum(dc.dropout(a, 0.5, np.random.default_rng(3)), w_fixed), [a]),
     ]
-    for build, params in cases:
+
+
+def test_every_op_passes_isolated_grad_check(rng):
+    for build, params in _op_cases(rng, np.float64):
         err = dc.grad_check(lambda ps: build(), params)
         assert err < 1e-6, f"{build}: {err}"
+
+
+def test_every_op_keeps_float32_values_and_gradients(handed_dtypes):
+    """With float32 leaves every op's value is float32, and so is every
+    gradient handed to ``accumulate``: none is computed in float64 and cast.
+    Each agrees with the float64 op on the same draws to float32 precision."""
+    cases32 = _op_cases(np.random.default_rng(7), np.float32)
+    cases64 = _op_cases(np.random.default_rng(7), np.float64)
+    for (build32, params32), (build64, params64) in zip(cases32, cases64):
+        handed_dtypes.clear()
+        root = build32()
+        dc.backward(root)
+        assert root.data.dtype == np.float32, build32
+        assert handed_dtypes == {np.dtype(np.float32)}, build32
+        root64 = build64()
+        dc.backward(root64)
+        np.testing.assert_allclose(root.data, root64.data, rtol=1e-4, atol=1e-5)
+        for p32, p64 in zip(params32, params64):
+            assert p32.grad.dtype == np.float32
+            np.testing.assert_allclose(p32.grad, p64.grad, rtol=1e-4, atol=1e-5)
 
 
 def test_shift_invariance_of_masked_softmax(rng):

@@ -69,6 +69,19 @@ def test_init_forward_finite(setup):
     assert np.isfinite(dist.scores[dist.mask]).all()
 
 
+def test_the_selector_stays_float64(setup):
+    """The tape keeps float32 inputs as float32, but the selector's
+    parameters and its forward stay float64."""
+    world, cfg, params, model = setup
+    assert {p.data.dtype for p in params.values()} == {np.dtype(np.float64)}
+    lq = world.splits["test"][0]
+    panel = sample_panel(world.populations[lq.query.task], lq.query, 4,
+                         np.random.default_rng(0))
+    fwd = model.batch_forward([(lq, panel)])
+    assert {fwd.scores_t.data.dtype, fwd.probs_t.data.dtype, fwd.coverage_t.data.dtype} \
+        == {np.dtype(np.float64)}
+
+
 def test_config_validation():
     with pytest.raises(ConfigError, match="selector config: dropout"):
         SelectorConfig(dropout=1.0)

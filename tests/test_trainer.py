@@ -103,19 +103,22 @@ def test_adamw_aborts_on_nonfinite_gradient():
         opt.step()
 
 
-def test_adamw_flat_buffer_matches_textbook_expressions_per_parameter(rng):
+def _adamw_matches_textbook_expressions_per_parameter(rng, dtype):
     """Parameters of several shapes, one of them at times without a
     gradient, each update bit for bit the textbook expressions of that
-    parameter alone; every ``p.data`` stays one view of the flat buffer."""
+    parameter alone, evaluated in ``dtype``; every ``p.data`` stays one view
+    of the flat buffer."""
     lr, wd, b1, b2, eps = 3e-3, 1e-2, 0.9, 0.999, 1e-8
     shapes = {"w": (4, 3), "b": (3,), "s": (), "z": (2, 1, 2)}
     # weights as small as the updates, so a last-bit change of an update shows
-    params = {k: dc.Tensor(rng.standard_normal(shape) * 10.0 ** rng.uniform(-5, 0, shape),
+    params = {k: dc.Tensor((rng.standard_normal(shape)
+                            * 10.0 ** rng.uniform(-5, 0, shape)).astype(dtype),
                            requires_grad=True) for k, shape in shapes.items()}
     want = {k: p.data.copy() for k, p in params.items()}
-    m = {k: np.zeros(shape) for k, shape in shapes.items()}
-    v = {k: np.zeros(shape) for k, shape in shapes.items()}
+    m = {k: np.zeros(shape, dtype=dtype) for k, shape in shapes.items()}
+    v = {k: np.zeros(shape, dtype=dtype) for k, shape in shapes.items()}
     opt = AdamW(params, lr=lr, weight_decay=wd, beta1=b1, beta2=b2, eps=eps)
+    assert opt.flat.dtype == opt.m.dtype == opt.v.dtype == dtype
     views = {k: p.data for k, p in params.items()}
     for k, p in params.items():
         assert np.shares_memory(p.data, opt.flat)
@@ -123,16 +126,32 @@ def test_adamw_flat_buffer_matches_textbook_expressions_per_parameter(rng):
     for t in range(1, 6):
         for k, p in params.items():
             p.grad = None if k == "z" and t % 2 else \
-                rng.standard_normal(shapes[k]) * 10.0 ** rng.uniform(-3, 3, shapes[k])
+                (rng.standard_normal(shapes[k])
+                 * 10.0 ** rng.uniform(-3, 3, shapes[k])).astype(dtype)
         opt.step()
         for k, p in params.items():
-            g = np.zeros(shapes[k]) if p.grad is None else p.grad
+            g = np.zeros(shapes[k], dtype=dtype) if p.grad is None else p.grad
             m[k] = b1 * m[k] + (1.0 - b1) * g
             v[k] = b2 * v[k] + (1.0 - b2) * g * g
             want[k] -= lr * (m[k] / (1.0 - b1 ** t)) / (np.sqrt(v[k] / (1.0 - b2 ** t)) + eps)
             want[k] -= lr * wd * want[k]
-            assert p.data is views[k]
-            assert p.data.tobytes() == np.asarray(want[k]).tobytes(), (k, t)
+            assert p.data is views[k] and p.data.dtype == dtype
+            assert p.data.tobytes() == np.asarray(want[k], dtype=dtype).tobytes(), (k, t)
+
+
+def test_adamw_flat_buffer_matches_textbook_expressions_per_parameter(rng):
+    _adamw_matches_textbook_expressions_per_parameter(rng, np.float64)
+
+
+def test_adamw_runs_float32_parameters_in_float32(rng):
+    _adamw_matches_textbook_expressions_per_parameter(rng, np.float32)
+
+
+def test_adamw_rejects_parameters_of_mixed_dtypes():
+    params = {"a": dc.Tensor(np.ones(2, dtype=np.float32), requires_grad=True),
+              "b": dc.Tensor(np.ones(2), requires_grad=True)}
+    with pytest.raises(ValueError, match="mixed dtypes"):
+        AdamW(params, lr=0.1, weight_decay=0.0)
 
 
 def test_adamw_nonfinite_gradient_names_the_first_parameter_and_changes_nothing():
