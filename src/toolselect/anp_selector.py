@@ -162,9 +162,10 @@ def encode_label(space, gt, label_embed_dim):
 
 
 def encode_query(params, cfg, x_rows, q_rows):
-    """u = U [phi_x(x) || phi_q(q)] for a stack of queries (n rows)."""
-    x_rows = np.atleast_2d(np.asarray(x_rows, dtype=np.float64))
-    q_rows = np.atleast_2d(np.asarray(q_rows, dtype=np.float64))
+    """u = U [phi_x(x) || phi_q(q)] for a stack of queries (n rows): float32
+    rows stay float32, any other rows are made float64."""
+    x_rows = np.atleast_2d(np.asarray(x_rows))
+    q_rows = np.atleast_2d(np.asarray(q_rows))
     if x_rows.shape[1] != cfg.d_x or q_rows.shape[1] != cfg.d_q:
         raise ShapeMismatchError(
             f"encode_query: feature dims {x_rows.shape[1]}/{q_rows.shape[1]} "
@@ -180,12 +181,12 @@ def _label_offsets(cfg):
     return np.concatenate([[0], np.cumsum(cfg.task_label_counts)]).astype(np.intp)
 
 
-def _label_table(params, cfg):
+def _label_table(params, cfg, dtype):
     """The categorical tasks' learned label tables stacked in task order,
-    plus one zero row that rows without a learned label read."""
+    plus one zero row of ``dtype`` that rows without a learned label read."""
     tables = [params[f"label_embed_t{t}"]
               for t, count in enumerate(cfg.task_label_counts) if count > 0]
-    return dc.stack_rows(tables + [dc.constant(np.zeros((1, cfg.label_embed_dim)))])
+    return dc.stack_rows(tables + [dc.constant(np.zeros((1, cfg.label_embed_dim), dtype))])
 
 
 @dataclass
@@ -208,8 +209,14 @@ class ReferenceStack:
     def arrays(self):
         return (self.x, self.label_ids, self.label_enc, self.slots, self.mask)
 
-    def take(self, rows):
-        return ReferenceStack(*(a[rows] for a in self.arrays()))
+    def take(self, rows, dtype):
+        """The sets ``rows``, with the float arrays (x, label encodings,
+        slots) in ``dtype``."""
+        return ReferenceStack(x=self.x[rows].astype(dtype, copy=False),
+                              label_ids=self.label_ids[rows],
+                              label_enc=self.label_enc[rows].astype(dtype, copy=False),
+                              slots=self.slots[rows].astype(dtype, copy=False),
+                              mask=self.mask[rows])
 
 
 def reference_arrays(cfg, space, refs):
@@ -279,11 +286,13 @@ class ReferenceBank:
 
 def encode_reference_set(params, cfg, sets):
     """Embed a ``ReferenceStack`` of G sets of R rows: the rows t (G*R, d) and
-    the keys phi_x(x) (G*R, d_xp)."""
+    the keys phi_x(x) (G*R, d_xp). The label table's zero row takes the
+    dtype of the stack's ``x``."""
     n = sets.mask.size
     px = dc.linear(dc.constant(sets.x.reshape(n, cfg.d_x)), params["phi_x_W"],
                    params["phi_x_b"])
-    labels = dc.add(dc.take_rows(_label_table(params, cfg), sets.label_ids.reshape(n)),
+    labels = dc.add(dc.take_rows(_label_table(params, cfg, sets.x.dtype),
+                                 sets.label_ids.reshape(n)),
                     dc.constant(sets.label_enc.reshape(n, cfg.label_embed_dim)))
     m_emb = dc.linear(dc.constant(sets.slots.reshape(n, cfg.slot_width)),
                       params["rho_m_W"], params["rho_m_b"])
@@ -429,14 +438,14 @@ class SelectorModel:
             detached[name] = dc.Tensor(p.data, requires_grad=False)
         return SelectorModel(self.cfg, detached, self.spaces, self.predict_fn, self.bank)
 
-    def _encode_sets(self, rows, training, rng):
+    def _encode_sets(self, rows, training, rng, dtype):
         """``project_sets`` of the bank's sets ``rows``, and their row mask."""
-        sets = self.bank.sets.take(rows)
+        sets = self.bank.sets.take(rows, dtype)
         t, keys = encode_reference_set(self.params, self.cfg, sets)
         t_tilde = self_attend_refs(self.params, self.cfg, t, sets.mask, training, rng)
         return (*project_sets(self.params, self.cfg, keys, t_tilde, sets.mask), sets.mask)
 
-    def _reference_encodings(self, tool_tasks, training, rng, cache):
+    def _reference_encodings(self, tool_tasks, training, rng, cache, dtype):
         """Cross-attention keys (N, R, d_k), values (N, R, d_v) and row mask
         (N, R) of N reference sets, and the positions among them of the G
         (tool, task) sets ``tool_tasks``.
@@ -449,11 +458,11 @@ class SelectorModel:
         """
         rows = self.bank.rows(tool_tasks)
         if cache is None:
-            return (*self._encode_sets(rows, training, rng), np.arange(len(rows)))
+            return (*self._encode_sets(rows, training, rng, dtype), np.arange(len(rows)))
         k, v, filled = _cache_arrays(cache, self.bank, self.cfg)
         missing = rows[~filled[rows]]
         if missing.size:
-            k_new, v_new, _ = self._encode_sets(missing, training, rng)
+            k_new, v_new, _ = self._encode_sets(missing, training, rng, dtype)
             k[missing] = k_new.data
             v[missing] = v_new.data
             filled[missing] = True
@@ -504,17 +513,22 @@ class SelectorModel:
             if not mask[i].any():
                 raise NoValidCandidateError(f"no valid tool in panel for query {query.uid}")
 
+        # constant inputs take the parameters' dtype: float64 for a trained
+        # model, float32 for the copy that fit trains
+        dtype = self.params["fuse_W"].data.dtype
         queries = [lq.query for lq, _ in items]
-        u = encode_query(self.params, self.cfg, np.array([q.x for q in queries]),
-                         np.array([q.q for q in queries]))
+        u = encode_query(self.params, self.cfg, np.array([q.x for q in queries], dtype),
+                         np.array([q.q for q in queries], dtype))
         k_sets, v_sets, ref_mask, set_rows = self._reference_encodings(
-            tool_tasks, training, rng, cache)
+            tool_tasks, training, rng, cache, dtype)
         u_pairs = dc.take_rows(u, pair_example)
         psi = cross_attend(self.params, self.cfg, u_pairs, k_sets, v_sets, ref_mask,
                            set_rows[pair_set])
         features = dc.concat_cols([u_pairs, psi,
-                                   dc.constant(self.predict_fn(pair_tools, pair_queries)),
-                                   dc.constant(np.array([tool.eta for tool in pair_tools]))])
+                                   dc.constant(np.asarray(
+                                       self.predict_fn(pair_tools, pair_queries), dtype)),
+                                   dc.constant(np.array([tool.eta for tool in pair_tools],
+                                                        dtype))])
         n_pairs = len(pair_example)
         pair_scores = dc.reshape(
             score_rows(self.params, self.cfg, features, training=training, rng=rng), (n_pairs,))

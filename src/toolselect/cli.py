@@ -53,12 +53,12 @@ def _coerce(key, value, typ):
             return int(value)
         if typ is float or typ == "float":
             return float(value)
+        if key == "task_weights":
+            if value.lower() == "none":
+                return None
+            return np.asarray([float(v) for v in value.split(",")], dtype=np.float64)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from exc
-    if key == "task_weights":
-        if value.lower() == "none":
-            return None
-        return np.asarray([float(v) for v in value.split(",")], dtype=np.float64)
     raise ConfigError(f"config key {key!r}: unsupported value type")
 
 

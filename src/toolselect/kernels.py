@@ -1,5 +1,6 @@
 """Hot elementwise and reduction kernels in numpy; each keeps its input's
-dtype (float64, or float32 for the MLPIndex baseline).
+dtype (float64, or float32 for the MLPIndex baseline and the selector's
+training step).
 
 Matrix products go through numpy/BLAS; only the elementwise-heavy kernels
 live here.

@@ -123,6 +123,10 @@ QUERY_BLOCK = 256
 DENSE_ROWS = 512
 # Whole-panel draws sample_panel makes before it gives up.
 PANEL_ATTEMPTS = 100
+# Largest (finding, location) pair vocabulary a config may ask for: a report
+# task's vocabulary, its outputs and its per-pair arrays are built whole, so
+# a huge one fails on memory instead of generating a world.
+MAX_PAIR_VOCAB = 1024
 
 FAMILY_CYCLE = (
     TaskFamily.CLASSIFICATION,
@@ -176,6 +180,9 @@ class WorldConfig:
         if self.n_findings * self.n_locations < 5:
             raise ConfigError("world config: n_findings * n_locations must be at least 5, "
                               "the number of report centroids")
+        if self.n_findings * self.n_locations > MAX_PAIR_VOCAB:
+            raise ConfigError(f"world config: n_findings * n_locations must be at most "
+                              f"{MAX_PAIR_VOCAB}, got {self.n_findings * self.n_locations}")
         for name in ("p_max", "p_floor", "sharpness", "support_prob", "feature_noise",
                      "hint_noise"):
             if not math.isfinite(getattr(self, name)):

@@ -6,6 +6,12 @@ first step, so every simulator read of a step is a gather. A step's
 objective reads the batched forward's stacked tensors and the batch's
 ``(B, M)`` ``panel_costs``, and ``AdamW`` updates all parameters as one flat
 buffer.
+
+Training is mixed precision: ``init_params``' float64 tensors are the
+master weights that ``AdamW`` updates, and the tape trains a float32 copy
+of them (``float32_copy``), so each step's forward, objective, backward and
+validation run in float32. The trained parameters are the float64 masters,
+and every forward on them stays float64.
 """
 
 import math
@@ -158,6 +164,20 @@ class AdamW:
         p -= np.multiply(p, self.lr * self.weight_decay, out=a)
 
 
+def float32_copy(masters):
+    """The float32 copy of parameters that the tape trains: ``(flat,
+    tensors)``, each tensor a view of its part of the float32 array ``flat``,
+    which is laid out as ``AdamW`` lays out its flat buffer (name order). So
+    ``flat[...] = opt.flat`` refreshes every tensor from the masters in one
+    cast pass."""
+    names = sorted(masters)
+    flat = np.concatenate([masters[name].data.reshape(-1) for name in names]).astype(np.float32)
+    ends = np.cumsum([masters[name].data.size for name in names])
+    parts = dict(zip(names, np.split(flat, ends[:-1])))
+    return flat, {name: dc.Tensor(parts[name].reshape(p.data.shape), requires_grad=True)
+                  for name, p in masters.items()}
+
+
 def sample_task(task_weights, rng):
     """Categorical task draw; weights must lie on the simplex."""
     w = np.asarray(task_weights, dtype=np.float64)
@@ -284,6 +304,13 @@ def fit(cfg, world, objective_cfg=None, selector_cfg=None, log_fn=None):
     """Train the selector on a world; returns the best-validation snapshot.
 
     Tools are frozen throughout: only selector parameters are updated.
+    Mixed precision: each step's forward, objective and backward, and each
+    validation pass, run on a float32 copy of float64 master weights.
+    ``AdamW`` updates the masters from the copy's gradients, and the copy is
+    refreshed from them after every update. A float32 ``AdamW`` would drop
+    the decoupled weight decay: its ``lr * weight_decay * p`` (3e-9 of ``p``
+    by default) is below half a float32 ulp of ``p``. The returned
+    parameters are the float64 masters.
     Bit-deterministic for a fixed (cfg, world, seed) in single-threaded use.
     """
     if selector_cfg is None:
@@ -303,9 +330,10 @@ def fit(cfg, world, objective_cfg=None, selector_cfg=None, log_fn=None):
             raise ConfigError(f"task {task} has weight {weight:g} but no training queries "
                               f"(n_train={world.cfg.n_train} over {n_tasks} tasks)")
 
-    params = init_params(selector_cfg, cfg.seed)
+    masters = init_params(selector_cfg, cfg.seed)
+    opt = AdamW(masters, cfg.lr, cfg.weight_decay, cfg.beta1, cfg.beta2, cfg.eps_opt)
+    flat32, params = float32_copy(masters)
     model = build_model(world, params, selector_cfg)
-    opt = AdamW(params, cfg.lr, cfg.weight_decay, cfg.beta1, cfg.beta2, cfg.eps_opt)
 
     task_rng = np.random.default_rng([cfg.seed, 11])
     batch_rng = np.random.default_rng([cfg.seed, 13])
@@ -325,7 +353,7 @@ def fit(cfg, world, objective_cfg=None, selector_cfg=None, log_fn=None):
 
     history = []
     best_val = math.inf
-    best_params = {k: p.data.copy() for k, p in params.items()}
+    best_params = {k: p.data.copy() for k, p in masters.items()}
     val_trace = []
     for epoch in range(1, cfg.max_epochs + 1):
         losses = []
@@ -342,13 +370,16 @@ def fit(cfg, world, objective_cfg=None, selector_cfg=None, log_fn=None):
                 raise ValueError(f"non-finite loss at epoch {epoch}")
             dc.zero_grads(params.values())
             dc.backward(loss)
+            for name, p in masters.items():
+                p.grad = params[name].grad
             opt.step()
+            flat32[...] = opt.flat
             losses.append(loss.item())
         val_cost = _validation_cost(world, model.detached(), val_items)
         improved = val_cost < best_val
         if improved:
             best_val = val_cost
-            best_params = {k: p.data.copy() for k, p in params.items()}
+            best_params = {k: p.data.copy() for k, p in masters.items()}
         rec = EpochRecord(epoch=epoch, train_loss=float(np.mean(losses)),
                           val_cost=val_cost, best=improved)
         history.append(rec)

@@ -14,7 +14,7 @@ from toolselect.datasets import (
     import_tools,
 )
 from toolselect.errors import ConfigError
-from toolselect.simworld import generate_world
+from toolselect.simworld import MAX_PAIR_VOCAB, generate_world
 from toolselect.trainer import MAX_PANEL_SIZE, TrainConfig, default_selector_config
 
 FAST_CONFIG = """\
@@ -316,6 +316,8 @@ def test_route_rejects_bad_records_with_an_error_line(tmp_path, cfg_path, capsys
     ("task_weights=0.2,0.2,0.2,0.2,0.2", "over the world's 4 tasks"),
     ("task_weights=0.5,0.6,0,0", "task_weights must be a probability vector"),
     ("task_weights=1.5,-0.5,0,0", "task_weights must be a probability vector"),
+    ("task_weights=1,x", "config key 'task_weights': could not convert string to float: 'x'"),
+    ("task_weights=", "config key 'task_weights': could not convert string to float: ''"),
     ("batch_size=0", "train config: batch_size must be at least 1, got 0"),
     ("patience=0", "train config: patience must be at least 1, got 0"),
     ("max_epochs=0", "train config: max_epochs must be at least 1, got 0"),
@@ -336,6 +338,7 @@ def test_route_rejects_bad_records_with_an_error_line(tmp_path, cfg_path, capsys
     ("hidden=0", "selector config: hidden must be positive, got 0"),
     ("dropout=1", "selector config: dropout must lie in [0, 1), got 1"),
 ], ids=["weights_too_short", "weights_too_long", "weights_off_simplex", "negative_weight",
+        "weights_not_numbers", "weights_empty",
         "batch_size_0", "patience_0", "max_epochs_0", "lr_nan", "beta2_1", "panel_size_1",
         "panel_size_huge",
         "task_label_counts", "eta_dim", "n_tasks", "seed", "lambda_h_nan", "lambda_r_inf",
@@ -410,6 +413,21 @@ def test_route_rejects_unusable_world_config_with_an_error_line(tmp_path, capsys
     assert code == 2
     assert err.startswith(f"error: world config: {message}"), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("line", ["n_findings=1000000000", "n_locations=1025",
+                                  "n_findings=33\nn_locations=32"],
+                         ids=["findings_huge", "locations_past_the_bound", "product_past_the_bound"])
+def test_config_pair_vocabulary_above_the_bound_is_a_config_error(tmp_path, line):
+    """A (finding, location) vocabulary past ``MAX_PAIR_VOCAB`` is rejected
+    when the config is parsed, before any world is generated."""
+    p = tmp_path / "bad.cfg"
+    p.write_text(line + "\n")
+    with pytest.raises(ConfigError, match=r"world config: n_findings \* n_locations must be at "
+                                          rf"most {MAX_PAIR_VOCAB}, got \d+"):
+        parse_config(str(p))
+    p.write_text("n_findings=256\nn_locations=4\n")
+    assert parse_config(str(p)).world.n_findings == 256
 
 
 # --------------------------------------------- checkpoint against config

@@ -70,8 +70,10 @@ def test_init_forward_finite(setup):
 
 
 def test_the_selector_stays_float64(setup):
-    """The tape keeps float32 inputs as float32, but the selector's
-    parameters and its forward stay float64."""
+    """Routing stays float64: ``init_params`` gives float64 parameters and
+    a forward on them is float64, although the tape keeps float32 inputs as
+    float32. Training is covered in ``test_trainer.py``: ``fit`` computes
+    on a float32 copy of float64 masters and returns the masters."""
     world, cfg, params, model = setup
     assert {p.data.dtype for p in params.values()} == {np.dtype(np.float64)}
     lq = world.splits["test"][0]

@@ -4,15 +4,22 @@ import numpy as np
 import pytest
 
 from toolselect import diffcore as dc
+from toolselect.anp_selector import SelectorModel, init_params
+from toolselect.baselines import ToolSelectRouter
 from toolselect.errors import ConfigError
-from toolselect.objective import ObjectiveConfig
+from toolselect.objective import ObjectiveConfig, batch_objective
 from toolselect.simworld import WorldConfig, generate_world, sample_panel
 from toolselect.trainer import (
     AdamW,
     TrainConfig,
+    build_model,
+    default_selector_config,
     early_stop,
     fit,
+    float32_copy,
+    panel_costs,
     sample_task,
+    step_panels,
 )
 
 
@@ -264,6 +271,126 @@ def test_fit_does_not_mutate_tools():
         np.testing.assert_array_equal(t.mu, mu)
 
 
+# ------------------------------------------------------- mixed precision
+
+def test_fit_steps_in_float32_on_float64_masters(monkeypatch, handed_dtypes):
+    """Every gradient a fit step hands to ``accumulate`` is float32;
+    ``AdamW`` updates float64 masters from float32 gradients in float64
+    buffers; and each training forward runs on the masters as the last
+    update left them, rounded to float32."""
+    forwards, updates, seen = [], [], []
+    batch_forward, step = SelectorModel.batch_forward, AdamW.step
+
+    def forward_spy(self, items, training=False, **kwargs):
+        if training:
+            forwards.append(np.concatenate([self.params[k].data.reshape(-1)
+                                            for k in sorted(self.params)]))
+        return batch_forward(self, items, training=training, **kwargs)
+
+    def step_spy(self):
+        seen.append(({p.data.dtype for p in self.params.values()},
+                     {p.grad.dtype for p in self.params.values() if p.grad is not None},
+                     {self.flat.dtype, self.m.dtype, self.v.dtype, self._grad.dtype}))
+        step(self)
+        updates.append(self.flat.copy())
+    monkeypatch.setattr(SelectorModel, "batch_forward", forward_spy)
+    monkeypatch.setattr(AdamW, "step", step_spy)
+    w = generate_world(WorldConfig(**FAST), 3)
+    cfg = TrainConfig(max_epochs=1, batch_size=8, panel_size=4, seed=5)
+    fit(cfg, w)
+    assert handed_dtypes == {np.dtype(np.float32)}
+    assert len(seen) == len(forwards) == 15
+    f32, f64 = {np.dtype(np.float32)}, {np.dtype(np.float64)}
+    assert all(masters == f64 and grads == f32 and buffers == f64
+               for masters, grads, buffers in seen), seen
+    init = init_params(default_selector_config(w), cfg.seed)
+    masters = [np.concatenate([init[k].data.reshape(-1) for k in sorted(init)])] + updates
+    for i, used in enumerate(forwards):
+        assert used.dtype == np.float32
+        assert used.tobytes() == masters[i].astype(np.float32).tobytes(), i
+
+
+def test_fit_returns_float64_masters_and_a_router_on_them_runs_float64():
+    w = generate_world(WorldConfig(**FAST), 3)
+    res = fit(TrainConfig(max_epochs=1, batch_size=8, panel_size=4, seed=5), w)
+    assert {p.data.dtype for p in res.params.values()} == {np.dtype(np.float64)}
+    router = ToolSelectRouter(build_model(w, res.params, default_selector_config(w)))
+    lq = w.splits["test"][0]
+    panel = sample_panel(w.populations[lq.query.task], lq.query, 4, np.random.default_rng(0))
+    fwd = router.forward([(lq, panel)])
+    assert fwd.scores_t.data.dtype == fwd.probs_t.data.dtype == np.float64
+
+
+def test_float32_copy_is_refreshed_from_adamw_flat_in_one_pass(rng):
+    """The copy's tensors are views of one float32 array laid out like
+    ``AdamW.flat``, so one assignment refreshes each of them to its master
+    rounded to float32."""
+    shapes = {"w": (4, 3), "b": (3,), "s": (), "a": (2, 1, 2)}
+    masters = {k: dc.Tensor(rng.standard_normal(shape), requires_grad=True)
+               for k, shape in shapes.items()}
+    opt = AdamW(masters, lr=0.1, weight_decay=0.01)
+    flat, params = float32_copy(masters)
+    assert list(params) == list(masters) and flat.dtype == np.float32
+    np.testing.assert_array_equal(flat, opt.flat.astype(np.float32))
+    for k, p in params.items():
+        masters[k].grad = rng.standard_normal(shapes[k]).astype(np.float32)
+        assert p.data.dtype == np.float32 and p.requires_grad
+        assert np.shares_memory(p.data, flat)
+    opt.step()
+    flat[...] = opt.flat
+    for k, p in params.items():
+        assert p.data.shape == shapes[k]
+        assert p.data.tobytes() == masters[k].data.astype(np.float32).tobytes(), k
+
+
+def test_a_zero_gradient_update_decays_a_float64_master_but_no_float32_weight(rng):
+    """At the default ``lr * weight_decay`` (3e-9), the decoupled decay of a
+    fit step changes every float64 master, bit for bit ``p - lr*wd*p``; the
+    same update of float32 weights changes none of them, which is why fit
+    keeps float64 masters."""
+    cfg = TrainConfig()
+    p0 = rng.uniform(0.01, 1.0, size=(64, 8)) * rng.choice([-1.0, 1.0], size=(64, 8))
+    masters = {"w": dc.Tensor(p0.copy(), requires_grad=True)}
+    opt = AdamW(masters, cfg.lr, cfg.weight_decay, cfg.beta1, cfg.beta2, cfg.eps_opt)
+    flat, params = float32_copy(masters)
+    params["w"].grad = np.zeros((64, 8), dtype=np.float32)
+    masters["w"].grad = params["w"].grad
+    opt.step()
+    flat[...] = opt.flat
+    want = p0 - np.multiply(p0, cfg.lr * cfg.weight_decay)
+    assert masters["w"].data.tobytes() == want.tobytes()
+    assert (masters["w"].data != p0).all()
+    w32 = dc.Tensor(p0.astype(np.float32), requires_grad=True)
+    w32.grad = np.zeros((64, 8), dtype=np.float32)
+    AdamW({"w": w32}, cfg.lr, cfg.weight_decay, cfg.beta1, cfg.beta2, cfg.eps_opt).step()
+    assert w32.data.dtype == np.float32
+    assert w32.data.tobytes() == p0.astype(np.float32).tobytes()
+
+
+def test_a_float32_training_forward_agrees_with_the_float64_forward(small_world):
+    """The float32 training forward and objective of parameters rounded to
+    float32 agree with the float64 ones of the same rounded parameters, to
+    float32 tolerance, with the same dropout draws."""
+    w = small_world
+    sel = default_selector_config(w)
+    rounded = {k: p.data.astype(np.float32) for k, p in init_params(sel, 0).items()}
+    task = 1
+    pool = w.split_by_task("train")[task]
+    lqs = pool[:12]
+    items = list(zip(lqs, step_panels(w.populations[task], lqs, 6, np.random.default_rng(2))))
+    pc = panel_costs(w, items)
+    out = {}
+    for dtype in (np.float32, np.float64):
+        params = {k: dc.Tensor(v.astype(dtype), requires_grad=True) for k, v in rounded.items()}
+        fwd = build_model(w, params, sel).batch_forward(items, training=True,
+                                                        rng=np.random.default_rng(3))
+        loss = batch_objective(ObjectiveConfig(), fwd, pc, w.cfg.n_tasks())
+        out[dtype] = (fwd.scores_t.data, fwd.probs_t.data, fwd.coverage_t.data, loss.data)
+    for a32, a64 in zip(out[np.float32], out[np.float64]):
+        assert a32.dtype == np.float32 and a64.dtype == np.float64
+        np.testing.assert_allclose(a32, a64, rtol=1e-4, atol=1e-5)
+
+
 # ------------------------------------------------------- objective inputs
 
 def _objective_before(cfg, world, items, fwd, n_tasks):
@@ -310,7 +437,7 @@ def test_objective_inputs_equal_the_per_item_ones_bit_for_bit(small_world, task_
     """On ragged panels of 2 to 12 slots over every task, the (B, M) panel
     costs, compsum weights, loss and every parameter gradient are the bits
     the per-item inputs gave, panels of 8 valid slots or more included."""
-    from toolselect.anp_selector import init_params
+    from toolselect.anp_selector import SelectorModel, init_params
     from toolselect.objective import ObjectiveConfig, PanelCosts, batch_objective, compsum_weights
     from toolselect.simworld import sample_panel
     from toolselect.trainer import build_model, default_selector_config, panel_costs
@@ -361,7 +488,7 @@ def test_a_steps_objective_inputs_hold_no_reference_cycle(small_world):
     import gc
     import weakref
 
-    from toolselect.anp_selector import init_params
+    from toolselect.anp_selector import SelectorModel, init_params
     from toolselect.objective import ObjectiveConfig, batch_objective
     from toolselect.trainer import build_model, default_selector_config, panel_costs
 
