@@ -72,8 +72,6 @@ def test_split_sizes(small_world):
     ({"n_findings": 1}, "n_findings * n_locations must be at least 5"),
     ({"n_locations": 0}, "n_locations must be at least 1"),
     ({"n_findings": 2, "n_locations": 2}, "n_findings * n_locations must be at least 5"),
-    ({"n_findings": 10 ** 9}, "n_findings * n_locations must be at most 1024, got 4000000000"),
-    ({"n_findings": 257}, "n_findings * n_locations must be at most 1024, got 1028"),
     ({"feature_noise": float("nan")}, "feature_noise must be finite"),
     ({"hint_noise": float("inf")}, "hint_noise must be finite"),
     ({"feature_noise": -0.1}, "feature_noise must be non-negative"),
@@ -81,6 +79,8 @@ def test_split_sizes(small_world):
     ({"support_prob": 0.0}, "support_prob must lie in (0, 1]"),
     ({"support_prob": 1.5}, "support_prob must lie in (0, 1]"),
     ({"n_ref_pool": 3}, "n_ref_pool (3) must be at least the task count (4)"),
+    ({"n_findings": 10 ** 9}, "n_findings * n_locations must be at most 1024, got 4000000000"),
+    ({"n_findings": 257}, "n_findings * n_locations must be at most 1024, got 1028"),
 ])
 def test_world_config_rejects_unusable_values(bad, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
