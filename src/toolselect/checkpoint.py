@@ -15,14 +15,20 @@ VERSION = 1
 
 
 def save_checkpoint(params, path):
-    """Serialize a name->Tensor dict as little-endian float32 with a CRC."""
+    """Serialize a name->Tensor dict as little-endian float32 with a CRC.
+
+    A tensor that is not finite in float32 (NaN, inf, or a value past the
+    float32 range) is a ``CheckpointError`` naming it, and no file is written.
+    """
     body = bytearray()
     body += MAGIC
     body += struct.pack("<I", VERSION)
     body += struct.pack("<I", len(params))
     for name in sorted(params):
-        data = np.asarray(params[name].data if isinstance(params[name], dc.Tensor)
-                          else params[name], dtype=np.float32)
+        with np.errstate(over="ignore"):
+            data = np.asarray(params[name].data if isinstance(params[name], dc.Tensor)
+                              else params[name], dtype=np.float32)
+        _check_finite(name, data)
         encoded = name.encode("utf-8")
         body += struct.pack("<H", len(encoded))
         body += encoded
@@ -45,7 +51,9 @@ def save_checkpoint(params, path):
 def load_checkpoint(path):
     """Load a checkpoint back into a name -> float64 array dict.
 
-    Values carry float32 precision exactly (bit-exact round-trip at f32).
+    Values carry float32 precision exactly (bit-exact round-trip at f32). A
+    tensor holding NaN or inf is a ``CheckpointError`` naming it, even in a
+    file whose CRC is valid.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -83,7 +91,14 @@ def load_checkpoint(path):
         raise CheckpointError(f"corrupt tensor table: {exc}") from exc
     if offset != len(body):
         raise CheckpointError("trailing bytes after tensor table")
+    for name, arr in out.items():
+        _check_finite(name, arr)
     return out
+
+
+def _check_finite(name, data):
+    if not np.isfinite(data).all():
+        raise CheckpointError(f"checkpoint tensor {name!r} is not finite in float32")
 
 
 def params_to_float32(params):

@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -36,3 +39,20 @@ def handed_dtypes(monkeypatch):
         accumulate(self, g)
     monkeypatch.setattr(dc.Tensor, "accumulate", spy)
     return handed
+
+
+@pytest.fixture
+def write_unchecked_checkpoint():
+    """A writer of the checkpoint format (magic, version, float32 tensors,
+    CRC) that checks nothing, for files ``save_checkpoint`` would refuse."""
+    def write(tensors, path):
+        body = bytearray(b"TSEL" + struct.pack("<II", 1, len(tensors)))
+        for name in sorted(tensors):
+            data = np.asarray(tensors[name], dtype="<f4")
+            encoded = name.encode("utf-8")
+            body += struct.pack("<H", len(encoded)) + encoded + struct.pack("<B", data.ndim)
+            body += struct.pack(f"<{data.ndim}I", *data.shape) + data.tobytes()
+        body += struct.pack("<I", zlib.crc32(bytes(body)) & 0xFFFFFFFF)
+        with open(path, "wb") as fh:
+            fh.write(bytes(body))
+    return write

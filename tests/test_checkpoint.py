@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -110,3 +111,49 @@ def test_selector_scores_survive_round_trip(tmp_path, small_world):
         np.testing.assert_allclose(d32.probs, d64.probs, atol=1e-4)
         again = m32.select(lq.query, panel)
         np.testing.assert_array_equal(d32.probs, again.probs)
+
+
+def test_the_unchecked_writer_writes_what_save_checkpoint_writes(tmp_path,
+                                                                  write_unchecked_checkpoint):
+    params = {"w": np.arange(6.0).reshape(2, 3) / 7, "b": np.array([0.5, -2.0]), "s": np.array(3.0)}
+    save_checkpoint(params, tmp_path / "a.bin")
+    write_unchecked_checkpoint(params, tmp_path / "b.bin")
+    assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+
+@pytest.mark.parametrize("value", [1e39, -1e39, np.inf, np.nan],
+                         ids=["past_float32", "past_float32_negative", "inf", "nan"])
+def test_save_refuses_a_tensor_not_finite_in_float32(tmp_path, value):
+    """The tensor is named, no ``RuntimeWarning`` of the cast escapes, and
+    neither the checkpoint nor a temporary file is left behind."""
+    params = {"a_b": np.ones(3), "head1_W": np.array([[0.5, value], [1.0, 2.0]])}
+    path = tmp_path / "ckpt.bin"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CheckpointError, match="tensor 'head1_W' is not finite in float32"):
+            save_checkpoint(params, path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_refused_save_keeps_the_checkpoint_already_there(tmp_path):
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint({"w": np.ones(2)}, path)
+    before = path.read_bytes()
+    with pytest.raises(CheckpointError, match="'w'"):
+        save_checkpoint({"w": np.array([1.0, np.nan])}, path)
+    assert path.read_bytes() == before and list(tmp_path.iterdir()) == [path]
+
+
+def test_save_accepts_the_largest_float32(tmp_path):
+    top = float(np.finfo(np.float32).max)
+    save_checkpoint({"w": np.array([top, -top])}, tmp_path / "ckpt.bin")
+    assert load_checkpoint(tmp_path / "ckpt.bin")["w"].tolist() == [top, -top]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+def test_load_refuses_a_crc_valid_tensor_holding_nan_or_inf(tmp_path, value,
+                                                             write_unchecked_checkpoint):
+    path = tmp_path / "ckpt.bin"
+    write_unchecked_checkpoint({"a": np.zeros(2), "cov1_W": np.array([[1.0, value]])}, path)
+    with pytest.raises(CheckpointError, match="tensor 'cov1_W' is not finite in float32"):
+        load_checkpoint(path)

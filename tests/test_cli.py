@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -479,6 +480,38 @@ def test_checkpoint_shapes_must_match_the_selector_config(tmp_path, cfg_path, ca
     assert err.startswith("error: ") and "tensor 'cov1_W' has shape (" in err, err
     assert re.search(r"512\), the selector config \(\d+, 64\)", err), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,name,value", [
+    ("route", "cov1_W", np.nan), ("route", "cov1_W", np.inf), ("route", "head1_W", np.nan),
+    ("route", "head1_W", np.inf), ("eval", "head1_W", np.nan)])
+def test_a_checkpoint_holding_nan_or_inf_is_an_error_line(tmp_path, cfg_path, capsys,
+                                                          write_unchecked_checkpoint,
+                                                          command, name, value):
+    """A CRC-valid checkpoint with one NaN or inf weight exits 2 naming the
+    tensor, before any route, with no traceback and no numpy warning."""
+    out = tmp_path / "run"
+    assert run(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    world = generate_world(parse_config(cfg_path).world, 0)
+    tensors = {n: t.data.copy()
+               for n, t in init_params(default_selector_config(world), 0).items()}
+    tensors[name][0, 0] = value
+    write_unchecked_checkpoint(tensors, out / "checkpoint.bin")
+    record = tmp_path / "record.json"
+    record.write_text((out / "test.jsonl").read_text().splitlines()[0] + "\n")
+    capsys.readouterr()
+    argv = [command, "--config", cfg_path, "--out", str(out)]
+    if command == "route":
+        argv += ["--input", str(record), "--panel-size", "4"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: checkpoint tensor '{name}' is not finite in float32\n", \
+        captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "RuntimeWarning" not in captured.err and not caught, [str(w.message) for w in caught]
 
 
 def test_route_accepts_a_checkpoint_of_the_selector_config(tmp_path, cfg_path, capsys):
