@@ -8,11 +8,13 @@ One batched forward scores B (query, panel) items at once:
   or encodings, slot matrix, row mask) once, on first use. The G sets are
   encoded as one (G, R, .) stack, self-attended with one batched, row-masked
   attention and projected to cross-attention keys and values. Those do not
-  depend on the query, so a forward-only caller's cache keeps them per bank
-  row and a cached forward gathers them.
+  depend on the query, so a frozen model (one whose parameters take no
+  gradient) keeps them per bank row and gathers them; a trainable model
+  encodes its batch's sets on the tape.
 - Each distinct (example, tool) pair cross-attends from its query over its
-  tool's set once; the score head, and the coverage head that predicts each
-  tool's per-query success probability, run once over all pairs.
+  tool's set once, and the score head runs once over all pairs. The coverage
+  head, which predicts each tool's per-query success probability, runs over
+  the same pair rows when the forward's ``coverage_t`` is first read.
 - The pair scores are gathered into a (B, M) slot matrix, M the largest
   panel, and one row-masked softmax gives every selection distribution. A
   tool drawn twice into one panel reads one pair score, so its copies tie
@@ -357,28 +359,6 @@ def coverage_rows(params, cfg, features):
     return dc.sigmoid(dc.linear(h, params["cov2_W"], params["cov2_b"]))
 
 
-def _cache_arrays(cache, bank, cfg):
-    """A forward-only cache's arrays, sized to the bank: keys "k" (N, R, d_k),
-    values "v" (N, R, d_v) and the flags "filled" (N,) of the bank rows
-    encoded so far. The stacks grow with the bank's rows. When the bank
-    widens they start again from zeros, and every set is encoded anew on its
-    next use: a set's self-attention sums over its padded width, so one
-    encoded at a narrower width would not have the bits a fresh encoding
-    gives."""
-    capacity, width = bank.sets.mask.shape
-    old = cache.get("k")
-    if old is None or old.shape[:2] != (capacity, width):
-        grown = {"k": np.zeros((capacity, width, cfg.d_k)),
-                 "v": np.zeros((capacity, width, cfg.d_v)),
-                 "filled": np.zeros(capacity, dtype=bool)}
-        if old is not None and old.shape[1] == width:
-            grown["k"][:len(old)] = old
-            grown["v"][:len(old)] = cache["v"]
-            grown["filled"][:len(old)] = cache["filled"]
-        cache.update(grown)
-    return cache["k"], cache["v"], cache["filled"]
-
-
 @dataclass
 class SelectionDistribution:
     """One item's selection distribution over its panel's slots."""
@@ -391,15 +371,20 @@ class SelectionDistribution:
 @dataclass
 class BatchForward:
     """Outputs of one batched forward over B items, M the widest panel: the
-    stacked tensors the objective reads, and per-item distributions built
-    only when read."""
+    stacked tensors the objective reads, and the pairs' coverage and per-item
+    distributions, both built only when read."""
     probs_t: object         # Tensor (B, M): selection distribution per row
     scores_t: object        # Tensor (B, M): raw scores, zero on invalid and padding slots
     mask: np.ndarray        # (B, M) valid slots
-    coverage_t: object      # Tensor (P,): coverage per distinct (example, tool) pair, or None
     slot_pair: np.ndarray   # (V,) pair of each valid slot, in row-major slot order
     tasks: np.ndarray       # (B,) task of each item
     widths: list            # panel size of each item
+    coverage_fn: object     # () -> the coverage tensor, run by the first read of coverage_t
+
+    @cached_property
+    def coverage_t(self):
+        """Tensor (P,): coverage per distinct (example, tool) pair."""
+        return self.coverage_fn()
 
     @property
     def selected(self):
@@ -430,9 +415,15 @@ class SelectorModel:
         self.spaces = spaces
         self.predict_fn = predict_fn
         self.bank = ReferenceBank(cfg, spaces) if bank is None else bank
+        # a frozen model's stored cross-attention keys "k" (N, R, d_k),
+        # values "v" (N, R, d_v) and flags "filled" (N,) of the bank rows it
+        # has encoded; None for a trainable model
+        self.store = None if any(p.requires_grad for p in params.values()) else {}
 
     def detached(self):
-        """Forward-only view: params and reference bank shared, gradients disabled."""
+        """Forward-only view: params and reference bank shared, gradients
+        disabled. The view is frozen, so it keeps the reference encodings it
+        computes; make a new view after the parameters change."""
         detached = {}
         for name, p in self.params.items():
             detached[name] = dc.Tensor(p.data, requires_grad=False)
@@ -445,21 +436,38 @@ class SelectorModel:
         t_tilde = self_attend_refs(self.params, self.cfg, t, sets.mask, training, rng)
         return (*project_sets(self.params, self.cfg, keys, t_tilde, sets.mask), sets.mask)
 
-    def _reference_encodings(self, tool_tasks, training, rng, cache, dtype):
+    def _stored_arrays(self, dtype):
+        """The store's arrays, sized to the bank. The stacks grow with the
+        bank's rows. When the bank widens they start again from zeros, and
+        every set is encoded anew on its next use: a set's self-attention sums
+        over its padded width, so one encoded at a narrower width would not
+        have the bits a fresh encoding gives."""
+        store, (capacity, width) = self.store, self.bank.sets.mask.shape
+        old = store.get("k")
+        if old is None or old.shape[:2] != (capacity, width):
+            grown = {"k": np.zeros((capacity, width, self.cfg.d_k), dtype),
+                     "v": np.zeros((capacity, width, self.cfg.d_v), dtype),
+                     "filled": np.zeros(capacity, dtype=bool)}
+            if old is not None and old.shape[1] == width:
+                for name, array in grown.items():
+                    array[:len(old)] = store[name]
+            store.update(grown)
+        return store["k"], store["v"], store["filled"]
+
+    def _reference_encodings(self, tool_tasks, training, rng, dtype):
         """Cross-attention keys (N, R, d_k), values (N, R, d_v) and row mask
         (N, R) of N reference sets, and the positions among them of the G
         (tool, task) sets ``tool_tasks``.
 
-        Without a cache the N sets are the G sets. ``cache``, a dict kept by
-        a forward-only caller, holds the keys and values of every bank row
-        encoded so far, so each set is encoded once per cache; the N sets are
-        then the bank's rows, and a forward gathers its pairs' keys and
-        values from them once.
+        A trainable model, or a training forward, encodes the G sets as the N
+        sets. A frozen model encodes each bank row once into its store; the N
+        sets are then the bank's rows, and a forward gathers its pairs' keys
+        and values from them.
         """
         rows = self.bank.rows(tool_tasks)
-        if cache is None:
+        if self.store is None or training:
             return (*self._encode_sets(rows, training, rng, dtype), np.arange(len(rows)))
-        k, v, filled = _cache_arrays(cache, self.bank, self.cfg)
+        k, v, filled = self._stored_arrays(dtype)
         missing = rows[~filled[rows]]
         if missing.size:
             k_new, v_new, _ = self._encode_sets(missing, training, rng, dtype)
@@ -468,20 +476,21 @@ class SelectorModel:
             filled[missing] = True
         return dc.constant(k), dc.constant(v), self.bank.sets.mask, rows
 
-    def select(self, query, panel, cache=None):
+    def select(self, query, panel):
         """Score a panel and produce the masked selection distribution: the
         forward of a one-item batch. Ties go to the lowest slot."""
-        item = (LabeledQuery(query, None), panel)
-        return self.batch_forward([item], with_coverage=False, cache=cache).dists[0]
+        return self.batch_forward([(LabeledQuery(query, None), panel)]).dists[0]
 
-    def batch_forward(self, items, training=False, rng=None, with_coverage=True, cache=None):
+    def batch_forward(self, items, training=False, rng=None):
         """One forward over (labeled query, panel) items; only the queries are read.
 
         Every (tool, task) reference set the batch needs is encoded once, as
-        one stack; every distinct (example, tool) pair is scored once and its
-        score gathered into each panel slot holding that tool, so copies of a
-        tool tie exactly. One row-masked softmax over the (B, M) score matrix
-        gives all the selection distributions.
+        one stack, or read from a frozen model's store; every distinct
+        (example, tool) pair is scored once and its score gathered into each
+        panel slot holding that tool, so copies of a tool tie exactly. One
+        row-masked softmax over the (B, M) score matrix gives all the
+        selection distributions. The coverage head runs when ``coverage_t``
+        is first read.
         """
         if not items:
             raise ValueError("batch_forward: empty batch")
@@ -520,7 +529,7 @@ class SelectorModel:
         u = encode_query(self.params, self.cfg, np.array([q.x for q in queries], dtype),
                          np.array([q.q for q in queries], dtype))
         k_sets, v_sets, ref_mask, set_rows = self._reference_encodings(
-            tool_tasks, training, rng, cache, dtype)
+            tool_tasks, training, rng, dtype)
         u_pairs = dc.take_rows(u, pair_example)
         psi = cross_attend(self.params, self.cfg, u_pairs, k_sets, v_sets, ref_mask,
                            set_rows[pair_set])
@@ -537,12 +546,13 @@ class SelectorModel:
             uids = sorted({pair_queries[p].uid for p in np.flatnonzero(~finite)})
             raise NonFiniteScoreError(f"non-finite selector score for queries {uids}")
         scores_t = dc.scatter_1d(dc.take_rows(pair_scores, slot_pair), slot_pos, mask.shape)
-        probs_t = dc.masked_softmax(scores_t, mask)
-        coverage_t = None
-        if with_coverage:
-            coverage_t = dc.reshape(coverage_rows(
-                self.params, self.cfg, dc.concat_cols([u_pairs, psi])), (n_pairs,))
-        return BatchForward(probs_t=probs_t, scores_t=scores_t, mask=mask,
-                            coverage_t=coverage_t, slot_pair=np.asarray(slot_pair, dtype=np.intp),
+
+        def coverage():
+            pairs = dc.concat_cols([u_pairs, psi])
+            return dc.reshape(coverage_rows(self.params, self.cfg, pairs), (n_pairs,))
+
+        return BatchForward(probs_t=dc.masked_softmax(scores_t, mask), scores_t=scores_t,
+                            mask=mask, slot_pair=np.asarray(slot_pair, dtype=np.intp),
                             tasks=np.array([q.task for q in queries]),
-                            widths=[len(panel.tools) for _, panel in items])
+                            widths=[len(panel.tools) for _, panel in items],
+                            coverage_fn=coverage)

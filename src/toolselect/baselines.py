@@ -291,11 +291,6 @@ class ToolSelectRouter(Router):
 
     def __init__(self, model):
         self.model = model.detached()
-        self._cache = {}
-
-    def forward(self, items):
-        """The ``BatchForward`` of the items, without the coverage head."""
-        return self.model.batch_forward(items, with_coverage=False, cache=self._cache)
 
     def route_batch(self, items, rng):
-        return self.forward(items).selected
+        return self.model.batch_forward(items).selected

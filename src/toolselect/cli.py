@@ -242,7 +242,7 @@ def cmd_route(args, cfg):
              for lq in lqs]
     for lo in range(0, len(items), CHUNK):
         chunk = items[lo:lo + CHUNK]
-        for (_, panel), dist in zip(chunk, router.forward(chunk).dists):
+        for (_, panel), dist in zip(chunk, router.model.batch_forward(chunk).dists):
             probs = " ".join(f"{p:.6f}" for p in dist.probs)
             print(f"tool={panel.tools[dist.selected].tool_id} slot={dist.selected} "
                   f"probs=[{probs}]")

@@ -11,14 +11,7 @@ import tempfile
 
 import numpy as np
 
-from .domain import (
-    AlignedPrediction,
-    GroundTruth,
-    LabeledQuery,
-    Query,
-    TaskFamily,
-    Tool,
-)
+from .domain import GroundTruth, LabeledQuery, Query, TaskFamily
 from .errors import ConfigError
 
 
@@ -108,17 +101,6 @@ def _pred_payload(pred):
     if pred.pairs:
         out["pairs"] = sorted(list(p) for p in pred.pairs)
     return out
-
-
-def _pred_from_payload(payload):
-    family = TaskFamily(payload["family"])
-    probs = payload.get("probs")
-    return AlignedPrediction(
-        family,
-        probs=None if probs is None else np.asarray(probs, dtype=np.float64),
-        box=tuple(payload.get("box", ())),
-        pairs=frozenset(tuple(p) for p in payload.get("pairs", ())),
-        is_null=bool(payload["is_null"]))
 
 
 def _atomic_write(path, text):
@@ -240,39 +222,3 @@ def export_tools(world, path):
         }
         lines.append(json.dumps(rec, sort_keys=True))
     _atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
-
-
-def import_tools(path):
-    """Read tool metadata back as plain Tool objects."""
-    tools = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                refs = {}
-                for t, elements in rec["reference_sets"].items():
-                    refs[int(t)] = [
-                        (np.asarray(e["x"], dtype=np.float64),
-                         _gt_from_payload(TaskFamily(e["family"]), e["gt"],
-                                          f"{path}:{lineno}"),
-                         _pred_from_payload(e["pred"]))
-                        for e in elements]
-                tool = Tool(
-                    tool_id=rec["id"],
-                    index=int(rec["index"]),
-                    supported_tasks=frozenset(int(t) for t in rec["supported_tasks"]),
-                    alignment={int(t): {int(k): tuple(v) for k, v in rho.items()}
-                               for t, rho in rec["alignment"].items()},
-                    tool_label_count={int(t): int(c)
-                                      for t, c in rec["tool_label_count"].items()},
-                    eta=np.asarray(rec["eta"], dtype=np.float64),
-                    reference_sets=refs)
-            except (ValueError, KeyError, TypeError, AttributeError, OverflowError,
-                    RecursionError) as exc:
-                # AttributeError: a JSON list where an object is expected has no .items()
-                raise ConfigError(f"{path}:{lineno}: malformed record: {exc}") from exc
-            tools.append(tool)
-    return tools

@@ -150,12 +150,21 @@ def _macro_classification(confusion):
 
 
 def evaluate(router, world, split, m, seed, panels=None):
-    """Route every query of a split once and aggregate costs and metrics."""
+    """Route every query of a split once and aggregate costs and metrics.
+    ``panels``, one per query of the split and of its task, default to
+    ``eval_panels``; others raise ``ValueError``."""
     records = world.splits[split]
     if not records:
         raise ValueError(f"empty split {split!r}")
     if panels is None:
         panels = eval_panels(world, split, m, seed)
+    if len(panels) != len(records):
+        raise ValueError(f"evaluate: {len(panels)} panels for the {len(records)} queries "
+                         f"of split {split!r}")
+    for i, (lq, panel) in enumerate(zip(records, panels)):
+        if panel.task != lq.query.task:
+            raise ValueError(f"evaluate: panel {i} is of task {panel.task}, query "
+                             f"{lq.query.uid} of split {split!r} of task {lq.query.task}")
     rng = np.random.default_rng([seed, 86028121])
     items = list(zip(records, panels))
     costs = np.empty(len(records))

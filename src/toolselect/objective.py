@@ -147,7 +147,7 @@ def batch_objective(cfg, fwd, pc, n_tasks):
     if cfg.lambda_r != 0.0:
         per_slot = cfg.lambda_r * scale / mask.sum(axis=1)
         loss = dc.add(loss, dc.wsum(dc.mul(scores, scores), mask * per_slot[:, None]))
-    if cfg.lambda_cov != 0.0 and fwd.coverage_t is not None:
+    if cfg.lambda_cov != 0.0:
         cov, cov_index = fwd.coverage_t, fwd.slot_pair
         # the valid slots' costs and rows, in the row-major order of slot_pair
         costs, owner = pc.costs[mask], np.nonzero(mask)[0]

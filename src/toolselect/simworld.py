@@ -280,10 +280,6 @@ class SimWorld:
             self._queries_by_uid = index
         return self._queries_by_uid.get(uid)
 
-    def _pair_rng(self, tool, query):
-        """The prediction RNG of a (tool, query) pair."""
-        return keyed_rng(self.seed, PREDICTION_KEY, tool.index, query.uid)
-
     def _table(self, task):
         """The outcome table of a task, built on first use."""
         table = self._tables.get(task)

@@ -284,7 +284,7 @@ def _validation_cost(world, model, val_items):
     total = 0.0
     for lo in range(0, len(val_items), CHUNK):
         part = val_items[lo:lo + CHUNK]
-        fwd = model.batch_forward(part, training=False, with_coverage=False)
+        fwd = model.batch_forward(part)
         for c in world.cost_array([panel.tools[j] for (_, panel), j
                                    in zip(part, fwd.selected)], [lq for lq, _ in part]).tolist():
             total += c

@@ -273,7 +273,7 @@ def _coverage_bce(world, params, seed):
     svals, costs = [], []
     for lo in range(0, len(items), 64):
         part = items[lo:lo + 64]
-        fwd = model.batch_forward(part, training=False, with_coverage=True)
+        fwd = model.batch_forward(part)
         pc = panel_costs(world, part)
         svals.extend(fwd.coverage_t.data[fwd.slot_pair].tolist())
         costs.extend(pc.costs[fwd.mask].tolist())

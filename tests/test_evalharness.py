@@ -247,3 +247,19 @@ def test_evaluate_accepts_a_router_with_route_only(small_world):
     panels = eval_panels(small_world, "test", 4, seed=3)
     rep = evaluate(FirstValid(), small_world, "test", 4, seed=3)
     assert rep == _reference_evaluate(FirstValid(), small_world, "test", panels, 3)
+
+
+def test_evaluate_rejects_panels_that_do_not_fit_the_split(small_world):
+    """Panels of another split, too few or too many, or one of another task
+    than its query, raise ``ValueError`` before any routing."""
+    test, val = small_world.splits["test"], small_world.splits["val"]
+    assert len(test) != len(val)
+    with pytest.raises(ValueError, match=f"{len(val)} panels for the {len(test)} queries"):
+        evaluate(OracleRouter(small_world), small_world, "test", 4, 0,
+                 panels=eval_panels(small_world, "val", 4, 0))
+    panels = eval_panels(small_world, "test", 4, 0)
+    i = next(i for i, lq in enumerate(test) if lq.query.task != test[0].query.task)
+    wrong = panels[:i] + [panels[0]] + panels[i + 1:]
+    with pytest.raises(ValueError, match=f"panel {i} is of task {test[0].query.task}, "
+                                         f"query {test[i].query.uid} "):
+        evaluate(OracleRouter(small_world), small_world, "test", 4, 0, panels=wrong)

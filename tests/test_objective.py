@@ -226,9 +226,9 @@ def _forward(rows, leaves=None):
         mask[i, :len(r[1])] = r[1]
         costs[i, :len(r[2])] = r[2]
     fwd = BatchForward(probs_t=dc.masked_softmax(leaves[0], mask), scores_t=leaves[0],
-                       mask=mask, coverage_t=dc.sigmoid(leaves[1]) if len(leaves) > 1 else None,
-                       slot_pair=np.arange(int(mask.sum())), tasks=np.array([r[3] for r in rows]),
-                       widths=[len(r[0]) for r in rows])
+                       mask=mask, slot_pair=np.arange(int(mask.sum())),
+                       tasks=np.array([r[3] for r in rows]), widths=[len(r[0]) for r in rows],
+                       coverage_fn=lambda: dc.sigmoid(leaves[1]))
     return fwd, PanelCosts(costs=costs, valid=mask)
 
 
@@ -268,8 +268,8 @@ def test_batch_objective_matches_flat_resummation(rng):
 def test_batch_objective_empty_batch_rejected():
     zeros, empty = np.zeros((0, 2)), np.zeros((0, 2), dtype=bool)
     fwd = BatchForward(probs_t=dc.constant(zeros), scores_t=dc.constant(zeros), mask=empty,
-                       coverage_t=None, slot_pair=np.zeros(0, dtype=np.intp),
-                       tasks=np.zeros(0, dtype=int), widths=[])
+                       slot_pair=np.zeros(0, dtype=np.intp), tasks=np.zeros(0, dtype=int),
+                       widths=[], coverage_fn=None)
     with pytest.raises(ValueError, match="empty batch"):
         batch_objective(ObjectiveConfig(), fwd, PanelCosts(zeros, empty), n_tasks=4)
 

@@ -372,7 +372,7 @@ def test_full_pipeline_grad_check(small_world):
     plist = [params[k] for k in sorted(params)]
 
     def f(ps):
-        fwd = model.batch_forward([(lq, panel)], with_coverage=False)
+        fwd = model.batch_forward([(lq, panel)])
         w = np.where(fwd.mask, 0.7, 0.0)
         loss = dc.wsum(dc.log_clamped(fwd.probs_t), w)
         # score L2 breaks softmax shift invariance so every head parameter
@@ -504,16 +504,28 @@ def test_unseen_tools_join_the_bank(setup):
 
 
 def test_cached_select_matches_uncached(setup):
+    """A frozen view's ``select`` reads the reference encodings it stores and
+    gives the trainable model's probabilities, which encodes them on the
+    tape, bit for bit."""
     world, cfg, params, model = setup
     view = model.detached()
-    cache = {}
+    assert model.store is None and view.store == {}
     for i, lq in enumerate(world.splits["test"][:12]):
         panel = _panel_for(world, lq, seed=i)
-        cached = view.select(lq.query, panel, cache=cache)
-        fresh = view.select(lq.query, panel)
+        cached, fresh = view.select(lq.query, panel), model.select(lq.query, panel)
         np.testing.assert_array_equal(cached.probs, fresh.probs)
         assert cached.selected == fresh.selected
-    assert cache["filled"].any()
+    assert view.store["filled"].any()
+    assert view.store["k"].dtype == view.store["v"].dtype == np.float64
+
+
+def test_a_model_built_from_frozen_tensors_keeps_its_encodings(setup):
+    world, cfg, params, _ = setup
+    frozen = {k: dc.Tensor(p.data, requires_grad=False) for k, p in params.items()}
+    model = build_model(world, frozen, cfg)
+    lq = world.splits["test"][0]
+    model.select(lq.query, _panel_for(world, lq))
+    assert model.store["filled"].any()
 
 
 def _routes_like_fresh_routers(model, items):
@@ -521,7 +533,8 @@ def _routes_like_fresh_routers(model, items):
     through a router of its own: the same slot and the same probability bits."""
     long_lived = ToolSelectRouter(model)
     for item in items:
-        kept, fresh = long_lived.forward([item]), ToolSelectRouter(model).forward([item])
+        kept = long_lived.model.batch_forward([item])
+        fresh = ToolSelectRouter(model).model.batch_forward([item])
         assert kept.selected == fresh.selected
         assert kept.probs_t.data.tobytes() == fresh.probs_t.data.tobytes()
     return long_lived
@@ -557,7 +570,7 @@ def test_serve_cache_matches_fresh_routers_on_unseen_tools(setup):
     router = _routes_like_fresh_routers(model, items)
     unseen = [row for (index, _), row in model.bank.row_of.items()
               if index >= len(world.all_tools)]
-    assert unseen and router._cache["filled"][unseen].all()
+    assert unseen and router.model.store["filled"][unseen].all()
 
 
 def test_serve_cache_encodes_each_set_once(setup, monkeypatch):
@@ -573,13 +586,61 @@ def test_serve_cache_encodes_each_set_once(setup, monkeypatch):
                         original(p, c, sets))
     router = ToolSelectRouter(model)
     for item in items:
-        router.forward([item])
+        router.model.batch_forward([item])
     assert sum(encoded) == len(_tool_tasks(items)) and len(encoded) <= len(items)
     calls = len(encoded)
     router.route_batch(items, None)
     for item in items:
-        router.forward([item])
+        router.model.batch_forward([item])
     assert len(encoded) == calls
+
+
+def test_a_frozen_view_encodes_each_set_once_across_select_route_and_evaluate(
+        setup, monkeypatch):
+    """``select``, ``route_batch`` and a chunked ``evaluate`` through one
+    frozen view encode each (tool, task) reference set once between them."""
+    from toolselect import anp_selector
+    from toolselect.evalharness import CHUNK, eval_panels, evaluate
+    world, cfg, params, _ = setup
+    router = ToolSelectRouter(build_model(world, params, cfg))
+    items = [(lq, _panel_for(world, lq, seed=i))
+             for i, lq in enumerate(world.splits["val"][::4])]
+    test_items = list(zip(world.splits["test"], eval_panels(world, "test", 5, 2)))
+    assert len(test_items) > CHUNK
+    encoded = []
+    original = anp_selector.encode_reference_set
+    monkeypatch.setattr(anp_selector, "encode_reference_set",
+                        lambda p, c, sets: encoded.append(sets.mask.shape[0]) or
+                        original(p, c, sets))
+    for lq, panel in items[:5]:
+        router.model.select(lq.query, panel)
+    router.route_batch(items, None)
+    evaluate(router, world, "test", 5, 2)
+    assert sum(encoded) == len(_tool_tasks(items + test_items))
+
+
+def test_a_routing_forward_never_runs_the_coverage_head(setup, monkeypatch):
+    """Routing reads no coverage, so the head never runs; a training step's
+    objective reads it, and the head runs once."""
+    from toolselect import anp_selector
+    from toolselect.objective import ObjectiveConfig, batch_objective
+    from toolselect.trainer import panel_costs
+    world, cfg, params, model = setup
+    calls = []
+    original = anp_selector.coverage_rows
+    monkeypatch.setattr(anp_selector, "coverage_rows",
+                        lambda *a: calls.append(1) or original(*a))
+    items = [(lq, _panel_for(world, lq, seed=i))
+             for i, lq in enumerate(world.splits["train"][:6])]
+    router = ToolSelectRouter(model)
+    router.route_batch(items, None)
+    router.model.select(items[0][0].query, items[0][1])
+    assert len(model.batch_forward(items).dists) == len(items)
+    assert calls == []
+    fwd = model.batch_forward(items, training=True, rng=np.random.default_rng(0))
+    dc.backward(batch_objective(ObjectiveConfig(), fwd, panel_costs(world, items), 4))
+    assert fwd.coverage_t is fwd.coverage_t
+    assert calls == [1]
 
 
 def test_param_shapes_are_the_shapes_init_params_draws():

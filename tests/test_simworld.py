@@ -9,9 +9,11 @@ from toolselect.domain import CATEGORICAL_FAMILIES, TaskFamily, cost, null_predi
 from toolselect.errors import ConfigError, NoValidPanelError
 from toolselect.simworld import (
     BATCH_SEEDING_MIN,
+    PREDICTION_KEY,
     WorldConfig,
     competence,
     generate_world,
+    keyed_rng,
     regenerate_test_tools,
     sample_panel,
     sample_query,
@@ -20,6 +22,11 @@ from toolselect.simworld import (
 )
 
 from per_query import box_from_x
+
+
+def _pair_rng(world, tool, query):
+    """The prediction RNG of a (tool, query) pair."""
+    return keyed_rng(world.seed, PREDICTION_KEY, tool.index, query.uid)
 
 SMALL = dict(n_train=200, n_val=40, n_test=120, n_ref_pool=200,
              tools_per_task=6, ref_size=8)
@@ -373,12 +380,6 @@ def test_uint32_words_seed_the_same_stream_as_the_ints(key):
     assert np.array_equal(fast.random(16), np.random.default_rng(list(key)).random(16))
 
 
-def test_pair_rng_is_the_keyed_default_rng(small_world):
-    tool, lq = small_world.all_tools[5], small_world.splits["val"][3]
-    expected = np.random.default_rng([small_world.seed, 104729, tool.index, lq.query.uid])
-    assert np.array_equal(small_world._pair_rng(tool, lq.query).random(16), expected.random(16))
-
-
 UID_BASES = (12345, 2**32 + 5, 2**63 + 5)
 
 
@@ -549,14 +550,14 @@ def test_queries_in_no_split_are_computed_and_not_stored(small_world):
             assert validity(panel.tools[slot], lq.query)
         want = [None if not validity(t, lq.query) else
                 cost(w.task_spec(lq.query.task).family,
-                     tool_predict(w, t, lq.query, w._pair_rng(t, lq.query)), lq.gt)
+                     tool_predict(w, t, lq.query, _pair_rng(w, t, lq.query)), lq.gt)
                 for t in panel.tools]
         assert _costs(w, list(panel.tools), [lq] * len(panel.tools)) == want
     # one batch of every population tool on every such query: the array lookups
     pairs = [(tool, lq) for lq in outside for tool in w.populations[lq.query.task]]
     want = [None if not validity(t, lq.query) else
             cost(w.task_spec(lq.query.task).family,
-                 tool_predict(w, t, lq.query, w._pair_rng(t, lq.query)), lq.gt)
+                 tool_predict(w, t, lq.query, _pair_rng(w, t, lq.query)), lq.gt)
             for t, lq in pairs]
     assert _costs(w, [t for t, _ in pairs], [lq for _, lq in pairs]) == want
     # a split's own queries with other labeled-query objects are scored, not stored
@@ -564,7 +565,7 @@ def test_queries_in_no_split_are_computed_and_not_stored(small_world):
     tools = [w.populations[lq.query.task][1] for lq in relabeled]
     want = [None if not validity(t, lq.query) else
             cost(w.task_spec(lq.query.task).family,
-                 tool_predict(w, t, lq.query, w._pair_rng(t, lq.query)), lq.gt)
+                 tool_predict(w, t, lq.query, _pair_rng(w, t, lq.query)), lq.gt)
             for t, lq in zip(tools, relabeled)]
     assert _costs(w, tools, relabeled) == want
     assert _stored(w) == before
@@ -641,7 +642,7 @@ def _reference_outcome(world, tool, lq):
     spec = world.task_spec(lq.query.task)
     if not validity(tool, lq.query):
         return bytes([False]) + _null_output(spec).tobytes()
-    pred = tool_predict(world, tool, lq.query, world._pair_rng(tool, lq.query))
+    pred = tool_predict(world, tool, lq.query, _pair_rng(world, tool, lq.query))
     if spec.family in CATEGORICAL_FAMILIES:
         output = pred.probs
     elif spec.family is TaskFamily.GROUNDING:

@@ -317,8 +317,30 @@ def test_fit_returns_float64_masters_and_a_router_on_them_runs_float64():
     router = ToolSelectRouter(build_model(w, res.params, default_selector_config(w)))
     lq = w.splits["test"][0]
     panel = sample_panel(w.populations[lq.query.task], lq.query, 4, np.random.default_rng(0))
-    fwd = router.forward([(lq, panel)])
+    fwd = router.model.batch_forward([(lq, panel)])
     assert fwd.scores_t.data.dtype == fwd.probs_t.data.dtype == np.float64
+
+
+def test_a_float32_frozen_view_forwards_the_float32_model_bit_for_bit(small_world):
+    """Validation's forward: a float32 ``detached`` view, which stores its
+    reference encodings in float32, gives the float32 trainable model's
+    forward bit for bit, over chunks that share reference sets."""
+    w = small_world
+    sel = default_selector_config(w)
+    _, params = float32_copy(init_params(sel, 0))
+    model = build_model(w, params, sel)
+    view = model.detached()
+    val = w.splits["val"]
+    items = list(zip(val, [sample_panel(w.populations[lq.query.task], lq.query, 6,
+                                        np.random.default_rng(i)) for i, lq in enumerate(val)]))
+    for lo in range(0, len(items), 16):
+        chunk = items[lo:lo + 16]
+        got, want = view.batch_forward(chunk), model.batch_forward(chunk)
+        for name in ("scores_t", "probs_t", "coverage_t"):
+            a, b = getattr(got, name).data, getattr(want, name).data
+            assert a.dtype == np.float32 and a.tobytes() == b.tobytes(), name
+    assert view.store["filled"].any()
+    assert view.store["k"].dtype == view.store["v"].dtype == np.float32
 
 
 def test_float32_copy_is_refreshed_from_adamw_flat_in_one_pass(rng):
