@@ -69,7 +69,7 @@ class SelectorConfig:
                                   f"got {getattr(self, name)}")
 
 
-def _xavier(rng, fan_in, fan_out):
+def xavier(rng, fan_in, fan_out):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
@@ -106,11 +106,11 @@ def param_shapes(cfg):
 
 
 def init_params(cfg, seed):
-    """Xavier-uniform weights, zero biases; deterministic in the seed."""
+    """Xavier-uniform weights drawn in ``param_shapes`` order and zero biases,
+    as one float64 ``dc.Params``; deterministic in the seed."""
     rng = np.random.default_rng([seed, 2147483629])
-    return {name: dc.Tensor(np.zeros(shape) if name.endswith("_b") else _xavier(rng, *shape),
-                            requires_grad=True)
-            for name, shape in param_shapes(cfg).items()}
+    return dc.Params({name: np.zeros(shape) if name.endswith("_b") else xavier(rng, *shape)
+                      for name, shape in param_shapes(cfg).items()})
 
 
 def encode_slot(space, aligned, slot_width):
@@ -421,13 +421,12 @@ class SelectorModel:
         self.store = None if any(p.requires_grad for p in params.values()) else {}
 
     def detached(self):
-        """Forward-only view: params and reference bank shared, gradients
-        disabled. The view is frozen, so it keeps the reference encodings it
-        computes; make a new view after the parameters change."""
-        detached = {}
-        for name, p in self.params.items():
-            detached[name] = dc.Tensor(p.data, requires_grad=False)
-        return SelectorModel(self.cfg, detached, self.spaces, self.predict_fn, self.bank)
+        """Forward-only snapshot: a copy of every parameter, gradients
+        disabled, reference bank shared. An in-place change of this model's
+        parameters does not reach it, so its stored encodings never go stale."""
+        params = {name: dc.Tensor(p.data.copy(), requires_grad=False)
+                  for name, p in self.params.items()}
+        return SelectorModel(self.cfg, params, self.spaces, self.predict_fn, self.bank)
 
     def _encode_sets(self, rows, training, rng, dtype):
         """``project_sets`` of the bank's sets ``rows``, and their row mask."""

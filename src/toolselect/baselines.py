@@ -14,6 +14,7 @@ valid slots all hold unseen tools routes to its first valid slot.
 import numpy as np
 
 from . import diffcore as dc
+from .anp_selector import xavier
 from .domain import validity
 from .errors import NoValidCandidateError
 from .evalharness import Router
@@ -237,18 +238,8 @@ class MLPIndexRouter(Router):
         weights are drawn in float64 and cast, as are the features and the
         one-hot targets."""
         rng = np.random.default_rng([seed, 811])
-        d_in = feats.shape[1]
-
-        def xavier(fi, fo):
-            lim = np.sqrt(6.0 / (fi + fo))
-            return rng.uniform(-lim, lim, size=(fi, fo)).astype(np.float32)
-
-        params = {
-            "W1": dc.Tensor(xavier(d_in, hidden), requires_grad=True),
-            "b1": dc.Tensor(np.zeros(hidden, dtype=np.float32), requires_grad=True),
-            "W2": dc.Tensor(xavier(hidden, n_out), requires_grad=True),
-            "b2": dc.Tensor(np.zeros(n_out, dtype=np.float32), requires_grad=True),
-        }
+        params = dc.Params({"W1": xavier(rng, feats.shape[1], hidden), "b1": np.zeros(hidden),
+                            "W2": xavier(rng, hidden, n_out), "b2": np.zeros(n_out)}, np.float32)
         opt = AdamW(params, lr=lr, weight_decay=0.0)
         x = dc.constant(feats.astype(np.float32))
         onehot = np.zeros((feats.shape[0], n_out), dtype=np.float32)
@@ -258,11 +249,10 @@ class MLPIndexRouter(Router):
             logits = dc.linear(h, params["W2"], params["b2"])
             probs = dc.softmax_rows(logits)
             loss = dc.scale(dc.wsum(dc.log_clamped(probs), -onehot), 1.0 / feats.shape[0])
-            dc.zero_grads(params.values())
+            params.grad[...] = 0.0
             dc.backward(loss)
             opt.step()
-        return (params["W1"].data, params["b1"].data,
-                params["W2"].data, params["b2"].data)
+        return tuple(params[name].data for name in ("W1", "b1", "W2", "b2"))
 
     def _logits(self, task, feat):
         w1, b1, w2, b2, tool_ids = self.heads[task]

@@ -13,7 +13,8 @@ to it, and scale factors are Python floats, which never promote float32
 
 A tensor's first gradient is ``g + 0.0`` into an array laid out like its
 data, the bits ``zeros + g`` gave (-0 becomes +0) without the zero fill;
-later ones add in place.
+later ones add in place. A ``Params`` tensor's gradient is a zeroed view,
+so its first gradient adds in place too: ``0.0 + g``, the same bits.
 """
 
 import itertools
@@ -59,6 +60,31 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+class Params(dict):
+    """Name -> trainable ``Tensor``, each ``data`` a view of its part of one
+    array ``flat`` and each ``grad`` a view of its part of one zeroed array
+    ``grad``, laid out in name order; the keys keep the order of ``arrays``.
+    ``dtype`` casts every array, else they must share one. As in ``Tensor``,
+    float32 stays float32 and anything else becomes float64."""
+
+    def __init__(self, arrays, dtype=None):
+        arrays = {name: np.asarray(a) for name, a in arrays.items()}
+        dtypes = {a.dtype for a in arrays.values()} if dtype is None else {np.dtype(dtype)}
+        if len(dtypes) > 1:
+            raise ValueError(f"Params: arrays of mixed dtypes {sorted(map(str, dtypes))}")
+        self.flat = np.empty(sum(a.size for a in arrays.values()),
+                             dtype=_FLOAT32 if dtypes == {_FLOAT32} else _FLOAT64)
+        self.grad = np.zeros_like(self.flat)
+        super().__init__(dict.fromkeys(arrays))
+        lo = 0
+        for name in sorted(arrays):
+            a, part = arrays[name], slice(lo, lo + arrays[name].size)
+            self.flat[part] = a.reshape(-1)
+            self[name] = Tensor(self.flat[part].reshape(a.shape), requires_grad=True)
+            self[name].grad = self.grad[part].reshape(a.shape)
+            lo = part.stop
 
 
 def _make(data, parents, backward_fn):
@@ -447,6 +473,8 @@ def backward(root):
 
 
 def zero_grads(params):
+    """Forget the gradients, so the next backward allocates fresh ones. A
+    ``Params`` is zeroed with ``params.grad[...] = 0.0``, which keeps its views."""
     for p in params:
         p.grad = None
 

@@ -127,6 +127,11 @@ PANEL_ATTEMPTS = 100
 # task's vocabulary, its outputs and its per-pair arrays are built whole, so
 # a huge one fails on memory instead of generating a world.
 MAX_PAIR_VOCAB = 1024
+# Largest value a config may give each of these sizes: splits, tools and
+# label spaces are generated whole, so a huge size would run until killed or
+# overflow. The benchmark's largest split is 12,000 queries.
+MAX_SIZES = {"n_train": 200_000, "n_val": 200_000, "n_test": 200_000, "n_ref_pool": 200_000,
+             "tools_per_task": 1024, "labels_per_task": 256, "mcq_options": 256}
 
 FAMILY_CYCLE = (
     TaskFamily.CLASSIFICATION,
@@ -167,6 +172,10 @@ class WorldConfig:
                      "n_ref_pool", "ref_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"world config: {name} must be at least 1, "
+                                  f"got {getattr(self, name)}")
+        for name, bound in MAX_SIZES.items():
+            if getattr(self, name) > bound:
+                raise ConfigError(f"world config: {name} must be at most {bound}, "
                                   f"got {getattr(self, name)}")
         if self.n_tasks_total < 0:
             raise ConfigError(f"world config: n_tasks_total must be 0 (one task per family) "

@@ -5,13 +5,14 @@ decoupled weight decay, validation-cost tracking, and early stopping.
 first step, so every simulator read of a step is a gather. A step's
 objective reads the batched forward's stacked tensors and the batch's
 ``(B, M)`` ``panel_costs``, and ``AdamW`` updates all parameters as one flat
-buffer.
+buffer, the ``flat`` of a ``dc.Params``.
 
-Training is mixed precision: ``init_params``' float64 tensors are the
-master weights that ``AdamW`` updates, and the tape trains a float32 copy
-of them (``float32_copy``), so each step's forward, objective, backward and
-validation run in float32. The trained parameters are the float64 masters,
-and every forward on them stays float64.
+Training is mixed precision: ``init_params``' float64 ``Params`` are the
+master weights that ``AdamW`` updates, and the tape trains a float32
+``Params`` of the same layout, so each step's forward, objective, backward
+and validation run in float32. Each hand-over between the two is one pass
+over a flat array. The trained parameters are the float64 masters, and
+every forward on them stays float64.
 """
 
 import math
@@ -87,42 +88,25 @@ class EpochRecord:
 
 
 class AdamW:
-    """Decoupled-weight-decay adaptive update with bias correction, over one
-    flat buffer.
+    """Decoupled-weight-decay adaptive update with bias correction, over the
+    flat arrays of a ``dc.Params``.
 
-    The constructor copies the parameters, in name order, into one array of
-    their dtype and makes each ``p.data`` a view of its part, so every
-    update is written through to the tensors. The moments, the gradients
-    and two scratch arrays are one flat array each. Parameters of more than
-    one dtype are a ``ValueError``.
+    A step reads the gradients in ``params.grad`` and writes the update into
+    ``params.flat``, of which every tensor's ``data`` is a view. The moments
+    and two scratch arrays are one flat array each.
     """
 
     def __init__(self, params, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = params  # dict name -> Tensor
+        self.params = params  # dc.Params
         self.lr = lr
         self.weight_decay = weight_decay
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        names = sorted(params)
-        dtypes = {params[name].data.dtype for name in names}
-        if len(dtypes) > 1:
-            raise ValueError(f"AdamW: parameters of mixed dtypes {sorted(map(str, dtypes))}")
-        ends = np.cumsum([params[name].data.size for name in names], dtype=np.intp)
-        self.flat = np.empty(int(ends[-1]) if names else 0, dtype=dtypes.pop() if dtypes else None)
-        self._grad = np.empty_like(self.flat)
-        # name -> the parameter's gradient part of ``_grad``, in its shape
-        self._grads = {}
-        for name, hi in zip(names, ends.tolist()):
-            p = params[name]
-            part = slice(hi - p.data.size, hi)
-            self.flat[part] = p.data.reshape(-1)
-            p.data = self.flat[part].reshape(p.data.shape)
-            self._grads[name] = self._grad[part].reshape(p.data.shape)
-        self.m = np.zeros_like(self.flat)
-        self.v = np.zeros_like(self.flat)
-        self._tmp = (np.empty_like(self.flat), np.empty_like(self.flat))
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
+        self._tmp = (np.empty_like(params.flat), np.empty_like(params.flat))
 
     def step(self):
         """One update of every parameter, in place: each operation below is
@@ -135,20 +119,19 @@ class AdamW:
             p -= lr * (m / b1c) / (sqrt(v / b2c) + eps)
             p -= lr * weight_decay * p
 
-        A parameter without a gradient has a zero one. A non-finite gradient
-        aborts the step before anything changes, naming the first such
-        parameter in name order.
+        A parameter the backward gave no gradient keeps the zero its
+        gradient was reset to. A non-finite gradient aborts the step before
+        anything changes, naming the first such parameter in name order.
         """
-        for name, g in self._grads.items():
-            grad = self.params[name].grad
-            g[...] = 0.0 if grad is None else grad
-        if not np.isfinite(self._grad).all():
-            name = next(name for name, g in self._grads.items() if not np.isfinite(g).all())
+        g, p = self.params.grad, self.params.flat
+        if not np.isfinite(g).all():
+            name = next(name for name in sorted(self.params)
+                        if not np.isfinite(self.params[name].grad).all())
             raise ValueError(f"non-finite gradient in parameter {name!r}; step aborted")
         self.step_count += 1
         b1c = 1.0 - self.beta1 ** self.step_count
         b2c = 1.0 - self.beta2 ** self.step_count
-        g, m, v, p = self._grad, self.m, self.v, self.flat
+        m, v = self.m, self.v
         a, b = self._tmp
         m *= self.beta1
         m += np.multiply(g, 1.0 - self.beta1, out=a)
@@ -162,20 +145,6 @@ class AdamW:
         b += self.eps
         p -= np.divide(a, b, out=a)
         p -= np.multiply(p, self.lr * self.weight_decay, out=a)
-
-
-def float32_copy(masters):
-    """The float32 copy of parameters that the tape trains: ``(flat,
-    tensors)``, each tensor a view of its part of the float32 array ``flat``,
-    which is laid out as ``AdamW`` lays out its flat buffer (name order). So
-    ``flat[...] = opt.flat`` refreshes every tensor from the masters in one
-    cast pass."""
-    names = sorted(masters)
-    flat = np.concatenate([masters[name].data.reshape(-1) for name in names]).astype(np.float32)
-    ends = np.cumsum([masters[name].data.size for name in names])
-    parts = dict(zip(names, np.split(flat, ends[:-1])))
-    return flat, {name: dc.Tensor(parts[name].reshape(p.data.shape), requires_grad=True)
-                  for name, p in masters.items()}
 
 
 def sample_task(task_weights, rng):
@@ -305,12 +274,13 @@ def fit(cfg, world, objective_cfg=None, selector_cfg=None, log_fn=None):
 
     Tools are frozen throughout: only selector parameters are updated.
     Mixed precision: each step's forward, objective and backward, and each
-    validation pass, run on a float32 copy of float64 master weights.
-    ``AdamW`` updates the masters from the copy's gradients, and the copy is
-    refreshed from them after every update. A float32 ``AdamW`` would drop
-    the decoupled weight decay: its ``lr * weight_decay * p`` (3e-9 of ``p``
-    by default) is below half a float32 ulp of ``p``. The returned
-    parameters are the float64 masters.
+    validation pass, run on a float32 copy of float64 master weights, both
+    ``dc.Params`` of one layout. The copy's gradients are cast into the
+    masters' ``grad``, ``AdamW`` updates the masters, and the copy is
+    refreshed from their ``flat`` after every update. A float32 ``AdamW``
+    would drop the decoupled weight decay: its ``lr * weight_decay * p``
+    (3e-9 of ``p`` by default) is below half a float32 ulp of ``p``. The
+    returned parameters are the float64 masters of the best epoch.
     Bit-deterministic for a fixed (cfg, world, seed) in single-threaded use.
     """
     if selector_cfg is None:
@@ -332,7 +302,7 @@ def fit(cfg, world, objective_cfg=None, selector_cfg=None, log_fn=None):
 
     masters = init_params(selector_cfg, cfg.seed)
     opt = AdamW(masters, cfg.lr, cfg.weight_decay, cfg.beta1, cfg.beta2, cfg.eps_opt)
-    flat32, params = float32_copy(masters)
+    params = dc.Params({name: p.data for name, p in masters.items()}, np.float32)
     model = build_model(world, params, selector_cfg)
 
     task_rng = np.random.default_rng([cfg.seed, 11])
@@ -353,7 +323,7 @@ def fit(cfg, world, objective_cfg=None, selector_cfg=None, log_fn=None):
 
     history = []
     best_val = math.inf
-    best_params = {k: p.data.copy() for k, p in masters.items()}
+    best_flat = masters.flat.copy()
     val_trace = []
     for epoch in range(1, cfg.max_epochs + 1):
         losses = []
@@ -368,18 +338,17 @@ def fit(cfg, world, objective_cfg=None, selector_cfg=None, log_fn=None):
             loss = batch_objective(objective_cfg, fwd, panel_costs(world, items), n_tasks)
             if not np.isfinite(loss.data):
                 raise ValueError(f"non-finite loss at epoch {epoch}")
-            dc.zero_grads(params.values())
+            params.grad[...] = 0.0
             dc.backward(loss)
-            for name, p in masters.items():
-                p.grad = params[name].grad
+            masters.grad[...] = params.grad
             opt.step()
-            flat32[...] = opt.flat
+            params.flat[...] = masters.flat
             losses.append(loss.item())
         val_cost = _validation_cost(world, model.detached(), val_items)
         improved = val_cost < best_val
         if improved:
             best_val = val_cost
-            best_params = {k: p.data.copy() for k, p in masters.items()}
+            best_flat = masters.flat.copy()
         rec = EpochRecord(epoch=epoch, train_loss=float(np.mean(losses)),
                           val_cost=val_cost, best=improved)
         history.append(rec)
@@ -388,5 +357,6 @@ def fit(cfg, world, objective_cfg=None, selector_cfg=None, log_fn=None):
         val_trace.append(val_cost)
         if early_stop(val_trace, cfg.patience, cfg.min_delta):
             break
-    final = {k: dc.Tensor(v, requires_grad=True) for k, v in best_params.items()}
-    return FitResult(params=final, history=history)
+    masters.flat[...] = best_flat
+    masters.grad[...] = 0.0
+    return FitResult(params=masters, history=history)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import toolselect
+from toolselect import diffcore as dc
 from toolselect.anp_selector import init_params
 from toolselect.baselines import (
     GlobalBestRouter,
@@ -18,7 +19,7 @@ from toolselect.baselines import (
 )
 from toolselect.errors import NoValidCandidateError
 from toolselect.evalharness import eval_panels
-from toolselect.trainer import build_model, default_selector_config
+from toolselect.trainer import AdamW, build_model, default_selector_config
 
 
 # lightweight stand-ins for panel routing without a full simulated world
@@ -200,6 +201,27 @@ def test_mlp_head_draws_the_float64_xavier_weights_and_trains_in_float32(handed_
     assert [a.dtype for a in head] == [np.float32] * 4
     logits, _ = MLPIndexRouter({0: head + ([10, 11, 12],)})._logits(0, feats)
     assert logits.dtype == np.float32
+
+
+def test_mlp_head_zeroes_its_gradients_before_each_backward(monkeypatch):
+    """Each iteration's gradient is its own: the head's gradient buffer is
+    zero when each backward starts."""
+    trained, zeroed = [], []
+    init, backward = AdamW.__init__, dc.backward
+
+    def init_spy(self, params, *args, **kwargs):
+        trained.append(params)
+        init(self, params, *args, **kwargs)
+
+    def backward_spy(root):
+        zeroed.append(not trained[-1].grad.any())
+        backward(root)
+    monkeypatch.setattr(AdamW, "__init__", init_spy)
+    monkeypatch.setattr(dc, "backward", backward_spy)
+    rng = np.random.default_rng(0)
+    MLPIndexRouter._train_head(rng.standard_normal((50, 6)), rng.integers(0, 3, 50), 3,
+                               hidden=8, lr=3e-3, iters=4, seed=7)
+    assert zeroed == [True] * 4
 
 
 def test_mlp_fit_routes_only_valid(small_world):

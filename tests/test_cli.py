@@ -375,7 +375,10 @@ def test_config_keys_set_their_own_section(tmp_path):
     ("n_findings=1", "n_findings * n_locations must be at least 5"),
     ("n_locations=0", "n_locations must be at least 1"),
     ("feature_noise=nan", "feature_noise must be finite"),
-], ids=["d_x_0", "mcq_options_0", "n_findings_1", "n_locations_0", "feature_noise_nan"])
+    ("labels_per_task=100000000000000000000",
+     "labels_per_task must be at most 256, got 100000000000000000000"),
+], ids=["d_x_0", "mcq_options_0", "n_findings_1", "n_locations_0", "feature_noise_nan",
+        "labels_per_task_huge"])
 def test_route_rejects_unusable_world_config_with_an_error_line(tmp_path, capsys, line,
                                                                 message):
     cfg = tmp_path / "bad.cfg"

@@ -392,6 +392,90 @@ def test_take_rows_backward_equals_add_at_bit_for_bit(case):
     assert a.grad.tobytes() == (np.zeros(a.data.shape) + want).tobytes()
 
 
+# ----------------------------------------------------------------- Params
+
+PARAM_SHAPES = {"w": (4, 3), "b": (3,), "s": (), "a": (2, 1, 2)}
+
+
+def _param_arrays(rng, dtype=np.float64):
+    return {k: rng.standard_normal(shape).astype(dtype) for k, shape in PARAM_SHAPES.items()}
+
+
+@pytest.mark.parametrize("given, dtype", [(np.float64, None), (np.float32, None),
+                                          (np.float64, np.float32), (np.float32, np.float64)])
+def test_params_lay_out_the_tensors_in_name_order_and_keep_the_key_order(rng, given, dtype):
+    arrays = _param_arrays(rng, given)
+    params = dc.Params(arrays, dtype)
+    want = np.dtype(given if dtype is None else dtype)
+    assert list(params) == list(PARAM_SHAPES)
+    assert params.flat.dtype == params.grad.dtype == want
+    assert params.flat.shape == params.grad.shape == (20,) and not params.grad.any()
+    assert params.flat.tobytes() == np.concatenate(
+        [arrays[k].reshape(-1) for k in sorted(arrays)]).astype(want).tobytes()
+    for k, p in params.items():
+        assert p.requires_grad and p.data.dtype == p.grad.dtype == want
+        assert p.data.shape == p.grad.shape == PARAM_SHAPES[k]
+        assert p.data.tobytes() == arrays[k].astype(want).tobytes()
+        assert not np.shares_memory(p.data, arrays[k])
+
+
+def test_params_data_and_grad_are_views_of_flat_and_grad(rng):
+    params = dc.Params(_param_arrays(rng))
+    params.flat[...] = np.arange(20)
+    params.grad[...] = -np.arange(20)
+    lo = 0
+    for k in sorted(params):
+        p, n = params[k], math.prod(PARAM_SHAPES[k])
+        assert np.shares_memory(p.data, params.flat) and np.shares_memory(p.grad, params.grad)
+        np.testing.assert_array_equal(p.data.reshape(-1), np.arange(lo, lo + n))
+        np.testing.assert_array_equal(p.grad.reshape(-1), -np.arange(lo, lo + n))
+        lo += n
+    params["b"].data[...] = 0.5
+    params["b"].grad[...] = 0.25
+    assert (params.flat[4:7] == 0.5).all() and (params.grad[4:7] == 0.25).all()
+
+
+def test_params_reject_arrays_of_mixed_dtypes():
+    arrays = {"a": np.ones(2, dtype=np.float32), "b": np.ones(2)}
+    with pytest.raises(ValueError, match="mixed dtypes"):
+        dc.Params(arrays)
+    assert dc.Params(arrays, np.float32).flat.dtype == np.float32
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_a_backward_adds_into_the_params_views(rng, dtype):
+    """Gradients are the bits fresh tensors get, written into the views, and
+    a second backward adds to them as to theirs; a parameter the loss does
+    not reach keeps a zero gradient."""
+    arrays = _param_arrays(rng, dtype)
+    params = dc.Params(arrays)
+    plain = {k: dc.Tensor(a.copy(), requires_grad=True) for k, a in arrays.items()}
+
+    x = dc.constant(rng.standard_normal((5, 4)).astype(dtype))
+
+    def loss(ps):
+        return dc.add(_sum(dc.linear(x, ps["w"], ps["b"])), _sum(dc.mul(ps["w"], ps["w"])))
+    views = {k: p.grad for k, p in params.items()}
+    for _ in range(2):
+        for ps in (params, plain):
+            dc.backward(loss(ps))
+        for k in ("w", "b"):
+            assert params[k].grad.tobytes() == plain[k].grad.tobytes(), k
+        assert plain["s"].grad is None and plain["a"].grad is None
+        assert not params["s"].grad.any() and not params["a"].grad.any()
+        assert all(p.grad is views[k] for k, p in params.items())
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_a_first_accumulate_of_minus_zero_into_params_gives_plus_zero(dtype):
+    params = dc.Params({"a": np.ones(4, dtype=dtype)})
+    g = np.array([-0.0, 0.0, -1.5, -0.0], dtype=dtype)
+    params["a"].accumulate(g)
+    assert params["a"].grad.tobytes() == np.add(g, 0.0).tobytes()
+    assert not np.signbit(params["a"].grad[[0, 1, 3]]).any()
+    assert np.signbit(params["a"].grad[2])
+
+
 # ------------------------------------------------------------- grad_check
 
 def test_grad_check_square():

@@ -528,6 +528,23 @@ def test_a_model_built_from_frozen_tensors_keeps_its_encodings(setup):
     assert model.store["filled"].any()
 
 
+def test_a_frozen_view_is_a_snapshot_of_its_parents_parameters(small_world):
+    """A ``detached`` view copies its parent's parameters: after the view
+    has routed, scaling the parent's parameters in place, as ``AdamW`` does,
+    leaves the view's probabilities unchanged bit for bit, while a new view
+    sees the change."""
+    cfg = default_selector_config(small_world)
+    model = build_model(small_world, init_params(cfg, 1), cfg)
+    view = model.detached()
+    items = [(lq, _panel_for(small_world, lq, seed=i))
+             for i, lq in enumerate(small_world.splits["test"][:64])]
+    before = view.batch_forward(items).probs_t.data.tobytes()
+    for p in model.params.values():
+        p.data *= 1.5
+    assert view.batch_forward(items).probs_t.data.tobytes() == before
+    assert model.detached().batch_forward(items).probs_t.data.tobytes() != before
+
+
 def _routes_like_fresh_routers(model, items):
     """Route each item through one long-lived ``ToolSelectRouter`` and then
     through a router of its own: the same slot and the same probability bits."""

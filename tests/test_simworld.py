@@ -9,6 +9,7 @@ from toolselect.domain import CATEGORICAL_FAMILIES, TaskFamily, cost, null_predi
 from toolselect.errors import ConfigError, NoValidPanelError
 from toolselect.simworld import (
     BATCH_SEEDING_MIN,
+    MAX_SIZES,
     PREDICTION_KEY,
     WorldConfig,
     competence,
@@ -88,10 +89,23 @@ def test_split_sizes(small_world):
     ({"n_ref_pool": 3}, "n_ref_pool (3) must be at least the task count (4)"),
     ({"n_findings": 10 ** 9}, "n_findings * n_locations must be at most 1024, got 4000000000"),
     ({"n_findings": 257}, "n_findings * n_locations must be at most 1024, got 1028"),
+    ({"n_train": 10 ** 20}, f"n_train must be at most 200000, got {10 ** 20}"),
+    ({"n_val": 200_001}, "n_val must be at most 200000, got 200001"),
+    ({"n_test": 10 ** 9}, "n_test must be at most 200000, got 1000000000"),
+    ({"n_ref_pool": 200_001}, "n_ref_pool must be at most 200000, got 200001"),
+    ({"tools_per_task": 100_000_000}, "tools_per_task must be at most 1024, got 100000000"),
+    ({"labels_per_task": 10 ** 20}, f"labels_per_task must be at most 256, got {10 ** 20}"),
+    ({"mcq_options": 257}, "mcq_options must be at most 256, got 257"),
 ])
 def test_world_config_rejects_unusable_values(bad, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         WorldConfig(**{**SMALL, **bad})
+
+
+def test_world_config_accepts_the_size_bounds():
+    """Each size may reach its bound (the config is built, not generated)."""
+    cfg = WorldConfig(**{**SMALL, **MAX_SIZES})
+    assert all(getattr(cfg, name) == bound for name, bound in MAX_SIZES.items())
 
 
 def test_world_config_accepts_the_smallest_usable_values():

@@ -16,7 +16,6 @@ from toolselect.trainer import (
     default_selector_config,
     early_stop,
     fit,
-    float32_copy,
     panel_costs,
     sample_task,
     step_panels,
@@ -55,18 +54,18 @@ def test_sample_task_rejects_off_simplex():
 # ------------------------------------------------------------------- AdamW
 
 def test_adamw_zero_grad_zero_decay_unchanged():
-    p = dc.Tensor(np.array([1.0, -2.0]), requires_grad=True)
-    p.grad = np.zeros(2)
-    opt = AdamW({"p": p}, lr=0.1, weight_decay=0.0)
+    params = dc.Params({"p": np.array([1.0, -2.0])})
+    opt = AdamW(params, lr=0.1, weight_decay=0.0)
     opt.step()
-    np.testing.assert_array_equal(p.data, [1.0, -2.0])
+    np.testing.assert_array_equal(params["p"].data, [1.0, -2.0])
 
 
 def test_adamw_first_step_closed_form():
     lr, wd, eps = 3e-5, 1e-4, 1e-8
-    p = dc.Tensor(np.array(1.0), requires_grad=True)
-    p.grad = np.array(1.0)
-    opt = AdamW({"p": p}, lr=lr, weight_decay=wd, eps=eps)
+    params = dc.Params({"p": np.array(1.0)})
+    p = params["p"]
+    p.grad[...] = 1.0
+    opt = AdamW(params, lr=lr, weight_decay=wd, eps=eps)
     opt.step()
     # m_hat = v_hat = 1 after bias correction at step 1
     after_adam = 1.0 - lr * (1.0 / (1.0 + eps))
@@ -75,11 +74,12 @@ def test_adamw_first_step_closed_form():
 
 
 def test_adamw_monotone_on_quadratic():
-    p = dc.Tensor(np.array(3.0), requires_grad=True)
-    opt = AdamW({"p": p}, lr=0.1, weight_decay=0.0)
+    params = dc.Params({"p": np.array(3.0)})
+    p = params["p"]
+    opt = AdamW(params, lr=0.1, weight_decay=0.0)
     vals = []
     for _ in range(10):
-        p.grad = 2.0 * p.data
+        p.grad[...] = 2.0 * p.data
         vals.append(float(p.data) ** 2)
         opt.step()
     vals.append(float(p.data) ** 2)
@@ -88,12 +88,13 @@ def test_adamw_monotone_on_quadratic():
 
 def test_adamw_in_place_update_matches_textbook_expressions(rng):
     lr, wd, b1, b2, eps = 3e-3, 1e-2, 0.9, 0.999, 1e-8
-    p = dc.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-    opt = AdamW({"p": p}, lr=lr, weight_decay=wd, beta1=b1, beta2=b2, eps=eps)
+    params = dc.Params({"p": rng.standard_normal((4, 3))})
+    p = params["p"]
+    opt = AdamW(params, lr=lr, weight_decay=wd, beta1=b1, beta2=b2, eps=eps)
     w, m, v = p.data.copy(), np.zeros((4, 3)), np.zeros((4, 3))
     for t in range(1, 6):
         g = rng.standard_normal((4, 3))
-        p.grad = g
+        p.grad[...] = g
         opt.step()
         m = b1 * m + (1.0 - b1) * g
         v = b2 * v + (1.0 - b2) * g * g
@@ -103,41 +104,43 @@ def test_adamw_in_place_update_matches_textbook_expressions(rng):
 
 
 def test_adamw_aborts_on_nonfinite_gradient():
-    p = dc.Tensor(np.array(1.0), requires_grad=True)
-    p.grad = np.array(np.nan)
-    opt = AdamW({"p": p}, lr=0.1, weight_decay=0.0)
+    params = dc.Params({"p": np.array(1.0)})
+    params["p"].grad[...] = np.nan
+    opt = AdamW(params, lr=0.1, weight_decay=0.0)
     with pytest.raises(ValueError, match="p"):
         opt.step()
 
 
 def _adamw_matches_textbook_expressions_per_parameter(rng, dtype):
     """Parameters of several shapes, one of them at times without a
-    gradient, each update bit for bit the textbook expressions of that
-    parameter alone, evaluated in ``dtype``; every ``p.data`` stays one view
-    of the flat buffer."""
+    gradient (its reset zero), each update bit for bit the textbook
+    expressions of that parameter alone, evaluated in ``dtype``; every
+    ``p.data`` stays one view of the flat buffer."""
     lr, wd, b1, b2, eps = 3e-3, 1e-2, 0.9, 0.999, 1e-8
     shapes = {"w": (4, 3), "b": (3,), "s": (), "z": (2, 1, 2)}
     # weights as small as the updates, so a last-bit change of an update shows
-    params = {k: dc.Tensor((rng.standard_normal(shape)
-                            * 10.0 ** rng.uniform(-5, 0, shape)).astype(dtype),
-                           requires_grad=True) for k, shape in shapes.items()}
+    params = dc.Params({k: (rng.standard_normal(shape)
+                            * 10.0 ** rng.uniform(-5, 0, shape)).astype(dtype)
+                        for k, shape in shapes.items()})
     want = {k: p.data.copy() for k, p in params.items()}
     m = {k: np.zeros(shape, dtype=dtype) for k, shape in shapes.items()}
     v = {k: np.zeros(shape, dtype=dtype) for k, shape in shapes.items()}
     opt = AdamW(params, lr=lr, weight_decay=wd, beta1=b1, beta2=b2, eps=eps)
-    assert opt.flat.dtype == opt.m.dtype == opt.v.dtype == dtype
+    assert params.flat.dtype == opt.m.dtype == opt.v.dtype == dtype
     views = {k: p.data for k, p in params.items()}
     for k, p in params.items():
-        assert np.shares_memory(p.data, opt.flat)
+        assert np.shares_memory(p.data, params.flat)
         assert p.data.tobytes() == want[k].tobytes()
     for t in range(1, 6):
+        params.grad[...] = 0.0
         for k, p in params.items():
-            p.grad = None if k == "z" and t % 2 else \
-                (rng.standard_normal(shapes[k])
-                 * 10.0 ** rng.uniform(-3, 3, shapes[k])).astype(dtype)
+            if not (k == "z" and t % 2):
+                p.grad[...] = (rng.standard_normal(shapes[k])
+                               * 10.0 ** rng.uniform(-3, 3, shapes[k])).astype(dtype)
         opt.step()
         for k, p in params.items():
-            g = np.zeros(shapes[k], dtype=dtype) if p.grad is None else p.grad
+            g = p.grad
+            assert g.any() or (k == "z" and t % 2), (k, t)
             m[k] = b1 * m[k] + (1.0 - b1) * g
             v[k] = b2 * v[k] + (1.0 - b2) * g * g
             want[k] -= lr * (m[k] / (1.0 - b1 ** t)) / (np.sqrt(v[k] / (1.0 - b2 ** t)) + eps)
@@ -154,18 +157,11 @@ def test_adamw_runs_float32_parameters_in_float32(rng):
     _adamw_matches_textbook_expressions_per_parameter(rng, np.float32)
 
 
-def test_adamw_rejects_parameters_of_mixed_dtypes():
-    params = {"a": dc.Tensor(np.ones(2, dtype=np.float32), requires_grad=True),
-              "b": dc.Tensor(np.ones(2), requires_grad=True)}
-    with pytest.raises(ValueError, match="mixed dtypes"):
-        AdamW(params, lr=0.1, weight_decay=0.0)
-
-
 def test_adamw_nonfinite_gradient_names_the_first_parameter_and_changes_nothing():
-    params = {name: dc.Tensor(np.ones(2), requires_grad=True) for name in ("c", "a", "b")}
-    params["a"].grad = np.ones(2)
-    params["b"].grad = np.array([1.0, np.inf])
-    params["c"].grad = np.array([np.nan, 1.0])
+    params = dc.Params({name: np.ones(2) for name in ("c", "a", "b")})
+    params["a"].grad[...] = np.ones(2)
+    params["b"].grad[...] = [1.0, np.inf]
+    params["c"].grad[...] = [np.nan, 1.0]
     opt = AdamW(params, lr=0.1, weight_decay=0.1)
     with pytest.raises(ValueError, match="'b'"):
         opt.step()
@@ -263,6 +259,25 @@ def test_fit_returns_best_snapshot():
     assert res.history[best_epochs[-1] - 1].val_cost == best_val
 
 
+def test_fit_returns_the_masters_of_the_best_epoch_with_zero_gradients(monkeypatch):
+    """The returned parameters are the float64 masters as the last step of
+    the best epoch (the first of three here) left them, with zero
+    gradients."""
+    updates = []
+    step = AdamW.step
+
+    def step_spy(self):
+        step(self)
+        updates.append(self.params.flat.copy())
+    monkeypatch.setattr(AdamW, "step", step_spy)
+    w = generate_world(WorldConfig(**FAST), 3)
+    res = fit(TrainConfig(max_epochs=3, batch_size=8, panel_size=4, seed=5), w)
+    assert [r.best for r in res.history] == [True, False, False] and len(updates) == 45
+    assert res.params.flat.tobytes() == updates[14].tobytes()
+    assert not res.params.grad.any()
+    assert all(np.shares_memory(p.grad, res.params.grad) for p in res.params.values())
+
+
 def test_fit_does_not_mutate_tools():
     w = generate_world(WorldConfig(**FAST), 3)
     before = [t.mu.copy() for t in w.all_tools]
@@ -274,35 +289,45 @@ def test_fit_does_not_mutate_tools():
 # ------------------------------------------------------- mixed precision
 
 def test_fit_steps_in_float32_on_float64_masters(monkeypatch, handed_dtypes):
-    """Every gradient a fit step hands to ``accumulate`` is float32;
-    ``AdamW`` updates float64 masters from float32 gradients in float64
-    buffers; and each training forward runs on the masters as the last
-    update left them, rounded to float32."""
-    forwards, updates, seen = [], [], []
-    batch_forward, step = SelectorModel.batch_forward, AdamW.step
+    """Every gradient a fit step hands to ``accumulate`` is float32, added
+    into a gradient buffer zeroed before the step's backward; ``AdamW``
+    updates float64 masters in float64 buffers from the float32 gradients
+    of the step, cast exactly; and each training forward runs on the
+    masters as the last update left them, rounded to float32."""
+    forwards, updates, seen, trained, zeroed = [], [], [], [], []
+    batch_forward, step, backward = SelectorModel.batch_forward, AdamW.step, dc.backward
 
     def forward_spy(self, items, training=False, **kwargs):
         if training:
+            trained.append(self.params)
             forwards.append(np.concatenate([self.params[k].data.reshape(-1)
                                             for k in sorted(self.params)]))
         return batch_forward(self, items, training=training, **kwargs)
 
     def step_spy(self):
-        seen.append(({p.data.dtype for p in self.params.values()},
-                     {p.grad.dtype for p in self.params.values() if p.grad is not None},
-                     {self.flat.dtype, self.m.dtype, self.v.dtype, self._grad.dtype}))
+        grad32 = trained[-1].grad
+        seen.append(({p.data.dtype for p in self.params.values()}, {grad32.dtype},
+                     {self.params.flat.dtype, self.m.dtype, self.v.dtype,
+                      self.params.grad.dtype},
+                     self.params.grad.tobytes() == grad32.astype(np.float64).tobytes()
+                     and grad32.any()))
         step(self)
-        updates.append(self.flat.copy())
+        updates.append(self.params.flat.copy())
+
+    def backward_spy(root):
+        zeroed.append(not trained[-1].grad.any())
+        backward(root)
     monkeypatch.setattr(SelectorModel, "batch_forward", forward_spy)
     monkeypatch.setattr(AdamW, "step", step_spy)
+    monkeypatch.setattr(dc, "backward", backward_spy)
     w = generate_world(WorldConfig(**FAST), 3)
     cfg = TrainConfig(max_epochs=1, batch_size=8, panel_size=4, seed=5)
     fit(cfg, w)
     assert handed_dtypes == {np.dtype(np.float32)}
-    assert len(seen) == len(forwards) == 15
+    assert len(seen) == len(forwards) == 15 and zeroed == [True] * 15
     f32, f64 = {np.dtype(np.float32)}, {np.dtype(np.float64)}
-    assert all(masters == f64 and grads == f32 and buffers == f64
-               for masters, grads, buffers in seen), seen
+    assert all(masters == f64 and grads == f32 and buffers == f64 and cast
+               for masters, grads, buffers, cast in seen), seen
     init = init_params(default_selector_config(w), cfg.seed)
     masters = [np.concatenate([init[k].data.reshape(-1) for k in sorted(init)])] + updates
     for i, used in enumerate(forwards):
@@ -327,7 +352,7 @@ def test_a_float32_frozen_view_forwards_the_float32_model_bit_for_bit(small_worl
     forward bit for bit, over chunks that share reference sets."""
     w = small_world
     sel = default_selector_config(w)
-    _, params = float32_copy(init_params(sel, 0))
+    params = dc.Params({k: p.data for k, p in init_params(sel, 0).items()}, np.float32)
     model = build_model(w, params, sel)
     view = model.detached()
     val = w.splits["val"]
@@ -343,23 +368,25 @@ def test_a_float32_frozen_view_forwards_the_float32_model_bit_for_bit(small_worl
     assert view.store["k"].dtype == view.store["v"].dtype == np.float32
 
 
-def test_float32_copy_is_refreshed_from_adamw_flat_in_one_pass(rng):
-    """The copy's tensors are views of one float32 array laid out like
-    ``AdamW.flat``, so one assignment refreshes each of them to its master
-    rounded to float32."""
+def test_a_float32_params_is_refreshed_from_the_masters_flat_in_one_pass(rng):
+    """A float32 ``Params`` of float64 masters has their layout, so one
+    assignment casts its gradients into the masters' and one refreshes each
+    of its tensors to its master rounded to float32."""
     shapes = {"w": (4, 3), "b": (3,), "s": (), "a": (2, 1, 2)}
-    masters = {k: dc.Tensor(rng.standard_normal(shape), requires_grad=True)
-               for k, shape in shapes.items()}
+    masters = dc.Params({k: rng.standard_normal(shape) for k, shape in shapes.items()})
     opt = AdamW(masters, lr=0.1, weight_decay=0.01)
-    flat, params = float32_copy(masters)
-    assert list(params) == list(masters) and flat.dtype == np.float32
-    np.testing.assert_array_equal(flat, opt.flat.astype(np.float32))
+    params = dc.Params({k: p.data for k, p in masters.items()}, np.float32)
+    assert list(params) == list(masters) and params.flat.dtype == np.float32
+    np.testing.assert_array_equal(params.flat, masters.flat.astype(np.float32))
     for k, p in params.items():
-        masters[k].grad = rng.standard_normal(shapes[k]).astype(np.float32)
-        assert p.data.dtype == np.float32 and p.requires_grad
-        assert np.shares_memory(p.data, flat)
+        p.grad[...] = rng.standard_normal(shapes[k])
+        assert p.data.dtype == p.grad.dtype == np.float32 and p.requires_grad
+        assert np.shares_memory(p.data, params.flat)
+    masters.grad[...] = params.grad
+    for k, p in params.items():
+        assert masters[k].grad.tobytes() == p.grad.astype(np.float64).tobytes(), k
     opt.step()
-    flat[...] = opt.flat
+    params.flat[...] = masters.flat
     for k, p in params.items():
         assert p.data.shape == shapes[k]
         assert p.data.tobytes() == masters[k].data.astype(np.float32).tobytes(), k
@@ -372,19 +399,18 @@ def test_a_zero_gradient_update_decays_a_float64_master_but_no_float32_weight(rn
     keeps float64 masters."""
     cfg = TrainConfig()
     p0 = rng.uniform(0.01, 1.0, size=(64, 8)) * rng.choice([-1.0, 1.0], size=(64, 8))
-    masters = {"w": dc.Tensor(p0.copy(), requires_grad=True)}
+    masters = dc.Params({"w": p0})
     opt = AdamW(masters, cfg.lr, cfg.weight_decay, cfg.beta1, cfg.beta2, cfg.eps_opt)
-    flat, params = float32_copy(masters)
-    params["w"].grad = np.zeros((64, 8), dtype=np.float32)
-    masters["w"].grad = params["w"].grad
+    params = dc.Params({"w": p0}, np.float32)
+    masters.grad[...] = params.grad
     opt.step()
-    flat[...] = opt.flat
+    params.flat[...] = masters.flat
     want = p0 - np.multiply(p0, cfg.lr * cfg.weight_decay)
     assert masters["w"].data.tobytes() == want.tobytes()
     assert (masters["w"].data != p0).all()
-    w32 = dc.Tensor(p0.astype(np.float32), requires_grad=True)
-    w32.grad = np.zeros((64, 8), dtype=np.float32)
-    AdamW({"w": w32}, cfg.lr, cfg.weight_decay, cfg.beta1, cfg.beta2, cfg.eps_opt).step()
+    params32 = dc.Params({"w": p0.astype(np.float32)})
+    AdamW(params32, cfg.lr, cfg.weight_decay, cfg.beta1, cfg.beta2, cfg.eps_opt).step()
+    w32 = params32["w"]
     assert w32.data.dtype == np.float32
     assert w32.data.tobytes() == p0.astype(np.float32).tobytes()
 
