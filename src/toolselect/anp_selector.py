@@ -3,14 +3,15 @@
 One batched forward scores B (query, panel) items at once:
 
 - ``encode_query`` embeds the B fused queries.
-- Each (tool, task) reference set the batch needs is read from the model's
-  ``ReferenceBank``, which builds a set's constant arrays (inputs, label ids
-  or encodings, slot matrix, row mask) once, on first use. The G sets are
-  encoded as one (G, R, .) stack, self-attended with one batched, row-masked
-  attention and projected to cross-attention keys and values. Those do not
-  depend on the query, so a frozen model (one whose parameters take no
-  gradient) keeps them per bank row and gathers them; a trainable model
-  encodes its batch's sets on the tape.
+- The model's ``ReferenceBank`` holds the constant arrays (inputs, label ids
+  or encodings, slot matrix) of every (tool, task) reference set a world's
+  panels can hold, stacked as (N, R, .) arrays: every set of a world has
+  the same R elements. Sets are encoded as one (G, R, .) stack,
+  self-attended with one batched attention and projected to
+  cross-attention keys and values. Those do not depend on the query, so a
+  frozen model (one whose parameters take no gradient) encodes all N sets
+  once, when it is built, and gathers them; a trainable model encodes its
+  batch's G sets on the tape.
 - Each distinct (example, tool) pair cross-attends from its query over its
   tool's set once, and the score head runs once over all pairs. The coverage
   head, which predicts each tool's per-query success probability, runs over
@@ -23,7 +24,7 @@ One batched forward scores B (query, panel) items at once:
 ``SelectorModel.select`` is the forward of a one-item batch.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -193,23 +194,22 @@ def _label_table(params, cfg, dtype):
 
 @dataclass
 class ReferenceStack:
-    """Constant inputs of G reference sets padded to R rows."""
+    """Constant inputs of G reference sets of R rows each."""
     x: np.ndarray           # (G, R, d_x)
     label_ids: np.ndarray   # (G, R) rows of _label_table
     label_enc: np.ndarray   # (G, R, label_embed_dim) fixed non-categorical label encodings
     slots: np.ndarray       # (G, R, slot_width) encoded reference predictions
-    mask: np.ndarray        # (G, R) real rows
 
     @classmethod
     def zeros(cls, cfg, n_sets, width):
         return cls(x=np.zeros((n_sets, width, cfg.d_x)),
                    label_ids=np.full((n_sets, width), _label_offsets(cfg)[-1], dtype=np.intp),
                    label_enc=np.zeros((n_sets, width, cfg.label_embed_dim)),
-                   slots=np.zeros((n_sets, width, cfg.slot_width)),
-                   mask=np.zeros((n_sets, width), dtype=bool))
+                   slots=np.zeros((n_sets, width, cfg.slot_width)))
 
-    def arrays(self):
-        return (self.x, self.label_ids, self.label_enc, self.slots, self.mask)
+    @property
+    def width(self):
+        return self.x.shape[1]
 
     def take(self, rows, dtype):
         """The sets ``rows``, with the float arrays (x, label encodings,
@@ -217,15 +217,12 @@ class ReferenceStack:
         return ReferenceStack(x=self.x[rows].astype(dtype, copy=False),
                               label_ids=self.label_ids[rows],
                               label_enc=self.label_enc[rows].astype(dtype, copy=False),
-                              slots=self.slots[rows].astype(dtype, copy=False),
-                              mask=self.mask[rows])
+                              slots=self.slots[rows].astype(dtype, copy=False))
 
 
 def reference_arrays(cfg, space, refs):
     """The one-set ``ReferenceStack`` of a list of (x, ground truth, aligned
     prediction) reference elements."""
-    if not refs:
-        raise EmptyReferenceSetError("reference_arrays: empty reference set")
     out = ReferenceStack.zeros(cfg, 1, len(refs))
     categorical = space.family in CATEGORICAL_FAMILIES
     if categorical and len(space.labels) > cfg.task_label_counts[space.task]:
@@ -243,54 +240,40 @@ def reference_arrays(cfg, space, refs):
         else:
             out.label_enc[0, r] = encode_label(space, gt, cfg.label_embed_dim)
         out.slots[0, r] = encode_slot(space, aligned, cfg.slot_width)
-    out.mask[:] = True
     return out
 
 
 class ReferenceBank:
-    """Stacked constant arrays of every (tool, task) reference set used so far.
+    """The constant arrays of (tool, task) reference sets of one length,
+    stacked in the order given as one ``ReferenceStack``, built at once.
 
-    A set's arrays are built once, on first use, and never change, so a model
-    and its ``detached`` views share one bank. Rows are padded to the longest
-    set seen. Tools are identified by their index, as in the model's
-    ``predict_fn``.
+    A model and its ``detached`` views share one bank. Tools are identified
+    by their index, as in the model's ``predict_fn``.
     """
 
-    def __init__(self, cfg, spaces):
-        self.cfg = cfg
-        self.spaces = spaces
-        self.row_of = {}
-        self.sets = ReferenceStack.zeros(cfg, 0, 0)
-
-    def rows(self, tool_tasks):
-        """Bank rows of (tool, task) pairs, building the missing ones."""
-        return np.array([self._row(tool, task) for tool, task in tool_tasks], dtype=np.intp)
-
-    def _row(self, tool, task):
-        row = self.row_of.get((tool.index, task))
-        if row is not None:
-            return row
-        new = reference_arrays(self.cfg, self.spaces[task], tool.reference_sets[task])
-        row = len(self.row_of)
-        capacity, width = self.sets.mask.shape
-        if row == capacity or new.mask.shape[1] > width:
-            grown = ReferenceStack.zeros(self.cfg, max(16, 2 * capacity if row == capacity
-                                                       else capacity),
-                                         max(width, new.mask.shape[1]))
-            for dst, src in zip(grown.arrays(), self.sets.arrays()):
-                dst[:capacity, :width] = src
-            self.sets = grown
-        for dst, src in zip(self.sets.arrays(), new.arrays()):
-            dst[row, :src.shape[1]] = src[0]
-        self.row_of[(tool.index, task)] = row
-        return row
+    def __init__(self, cfg, spaces, tool_tasks):
+        self.row_of, parts = {}, []
+        for tool, task in tool_tasks:
+            refs = tool.reference_sets.get(task)
+            if not refs:
+                raise EmptyReferenceSetError(f"tool {tool.tool_id} (index {tool.index}) has "
+                                             f"no reference set for task {task}")
+            if parts and len(refs) != parts[0].width:
+                raise ShapeMismatchError(
+                    f"tool {tool.tool_id} (index {tool.index}) has {len(refs)} reference "
+                    f"elements for task {task}, the other sets {parts[0].width}")
+            self.row_of[(tool.index, task)] = len(parts)
+            parts.append(reference_arrays(cfg, spaces[task], refs))
+        self.sets = (ReferenceStack(*(np.concatenate([getattr(p, f.name) for p in parts])
+                                      for f in fields(ReferenceStack)))
+                     if parts else ReferenceStack.zeros(cfg, 0, 0))
 
 
 def encode_reference_set(params, cfg, sets):
     """Embed a ``ReferenceStack`` of G sets of R rows: the rows t (G*R, d) and
     the keys phi_x(x) (G*R, d_xp). The label table's zero row takes the
     dtype of the stack's ``x``."""
-    n = sets.mask.size
+    n = sets.label_ids.size
     px = dc.linear(dc.constant(sets.x.reshape(n, cfg.d_x)), params["phi_x_W"],
                    params["phi_x_b"])
     labels = dc.add(dc.take_rows(_label_table(params, cfg, sets.x.dtype),
@@ -302,46 +285,42 @@ def encode_reference_set(params, cfg, sets):
     return t, px
 
 
-def self_attend_refs(params, cfg, t, mask, training=False, rng=None):
+def self_attend_refs(params, cfg, t, width, training=False, rng=None):
     """Single-head self-attention within each reference set; dropout on output rows.
 
-    ``t`` holds G sets of R rows as (G*R, d), with ``mask`` (G, R) marking
-    real rows.
+    ``t`` holds sets of ``width`` rows each as (G*R, d), R = ``width``.
     """
-    sets, width = mask.shape
+    sets = t.shape[0] // width
 
     def project(name):
         return dc.reshape(dc.matmul(t, params[name]), (sets, width, cfg.d))
 
-    out = dc.attend(project("self_q_W"), project("self_k_W"), project("self_v_W"),
-                    key_mask=mask)
+    out = dc.attend(project("self_q_W"), project("self_k_W"), project("self_v_W"))
     out = dc.reshape(out, (sets * width, cfg.d))
     if training and cfg.dropout > 0.0:
         out = dc.dropout(out, cfg.dropout, rng)
     return out
 
 
-def project_sets(params, cfg, keys, t_tilde, mask):
+def project_sets(params, cfg, keys, t_tilde, width):
     """Cross-attention keys K (G, R, d_k) and values V (G, R, d_v) of G
-    reference sets, from their keys (G*R, d_xp) and self-attended rows
-    (G*R, d) with ``mask`` (G, R). Neither depends on the query."""
-    sets, width = mask.shape
+    reference sets of R = ``width`` rows, from their keys (G*R, d_xp) and
+    self-attended rows (G*R, d). Neither depends on the query."""
+    sets = keys.shape[0] // width
     k = dc.reshape(dc.matmul(keys, params["cross_k_W"]), (sets, width, cfg.d_k))
     v = dc.reshape(dc.matmul(t_tilde, params["cross_v_W"]), (sets, width, cfg.d_v))
     return k, v
 
 
-def cross_attend(params, cfg, u_rows, k_sets, v_sets, mask, sets_of_rows):
+def cross_attend(params, cfg, u_rows, k_sets, v_sets, sets_of_rows):
     """Query-conditioned tool descriptor psi for each query row.
 
     ``k_sets`` (N, R, d_k) and ``v_sets`` (N, R, d_v) are ``project_sets``
-    of N reference sets with ``mask`` (N, R); query row i attends over set
-    ``sets_of_rows[i]``.
+    of N reference sets; query row i attends over set ``sets_of_rows[i]``.
     """
     n = u_rows.shape[0]
     q = dc.reshape(dc.matmul(u_rows, params["cross_q_W"]), (n, 1, cfg.d_k))
-    psi = dc.attend(q, dc.take_rows(k_sets, sets_of_rows), dc.take_rows(v_sets, sets_of_rows),
-                    key_mask=mask[sets_of_rows])
+    psi = dc.attend(q, dc.take_rows(k_sets, sets_of_rows), dc.take_rows(v_sets, sets_of_rows))
     return dc.reshape(psi, (n, cfg.d_v))
 
 
@@ -402,23 +381,27 @@ class BatchForward:
 
 
 class SelectorModel:
-    """Bundles params + config with the reference-set machinery.
+    """Bundles params + config with the ``ReferenceBank`` of every set its
+    panels can hold.
 
     ``predict_fn(tools, queries) -> (P, slot_width)`` supplies the encoded
     predictions of ``tools[i]`` on ``queries[i]`` for a batch's distinct
     pairs, in one call per forward; the model itself never runs tools.
     """
 
-    def __init__(self, cfg, params, spaces, predict_fn, bank=None):
+    def __init__(self, cfg, params, bank, predict_fn):
         self.cfg = cfg
         self.params = params
-        self.spaces = spaces
+        self.bank = bank
         self.predict_fn = predict_fn
-        self.bank = ReferenceBank(cfg, spaces) if bank is None else bank
-        # a frozen model's stored cross-attention keys "k" (N, R, d_k),
-        # values "v" (N, R, d_v) and flags "filled" (N,) of the bank rows it
-        # has encoded; None for a trainable model
-        self.store = None if any(p.requires_grad for p in params.values()) else {}
+        # a frozen model's cross-attention keys (N, R, d_k) and values
+        # (N, R, d_v) of every bank set, encoded now; None for a trainable
+        # model, and for an empty bank, which no forward can read
+        self.store = None
+        if bank.row_of and not any(p.requires_grad for p in params.values()):
+            k, v = self._encode_sets(np.arange(len(bank.sets.x)), False, None,
+                                     params["fuse_W"].data.dtype)
+            self.store = (k.data, v.data)
 
     def detached(self):
         """Forward-only snapshot: a copy of every parameter, gradients
@@ -426,54 +409,25 @@ class SelectorModel:
         parameters does not reach it, so its stored encodings never go stale."""
         params = {name: dc.Tensor(p.data.copy(), requires_grad=False)
                   for name, p in self.params.items()}
-        return SelectorModel(self.cfg, params, self.spaces, self.predict_fn, self.bank)
+        return SelectorModel(self.cfg, params, self.bank, self.predict_fn)
 
     def _encode_sets(self, rows, training, rng, dtype):
-        """``project_sets`` of the bank's sets ``rows``, and their row mask."""
+        """``project_sets`` of the bank's sets ``rows``."""
         sets = self.bank.sets.take(rows, dtype)
         t, keys = encode_reference_set(self.params, self.cfg, sets)
-        t_tilde = self_attend_refs(self.params, self.cfg, t, sets.mask, training, rng)
-        return (*project_sets(self.params, self.cfg, keys, t_tilde, sets.mask), sets.mask)
+        t_tilde = self_attend_refs(self.params, self.cfg, t, sets.width, training, rng)
+        return project_sets(self.params, self.cfg, keys, t_tilde, sets.width)
 
-    def _stored_arrays(self, dtype):
-        """The store's arrays, sized to the bank. The stacks grow with the
-        bank's rows. When the bank widens they start again from zeros, and
-        every set is encoded anew on its next use: a set's self-attention sums
-        over its padded width, so one encoded at a narrower width would not
-        have the bits a fresh encoding gives."""
-        store, (capacity, width) = self.store, self.bank.sets.mask.shape
-        old = store.get("k")
-        if old is None or old.shape[:2] != (capacity, width):
-            grown = {"k": np.zeros((capacity, width, self.cfg.d_k), dtype),
-                     "v": np.zeros((capacity, width, self.cfg.d_v), dtype),
-                     "filled": np.zeros(capacity, dtype=bool)}
-            if old is not None and old.shape[1] == width:
-                for name, array in grown.items():
-                    array[:len(old)] = store[name]
-            store.update(grown)
-        return store["k"], store["v"], store["filled"]
-
-    def _reference_encodings(self, tool_tasks, training, rng, dtype):
-        """Cross-attention keys (N, R, d_k), values (N, R, d_v) and row mask
-        (N, R) of N reference sets, and the positions among them of the G
-        (tool, task) sets ``tool_tasks``.
-
-        A trainable model, or a training forward, encodes the G sets as the N
-        sets. A frozen model encodes each bank row once into its store; the N
-        sets are then the bank's rows, and a forward gathers its pairs' keys
-        and values from them.
+    def _reference_encodings(self, rows, training, rng, dtype):
+        """Cross-attention keys (N, R, d_k) and values (N, R, d_v) of N
+        reference sets, and the positions among them of the bank's G sets
+        ``rows``. A trainable model, or a training forward, encodes the G sets
+        on the tape as the N sets; a frozen model's N sets are the bank's,
+        from its store.
         """
-        rows = self.bank.rows(tool_tasks)
         if self.store is None or training:
             return (*self._encode_sets(rows, training, rng, dtype), np.arange(len(rows)))
-        k, v, filled = self._stored_arrays(dtype)
-        missing = rows[~filled[rows]]
-        if missing.size:
-            k_new, v_new, _ = self._encode_sets(missing, training, rng, dtype)
-            k[missing] = k_new.data
-            v[missing] = v_new.data
-            filled[missing] = True
-        return dc.constant(k), dc.constant(v), self.bank.sets.mask, rows
+        return (*map(dc.constant, self.store), rows)
 
     def select(self, query, panel):
         """Score a panel and produce the masked selection distribution: the
@@ -495,7 +449,7 @@ class SelectorModel:
             raise ValueError("batch_forward: empty batch")
         width = max(len(panel.tools) for _, panel in items)
         mask = np.zeros((len(items), width), dtype=bool)
-        tool_tasks, set_of = [], {}          # distinct (tool, task) reference sets
+        bank_rows, set_of = [], {}           # distinct (tool, task) reference sets
         pair_of = {}                         # (example, tool index) -> pair
         pair_example, pair_set, pair_tools, pair_queries = [], [], [], []
         slot_pair, slot_pos = [], []
@@ -509,8 +463,12 @@ class SelectorModel:
                 if pair is None:
                     ref_key = (tool.index, query.task)
                     if ref_key not in set_of:
-                        set_of[ref_key] = len(tool_tasks)
-                        tool_tasks.append((tool, query.task))
+                        if ref_key not in self.bank.row_of:
+                            raise EmptyReferenceSetError(
+                                f"tool {tool.tool_id} (index {tool.index}) has no set for "
+                                f"task {query.task} in the model's reference bank")
+                        set_of[ref_key] = len(bank_rows)
+                        bank_rows.append(self.bank.row_of[ref_key])
                     pair = pair_of[(i, tool.index)] = len(pair_example)
                     pair_example.append(i)
                     pair_set.append(set_of[ref_key])
@@ -527,11 +485,10 @@ class SelectorModel:
         queries = [lq.query for lq, _ in items]
         u = encode_query(self.params, self.cfg, np.array([q.x for q in queries], dtype),
                          np.array([q.q for q in queries], dtype))
-        k_sets, v_sets, ref_mask, set_rows = self._reference_encodings(
-            tool_tasks, training, rng, dtype)
+        k_sets, v_sets, set_rows = self._reference_encodings(
+            np.array(bank_rows, dtype=np.intp), training, rng, dtype)
         u_pairs = dc.take_rows(u, pair_example)
-        psi = cross_attend(self.params, self.cfg, u_pairs, k_sets, v_sets, ref_mask,
-                           set_rows[pair_set])
+        psi = cross_attend(self.params, self.cfg, u_pairs, k_sets, v_sets, set_rows[pair_set])
         features = dc.concat_cols([u_pairs, psi,
                                    dc.constant(np.asarray(
                                        self.predict_fn(pair_tools, pair_queries), dtype)),

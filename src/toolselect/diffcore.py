@@ -366,14 +366,13 @@ def masked_softmax(scores, mask):
     return _make(y, (scores,), back)
 
 
-def attend(query_rows, keys, values, key_mask=None):
+def attend(query_rows, keys, values):
     """Single-head scaled dot-product attention, as one node; no output projection.
 
     out[i] = softmax(query_rows[i] . keys^T / sqrt(d_k)) @ values
 
     3-D operands stack G independent attentions: (G, n, d_k) queries over
-    (G, R, d_k) keys and (G, R, d_v) values. ``key_mask`` ((R,) or (G, R))
-    marks the real keys of sets padded to R rows.
+    (G, R, d_k) keys and (G, R, d_v) values. Every key is attended to.
 
     The same bits as the chain transpose, product, scale, softmax, product:
     the forward computes the chain's expressions, and the backward its
@@ -401,15 +400,7 @@ def attend(query_rows, keys, values, key_mask=None):
     q, k, v = query_rows.data, keys.data, values.data
     c = float(1.0 / np.sqrt(k.shape[-1]))
     logits = (q @ np.swapaxes(k, -1, -2)) * c
-    if key_mask is not None:
-        key_mask = np.asarray(key_mask, dtype=bool)
-    if key_mask is None or key_mask.all():
-        weights = kernels.softmax_rows(logits.reshape(-1, logits.shape[-1])).reshape(logits.shape)
-    else:
-        mask = np.broadcast_to(np.expand_dims(key_mask, -2), logits.shape)
-        if not mask.any(axis=-1).all():
-            raise NoValidCandidateError("attend: every key of a set is masked")
-        weights = kernels.masked_softmax(logits, mask)
+    weights = kernels.softmax_rows(logits.reshape(-1, logits.shape[-1])).reshape(logits.shape)
 
     def back(g):
         if values.requires_grad:

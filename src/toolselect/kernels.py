@@ -89,9 +89,11 @@ def gelu_bwd(x, gy, cdf):
 
 
 def softmax_rows(s):
+    """Softmax along axis 1, in one new array: ``exp(s - max) / sum``."""
     z = s - s.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def masked_softmax(scores, mask):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diffcore as dc
-from .anp_selector import SelectorConfig, SelectorModel, encode_slots, init_params
+from .anp_selector import ReferenceBank, SelectorConfig, SelectorModel, encode_slots, init_params
 from .domain import CATEGORICAL_FAMILIES
 from .errors import ConfigError
 from .evalharness import CHUNK, keyed_panels
@@ -206,9 +206,13 @@ def make_predict_fn(world, selector_cfg):
 
 
 def build_model(world, params, selector_cfg):
+    """The selector over ``params`` whose ``ReferenceBank`` holds the
+    reference set of every population tool on each task it supports."""
     spaces = {spec.task: spec.space for spec in world.tasks}
-    return SelectorModel(selector_cfg, params, spaces,
-                         make_predict_fn(world, selector_cfg))
+    bank = ReferenceBank(selector_cfg, spaces,
+                         [(tool, task) for task, population in world.populations.items()
+                          for tool in population if task in tool.supported_tasks])
+    return SelectorModel(selector_cfg, params, bank, make_predict_fn(world, selector_cfg))
 
 
 def panel_costs(world, items):

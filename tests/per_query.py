@@ -15,14 +15,9 @@ def box_from_x(spec, x):
             min(1.0, cx + w / 2.0), min(1.0, cy + h / 2.0))
 
 
-def attend_chain(query_rows, keys, values, key_mask=None):
+def attend_chain(query_rows, keys, values):
     """``dc.attend`` as the chain of tape nodes it fuses: transpose, product,
-    scale, softmax (masked when a key is padding), product."""
+    scale, softmax, product."""
     product = dc.matmul if keys.data.ndim == 2 else dc.bmm
     logits = dc.scale(product(query_rows, dc.transpose(keys)), 1.0 / np.sqrt(keys.data.shape[-1]))
-    if key_mask is None or np.all(key_mask):
-        weights = dc.softmax_rows(logits)
-    else:
-        row_mask = np.expand_dims(np.asarray(key_mask, dtype=bool), -2)
-        weights = dc.masked_softmax(logits, np.broadcast_to(row_mask, logits.data.shape))
-    return product(weights, values)
+    return product(dc.softmax_rows(logits), values)

@@ -233,15 +233,13 @@ def test_masked_softmax_rows_reject_a_fully_masked_row():
         dc.masked_softmax(dc.constant(np.zeros((2, 2))), mask)
 
 
-def test_batched_attend_matches_per_set_attend_and_ignores_padding(rng):
+def test_batched_attend_matches_per_set_attend(rng):
     q = rng.standard_normal((2, 3, 4))
     k = rng.standard_normal((2, 5, 4))
     v = rng.standard_normal((2, 5, 3))
-    lengths = [3, 5]
-    mask = np.arange(5)[None, :] < np.array(lengths)[:, None]
-    out = dc.attend(dc.constant(q), dc.constant(k), dc.constant(v), key_mask=mask).data
-    for g, n in enumerate(lengths):
-        expect = dc.attend(dc.constant(q[g]), dc.constant(k[g, :n]), dc.constant(v[g, :n]))
+    out = dc.attend(dc.constant(q), dc.constant(k), dc.constant(v)).data
+    for g in range(2):
+        expect = dc.attend(dc.constant(q[g]), dc.constant(k[g]), dc.constant(v[g]))
         np.testing.assert_allclose(out[g], expect.data, atol=1e-12)
 
 
@@ -256,27 +254,25 @@ def _bits(a):
     return np.ascontiguousarray(a).tobytes()
 
 
-def _attend_run(attend, inputs, key_mask, w):
+def _attend_run(attend, inputs, w):
     """Output and the three input gradients of ``wsum(attend(...), w)``."""
     leaves = [dc.Tensor(x.copy(), requires_grad=True) for x in inputs]
-    out = attend(*leaves, key_mask=key_mask)
+    out = attend(*leaves)
     dc.backward(dc.wsum(out, w))
     return [out.data] + [t.grad for t in leaves]
 
 
 @pytest.mark.parametrize("ndim", [2, 3])
-@pytest.mark.parametrize("masking", ["none", "all_valid", "padded"])
-def test_fused_attend_equals_the_chain_bit_for_bit(rng, ndim, masking):
+@pytest.mark.parametrize("zeroed", ["none", "first_row"])
+def test_fused_attend_equals_the_chain_bit_for_bit(rng, ndim, zeroed):
     lead = () if ndim == 2 else (3,)
     inputs = [rng.standard_normal(lead + (4, 5)), rng.standard_normal(lead + (6, 5)),
               rng.standard_normal(lead + (6, 3))]
-    lengths = np.array([2, 6, 4])[:, None] if ndim == 3 else 4
-    key_mask = {"none": None, "all_valid": np.ones(lead + (6,), dtype=bool),
-                "padded": np.arange(6) < lengths}[masking]
     w = rng.standard_normal(lead + (4, 3))
-    w[..., 0, :] = 0.0   # zero upstream gradients: the signs of zeros must agree too
-    fused = _attend_run(dc.attend, inputs, key_mask, w)
-    chain = _attend_run(attend_chain, inputs, key_mask, w)
+    if zeroed == "first_row":
+        w[..., 0, :] = 0.0   # zero upstream gradients: the signs of zeros must agree too
+    fused = _attend_run(dc.attend, inputs, w)
+    chain = _attend_run(attend_chain, inputs, w)
     for got, expect in zip(fused, chain):
         assert _bits(got) == _bits(expect)
 
@@ -287,7 +283,6 @@ def test_fused_attend_accumulates_shared_inputs_as_the_chain_does(rng):
     chain's bits."""
     t0 = rng.standard_normal((2, 5, 4))
     ws0 = [rng.standard_normal((4, 4)) for _ in range(3)]
-    mask = np.array([[True] * 3 + [False] * 2, [True] * 5])
     w = rng.standard_normal((2, 5, 4))
 
     def grads(attend):
@@ -296,8 +291,7 @@ def test_fused_attend_accumulates_shared_inputs_as_the_chain_does(rng):
         flat = dc.reshape(t, (10, 4))
         q, k, v = (dc.reshape(dc.matmul(flat, m), (2, 5, 4)) for m in ws)
         same = dc.Tensor(t0.copy(), requires_grad=True)
-        loss = dc.add(dc.wsum(attend(q, k, v, key_mask=mask), w),
-                      dc.wsum(attend(same, same, same, key_mask=mask), w))
+        loss = dc.add(dc.wsum(attend(q, k, v), w), dc.wsum(attend(same, same, same), w))
         dc.backward(loss)
         return [loss.data, t.grad, same.grad] + [m.grad for m in ws]
 
@@ -308,16 +302,8 @@ def test_fused_attend_accumulates_shared_inputs_as_the_chain_does(rng):
 def test_fused_attend_is_one_node(rng):
     q, k, v = (dc.Tensor(rng.standard_normal(s), requires_grad=True)
                for s in ((2, 3, 4), (2, 5, 4), (2, 5, 3)))
-    out = dc.attend(q, k, v, key_mask=np.array([[True] * 5, [True, False] * 2 + [True]]))
+    out = dc.attend(q, k, v)
     assert out._prev == (q, k, v)
-
-
-def test_attend_rejects_a_set_with_every_key_masked(rng):
-    q = dc.constant(rng.standard_normal((2, 1, 4)))
-    k = dc.constant(rng.standard_normal((2, 3, 4)))
-    v = dc.constant(rng.standard_normal((2, 3, 2)))
-    with pytest.raises(NoValidCandidateError):
-        dc.attend(q, k, v, key_mask=np.array([[True, False, False], [False] * 3]))
 
 
 # --------------------------------------------------------------- backward
@@ -540,7 +526,6 @@ def _op_cases(rng, dtype):
     q3 = dc.Tensor(normal((2, 3, 4)), requires_grad=True)
     k3 = dc.Tensor(normal((2, 5, 4)), requires_grad=True)
     v3 = dc.Tensor(normal((2, 5, 3)), requires_grad=True)
-    key_mask = np.array([[True, True, False, True, False], [True] * 5])
     w_att = normal((2, 3, 3))
     q2 = dc.Tensor(normal((3, 4)), requires_grad=True)
     k2 = dc.Tensor(normal((5, 4)), requires_grad=True)
@@ -574,10 +559,8 @@ def _op_cases(rng, dtype):
         (lambda: dc.wsum(dc.transpose(x3), w_t3), [x3]),
         (lambda: dc.wsum(dc.softmax_rows(x3), w_x3), [x3]),
         (lambda: dc.wsum(dc.masked_softmax(a, row_mask), w_fixed), [a]),
-        (lambda: dc.wsum(dc.attend(q3, k3, v3, key_mask=key_mask), w_att), [q3, k3, v3]),
         (lambda: dc.wsum(dc.attend(q3, k3, v3), w_att), [q3, k3, v3]),
         (lambda: dc.wsum(dc.attend(q2, k2, v2), w_att2), [q2, k2, v2]),
-        (lambda: dc.wsum(dc.attend(q2, k2, v2, key_mask=key_mask[0]), w_att2), [q2, k2, v2]),
         (lambda: _sum(dc.take_rows(x3, [1, 0, 1])), [x3]),
         (lambda: dc.wsum(dc.scatter_1d(vec, [7, 1, 0, 11, 3], (3, 4)), w_scatter), [vec]),
         (lambda: dc.wsum(dc.matmul(a, w_lin), w_fixed[:, :2]), [a, w_lin]),

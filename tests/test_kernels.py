@@ -119,6 +119,21 @@ def test_softmax_rows_sum_to_one(rng):
     assert (y >= 0).all()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (5, 1), (80, 6), (2480, 16), (1250, 64)])
+def test_softmax_rows_equals_the_four_array_expression_bit_for_bit(rng, shape, dtype):
+    """The in-place softmax has the bits of ``exp(s - max) / sum``, each
+    step in a new array, and keeps the input's dtype and values."""
+    s = (rng.standard_normal(shape) * 8).astype(dtype)
+    before = s.copy()
+    z = s - s.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    expect = e / e.sum(axis=1, keepdims=True)
+    got = kernels.softmax_rows(s)
+    assert got.dtype == dtype and got.tobytes() == expect.tobytes()
+    assert s.tobytes() == before.tobytes()
+
+
 def test_backend_flag_is_reported():
     assert kernels.BACKEND == "numpy"
 

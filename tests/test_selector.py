@@ -21,7 +21,9 @@ from toolselect.baselines import ToolSelectRouter
 from toolselect.domain import Panel, validity
 from toolselect.errors import (
     ConfigError,
+    EmptyReferenceSetError,
     NoValidCandidateError,
+    NoValidPanelError,
     NonFiniteScoreError,
     ShapeMismatchError,
 )
@@ -164,7 +166,7 @@ def test_reference_set_exchangeability_of_psi(setup):
 
     def psi_of(rs):
         t, keys = encode_reference_set(params, cfg, reference_arrays(cfg, space, rs))
-        t_tilde = self_attend_refs(params, cfg, t, _one_set(t))
+        t_tilde = self_attend_refs(params, cfg, t, t.shape[0])
         return _cross_attend_one_set(params, cfg, u, keys, t_tilde).data
 
     np.testing.assert_allclose(psi_of([refs[i] for i in perm]), psi_of(refs),
@@ -173,23 +175,16 @@ def test_reference_set_exchangeability_of_psi(setup):
 
 # -------------------------------------------------------- self/cross attend
 
-def _one_set(t):
-    """The mask of one reference set holding every row of ``t``."""
-    return np.ones((1, t.shape[0]), dtype=bool)
-
-
 def _cross_attend_one_set(params, cfg, u, keys, t_tilde):
     """``cross_attend`` of every query row over one set of all the keys."""
-    mask = _one_set(keys)
-    k_sets, v_sets = project_sets(params, cfg, keys, t_tilde, mask)
-    return cross_attend(params, cfg, u, k_sets, v_sets, mask,
-                        np.zeros(u.shape[0], dtype=np.intp))
+    k_sets, v_sets = project_sets(params, cfg, keys, t_tilde, keys.shape[0])
+    return cross_attend(params, cfg, u, k_sets, v_sets, np.zeros(u.shape[0], dtype=np.intp))
 
 
 def test_self_attend_single_row_is_value_projection(setup):
     world, cfg, params, model = setup
     t = dc.constant(np.random.default_rng(0).standard_normal((1, cfg.d)))
-    out = self_attend_refs(params, cfg, t, _one_set(t))
+    out = self_attend_refs(params, cfg, t, t.shape[0])
     np.testing.assert_allclose(out.data, t.data @ params["self_v_W"].data,
                                atol=1e-12)
 
@@ -198,7 +193,7 @@ def test_self_attend_identical_rows_stay_identical(setup):
     world, cfg, params, model = setup
     row = np.random.default_rng(1).standard_normal(cfg.d)
     t = dc.constant(np.stack([row] * 4))
-    out = self_attend_refs(params, cfg, t, _one_set(t)).data
+    out = self_attend_refs(params, cfg, t, t.shape[0]).data
     for i in range(1, 4):
         np.testing.assert_allclose(out[i], out[0], atol=1e-12)
 
@@ -206,7 +201,7 @@ def test_self_attend_identical_rows_stay_identical(setup):
 def test_self_attend_matches_brute_force(setup):
     world, cfg, params, model = setup
     t = np.random.default_rng(2).standard_normal((2, cfg.d))
-    out = self_attend_refs(params, cfg, dc.constant(t), _one_set(t)).data
+    out = self_attend_refs(params, cfg, dc.constant(t), t.shape[0]).data
     q = t @ params["self_q_W"].data
     k = t @ params["self_k_W"].data
     v = t @ params["self_v_W"].data
@@ -443,20 +438,30 @@ def test_duplicate_tool_copies_tie_exactly_and_lowest_slot_wins(setup):
         assert dup.selected == 1
 
 
+def _population_sets(world):
+    """The (tool, task) reference sets of a world's panels, in bank order."""
+    return [(tool, task) for task, population in world.populations.items()
+            for tool in population if task in tool.supported_tasks]
+
+
 def test_reference_bank_builds_each_set_once_and_is_shared(setup, monkeypatch):
+    """``build_model`` builds the constant arrays of every population set
+    once; forwards, training or not, and ``detached`` views build none and
+    share the bank."""
     from toolselect import anp_selector
     world, cfg, _, _ = setup
-    model = build_model(world, init_params(cfg, 1), cfg)
-    items = [(lq, _panel_for(world, lq, seed=i))
-             for i, lq in enumerate(world.splits["test"][::10])]
     calls = []
     original = anp_selector.encode_slot
     monkeypatch.setattr(anp_selector, "encode_slot",
                         lambda *a: calls.append(1) or original(*a))
-    model.batch_forward(items, training=True, rng=np.random.default_rng(0))
+    model = build_model(world, init_params(cfg, 1), cfg)
     built = len(calls)
-    assert built == sum(len(tool.reference_sets[task])
-                        for tool, task in _tool_tasks(items))
+    sets = _population_sets(world)
+    assert built == sum(len(tool.reference_sets[task]) for tool, task in sets)
+    assert list(model.bank.row_of) == [(tool.index, task) for tool, task in sets]
+    items = [(lq, _panel_for(world, lq, seed=i))
+             for i, lq in enumerate(world.splits["test"][::10])]
+    model.batch_forward(items, training=True, rng=np.random.default_rng(0))
     model.batch_forward(items, training=True, rng=np.random.default_rng(1))
     model.detached().batch_forward(items)
     assert len(calls) == built
@@ -472,23 +477,61 @@ def _tool_tasks(items):
     return seen.values()
 
 
-def test_short_reference_sets_are_masked_not_diluted(setup):
-    """A set shorter than the bank's width scores as it would alone."""
+def test_a_panel_tool_without_a_bank_row_raises_naming_it(setup):
+    """A valid panel tool whose (index, task) the bank lacks raises
+    ``EmptyReferenceSetError`` naming it, from a trainable model and from
+    a frozen one."""
     world, cfg, params, model = setup
     lq = world.splits["test"][5]
     task = lq.query.task
     valid = [t for t in world.populations[task] if validity(t, lq.query)]
-    short = dataclasses.replace(valid[0], index=10_000,
-                                reference_sets={task: valid[0].reference_sets[task][:3]})
-    alone = build_model(world, params, cfg)
-    expect = alone.select(lq.query, Panel(task=task, tools=(short, short))).scores[0]
-    mixed = build_model(world, params, cfg)
-    dist = mixed.select(lq.query, Panel(task=task, tools=(valid[1], short)))
-    assert mixed.bank.sets.mask.shape[1] > 3
-    assert dist.scores[1] == pytest.approx(expect, abs=1e-12)
+    stranger = dataclasses.replace(valid[0], index=999, reference_sets={})
+    assert validity(stranger, lq.query)
+    for m in (model, model.detached()):
+        with pytest.raises(EmptyReferenceSetError,
+                           match=rf"tool {stranger.tool_id} \(index 999\).* task {task}\b"):
+            m.select(lq.query, Panel(task=task, tools=(valid[1], stranger)))
+
+
+@pytest.mark.parametrize("flaw", ["missing", "empty", "short", "long"])
+def test_build_model_names_the_tool_and_task_of_an_unusable_population_set(setup, flaw):
+    world, cfg, params, _ = setup
+    task = 2
+    population = list(world.populations[task])
+    tool = population[-1]
+    refs = tool.reference_sets[task]
+    sets = {"missing": {}, "empty": {task: []}, "short": {task: refs[:3]},
+            "long": {task: refs + refs[:1]}}[flaw]
+    population[-1] = dataclasses.replace(tool, reference_sets=sets)
+    broken = dataclasses.replace(world, populations={**world.populations, task: population})
+    error = EmptyReferenceSetError if flaw in ("missing", "empty") else ShapeMismatchError
+    with pytest.raises(error, match=rf"tool {tool.tool_id} \(index {tool.index}\).* task {task}\b"):
+        build_model(broken, params, cfg)
+
+
+def test_a_world_without_supporting_tools_builds_a_model_with_an_empty_bank(setup):
+    """No population tool supports its task: the bank is empty, a frozen
+    view stores no encodings, and panels fail as without a model."""
+    world, cfg, params, _ = setup
+    populations = {task: [dataclasses.replace(tool, supported_tasks=frozenset())
+                          for tool in population]
+                   for task, population in world.populations.items()}
+    empty = dataclasses.replace(world, populations=populations)
+    model = build_model(empty, params, cfg)
+    view = model.detached()
+    assert model.bank.row_of == {} and model.bank.sets.x.shape == (0, 0, cfg.d_x)
+    assert view.store is None
+    lq = empty.splits["test"][0]
+    with pytest.raises(NoValidPanelError):
+        sample_panel(empty.populations[lq.query.task], lq.query, 4, np.random.default_rng(0))
+    tool = world.populations[lq.query.task][0]
+    with pytest.raises(EmptyReferenceSetError, match=rf"tool {tool.tool_id} "):
+        view.select(lq.query, Panel(task=lq.query.task, tools=(tool, tool)))
 
 
 def test_unseen_tools_join_the_bank(setup):
+    """The bank of a world with fresh tools holds their sets when the model
+    is built, and routes them."""
     from toolselect.simworld import regenerate_test_tools
     world, cfg, params, _ = setup
     fresh = regenerate_test_tools(world, 0.5, seed=3)
@@ -498,9 +541,9 @@ def test_unseen_tools_join_the_bank(setup):
            if t.index >= len(world.all_tools) and validity(t, lq.query)]
     old = [t for t in fresh.populations[lq.query.task]
            if t.index < len(world.all_tools) and validity(t, lq.query)]
+    assert (new[0].index, lq.query.task) in model.bank.row_of
     dist = model.select(lq.query, Panel(task=lq.query.task, tools=(new[0], old[0])))
     assert np.isfinite(dist.scores).all() and dist.mask.all()
-    assert (new[0].index, lq.query.task) in model.bank.row_of
 
 
 def test_cached_select_matches_uncached(setup):
@@ -509,23 +552,53 @@ def test_cached_select_matches_uncached(setup):
     tape, bit for bit."""
     world, cfg, params, model = setup
     view = model.detached()
-    assert model.store is None and view.store == {}
+    assert model.store is None and view.store is not None
     for i, lq in enumerate(world.splits["test"][:12]):
         panel = _panel_for(world, lq, seed=i)
         cached, fresh = view.select(lq.query, panel), model.select(lq.query, panel)
         np.testing.assert_array_equal(cached.probs, fresh.probs)
         assert cached.selected == fresh.selected
-    assert view.store["filled"].any()
-    assert view.store["k"].dtype == view.store["v"].dtype == np.float64
+    k, v = view.store
+    assert k.dtype == v.dtype == np.float64
 
 
 def test_a_model_built_from_frozen_tensors_keeps_its_encodings(setup):
     world, cfg, params, _ = setup
     frozen = {k: dc.Tensor(p.data, requires_grad=False) for k, p in params.items()}
     model = build_model(world, frozen, cfg)
+    n, width = len(model.bank.row_of), model.bank.sets.width
+    k, v = model.store
+    assert k.shape == (n, width, cfg.d_k) and v.shape == (n, width, cfg.d_v)
     lq = world.splits["test"][0]
     model.select(lq.query, _panel_for(world, lq))
-    assert model.store["filled"].any()
+    assert model.store[0] is k and model.store[1] is v
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_a_frozen_models_store_equals_the_tape_encodings_bit_for_bit(setup, monkeypatch, dtype):
+    """The keys and values a frozen model encodes for the whole bank at once
+    are, row for row, the bits the trainable model encodes on the tape for
+    the G sets of each batch, in first-appearance order."""
+    from toolselect import anp_selector
+    world, cfg, params, _ = setup
+    params = dc.Params({k: p.data for k, p in params.items()}, dtype)
+    model = build_model(world, params, cfg)
+    view = model.detached()
+    seen = []
+    original = anp_selector.cross_attend
+    monkeypatch.setattr(anp_selector, "cross_attend", lambda p, c, u, k, v, rows: seen.append(
+        (k.data, v.data, np.asarray(rows))) or original(p, c, u, k, v, rows))
+    for lo in range(0, 96, 24):
+        items = [(lq, _panel_for(world, lq, seed=lo + i))
+                 for i, lq in enumerate(world.splits["train"][lo:lo + 24])]
+        model.batch_forward(items)
+        view.batch_forward(items)
+        (k_tape, v_tape, rows_tape), (k_store, v_store, rows_store) = seen[-2:]
+        assert k_store is view.store[0] and v_store is view.store[1]
+        assert len(k_tape) == len(np.unique(rows_tape)) < len(k_store)
+        for got, want in ((k_store[rows_store], k_tape[rows_tape]),
+                          (v_store[rows_store], v_tape[rows_tape])):
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
 
 def test_a_frozen_view_is_a_snapshot_of_its_parents_parameters(small_world):
@@ -557,26 +630,6 @@ def _routes_like_fresh_routers(model, items):
     return long_lived
 
 
-@pytest.mark.parametrize("short_rows", [1, 3, 5, 7])
-def test_serve_cache_matches_fresh_routers_as_the_bank_widens(setup, short_rows):
-    """A short-set tool first, then full sets: the bank widens after the
-    short set is cached."""
-    world, cfg, params, _ = setup
-    task = 1
-    lqs = [lq for lq in world.splits["test"] if lq.query.task == task][:12]
-    valid = next(t for t in world.populations[task] if validity(t, lqs[0].query))
-    short = dataclasses.replace(valid, index=10_000, reference_sets={
-        task: valid.reference_sets[task][:short_rows]})
-    items = [(lqs[0], Panel(task=task, tools=(short, short)))]
-    items += [(lq, Panel(task=task, tools=(short,) + _panel_for(world, lq, seed=i).tools))
-              for i, lq in enumerate(lqs[1:])]
-    model = build_model(world, params, cfg)
-    _routes_like_fresh_routers(model, items[:1])
-    assert model.bank.sets.mask.shape[1] == short_rows
-    _routes_like_fresh_routers(model, items)
-    assert model.bank.sets.mask.shape[1] > short_rows
-
-
 def test_serve_cache_matches_fresh_routers_on_unseen_tools(setup):
     from toolselect.simworld import regenerate_test_tools
     world, cfg, params, _ = setup
@@ -584,13 +637,13 @@ def test_serve_cache_matches_fresh_routers_on_unseen_tools(setup):
     model = build_model(fresh, params, cfg)
     items = [(lq, _panel_for(fresh, lq, m=6, seed=i))
              for i, lq in enumerate(fresh.splits["test"][::4])]
-    router = _routes_like_fresh_routers(model, items)
-    unseen = [row for (index, _), row in model.bank.row_of.items()
-              if index >= len(world.all_tools)]
-    assert unseen and router.model.store["filled"][unseen].all()
+    _routes_like_fresh_routers(model, items)
+    assert any(tool.index >= len(world.all_tools) for tool, _ in _tool_tasks(items))
 
 
 def test_serve_cache_encodes_each_set_once(setup, monkeypatch):
+    """A router's frozen view encodes every bank set in one
+    ``encode_reference_set`` call when it is built, and none after."""
     from toolselect import anp_selector
     world, cfg, params, _ = setup
     model = build_model(world, params, cfg)
@@ -599,27 +652,24 @@ def test_serve_cache_encodes_each_set_once(setup, monkeypatch):
     encoded = []
     original = anp_selector.encode_reference_set
     monkeypatch.setattr(anp_selector, "encode_reference_set",
-                        lambda p, c, sets: encoded.append(sets.mask.shape[0]) or
-                        original(p, c, sets))
+                        lambda p, c, sets: encoded.append(len(sets.x)) or original(p, c, sets))
     router = ToolSelectRouter(model)
+    assert encoded == [len(model.bank.row_of)]
     for item in items:
         router.model.batch_forward([item])
-    assert sum(encoded) == len(_tool_tasks(items)) and len(encoded) <= len(items)
-    calls = len(encoded)
     router.route_batch(items, None)
-    for item in items:
-        router.model.batch_forward([item])
-    assert len(encoded) == calls
+    assert encoded == [len(model.bank.row_of)]
 
 
 def test_a_frozen_view_encodes_each_set_once_across_select_route_and_evaluate(
         setup, monkeypatch):
     """``select``, ``route_batch`` and a chunked ``evaluate`` through one
-    frozen view encode each (tool, task) reference set once between them."""
+    frozen view read the encodings it made of the whole bank in one
+    ``encode_reference_set`` call."""
     from toolselect import anp_selector
     from toolselect.evalharness import CHUNK, eval_panels, evaluate
     world, cfg, params, _ = setup
-    router = ToolSelectRouter(build_model(world, params, cfg))
+    model = build_model(world, params, cfg)
     items = [(lq, _panel_for(world, lq, seed=i))
              for i, lq in enumerate(world.splits["val"][::4])]
     test_items = list(zip(world.splits["test"], eval_panels(world, "test", 5, 2)))
@@ -627,13 +677,14 @@ def test_a_frozen_view_encodes_each_set_once_across_select_route_and_evaluate(
     encoded = []
     original = anp_selector.encode_reference_set
     monkeypatch.setattr(anp_selector, "encode_reference_set",
-                        lambda p, c, sets: encoded.append(sets.mask.shape[0]) or
-                        original(p, c, sets))
+                        lambda p, c, sets: encoded.append(len(sets.x)) or original(p, c, sets))
+    router = ToolSelectRouter(model)
     for lq, panel in items[:5]:
         router.model.select(lq.query, panel)
     router.route_batch(items, None)
     evaluate(router, world, "test", 5, 2)
-    assert sum(encoded) == len(_tool_tasks(items + test_items))
+    assert encoded == [len(model.bank.row_of)]
+    assert len(_tool_tasks(items + test_items)) <= len(model.bank.row_of)
 
 
 def test_a_routing_forward_never_runs_the_coverage_head(setup, monkeypatch):

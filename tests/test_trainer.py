@@ -364,8 +364,8 @@ def test_a_float32_frozen_view_forwards_the_float32_model_bit_for_bit(small_worl
         for name in ("scores_t", "probs_t", "coverage_t"):
             a, b = getattr(got, name).data, getattr(want, name).data
             assert a.dtype == np.float32 and a.tobytes() == b.tobytes(), name
-    assert view.store["filled"].any()
-    assert view.store["k"].dtype == view.store["v"].dtype == np.float32
+    k, v = view.store
+    assert k.dtype == v.dtype == np.float32 and len(k) == len(view.bank.row_of)
 
 
 def test_a_float32_params_is_refreshed_from_the_masters_flat_in_one_pass(rng):
