@@ -280,7 +280,10 @@ class ToolSelectRouter(Router):
     name = "ToolSelect"
 
     def __init__(self, model):
-        self.model = model.detached()
+        # a trainable model is routed through a snapshot of its parameters; a
+        # frozen one, which encoded its reference bank when built, as it is
+        frozen = not any(p.requires_grad for p in model.params.values())
+        self.model = model if frozen else model.detached()
 
     def route_batch(self, items, rng):
         return self.model.batch_forward(items).selected

@@ -23,26 +23,23 @@ returns an ``AlignedPrediction``.
 
 Outcome tables. ``SimWorld`` keeps one ``_OutcomeTable`` per task: rows are
 the task's queries in the splits, split by split in split order; columns are
-``populations[task]``. Per pair it stores a ``filled`` level (nothing, the
-output, the output and its cost), the cost and the canonical output.
-Nothing is filled up front: a reader's missing pairs are filled with one
-``_draw`` pass over them, and scored only for readers that ask for costs.
-Readers locate a query's row through the runs of consecutive uids that
-``generate_world`` assigns (and check that the row holds that very query
-object), and a tool's column through its index (and identity). A pair
-without a row or column -- a query in no split, a tool outside the task's
-population -- is computed by the same ``_draw`` and not stored, so the
-tables never outgrow the splits. ``SimWorld.tool_outcomes`` is the batched
-reader; ``cost_array`` (``tool_cost`` is its one-pair call) reads costs
-through it, ``cost_matrix`` fills and gathers a dense block of table pairs
+``populations[task]``. Per pair it stores the canonical output and its cost.
+The rows of one split are one block, filled whole at the first read of one
+of its pairs: every pair of the block's rows and the population's
+supporting tools is drawn by ``_draw`` and scored by ``_score``, in passes of
+``DENSE_ROWS`` rows; every later read is a gather. Readers find a query's
+row and a tool's column by object identity: the row of the split's own
+query object (or, for costs, its own labeled query), the column of the
+population's own tool. A pair without a row or column -- a query in no
+split, a copy of a split query, a tool outside the task's population -- is
+computed by the same ``_draw`` and not stored, and fills nothing, so the
+tables never outgrow the splits. ``SimWorld.tool_outcomes`` is the
+batched reader; ``cost_array`` (``tool_cost`` is its one-pair call) reads
+costs through it, ``cost_matrix`` gathers a dense matrix of table pairs
 directly (finding each tool's column and each query's row once), and
-``tool_prediction`` reads one pair's output through it. A read
-whose pairs share one query object (a one-query route: Oracle's ``route``,
-the selector's ``predict_fn`` in a one-item forward, ``tool_prediction``,
-``tool_cost``) finds that query's row once and reads it with
-``_OutcomeTable.fill_row``. The tables are fields the dataclass does not
-take as arguments, so ``dataclasses.replace`` of a world gives a copy with
-empty tables.
+``tool_prediction`` reads one pair's output through it. The tables are
+fields the dataclass does not take as arguments, so ``dataclasses.replace``
+of a world gives a copy with empty tables.
 
 ``keyed_rngs`` seeds a batch of keyed RNGs at once. For at least
 ``BATCH_SEEDING_MIN`` keys of at most four entries, each below 2**32 (every
@@ -80,11 +77,10 @@ pool, then makes one ``tool_predict`` call per element.
 step. Every generated value is the one the per-query code gives.
 """
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -112,14 +108,11 @@ PREDICTION_KEY = 104729   # second entry of every per-(tool, query) prediction R
 # building one generator per stream draws faster than the fixed cost of
 # the word arrays (crossovers measured at about 16 fills and 8 panels).
 BATCH_SEEDING_MIN = 20
-# Levels of an outcome table's ``filled`` array: nothing yet, the output,
-# the output and its cost.
-EMPTY, DRAWN, SCORED = 0, 1, 2
 # Queries per sampled block in generate_world. Whole (split, task) blocks of
 # 1250 queries make temporaries above glibc's 128 KB mmap threshold; they
 # raised peak RSS on the train benchmark by about 1 MB.
 QUERY_BLOCK = 256
-# Queries per cost_matrix pass: bounds the temporaries of a dense fill.
+# Rows per pass of an outcome-table block fill: bounds its temporaries.
 DENSE_ROWS = 512
 # Whole-panel draws sample_panel makes before it gives up.
 PANEL_ATTEMPTS = 100
@@ -243,8 +236,9 @@ class TaskOutcomes:
     canonical output per pair: aligned probabilities ``(n, K)`` for
     categorical tasks, boxes ``(n, 4)`` for grounding, pair-vocabulary
     indicators ``(n, V)`` for reports; the null output where the tool does
-    not support the task (``valid`` False). ``costs`` is NaN there, and
-    everywhere when no ground truth was given.
+    not support the task (``valid`` False). ``costs`` is NaN there, and,
+    when no ground truth was given, at the pairs outside the outcome table
+    (a tabled pair's cost is scored against its split's ground truth).
     """
     task: int
     positions: np.ndarray
@@ -295,8 +289,8 @@ class SimWorld:
         if table is None:
             table = self._tables[task] = _OutcomeTable(
                 self.task_spec(task), self.populations.get(task, []),
-                [lq for records in self.splits.values() for lq in records
-                 if lq.query.task == task])
+                [[lq for lq in records if lq.query.task == task]
+                 for records in self.splits.values()])
         return table
 
     def _tool_rows(self, spec, tools):
@@ -320,8 +314,8 @@ class SimWorld:
         per task in order of first appearance. With ``gts`` (labeled
         queries) the costs are filled in too.
 
-        Tabled pairs are read from the task's table after one ``_draw`` pass
-        over the missing ones; a pair with ``gts`` is tabled only when
+        Tabled pairs are gathered from the task's table, whose blocks are
+        filled at their first read; a pair with ``gts`` is tabled only when
         ``gts[i]`` is the split's own labeled query, whose ground truth the
         table scores against. Other pairs are computed, not stored.
         """
@@ -343,34 +337,25 @@ class SimWorld:
         return out
 
     def _task_outcomes(self, task, positions, tools, queries, lqs):
-        """``TaskOutcomes`` of the pairs of one task. Pairs of one query
-        object whose tools are all valid and in the population are read
-        from the query's table row (``_OutcomeTable.fill_row``); any other
-        read finds each pair's row and column, fills the tabled pairs with
-        ``_OutcomeTable.fill`` and computes the rest without storing them."""
+        """``TaskOutcomes`` of the pairs of one task: the tabled pairs are
+        gathered from the task's table (``_OutcomeTable.fill`` fills their
+        blocks first), the rest are drawn, and scored with ``lqs``, without
+        being stored."""
         spec = self.task_spec(task)
         n = len(tools)
         table = self._table(task)
-        level = DRAWN if lqs is None else SCORED
-        query, lq = queries[0], None if lqs is None else lqs[0]
-        if all(q is query for q in queries) and (lqs is None or all(o is lq for o in lqs)):
-            row = table.row_of(query, lq)
-            cols = [table.tools.row_of(tool) if row >= 0 and task in tool.supported_tasks
-                    else -1 for tool in tools]
-            if min(cols) >= 0:
-                table.fill_row(self, row, cols, level)
-                return TaskOutcomes(task, positions, np.ones(n, dtype=bool),
-                                    table.outputs[row, cols], table.costs[row, cols])
-            rows, cols = np.full(n, row), np.array(cols)
-        else:
-            rows, cols = table.rows(queries, lqs), table.tools.rows(tools)
+        rows, cols = table.rows(queries, lqs), table.tools.rows(tools)
         valid = np.fromiter((task in tool.supported_tasks for tool in tools), bool, n)
-        outputs = np.empty((n,) + table.outputs_shape, table.outputs_dtype)
-        costs = np.full(n, np.nan)
         tabled = valid & (rows >= 0) & (cols >= 0)
+        if tabled.all():
+            table.fill(self, rows)
+            return TaskOutcomes(task, positions, valid, table.outputs[rows, cols],
+                                table.costs[rows, cols])
+        outputs = np.empty((n,) + table.outputs.shape[2:], table.outputs.dtype)
+        costs = np.full(n, np.nan)
         if tabled.any():
             rows, cols = rows[tabled], cols[tabled]
-            table.fill(self, rows, cols, level)
+            table.fill(self, rows)
             outputs[tabled] = table.outputs[rows, cols]
             costs[tabled] = table.costs[rows, cols]
         loose = np.flatnonzero(valid & ~tabled)
@@ -403,9 +388,9 @@ class SimWorld:
         query, NaN where a tool does not support the query's task.
 
         Per task, the tools' validity and table columns are found once and
-        the queries' table rows once; the tabled pairs are filled
-        ``DENSE_ROWS`` queries at a time and gathered, and the rest (queries
-        or tools the table does not hold) are read by ``cost_array``.
+        the queries' table rows once; the tabled pairs are gathered from the
+        table, and the rest (queries or tools the table does not hold) are
+        read by one ``cost_array``.
         """
         tools = list(tools)
         out = np.full((len(lqs), len(tools)), np.nan)
@@ -419,17 +404,15 @@ class SimWorld:
             valid = np.array([task in tool.supported_tasks for tool in tools], dtype=bool)
             cols = table.tools.rows(tools)
             rows = table.rows([lq.query for lq in task_lqs], task_lqs)
-            for lo in range(0, len(idx), DENSE_ROWS):
-                part = rows[lo:lo + DENSE_ROWS]
-                tabled = (part >= 0)[:, None] & (valid & (cols >= 0))
-                r, c = np.nonzero(tabled)
-                if len(r):
-                    table.fill(self, part[r], cols[c], SCORED)
-                    out[idx[lo + r], c] = table.costs[part[r], cols[c]]
-                r, c = np.nonzero(valid & ~tabled)
-                if len(r):
-                    out[idx[lo + r], c] = self.cost_array([tools[j] for j in c.tolist()],
-                                                          [task_lqs[lo + i] for i in r.tolist()])
+            tabled = (rows >= 0)[:, None] & (valid & (cols >= 0))
+            r, c = np.nonzero(tabled)
+            if len(r):
+                table.fill(self, rows[rows >= 0])
+                out[idx[r], c] = table.costs[rows[r], cols[c]]
+            r, c = np.nonzero(valid & ~tabled)
+            if len(r):
+                out[idx[r], c] = self.cost_array([tools[j] for j in c.tolist()],
+                                                 [task_lqs[i] for i in r.tolist()])
         return out
 
     def tool_prediction(self, tool, query):
@@ -449,122 +432,58 @@ class SimWorld:
 
 class _OutcomeTable:
     """Outcomes of a task's population (columns) on the task's split queries
-    (rows, split by split in split order): ``filled`` flags, ``costs`` and
-    canonical ``outputs``, allocated on the first fill and filled lazily."""
+    (rows): canonical ``outputs`` and ``costs``. The rows of one split are
+    one block, in split order. A block is filled whole at the first read of
+    one of its rows (``fill``); ``filled`` holds a flag per block."""
 
-    def __init__(self, spec, population, lqs):
+    def __init__(self, spec, population, blocks):
         self.spec = spec
-        self.lqs = lqs
-        self.population = population
-        self.outputs_shape, self.outputs_dtype = _output_layout(spec)
-        n = len(lqs)
-        self.uid = np.array([lq.query.uid for lq in lqs], dtype=np.int64)
-        # runs of consecutive uids, sorted by first uid
-        firsts = np.flatnonzero(np.diff(self.uid, prepend=-2) != 1) if n else np.zeros(0, int)
-        lengths = np.diff(np.append(firsts, n))
-        order = np.argsort(self.uid[firsts], kind="stable")
-        self._run_uid = self.uid[firsts][order]
-        self._run_row = firsts[order]
-        self._run_len = lengths[order]
-        self._runs = (self._run_uid.tolist(), self._run_row.tolist(), self._run_len.tolist())
-        self._query_ids = np.fromiter(map(id, (lq.query for lq in lqs)), np.int64, n)
-        self._lq_ids = np.fromiter(map(id, lqs), np.int64, n)
-        self.filled = None
-        self.data = None
-
-    @cached_property
-    def tools(self):
-        """The columns' ``_TaskTools``."""
-        return _TaskTools(self.spec, list(self.population))
+        self.lqs = [lq for block in blocks for lq in block]
+        self.ends = np.cumsum([len(block) for block in blocks], dtype=np.int64)
+        self.filled = [False] * len(blocks)
+        self.tools = _TaskTools(spec, list(population))
+        n = len(self.lqs)
+        # id of each row's query and of its labeled query -> row
+        self._row_of_id = {}
+        for row, lq in enumerate(self.lqs):
+            self._row_of_id[id(lq.query)] = self._row_of_id[id(lq)] = row
+        shape, dtype = _output_layout(spec)
+        # zeroed pages are only touched when a block is filled
+        self.costs = np.zeros((n, len(population)))
+        self.outputs = np.zeros((n, len(population)) + shape, dtype)
 
     def rows(self, queries, lqs):
         """Row of each query, -1 where it has none: the query (and, when
         ``lqs`` is given, the labeled query) must be the row's own object."""
-        n = len(queries)
-        if not len(self._run_uid):
-            return np.full(n, -1)
-        try:
-            uids = np.array([query.uid for query in queries], dtype=np.int64)
-        except OverflowError:
-            return np.full(n, -1)
-        run = np.searchsorted(self._run_uid, uids, side="right") - 1
-        offset = uids - self._run_uid[run]
-        rows = np.where((run >= 0) & (offset < self._run_len[run]), self._run_row[run] + offset, -1)
-        if lqs is None:
-            same = self._query_ids[rows] == np.fromiter(map(id, queries), np.int64, n)
-        else:
-            same = self._lq_ids[rows] == np.fromiter(map(id, lqs), np.int64, n)
-        return np.where(same & (rows >= 0), rows, -1)
+        owners = queries if lqs is None else lqs
+        return np.fromiter(map(self._row_of_id.get, map(id, owners), repeat(-1)), np.int64,
+                           len(owners))
 
-    def row_of(self, query, lq=None):
-        """``rows`` of one query, as a Python int."""
-        uids, firsts, lengths = self._runs
-        run = bisect.bisect_right(uids, query.uid) - 1
-        if run < 0 or query.uid - uids[run] >= lengths[run]:
-            return -1
-        row = firsts[run] + query.uid - uids[run]
-        own = self.lqs[row]
-        return row if (own is lq if lq is not None else own.query is query) else -1
+    def fill(self, world, rows):
+        """Fill the blocks holding ``rows`` that are not filled yet."""
+        if not all(self.filled):
+            for block in set(np.searchsorted(self.ends, rows, side="right").tolist()):
+                if not self.filled[block]:
+                    self._fill_block(world, block)
 
-    def fill(self, world, rows, cols, level=SCORED):
-        """Bring the pairs (rows, cols) to ``filled`` level ``level``: the
-        distinct pairs below it, found with array operations, are filled in
-        one ``_fill_missing`` pass. Prediction-only readers (``DRAWN``) leave
-        costs unscored."""
-        filled = self._levels()
-        missing = filled[rows, cols] < level
-        if not missing.any():
-            return
-        width = filled.shape[1]
-        rows, cols = np.divmod(np.unique(rows[missing] * width + cols[missing]), width)
-        empty = filled[rows, cols] == EMPTY
-        self._fill_missing(world, rows, cols, level, None if empty.all() else empty)
-
-    def fill_row(self, world, row, cols, level):
-        """``fill`` of the pairs (row, c) of one row, ``cols`` a list of
-        columns: the row's levels are read once, as Python ints, and its
-        distinct columns below ``level`` filled in one ``_fill_missing``
-        pass, without ``fill``'s array bookkeeping."""
-        levels = self._levels()[row].tolist()
-        missing = sorted({col for col in cols if levels[col] < level})
-        if missing:
-            empty = [levels[col] == EMPTY for col in missing]
-            self._fill_missing(world, np.full(len(missing), row), np.array(missing), level,
-                               None if all(empty) else np.array(empty))
-
-    def _levels(self):
-        """The ``filled`` levels, allocated with the costs and outputs on
-        first use."""
-        if self.filled is None:
-            shape = (len(self.lqs), len(self.tools.tools))
-            self.filled = np.zeros(shape, dtype=np.int8)
-            self.costs = np.zeros(shape)
-            self.outputs = np.zeros(shape + self.outputs_shape, self.outputs_dtype)
-        return self.filled
-
-    def _fill_missing(self, world, rows, cols, level, empty):
-        """Bring distinct pairs below ``level`` to it: outputs by ``_draw``
-        for the pairs at ``EMPTY`` (the mask ``empty``, None when all are),
-        then, for ``SCORED``, costs by ``_score``. The query arrays are
-        built on the first call."""
-        if self.data is None:
-            self.data = _Rows(self.spec, [lq.query for lq in self.lqs],
-                              [lq.gt for lq in self.lqs], boxes_from_gt=True)
-        if empty is None:
-            outputs = self._draw_into(world, rows, cols)
-        else:
-            if empty.any():
-                self._draw_into(world, rows[empty], cols[empty])
-            outputs = self.outputs[rows, cols]
-        if level == SCORED:
-            self.costs[rows, cols] = _score(world, self.spec, outputs, self.data, rows)
-        self.filled[rows, cols] = level
-
-    def _draw_into(self, world, rows, cols):
-        rngs = _pair_rngs(world.seed, self.tools.index[cols], self.uid[rows])
-        outputs = _draw(world, self.spec, self.tools, cols, self.data, rows, rngs)
-        self.outputs[rows, cols] = outputs
-        return outputs
+    def _fill_block(self, world, block):
+        """Draw (``_draw``) and score (``_score``) every pair of a block's
+        rows and the population's supporting tools, ``DENSE_ROWS`` rows a
+        pass, each pair from its own keyed generator."""
+        cols = np.flatnonzero(self.tools.supported)
+        start, end = int(self.ends[block - 1]) if block else 0, int(self.ends[block])
+        for lo in range(start, end, DENSE_ROWS):
+            lqs = self.lqs[lo:min(lo + DENSE_ROWS, end)]
+            data = _Rows(self.spec, [lq.query for lq in lqs], [lq.gt for lq in lqs],
+                         boxes_from_gt=True)
+            uids = np.array([lq.query.uid for lq in lqs], dtype=np.int64)
+            rows = np.repeat(np.arange(len(lqs)), len(cols))
+            pair_cols = np.tile(cols, len(lqs))
+            rngs = _pair_rngs(world.seed, self.tools.index[pair_cols], uids[rows])
+            outputs = _draw(world, self.spec, self.tools, pair_cols, data, rows, rngs)
+            self.outputs[lo + rows, pair_cols] = outputs
+            self.costs[lo + rows, pair_cols] = _score(world, self.spec, outputs, data, rows)
+        self.filled[block] = True
 
 
 class _TaskTools:
@@ -578,10 +497,7 @@ class _TaskTools:
         n = len(tools)
         self.tools = tools
         self.index = np.array([tool.index for tool in tools], dtype=np.int64)
-        self._ids = np.fromiter(map(id, tools), np.int64, n)
-        self._row_of = np.full(int(self.index.max(initial=-1)) + 2, -1)
-        self._row_of[self.index] = np.arange(n)
-        self._row_dict = {tool.index: i for i, tool in enumerate(tools)}
+        self._row_of_id = {id(tool): i for i, tool in enumerate(tools)}
         self.supported = np.array([task in tool.supported_tasks for tool in tools], dtype=bool)
         self.mu = np.array([tool.mu for tool in tools], dtype=np.float64)
         # (pmax, beta) of each tool in Python floats, which _kappas reads per pair
@@ -595,22 +511,18 @@ class _TaskTools:
             self.aligned = np.zeros((n, max(counts, default=1), k))
             for i, tool in enumerate(tools):
                 if self.supported[i]:
-                    self.correct[i] = [_canon_to_tool_label(tool, task, y) for y in range(k)]
+                    self.correct[i] = _canon_to_tool_labels(tool, task, k)
                     self.aligned[i, :counts[i]] = [align(tool, spec.space, row).probs
                                                    for row in _raw_label_rows(counts[i])]
 
     def row_of(self, tool):
         """``rows`` of one tool, as a Python int."""
-        row = self._row_dict.get(tool.index, -1)
-        return row if row >= 0 and self.tools[row] is tool else -1
+        return self._row_of_id.get(id(tool), -1)
 
     def rows(self, tools):
-        """Row of each tool, -1 for a tool not in the list (by index and identity)."""
-        n = len(tools)
-        index = np.fromiter((tool.index for tool in tools), np.int64, n)
-        rows = self._row_of[np.minimum(index, len(self._row_of) - 1)]
-        same = self._ids[rows] == np.fromiter(map(id, tools), np.int64, n)
-        return np.where(same & (rows >= 0), rows, -1)
+        """Row of each tool, -1 for a tool not in the list (by identity)."""
+        return np.fromiter(map(self._row_of_id.get, map(id, tools), repeat(-1)), np.int64,
+                           len(tools))
 
 
 class _Rows:
@@ -1071,11 +983,17 @@ def _centroid_distances(spec, xs):
     return np.sqrt(np.add.reduce(diff * diff, axis=2))
 
 
-def _canon_to_tool_label(tool, task, y):
+def _canon_to_tool_labels(tool, task, k):
+    """Per canonical label of a categorical task with ``k`` labels, the first
+    tool label (in the alignment's order) whose canonical labels hold it."""
+    first = {}
     for tool_label, canon in tool.alignment[task].items():
-        if y in canon:
-            return tool_label
-    raise KeyError(f"label {y} has no pre-image for tool {tool.tool_id} task {task}")
+        for y in canon:
+            first.setdefault(y, tool_label)
+    missing = [y for y in range(k) if y not in first]
+    if missing:
+        raise KeyError(f"label {missing[0]} has no pre-image for tool {tool.tool_id} task {task}")
+    return [first[y] for y in range(k)]
 
 
 def _draw_queries(rng, n_centroids, n, width):

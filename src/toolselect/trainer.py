@@ -1,11 +1,11 @@
 """Stochastic training loop: task/panel sampling, AdamW updates with
 decoupled weight decay, validation-cost tracking, and early stopping.
 
-``fit`` fills the outcome tables of its training split once, before the
-first step, so every simulator read of a step is a gather. A step's
-objective reads the batched forward's stacked tensors and the batch's
-``(B, M)`` ``panel_costs``, and ``AdamW`` updates all parameters as one flat
-buffer, the ``flat`` of a ``dc.Params``.
+The first simulator read of a task's training queries fills that task's
+training block of the outcome table, so every later read of a step is a
+gather. A step's objective reads the batched forward's stacked tensors and
+the batch's ``(B, M)`` ``panel_costs``, and ``AdamW`` updates all
+parameters as one flat buffer, the ``flat`` of a ``dc.Params``.
 
 Training is mixed precision: ``init_params``' float64 ``Params`` are the
 master weights that ``AdamW`` updates, and the tape trains a float32
@@ -147,12 +147,22 @@ class AdamW:
         p -= np.multiply(p, self.lr * self.weight_decay, out=a)
 
 
-def sample_task(task_weights, rng):
-    """Categorical task draw; weights must lie on the simplex."""
+def task_cdf(task_weights):
+    """The cumulative task weights, normalised as ``Generator.choice``
+    normalises them; the weights must lie on the simplex."""
     w = np.asarray(task_weights, dtype=np.float64)
     if abs(w.sum() - 1.0) > 1e-9 or (w < 0).any():
         raise ValueError("task weights must be a probability vector")
-    return int(rng.choice(len(w), p=w))
+    cdf = w.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def sample_task(task_weights, rng):
+    """Categorical task draw: one ``random()`` searched in the weights'
+    ``task_cdf``, the draw and stream of ``rng.choice(len(w), p=w)``. ``fit``
+    builds the cdf once and searches it each step."""
+    return int(task_cdf(task_weights).searchsorted(rng.random(), side="right"))
 
 
 def early_stop(val_history, patience, min_delta):
@@ -309,16 +319,13 @@ def fit(cfg, world, objective_cfg=None, selector_cfg=None, log_fn=None):
     params = dc.Params({name: p.data for name, p in masters.items()}, np.float32)
     model = build_model(world, params, selector_cfg)
 
+    cdf = task_cdf(task_weights)
     task_rng = np.random.default_rng([cfg.seed, 11])
     batch_rng = np.random.default_rng([cfg.seed, 13])
     panel_rng = np.random.default_rng([cfg.seed, 17])
     dropout_rng = np.random.default_rng([cfg.seed, 19])
 
-    total_train = len(world.splits["train"])
-    # every outcome a step reads is then a gather from the filled tables
-    for task, records in train_by_task.items():
-        world.cost_matrix(records, world.populations.get(task, []))
-    steps_per_epoch = max(1, math.ceil(total_train / cfg.batch_size))
+    steps_per_epoch = max(1, math.ceil(len(world.splits["train"]) / cfg.batch_size))
 
     # validation panels are fixed across epochs so the metric is comparable
     val_split = world.splits["val"]
@@ -332,7 +339,7 @@ def fit(cfg, world, objective_cfg=None, selector_cfg=None, log_fn=None):
     for epoch in range(1, cfg.max_epochs + 1):
         losses = []
         for _ in range(steps_per_epoch):
-            t = sample_task(task_weights, task_rng)
+            t = int(cdf.searchsorted(task_rng.random(), side="right"))
             pool = train_by_task[t]
             idx = batch_rng.integers(0, len(pool), size=cfg.batch_size)
             lqs = [pool[i] for i in idx]

@@ -527,6 +527,25 @@ def test_route_of_many_records_equals_one_route_per_record(tmp_path, cfg_path, c
         assert capsys.readouterr().out.splitlines() == [routed[n]], n
 
 
+def test_route_encodes_the_reference_bank_once(tmp_path, cfg_path, capsys, monkeypatch):
+    """One ``route`` call encodes the world's reference bank in one
+    ``encode_reference_set`` call: the frozen model built from the
+    checkpoint routes as it is, with the encodings it made when built."""
+    from toolselect import anp_selector
+    out = _trained_run(tmp_path, cfg_path)
+    record = tmp_path / "record.json"
+    record.write_text((out / "test.jsonl").read_text().splitlines()[0] + "\n")
+    encoded = []
+    original = anp_selector.encode_reference_set
+    monkeypatch.setattr(anp_selector, "encode_reference_set",
+                        lambda p, c, sets: encoded.append(len(sets.x)) or original(p, c, sets))
+    capsys.readouterr()
+    assert run(["route", "--config", cfg_path, "--out", str(out), "--input", str(record),
+                "--panel-size", "4"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1
+    assert len(encoded) == 1 and encoded[0] > 0
+
+
 def test_route_with_a_bad_line_prints_nothing(tmp_path, cfg_path, capsys):
     out = _trained_run(tmp_path, cfg_path)
     lines = (out / "test.jsonl").read_text().splitlines()[:4]

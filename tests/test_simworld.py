@@ -313,6 +313,39 @@ def test_three_task_world():
     assert len(w.all_tools) == 6 * 3
 
 
+def _scanned_tool_label(tool, task, y):
+    """The linear scan ``_TaskTools`` replaced: the first tool label, in the
+    alignment's order, whose canonical labels hold ``y``."""
+    for tool_label, canon in tool.alignment[task].items():
+        if y in canon:
+            return tool_label
+    raise KeyError(y)
+
+
+@pytest.mark.parametrize("k", [3, 5, 12])
+def test_correct_tool_labels_equal_the_alignment_scan(k):
+    """Each supporting tool's row of ``_TaskTools.correct`` equals the scan
+    of its alignment per canonical label, for identity and coarsened
+    alignments alike; a label with no pre-image is a ``KeyError``."""
+    from toolselect.simworld import _TaskTools
+    w = generate_world(WorldConfig(**{**SMALL, "labels_per_task": k, "mcq_options": k}), 3)
+    kinds = set()
+    for spec in w.tasks:
+        if spec.family not in CATEGORICAL_FAMILIES:
+            continue
+        arrays = _TaskTools(spec, w.all_tools)
+        for i, tool in enumerate(w.all_tools):
+            if spec.task in tool.supported_tasks:
+                kinds.add(tool.tool_label_count[spec.task] == k)
+                assert arrays.correct[i].tolist() == [
+                    _scanned_tool_label(tool, spec.task, y) for y in range(k)]
+    assert kinds == {True, False}     # identity and coarsened alignments both seen
+    tool = next(t for t in w.all_tools if 0 in t.supported_tasks)
+    broken = dataclasses.replace(tool, alignment={0: {0: (0,)}})
+    with pytest.raises(KeyError, match="no pre-image"):
+        _TaskTools(w.task_spec(0), [broken])
+
+
 # ------------------------------------------------------- batched lookups
 
 def _costs(world, tools, lqs):
@@ -476,18 +509,39 @@ def test_perturb_boxes_equals_the_per_column_expressions(rng):
 # ---------------------------------------------------------- outcome tables
 
 def _stored(world):
-    """Every filled entry of a world's outcome tables, as bytes."""
-    return {task: (t.filled.tobytes(), t.costs.tobytes(), t.outputs.tobytes())
-            for task, t in world._tables.items() if t.filled is not None}
+    """The block flags and entries of a world's outcome tables that hold a
+    filled block, as bytes."""
+    return {task: (tuple(t.filled), t.costs.tobytes(), t.outputs.tobytes())
+            for task, t in world._tables.items() if any(t.filled)}
+
+
+@pytest.fixture
+def block_fills(monkeypatch):
+    """(world, task, block) of every ``_OutcomeTable`` block filled while
+    the test runs, in order."""
+    from toolselect.simworld import _OutcomeTable
+    fills = []
+    fill_block = _OutcomeTable._fill_block
+
+    def counted(self, world, block):
+        fills.append((world, self.spec.task, block))
+        return fill_block(self, world, block)
+    monkeypatch.setattr(_OutcomeTable, "_fill_block", counted)
+    return fills
+
+
+def _blocks_of(fills, world):
+    """The (task, block) fills of one world, in order."""
+    return [(task, block) for w, task, block in fills if w is world]
 
 
 @pytest.mark.parametrize("clipped_xent", [False, True])
-def test_outcome_table_digest_equals_per_pair_tool_predict(small_world, clipped_xent):
-    """The tables, filled in shuffled mixed-task chunks with duplicate pairs
-    (predictions of half the chunks first, so costs are also scored for
-    pairs drawn earlier), equal per-pair ``tool_predict`` with fresh keyed
-    generators and ``domain.cost`` bit for bit, on every (tool, query) pair
-    of the splits."""
+def test_outcome_table_digest_equals_per_pair_tool_predict(small_world, clipped_xent,
+                                                           block_fills):
+    """The tables, read in shuffled mixed-task chunks with duplicate pairs
+    (predictions of half the chunks first), equal per-pair ``tool_predict``
+    with fresh keyed generators and ``domain.cost`` bit for bit, on every
+    (tool, query) pair of the splits. Each block is drawn once."""
     w = dataclasses.replace(small_world,
                             cfg=dataclasses.replace(small_world.cfg, clipped_xent=clipped_xent))
     lqs = [lq for split in ("train", "val", "test") for lq in w.splits[split]]
@@ -522,10 +576,13 @@ def test_outcome_table_digest_equals_per_pair_tool_predict(small_world, clipped_
             assert c is None and ref.is_null
     assert got.hexdigest() == want.hexdigest()
     assert tabled > 1500
-    # every population pair of the splits is now stored, scored, exactly once
+    # every block of the splits is filled, each by one fill; invalid columns stay empty
+    fills = _blocks_of(block_fills, w)
+    assert sorted(fills) == [(task, block) for task in range(len(w.tasks)) for block in range(3)]
     for task, table in w._tables.items():
-        valid = np.array([task in tool.supported_tasks for tool in table.tools.tools])
-        assert (table.filled[:, valid] == 2).all() and (table.filled[:, ~valid] == 0).all()
+        assert table.filled == [True] * 3
+        valid = table.tools.supported
+        assert not table.costs[:, ~valid].any() and not table.outputs[:, ~valid].any()
 
 
 def test_table_rows_are_the_split_queries_in_split_order(small_world):
@@ -670,35 +727,21 @@ def _reference_outcome(world, tool, lq):
 
 @pytest.mark.parametrize("scored_first", [False, True])
 def test_one_query_reads_equal_mixed_chunk_reads_and_tool_predict(small_world, scored_first,
-                                                                  monkeypatch):
+                                                                  block_fills):
     """Reads of one query object's pairs equal the same pairs read in one
     shuffled mixed-task chunk, and per-pair ``tool_predict`` with a fresh
     keyed generator and ``domain.cost``, bit for bit. Each query is read
     with a repeated tool, and again with an invalid tool and a copy of a
     population tool (a tool outside the population); predictions of part of
-    its pairs come before or after the costs, so its row holds mixed fill
-    levels. Split queries of every task, a split query under another
-    labeled-query object, a reference-pool query and a new query are read.
-    Both worlds end up storing the same tables."""
-    from toolselect.simworld import _OutcomeTable
-    row_reads, drawn = [], []
-    fill_row, draw_into = _OutcomeTable.fill_row, _OutcomeTable._draw_into
-
-    def counted_read(self, world, row, cols, level):
-        row_reads.append(row)
-        return fill_row(self, world, row, cols, level)
-
-    def counted_draw(self, world, rows, cols):
-        if world is one:
-            drawn.extend((self.spec.task, r, c) for r, c in zip(rows.tolist(), cols.tolist()))
-        return draw_into(self, world, rows, cols)
-
-    monkeypatch.setattr(_OutcomeTable, "fill_row", counted_read)
-    monkeypatch.setattr(_OutcomeTable, "_draw_into", counted_draw)
+    its pairs come before or after the costs. Split queries of every task, a
+    split query under another labeled-query object, a reference-pool query
+    and a new query are read. Both worlds end up storing the same tables,
+    and each block is drawn once."""
     w = small_world
     one, chunk = dataclasses.replace(w), dataclasses.replace(w)
     split_lqs = [split[k] for split in w.splits.values() for k in (0, 5, -1)]
-    lqs = split_lqs + [dataclasses.replace(w.splits["val"][2]), w.ref_pools[2][0],
+    foreign = dataclasses.replace(w.splits["val"][2])
+    lqs = split_lqs + [foreign, w.ref_pools[2][0],
                        sample_query(w, 3, np.random.default_rng(5), uid=10**7)]
     reads = []   # (tools, labeled query) of each one-query read
     for lq in lqs:
@@ -737,13 +780,74 @@ def test_one_query_reads_equal_mixed_chunk_reads_and_tool_predict(small_world, s
     assert got == want
     assert in_order == want
     assert _stored(one) == _stored(chunk)
-    # reads of only valid population tools read one row: per split query
-    # both reads of predictions and one of costs; per foreign labeled query
-    # (its query is a split query) only the two reads of predictions
-    assert len(row_reads) == 3 * len(split_lqs) + 2
-    # every tabled pair was drawn once, however many reads asked for it
-    assert len(drawn) == len(set(drawn)) == sum(
-        int((t.filled > 0).sum()) for t in one._tables.values() if t.filled is not None)
+    # the blocks of the split queries were filled, once each; the foreign
+    # labeled query's predictions are tabled (its query is the split's own),
+    # its costs are not
+    expected = {(split[k].query.task, block) for block, split in enumerate(w.splits.values())
+                for k in (0, 5, -1)} | {(foreign.query.task, list(w.splits).index("val"))}
+    for world in (one, chunk):
+        fills = _blocks_of(block_fills, world)
+        assert len(fills) == len(set(fills)) and set(fills) == expected
+
+
+def test_a_one_query_read_fills_its_own_block_and_no_other(small_world, block_fills):
+    """A one-query read of a split query fills every pair of its (task,
+    split) block and the population's supporting tools, each equal to
+    per-pair ``tool_predict`` and ``domain.cost`` bit for bit, and leaves
+    every other block and table empty."""
+    w = dataclasses.replace(small_world)
+    lq = w.splits["val"][7]
+    task = lq.query.task
+    tools = [tool for tool in w.populations[task] if task in tool.supported_tasks][:3]
+    w.tool_outcomes(tools, [lq.query] * len(tools))
+    assert _blocks_of(block_fills, w) == [(task, 1)]
+    table = w._tables[task]
+    assert table.filled == [False, True, False]
+    assert [t for t, other in w._tables.items() if any(other.filled)] == [task]
+    start = int(table.ends[0])
+    block_lqs = table.lqs[start:int(table.ends[1])]
+    assert block_lqs == [other for other in w.splits["val"] if other.query.task == task]
+    valid = table.tools.supported
+    for r, other in enumerate(block_lqs):
+        for c in np.flatnonzero(valid).tolist():
+            got = (bytes([True]) + table.outputs[start + r, c].tobytes()
+                   + table.costs[start + r, c].tobytes())
+            assert got == _reference_outcome(w, table.tools.tools[c], other), (r, c)
+    empty = np.ones(len(table.lqs), dtype=bool)
+    empty[start:start + len(block_lqs)] = False
+    assert not table.costs[empty].any() and not table.outputs[empty].any()
+    assert not table.costs[:, ~valid].any() and not table.outputs[:, ~valid].any()
+
+
+def test_reads_outside_the_table_fill_and_store_nothing(small_world, block_fills, tmp_path):
+    """One-query reads of a parsed copy of a split query, a copied split
+    query, a reference-pool query, and a split query with a tool outside
+    the population are drawn (and scored) as ``tool_predict`` and
+    ``domain.cost`` give them, and fill no block."""
+    from toolselect.datasets import export_dataset, import_dataset
+    w = dataclasses.replace(small_world)
+    export_dataset(w, "test", tmp_path / "test.jsonl")
+    parsed = import_dataset(tmp_path / "test.jsonl")[4]
+    split_lq = w.splits["test"][4]
+    assert parsed.query.uid == split_lq.query.uid
+    copied = dataclasses.replace(split_lq, query=dataclasses.replace(split_lq.query))
+    reads = []
+    for lq in (parsed, copied, w.ref_pools[1][3]):
+        task = lq.query.task
+        reads.append(([t for t in w.populations[task] if task in t.supported_tasks], lq))
+    task = split_lq.query.task
+    outside = [dataclasses.replace(t) for t in w.populations[task] if task in t.supported_tasks]
+    reads.append((outside, split_lq))
+    for tools, lq in reads:
+        preds = _predictions(w, tools, [lq.query] * len(tools))
+        got = _outcome_bytes(w.tool_outcomes(tools, [lq.query] * len(tools), [lq] * len(tools)),
+                             len(tools))
+        assert got == [_reference_outcome(w, tool, lq) for tool in tools]
+        assert [_prediction_bytes(p) for p in preds] == [
+            _prediction_bytes(tool_predict(w, tool, lq.query, _pair_rng(w, tool, lq.query)))
+            for tool in tools]
+    assert block_fills == []
+    assert _stored(w) == {}
 
 
 def test_query_of_uid_is_the_first_split_then_pool_query(small_world):

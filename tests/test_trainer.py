@@ -51,6 +51,22 @@ def test_sample_task_rejects_off_simplex():
         sample_task([0.5, 0.6], np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("weights", [[0.25] * 4, [0.1, 0.2, 0.3, 0.4], [0.0, 0.7, 0.0, 0.3],
+                                     [1 / 3, 1 / 3, 1 / 3]])
+def test_sample_task_draws_as_generator_choice(weights):
+    """``sample_task`` and a search of ``task_cdf`` give the draws of
+    ``rng.choice(len(w), p=w)`` and leave the generator in its state."""
+    from toolselect.trainer import task_cdf
+    rngs = [np.random.default_rng(5) for _ in range(3)]
+    cdf = task_cdf(weights)
+    for _ in range(20_000):
+        want = int(rngs[0].choice(len(weights), p=weights))
+        assert sample_task(weights, rngs[1]) == want
+        assert int(cdf.searchsorted(rngs[2].random(), side="right")) == want
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state == \
+        rngs[2].bit_generator.state
+
+
 # ------------------------------------------------------------------- AdamW
 
 def test_adamw_zero_grad_zero_decay_unchanged():
