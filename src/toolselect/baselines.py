@@ -7,6 +7,8 @@ panel) items with array operations over its ``(B, M)`` tool-index and
 validity arrays: GlobalBest with one lookup into its fitted mean costs, KNN
 with one ``cKDTree.query`` per task group over a ``(bank tools, training
 queries)`` cost matrix, MLPIndex with one two-layer forward per task group.
+Each is fitted on the training split's blocks of the world's outcome tables
+(``SimWorld.split_costs``).
 Ties go to the lowest slot, tools unseen at fit rank last, and a panel whose
 valid slots all hold unseen tools routes to its first valid slot.
 """
@@ -108,6 +110,21 @@ def _features(lqs):
     return np.array([np.concatenate([lq.query.x, lq.query.q]) for lq in lqs])
 
 
+def _fit_blocks(world, split, name):
+    """Per task with queries in the split and a supporting tool, in task
+    order: the task, its split records, the supporting tools' indices and
+    their cost columns of the task's ``split_costs`` block. Raises
+    ``ValueError`` on an empty split."""
+    if not world.splits[split]:
+        raise ValueError(f"{name}: empty training split")
+    for task, records in world.split_by_task(split).items():
+        pop = world.populations[task]
+        cols = [j for j, tool in enumerate(pop) if task in tool.supported_tasks]
+        if records and cols:
+            costs = world.split_costs(split, task)[:, cols]
+            yield task, records, [pop[j].index for j in cols], costs
+
+
 def _task_groups(items):
     """Chunk rows grouped by their query's task, in order of first appearance."""
     groups = {}
@@ -125,24 +142,14 @@ class GlobalBestRouter(Router):
 
     @classmethod
     def fit(cls, world, split="train"):
-        """Each tool's mean cost over the split's queries of its population's
-        task, read from one dense ``cost_matrix`` per task. Each sum runs in
-        split order from 0.0 (``cumsum`` under a zero row), as a running
-        Python sum does."""
-        records = world.splits[split]
-        if not records:
-            raise ValueError("GlobalBest: empty training split")
-        by_task = {}
-        for lq in records:
-            by_task.setdefault(lq.query.task, []).append(lq)
+        """Each supporting tool's mean cost over the split's queries of its
+        population's task, from the task's ``split_costs`` block. Each sum
+        runs in split order from 0.0 (``cumsum`` under a zero row), as a
+        running Python sum does."""
         mean_cost = {}
-        for task, task_records in by_task.items():
-            pop = world.populations[task]
-            costs = world.cost_matrix(task_records, pop)
-            sums = np.cumsum(np.vstack([np.zeros(len(pop)), costs]), axis=0)[-1].tolist()
-            for tool, total in zip(pop, sums):
-                if task in tool.supported_tasks:
-                    mean_cost[tool.index] = total / len(task_records)
+        for _, records, tool_ids, costs in _fit_blocks(world, split, cls.name):
+            sums = np.cumsum(np.vstack([np.zeros(len(tool_ids)), costs]), axis=0)[-1].tolist()
+            mean_cost.update((i, total / len(records)) for i, total in zip(tool_ids, sums))
         return cls(mean_cost)
 
     def route_batch(self, items, rng):
@@ -166,19 +173,10 @@ class KNNRouter(Router):
         # imported here, so that importing the package does not load scipy.spatial
         from scipy.spatial import cKDTree
 
-        records = world.splits[split]
-        if not records:
-            raise ValueError("KNN: empty training split")
         banks = {}
-        for task, pop in world.populations.items():
-            task_records = [lq for lq in records if lq.query.task == task]
-            if not task_records:
-                continue
-            supported = [j for j, tool in enumerate(pop) if task in tool.supported_tasks]
-            tool_ids = [pop[j].index for j in supported]
-            costs = np.ascontiguousarray(world.cost_matrix(task_records, pop)[:, supported].T)
+        for task, records, tool_ids, costs in _fit_blocks(world, split, cls.name):
             rows = _index_table(tool_ids, np.arange(len(tool_ids)), -1)
-            banks[task] = (cKDTree(_features(task_records)), rows, costs)
+            banks[task] = (cKDTree(_features(records)), rows, np.ascontiguousarray(costs.T))
         return cls(banks, k=k)
 
     def route_batch(self, items, rng):
@@ -214,21 +212,9 @@ class MLPIndexRouter(Router):
 
     @classmethod
     def fit(cls, world, split="train", seed=0, hidden=64, lr=3e-3, iters=300):
-        records = world.splits[split]
-        if not records:
-            raise ValueError("MLPIndex: empty training split")
         heads = {}
-        for task, pop in world.populations.items():
-            task_records = [lq for lq in records if lq.query.task == task]
-            if not task_records:
-                continue
-            supported = [tool for tool in pop if task in tool.supported_tasks]
-            if not supported:
-                continue
-            tool_ids = [tool.index for tool in supported]
-            feats = _features(task_records)
-            labels = world.cost_matrix(task_records, supported).argmin(axis=1)
-            heads[task] = cls._train_head(feats, labels, len(tool_ids),
+        for task, records, tool_ids, costs in _fit_blocks(world, split, cls.name):
+            heads[task] = cls._train_head(_features(records), costs.argmin(axis=1), len(tool_ids),
                                           hidden, lr, iters, seed + task) + (tool_ids,)
         return cls(heads)
 

@@ -34,7 +34,7 @@ from . import diffcore as dc
 _WORLD_FIELDS = {f.name: f for f in dataclasses.fields(WorldConfig)}
 # default_selector_config derives these from the world
 _SELECTOR_FIELDS = {f.name: f for f in dataclasses.fields(SelectorConfig)
-                    if f.name not in ("task_label_counts", "eta_dim")}
+                    if f.name not in ("task_label_counts", "eta_dim", "d_x", "d_q")}
 # the training seed is --seed
 _TRAIN_FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig) if f.name != "seed"}
 _OBJECTIVE_FIELDS = {f.name: f for f in dataclasses.fields(ObjectiveConfig)}

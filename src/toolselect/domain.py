@@ -88,21 +88,6 @@ class Tool:
     tool_label_count: dict
     eta: np.ndarray
     reference_sets: dict = field(default_factory=dict)
-    # (task, tool label count) -> 0/1 alignment matrix, built by ``align``
-    _align_mats: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def alignment_matrix(self, task, n_tool_labels, n_canonical):
-        """The 0/1 ``(n_tool_labels, n_canonical)`` matrix of
-        ``alignment[task]``: row i has a 1 at each canonical label that tool
-        label i covers. Built once per (task, tool label count)."""
-        key = (task, n_tool_labels)
-        mat = self._align_mats.get(key)
-        if mat is None:
-            mat = np.zeros((n_tool_labels, n_canonical))
-            for tool_label, canon_labels in self.alignment[task].items():
-                mat[tool_label, list(canon_labels)] = 1.0
-            self._align_mats[key] = mat
-        return mat
 
 
 @dataclass(frozen=True)
@@ -160,7 +145,10 @@ def align(tool, space, raw):
     if abs(probs.sum() - 1.0) > 1e-6 or (probs < -1e-12).any():
         raise InvalidPredictionError(
             f"tool {tool.tool_id}: raw probabilities off the simplex (sum={probs.sum():.8f})")
-    summed = probs @ tool.alignment_matrix(task, probs.shape[0], space.size())
+    mat = np.zeros((probs.shape[0], space.size()))
+    for tool_label, canon_labels in tool.alignment[task].items():
+        mat[tool_label, list(canon_labels)] = 1.0
+    summed = probs @ mat
     total = summed.sum()
     if total <= 0.0:
         return null_prediction(space)

@@ -35,11 +35,11 @@ split, a copy of a split query, a tool outside the task's population -- is
 computed by the same ``_draw`` and not stored, and fills nothing, so the
 tables never outgrow the splits. ``SimWorld.tool_outcomes`` is the
 batched reader; ``cost_array`` (``tool_cost`` is its one-pair call) reads
-costs through it, ``cost_matrix`` gathers a dense matrix of table pairs
-directly (finding each tool's column and each query's row once), and
-``tool_prediction`` reads one pair's output through it. The tables are
-fields the dataclass does not take as arguments, so ``dataclasses.replace``
-of a world gives a copy with empty tables.
+costs through it and ``tool_prediction`` one pair's output.
+``split_costs`` reads the costs of one whole block, which the learned
+baselines fit on. The tables are fields the dataclass does not take as
+arguments, so ``dataclasses.replace`` of a world gives a copy with empty
+tables.
 
 ``keyed_rngs`` seeds a batch of keyed RNGs at once. For at least
 ``BATCH_SEEDING_MIN`` keys of at most four entries, each below 2**32 (every
@@ -95,7 +95,6 @@ from .domain import (
     Query,
     TaskFamily,
     Tool,
-    align,
     iou,
     null_prediction,
     validity,
@@ -189,13 +188,18 @@ class WorldConfig:
                      "hint_noise"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"world config: {name} must be finite, got {getattr(self, name)}")
-        for name in ("feature_noise", "hint_noise"):
+        for name in ("sharpness", "feature_noise", "hint_noise"):
             if getattr(self, name) < 0.0:
                 raise ConfigError(f"world config: {name} must be non-negative, "
                                   f"got {getattr(self, name)}")
-        if not 0.0 < self.support_prob <= 1.0:
-            raise ConfigError(f"world config: support_prob must lie in (0, 1], "
-                              f"got {self.support_prob}")
+        # p_max and an explicit p_floor bound a tool's competence, which is a
+        # probability, as support_prob is
+        for name in ("p_max", "support_prob"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ConfigError(f"world config: {name} must lie in (0, 1], "
+                                  f"got {getattr(self, name)}")
+        if self.p_floor > 1.0:
+            raise ConfigError(f"world config: p_floor must be at most 1, got {self.p_floor}")
 
     def n_tasks(self):
         if self.n_tasks_total > 0:
@@ -383,37 +387,16 @@ class SimWorld:
             out[group.positions] = group.costs
         return out
 
-    def cost_matrix(self, lqs, tools):
-        """``(len(lqs), len(tools))`` costs of every tool on every labeled
-        query, NaN where a tool does not support the query's task.
-
-        Per task, the tools' validity and table columns are found once and
-        the queries' table rows once; the tabled pairs are gathered from the
-        table, and the rest (queries or tools the table does not hold) are
-        read by one ``cost_array``.
-        """
-        tools = list(tools)
-        out = np.full((len(lqs), len(tools)), np.nan)
-        by_task = {}
-        for n, lq in enumerate(lqs):
-            by_task.setdefault(lq.query.task, []).append(n)
-        for task, idx in by_task.items():
-            task_lqs = [lqs[n] for n in idx]
-            idx = np.array(idx)
-            table = self._table(task)
-            valid = np.array([task in tool.supported_tasks for tool in tools], dtype=bool)
-            cols = table.tools.rows(tools)
-            rows = table.rows([lq.query for lq in task_lqs], task_lqs)
-            tabled = (rows >= 0)[:, None] & (valid & (cols >= 0))
-            r, c = np.nonzero(tabled)
-            if len(r):
-                table.fill(self, rows[rows >= 0])
-                out[idx[r], c] = table.costs[rows[r], cols[c]]
-            r, c = np.nonzero(valid & ~tabled)
-            if len(r):
-                out[idx[r], c] = self.cost_array([tools[j] for j in c.tolist()],
-                                                 [task_lqs[i] for i in r.tolist()])
-        return out
+    def split_costs(self, split, task):
+        """The costs of ``task``'s block of ``split``, a new array: rows are
+        the task's queries of the split in split order, columns
+        ``populations[task]``, NaN where the tool does not support the task.
+        The block is filled first if it is not filled."""
+        table = self._table(task)
+        block = list(self.splits).index(split)
+        if not table.filled[block]:
+            table._fill_block(self, block)
+        return np.where(table.tools.supported, table.costs[table.block_rows(block)], np.nan)
 
     def tool_prediction(self, tool, query):
         """The aligned prediction of a tool on a query: the one-pair
@@ -459,6 +442,10 @@ class _OutcomeTable:
         return np.fromiter(map(self._row_of_id.get, map(id, owners), repeat(-1)), np.int64,
                            len(owners))
 
+    def block_rows(self, block):
+        """The slice of a block's rows."""
+        return slice(int(self.ends[block - 1]) if block else 0, int(self.ends[block]))
+
     def fill(self, world, rows):
         """Fill the blocks holding ``rows`` that are not filled yet."""
         if not all(self.filled):
@@ -471,11 +458,10 @@ class _OutcomeTable:
         rows and the population's supporting tools, ``DENSE_ROWS`` rows a
         pass, each pair from its own keyed generator."""
         cols = np.flatnonzero(self.tools.supported)
-        start, end = int(self.ends[block - 1]) if block else 0, int(self.ends[block])
-        for lo in range(start, end, DENSE_ROWS):
-            lqs = self.lqs[lo:min(lo + DENSE_ROWS, end)]
-            data = _Rows(self.spec, [lq.query for lq in lqs], [lq.gt for lq in lqs],
-                         boxes_from_gt=True)
+        span = self.block_rows(block)
+        for lo in range(span.start, span.stop, DENSE_ROWS):
+            lqs = self.lqs[lo:min(lo + DENSE_ROWS, span.stop)]
+            data = _Rows(self.spec, [lq.query for lq in lqs], [lq.gt for lq in lqs])
             uids = np.array([lq.query.uid for lq in lqs], dtype=np.int64)
             rows = np.repeat(np.arange(len(lqs)), len(cols))
             pair_cols = np.tile(cols, len(lqs))
@@ -512,8 +498,11 @@ class _TaskTools:
             for i, tool in enumerate(tools):
                 if self.supported[i]:
                     self.correct[i] = _canon_to_tool_labels(tool, task, k)
-                    self.aligned[i, :counts[i]] = [align(tool, spec.space, row).probs
-                                                   for row in _raw_label_rows(counts[i])]
+                    # align's raw @ A is this gather, since each canonical
+                    # label has one tool label; each row is summed alone, as
+                    # align sums one raw row
+                    rows = _raw_label_rows(counts[i])[:, self.correct[i]]
+                    self.aligned[i, :counts[i]] = [row / row.sum() for row in rows]
 
     def row_of(self, tool):
         """``rows`` of one tool, as a Python int."""
@@ -529,13 +518,12 @@ class _Rows:
     """Per-query arrays that ``_draw`` and ``_score`` read, one row per query.
 
     ``truth`` is what a tool's output is built around: the nearest
-    centroid of categorical queries, the ground-truth box (the query's own,
-    or recomputed from ``x``), the sorted vocabulary indices of the report
-    pairs derivable from ``x`` (``n_true`` of them, padded with V). ``gt``,
-    present when ground truths are given, is what ``_score`` scores
-    against."""
+    centroid of categorical queries, the ground-truth box computed from
+    ``x``, the sorted vocabulary indices of the report pairs derivable from
+    ``x`` (``n_true`` of them, padded with V). ``gt``, present when ground
+    truths are given, is what ``_score`` scores against."""
 
-    def __init__(self, spec, queries, gts=None, boxes_from_gt=False):
+    def __init__(self, spec, queries, gts=None):
         n = len(queries)
         self.x = np.array([query.x for query in queries]).reshape(n, -1)
         family = spec.family
@@ -547,7 +535,7 @@ class _Rows:
         elif family is TaskFamily.GROUNDING:
             if gts is not None:
                 self.gt = np.array([gt.box for gt in gts], dtype=np.float64).reshape(n, 4)
-            self.truth = self.gt if boxes_from_gt else _boxes(spec, self.x)
+            self.truth = _boxes(spec, self.x)
         else:
             self.truth, self.n_true = _report_pair_indices(spec, self.x)
             if gts is not None:

@@ -56,3 +56,33 @@ def write_unchecked_checkpoint():
         with open(path, "wb") as fh:
             fh.write(bytes(body))
     return write
+
+
+def _tensor_entry(name, dims, n_values):
+    """One tensor-table entry: name length, name bytes, rank, dims, then
+    ``n_values`` float32 zeros."""
+    return (struct.pack("<H", len(name)) + name + struct.pack(f"<B{len(dims)}I", len(dims), *dims)
+            + np.zeros(n_values, dtype="<f4").tobytes())
+
+
+# (tensor count, tensor table) of CRC-valid checkpoints whose table is corrupt
+_CORRUPT_TABLES = {
+    "name_not_utf8": (1, _tensor_entry(b"\xff\xfe", (2,), 2)),
+    "rank_200": (1, _tensor_entry(b"w", (1,) * 200, 1)),
+    "count_past_body": (3, _tensor_entry(b"w", (2,), 2)),
+    "trailing_bytes": (1, _tensor_entry(b"w", (2,), 2) + b"\x00\x00\x00"),
+}
+
+
+@pytest.fixture(params=list(_CORRUPT_TABLES))
+def write_corrupt_table(request):
+    """A writer of a checkpoint with a valid header and CRC whose tensor
+    table is corrupt: a name that is not UTF-8, a rank of 200, a tensor
+    count past the body, or bytes after the table."""
+    count, table = _CORRUPT_TABLES[request.param]
+
+    def write(path):
+        body = b"TSEL" + struct.pack("<II", 1, count) + table
+        with open(path, "wb") as fh:
+            fh.write(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+    return write

@@ -157,3 +157,10 @@ def test_load_refuses_a_crc_valid_tensor_holding_nan_or_inf(tmp_path, value,
     write_unchecked_checkpoint({"a": np.zeros(2), "cov1_W": np.array([[1.0, value]])}, path)
     with pytest.raises(CheckpointError, match="tensor 'cov1_W' is not finite in float32"):
         load_checkpoint(path)
+
+
+def test_load_refuses_a_crc_valid_corrupt_tensor_table(tmp_path, write_corrupt_table):
+    path = tmp_path / "ckpt.bin"
+    write_corrupt_table(path)
+    with pytest.raises(CheckpointError, match="tensor table"):
+        load_checkpoint(path)

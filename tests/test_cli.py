@@ -357,12 +357,13 @@ def test_negative_seed_is_a_usage_error_naming_the_option(tmp_path, capsys, comm
 
 
 def test_config_keys_set_their_own_section(tmp_path):
-    """ref_size belongs to the world and lambda_h to the objective; derived
-    selector fields and fields that changed nothing are no config keys."""
+    """ref_size and d_x belong to the world and lambda_h to the objective;
+    derived selector fields (d_x among them) and fields that changed nothing
+    are no selector keys."""
     p = tmp_path / "run.cfg"
-    p.write_text("ref_size=4\nlambda_h=0.2\nhidden=64\n")
+    p.write_text("ref_size=4\nlambda_h=0.2\nhidden=64\nd_x=12\n")
     cfg = parse_config(str(p))
-    assert cfg.world.ref_size == 4 and cfg.objective.lambda_h == 0.2
+    assert cfg.world.ref_size == 4 and cfg.objective.lambda_h == 0.2 and cfg.world.d_x == 12
     assert cfg.selector_overrides == {"hidden": 64}
     assert not hasattr(cfg.train, "ref_size") and not hasattr(cfg.train, "lambda_h")
 
@@ -377,8 +378,11 @@ def test_config_keys_set_their_own_section(tmp_path):
     ("feature_noise=nan", "feature_noise must be finite"),
     ("labels_per_task=100000000000000000000",
      "labels_per_task must be at most 256, got 100000000000000000000"),
+    ("p_max=1e308", "p_max must lie in (0, 1], got 1e+308"),
+    ("p_floor=2", "p_floor must be at most 1, got 2.0"),
+    ("sharpness=-4", "sharpness must be non-negative, got -4.0"),
 ], ids=["d_x_0", "mcq_options_0", "n_findings_1", "n_locations_0", "feature_noise_nan",
-        "labels_per_task_huge"])
+        "labels_per_task_huge", "p_max_huge", "p_floor_above_1", "sharpness_negative"])
 def test_route_rejects_unusable_world_config_with_an_error_line(tmp_path, capsys, line,
                                                                 message):
     cfg = tmp_path / "bad.cfg"
@@ -488,6 +492,23 @@ def test_a_checkpoint_holding_nan_or_inf_is_an_error_line(tmp_path, cfg_path, ca
         captured.err
     assert captured.out == "" and "Traceback" not in captured.err
     assert "RuntimeWarning" not in captured.err and not caught, [str(w.message) for w in caught]
+
+
+def test_route_rejects_a_crc_valid_corrupt_tensor_table_with_an_error_line(
+        tmp_path, cfg_path, capsys, write_corrupt_table):
+    out = tmp_path / "run"
+    assert run(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    write_corrupt_table(out / "checkpoint.bin")
+    record = tmp_path / "record.json"
+    record.write_text((out / "test.jsonl").read_text().splitlines()[0] + "\n")
+    capsys.readouterr()
+    code = run(["route", "--config", cfg_path, "--out", str(out), "--input", str(record),
+                "--panel-size", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert "tensor table" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_route_accepts_a_checkpoint_of_the_selector_config(tmp_path, cfg_path, capsys):

@@ -96,6 +96,11 @@ def test_split_sizes(small_world):
     ({"tools_per_task": 100_000_000}, "tools_per_task must be at most 1024, got 100000000"),
     ({"labels_per_task": 10 ** 20}, f"labels_per_task must be at most 256, got {10 ** 20}"),
     ({"mcq_options": 257}, "mcq_options must be at most 256, got 257"),
+    ({"p_max": 1e308}, "p_max must lie in (0, 1], got 1e+308"),
+    ({"p_max": 0.0}, "p_max must lie in (0, 1], got 0.0"),
+    ({"p_max": -0.5}, "p_max must lie in (0, 1], got -0.5"),
+    ({"p_floor": 1.5}, "p_floor must be at most 1, got 1.5"),
+    ({"sharpness": -1.0}, "sharpness must be non-negative, got -1.0"),
 ])
 def test_world_config_rejects_unusable_values(bad, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
@@ -675,23 +680,59 @@ def test_global_best_means_equal_running_sums_of_tool_cost(small_world):
                for k in sums)
 
 
-def test_cost_matrix_equals_one_cost_array_per_pair(small_world, monkeypatch):
-    """Split queries of every task, reference-pool queries, copies of split
-    queries and tools outside a task's population, duplicates included: the
-    matrix equals one ``cost_array`` per pair, bit for bit, over several
-    ``DENSE_ROWS`` blocks."""
+def test_split_costs_equal_one_cost_array_per_pair(small_world, monkeypatch, block_fills):
+    """Every (task, split) block: ``split_costs`` equals one ``cost_array``
+    per (split query, population tool) pair of a world filled in one pass,
+    bit for bit (NaN where the tool does not support the task), while its
+    block takes several ``DENSE_ROWS`` passes. Each call fills its own block
+    and no other, and returns a new array."""
     import toolselect.simworld as simworld
+    fresh = dataclasses.replace(small_world)
+    want = {}
+    for split, records in fresh.splits.items():
+        for task, pop in fresh.populations.items():
+            lqs = [lq for lq in records if lq.query.task == task]
+            want[split, task] = np.array([[fresh.cost_array([tool], [lq])[0] for tool in pop]
+                                          for lq in lqs]).reshape(len(lqs), len(pop))
     monkeypatch.setattr(simworld, "DENSE_ROWS", 7)
     w = dataclasses.replace(small_world)
-    lqs = (w.splits["train"][:25] + w.splits["test"][-8:]
-           + [lq for task in sorted(w.ref_pools) for lq in w.ref_pools[task][:3]]
-           + [dataclasses.replace(lq) for lq in w.splits["val"][:3]] + w.splits["train"][:2])
-    tools = w.all_tools[::2] + w.all_tools[:1]
-    got = w.cost_matrix(lqs, tools)
-    fresh = dataclasses.replace(small_world)
-    want = np.array([[fresh.cost_array([tool], [lq])[0] for tool in tools] for lq in lqs])
-    assert got.shape == (len(lqs), len(tools))
-    assert got.tobytes() == want.tobytes()
+    filled, unsupported = [], 0
+    for block, split in enumerate(w.splits):
+        for task in range(len(w.tasks)):
+            got = w.split_costs(split, task)
+            filled.append((task, block))
+            assert _blocks_of(block_fills, w) == filled
+            assert got.tobytes() == want[split, task].tobytes(), (split, task)
+            assert len(got) > 7
+            unsupported += np.isnan(got).any()
+            got[:] = 0.0
+            assert w.split_costs(split, task).tobytes() == want[split, task].tobytes()
+            assert _blocks_of(block_fills, w) == filled
+    assert unsupported > 0
+
+
+@pytest.mark.parametrize("labels, options", [(5, 4), (9, 13)], ids=["below_8", "8_or_more"])
+def test_aligned_rows_equal_align_row_by_row(labels, options):
+    """Each supporting tool's aligned output for each of its labels, as
+    ``_TaskTools`` builds it, equals ``domain.align`` of that label's raw row
+    bit for bit, for identity and coarsened alignments."""
+    from toolselect.domain import align
+    from toolselect.simworld import _raw_label_rows, _TaskTools
+    w = generate_world(WorldConfig(**{**SMALL, "labels_per_task": labels,
+                                      "mcq_options": options}), 0)
+    kinds = []
+    for spec in w.tasks:
+        if spec.family not in CATEGORICAL_FAMILIES:
+            continue
+        arrays = _TaskTools(spec, w.all_tools)
+        for i, tool in enumerate(w.all_tools):
+            if spec.task in tool.supported_tasks:
+                n = tool.tool_label_count[spec.task]
+                kinds.append("identity" if n == len(spec.space.labels) else "coarsened")
+                for r, raw in enumerate(_raw_label_rows(n)):
+                    assert arrays.aligned[i, r].tobytes() == \
+                        align(tool, spec.space, raw).probs.tobytes(), (tool.tool_id, r)
+    assert set(kinds) == {"identity", "coarsened"}
 
 
 def _outcome_bytes(groups, n):
