@@ -720,7 +720,7 @@ def test_aligned_rows_equal_align_row_by_row(labels, options):
     from toolselect.simworld import _raw_label_rows, _TaskTools
     w = generate_world(WorldConfig(**{**SMALL, "labels_per_task": labels,
                                       "mcq_options": options}), 0)
-    kinds = []
+    kinds = set()
     for spec in w.tasks:
         if spec.family not in CATEGORICAL_FAMILIES:
             continue
@@ -728,11 +728,11 @@ def test_aligned_rows_equal_align_row_by_row(labels, options):
         for i, tool in enumerate(w.all_tools):
             if spec.task in tool.supported_tasks:
                 n = tool.tool_label_count[spec.task]
-                kinds.append("identity" if n == len(spec.space.labels) else "coarsened")
+                kinds.add("identity" if n == len(spec.space.labels) else "coarsened")
                 for r, raw in enumerate(_raw_label_rows(n)):
                     assert arrays.aligned[i, r].tobytes() == \
                         align(tool, spec.space, raw).probs.tobytes(), (tool.tool_id, r)
-    assert set(kinds) == {"identity", "coarsened"}
+    assert kinds == {"identity", "coarsened"}
 
 
 def _outcome_bytes(groups, n):
