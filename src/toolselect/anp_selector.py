@@ -13,7 +13,10 @@ One batched forward scores B (query, panel) items at once:
   once, when it is built, and gathers them; a trainable model encodes its
   batch's G sets on the tape.
 - Each distinct (example, tool) pair cross-attends from its query over its
-  tool's set once, and the score head runs once over all pairs. The coverage
+  tool's set once, and the score head runs once over all pairs. The pairs
+  are built slot by slot, in order of first appearance, and the model's
+  ``predict_fn`` reads their slot rows from the batch's queries and each
+  pair's example index. The coverage
   head, which predicts each tool's per-query success probability, runs over
   the same pair rows when the forward's ``coverage_t`` is first read.
 - The pair scores are gathered into a (B, M) slot matrix, M the largest
@@ -38,6 +41,12 @@ from .errors import (
     NonFiniteScoreError,
     ShapeMismatchError,
 )
+
+
+# Largest value a config may give each selector width: parameters and per-pair
+# activations are allocated whole, so a huge width fails on memory (terabytes
+# at 10**11) instead of training.
+MAX_WIDTH = 2048
 
 
 @dataclass
@@ -67,6 +76,9 @@ class SelectorConfig:
                      "hidden", "label_embed_dim", "rho_dim", "slot_width", "eta_dim"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"selector config: {name} must be positive, "
+                                  f"got {getattr(self, name)}")
+            if getattr(self, name) > MAX_WIDTH:
+                raise ConfigError(f"selector config: {name} must be at most {MAX_WIDTH}, "
                                   f"got {getattr(self, name)}")
 
 
@@ -384,9 +396,10 @@ class SelectorModel:
     """Bundles params + config with the ``ReferenceBank`` of every set its
     panels can hold.
 
-    ``predict_fn(tools, queries) -> (P, slot_width)`` supplies the encoded
-    predictions of ``tools[i]`` on ``queries[i]`` for a batch's distinct
-    pairs, in one call per forward; the model itself never runs tools.
+    ``predict_fn(queries, example, tools) -> (P, slot_width)`` supplies the
+    encoded predictions of ``tools[p]`` on ``queries[example[p]]`` for a
+    batch's B queries and P distinct pairs, in one call per forward; the
+    model itself never runs tools.
     """
 
     def __init__(self, cfg, params, bank, predict_fn):
@@ -447,42 +460,50 @@ class SelectorModel:
         """
         if not items:
             raise ValueError("batch_forward: empty batch")
-        width = max(len(panel.tools) for _, panel in items)
-        mask = np.zeros((len(items), width), dtype=bool)
+        widths = [len(panel.tools) for _, panel in items]
+        width = max(widths)
         bank_rows, set_of = [], {}           # distinct (tool, task) reference sets
         pair_of = {}                         # (example, tool index) -> pair
-        pair_example, pair_set, pair_tools, pair_queries = [], [], [], []
-        slot_pair, slot_pos = [], []
+        pair_example, pair_set, pair_tools = [], [], []
+        slot_pair, slot_pos = [], []         # pair and flat (B, M) position of each valid slot
+        row_of = self.bank.row_of
         for i, (lq, panel) in enumerate(items):
             query = lq.query
+            first = len(slot_pos)
             for j, tool in enumerate(panel.tools):
                 if not validity(tool, query):
                     continue
-                mask[i, j] = True
-                pair = pair_of.get((i, tool.index))
+                key = (i, tool.index)
+                pair = pair_of.get(key)
                 if pair is None:
                     ref_key = (tool.index, query.task)
-                    if ref_key not in set_of:
-                        if ref_key not in self.bank.row_of:
+                    ref = set_of.get(ref_key)
+                    if ref is None:
+                        if ref_key not in row_of:
                             raise EmptyReferenceSetError(
                                 f"tool {tool.tool_id} (index {tool.index}) has no set for "
                                 f"task {query.task} in the model's reference bank")
-                        set_of[ref_key] = len(bank_rows)
-                        bank_rows.append(self.bank.row_of[ref_key])
-                    pair = pair_of[(i, tool.index)] = len(pair_example)
+                        ref = set_of[ref_key] = len(bank_rows)
+                        bank_rows.append(row_of[ref_key])
+                    pair = pair_of[key] = len(pair_example)
                     pair_example.append(i)
-                    pair_set.append(set_of[ref_key])
+                    pair_set.append(ref)
                     pair_tools.append(tool)
-                    pair_queries.append(query)
                 slot_pair.append(pair)
                 slot_pos.append(i * width + j)
-            if not mask[i].any():
+            if len(slot_pos) == first:
                 raise NoValidCandidateError(f"no valid tool in panel for query {query.uid}")
+        slot_pair = np.array(slot_pair, dtype=np.intp)
+        slot_pos = np.array(slot_pos, dtype=np.intp)
+        mask = np.zeros(len(items) * width, dtype=bool)
+        mask[slot_pos] = True
+        mask = mask.reshape(len(items), width)
 
         # constant inputs take the parameters' dtype: float64 for a trained
         # model, float32 for the copy that fit trains
         dtype = self.params["fuse_W"].data.dtype
         queries = [lq.query for lq, _ in items]
+        pair_example = np.array(pair_example, dtype=np.intp)
         u = encode_query(self.params, self.cfg, np.array([q.x for q in queries], dtype),
                          np.array([q.q for q in queries], dtype))
         k_sets, v_sets, set_rows = self._reference_encodings(
@@ -491,7 +512,8 @@ class SelectorModel:
         psi = cross_attend(self.params, self.cfg, u_pairs, k_sets, v_sets, set_rows[pair_set])
         features = dc.concat_cols([u_pairs, psi,
                                    dc.constant(np.asarray(
-                                       self.predict_fn(pair_tools, pair_queries), dtype)),
+                                       self.predict_fn(queries, pair_example, pair_tools),
+                                       dtype)),
                                    dc.constant(np.array([tool.eta for tool in pair_tools],
                                                         dtype))])
         n_pairs = len(pair_example)
@@ -499,7 +521,7 @@ class SelectorModel:
             score_rows(self.params, self.cfg, features, training=training, rng=rng), (n_pairs,))
         finite = np.isfinite(pair_scores.data)
         if not finite.all():
-            uids = sorted({pair_queries[p].uid for p in np.flatnonzero(~finite)})
+            uids = sorted({queries[pair_example[p]].uid for p in np.flatnonzero(~finite)})
             raise NonFiniteScoreError(f"non-finite selector score for queries {uids}")
         scores_t = dc.scatter_1d(dc.take_rows(pair_scores, slot_pair), slot_pos, mask.shape)
 
@@ -508,7 +530,6 @@ class SelectorModel:
             return dc.reshape(coverage_rows(self.params, self.cfg, pairs), (n_pairs,))
 
         return BatchForward(probs_t=dc.masked_softmax(scores_t, mask), scores_t=scores_t,
-                            mask=mask, slot_pair=np.asarray(slot_pair, dtype=np.intp),
-                            tasks=np.array([q.task for q in queries]),
-                            widths=[len(panel.tools) for _, panel in items],
+                            mask=mask, slot_pair=slot_pair,
+                            tasks=np.array([q.task for q in queries]), widths=widths,
                             coverage_fn=coverage)

@@ -69,12 +69,13 @@ class OracleRouter(Router):
     def route_batch(self, items, rng):
         """The valid slot of least true cost per item, ties to the lowest
         slot, with the costs of every valid slot read by one ``cost_array``
-        call. A valid slot's cost is never NaN, so the first least value of
-        each item's costs is the slot ``argmin`` picks."""
+        call, each item's row looked up once. A valid slot's cost is never
+        NaN, so the first least value of each item's costs is the slot
+        ``argmin`` picks."""
         slots = [_valid_slots(lq, panel) for lq, panel in items]
         costs = self.world.cost_array(
             [panel.tools[j] for (_, panel), valid in zip(items, slots) for j in valid],
-            [lq for (lq, _), valid in zip(items, slots) for _ in valid]).tolist()
+            [lq for lq, _ in items], [b for b, valid in enumerate(slots) for _ in valid]).tolist()
         out, end = [], 0
         for valid in slots:
             start, end = end, end + len(valid)

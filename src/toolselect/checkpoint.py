@@ -99,10 +99,3 @@ def load_checkpoint(path):
 def _check_finite(name, data):
     if not np.isfinite(data).all():
         raise CheckpointError(f"checkpoint tensor {name!r} is not finite in float32")
-
-
-def params_to_float32(params):
-    """Round params to float32 precision (the checkpoint's forward mode)."""
-    return {name: dc.Tensor(np.asarray(p.data, dtype=np.float32).astype(np.float64),
-                            requires_grad=p.requires_grad)
-            for name, p in params.items()}

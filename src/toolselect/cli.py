@@ -99,6 +99,7 @@ def parse_config(path=None):
                 known = True
         if not known:
             raise ConfigError(f"unknown config key {key!r}")
+    SelectorConfig(**sel_kw)     # the selector keys' value checks, for every command
     return RunConfig(world=WorldConfig(**world_kw), train=TrainConfig(**train_kw),
                      objective=ObjectiveConfig(**obj_kw), selector_overrides=sel_kw)
 

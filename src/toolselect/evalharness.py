@@ -121,14 +121,6 @@ def _first_attempts(world, lqs, m, rngs):
     return out
 
 
-def panel_digest(panels):
-    import hashlib
-    h = hashlib.sha256()
-    for p in panels:
-        h.update(repr([t.index for t in p.tools]).encode())
-    return h.hexdigest()
-
-
 def _macro_classification(confusion):
     """Macro accuracy/precision/recall/F1 from one confusion matrix."""
     k = confusion.shape[0]
@@ -176,7 +168,7 @@ def evaluate(router, world, split, m, seed, panels=None):
                   for (_, panel), slot in zip(chunk, route_batch(router, chunk, rng))]
         tools += chosen
         lqs = [lq for lq, _ in chunk]
-        for group in world.tool_outcomes(chosen, [lq.query for lq in lqs], lqs):
+        for group in world.outcomes([lq.query for lq in lqs], chosen, lqs=lqs):
             costs[lo + group.positions] = group.costs
             if world.task_spec(group.task).family in CATEGORICAL_FAMILIES:
                 labels[lo + group.positions] = group.outputs.argmax(axis=1)
@@ -254,19 +246,6 @@ def machine_records(reports):
                 parts.append(f"gap_closure={gc!r}")
             lines.append(" ".join(parts))
     return lines
-
-
-def parse_machine_record(line):
-    out = {}
-    for token in line.split():
-        key, value = token.split("=", 1)
-        if key in ("router",):
-            out[key] = value
-        elif key in ("task", "count"):
-            out[key] = int(value)
-        else:
-            out[key] = float(value)
-    return out
 
 
 def render_report(reports):

@@ -1,7 +1,6 @@
-"""Training losses: hard selection loss, comp-sum surrogate, entropy and
-score regularizers, coverage BCE, and the combined task-marginalized batch
-objective, which reads a batched forward's stacked tensors and its items'
-``(B, M)`` panel costs."""
+"""The training objective: the task-marginalized batch loss of comp-sum
+surrogate, entropy and score regularizers and coverage BCE, which reads a
+batched forward's stacked tensors and its items' ``(B, M)`` panel costs."""
 
 import math
 from dataclasses import dataclass
@@ -46,14 +45,6 @@ class ObjectiveConfig:
             raise ConfigError(f"objective config: eps must be finite and positive, got {self.eps}")
 
 
-def selection_loss(pc, dist):
-    """Realized cost of the selected tool (the hard routing loss)."""
-    j = dist.selected
-    if not pc.valid[j]:
-        raise ValueError(f"selected slot {j} is invalid")
-    return float(pc.costs[j])
-
-
 def compsum_weights(pc):
     """w_j = (sum of the other valid slots' costs) - m_valid + 2 per panel,
     0 on invalid slots; for a batch of panels, per row.
@@ -87,37 +78,6 @@ def _valid_sums(costs, valid):
     return out.reshape(costs.shape[:-1])
 
 
-def compsum_loss(dist, weights, eps=1e-12):
-    """Logistic comp-sum surrogate: sum over valid slots of w_j * -log(pi_j).
-
-    ``dist`` is any object with a ``probs_t`` tensor and a ``mask``."""
-    logp = dc.log_clamped(dist.probs_t, eps)
-    w = np.where(dist.mask, -np.asarray(weights, dtype=np.float64), 0.0)
-    return dc.wsum(logp, w)
-
-
-def entropy_reg(dist, eps=1e-12):
-    """Shannon entropy of the selection distribution over valid slots."""
-    logp = dc.log_clamped(dist.probs_t, eps)
-    plogp = dc.mul(dist.probs_t, logp)
-    return dc.wsum(plogp, np.where(dist.mask, -1.0, 0.0))
-
-
-def coverage_loss_value(s, c):
-    """Scalar BCE of a coverage score against the success target 1 - c."""
-    s = min(max(float(s), 1e-12), 1.0 - 1e-12)
-    return -(1.0 - c) * np.log(s) - c * np.log(1.0 - s)
-
-
-def coverage_loss(s_t, costs, eps=1e-12):
-    """Mean BCE of coverage scores (Tensor, 1-D) against targets 1 - cost."""
-    costs = np.asarray(costs, dtype=np.float64)
-    n = costs.size
-    log_s = dc.log_clamped(s_t, eps)
-    log_1ms = dc.log_clamped(dc.affine(s_t, -1.0, 1.0), eps)
-    return dc.add(dc.wsum(log_s, -(1.0 - costs) / n), dc.wsum(log_1ms, -costs / n))
-
-
 def batch_objective(cfg, fwd, pc, n_tasks):
     """Mean task-weighted training loss over a batch; differentiable scalar.
 
@@ -127,9 +87,8 @@ def batch_objective(cfg, fwd, pc, n_tasks):
     ``ValueError``. Per item: compsum - lambda_h * entropy + lambda_r *
     mean(r^2 over valid slots) + lambda_cov * mean coverage BCE, scaled by
     task_weight * n_tasks so uniform weights are neutral. Each term is one
-    weighted sum over the forward's stacked tensors; ``compsum_loss``,
-    ``entropy_reg`` and ``coverage_loss`` are the per-item definitions these
-    sums reproduce.
+    weighted sum over the forward's stacked tensors, equal to the per-item
+    definitions (comp-sum, entropy, coverage BCE) summed item by item.
     """
     probs, scores, mask, tasks = fwd.probs_t, fwd.scores_t, fwd.mask, fwd.tasks
     if not len(mask):

@@ -27,15 +27,16 @@ the task's queries in the splits, split by split in split order; columns are
 The rows of one split are one block, filled whole at the first read of one
 of its pairs: every pair of the block's rows and the population's
 supporting tools is drawn by ``_draw`` and scored by ``_score``, in passes of
-``DENSE_ROWS`` rows; every later read is a gather. Readers find a query's
-row and a tool's column by object identity: the row of the split's own
-query object (or, for costs, its own labeled query), the column of the
-population's own tool. A pair without a row or column -- a query in no
-split, a copy of a split query, a tool outside the task's population -- is
-computed by the same ``_draw`` and not stored, and fills nothing, so the
-tables never outgrow the splits. ``SimWorld.tool_outcomes`` is the
-batched reader; ``cost_array`` (``tool_cost`` is its one-pair call) reads
-costs through it and ``tool_prediction`` one pair's output.
+``DENSE_ROWS`` rows; every later read is a gather. ``SimWorld.outcomes`` is
+the one reader: a read of B queries and P pairs (a tool and the index of its
+query) finds each query's row once and each pair's column once, by object
+identity: the row of the split's own query object (or, for costs, its own
+labeled query), the column of the population's own tool. A pair without a
+row or column -- a query in no split, a copy of a split query, a tool
+outside the task's population -- is computed by the same ``_draw`` and not
+stored, and fills nothing, so the tables never outgrow the splits.
+``tool_outcomes`` (one query per pair), ``cost_array`` (``tool_cost`` is
+its one-pair call) and ``tool_prediction`` are calls of it.
 ``split_costs`` reads the costs of one whole block, which the learned
 baselines fit on. The tables are fields the dataclass does not take as
 arguments, so ``dataclasses.replace`` of a world gives a copy with empty
@@ -69,18 +70,19 @@ it replaces, since the normal sampler consumes the stream value by value),
 then the features, hints and ground truths of the block as array passes,
 each element computed by the same operations as for one query: grounding
 boxes by one stacked mat-vec per map (``_boxes``), report pair sets and
-hint means from one ``_report_pair_indices`` call. ``sample_query`` is its
-one-query call. ``build_reference_sets`` seeds every element's prediction
-RNG in one batch and reads the pool queries' arrays from one ``_Rows`` per
-pool, then makes one ``tool_predict`` call per element.
+hint means from one ``_report_pair_indices`` call. ``build_reference_sets``
+seeds every element's prediction RNG in one batch and reads the pool
+queries' arrays from one ``_Rows`` per pool, then makes one ``tool_predict``
+call per element.
 ``_calibrate_box_noise`` bisects all kappas side by side, one array pass a
 step. Every generated value is the one the per-query code gives.
 """
 
 import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from itertools import accumulate
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -119,11 +121,13 @@ PANEL_ATTEMPTS = 100
 # task's vocabulary, its outputs and its per-pair arrays are built whole, so
 # a huge one fails on memory instead of generating a world.
 MAX_PAIR_VOCAB = 1024
-# Largest value a config may give each of these sizes: splits, tools and
-# label spaces are generated whole, so a huge size would run until killed or
-# overflow. The benchmark's largest split is 12,000 queries.
+# Largest value a config may give each of these sizes: splits, tools, label
+# spaces and feature rows are generated whole, so a huge size would run until
+# killed, overflow or fail on memory. The benchmark's largest split is 12,000
+# queries; d_x and d_q are also selector widths (anp_selector.MAX_WIDTH).
 MAX_SIZES = {"n_train": 200_000, "n_val": 200_000, "n_test": 200_000, "n_ref_pool": 200_000,
-             "tools_per_task": 1024, "labels_per_task": 256, "mcq_options": 256}
+             "tools_per_task": 1024, "labels_per_task": 256, "mcq_options": 256,
+             "d_x": 2048, "d_q": 2048}
 
 FAMILY_CYCLE = (
     TaskFamily.CLASSIFICATION,
@@ -234,15 +238,14 @@ class SimTool(Tool):
 
 @dataclass
 class TaskOutcomes:
-    """Outcomes of the pairs of one task in a ``tool_outcomes`` batch.
+    """Outcomes of the pairs of one task in a ``SimWorld.outcomes`` batch.
 
     ``positions`` are the pairs' places in the batch. ``outputs`` holds one
     canonical output per pair: aligned probabilities ``(n, K)`` for
     categorical tasks, boxes ``(n, 4)`` for grounding, pair-vocabulary
     indicators ``(n, V)`` for reports; the null output where the tool does
-    not support the task (``valid`` False). ``costs`` is NaN there, and,
-    when no ground truth was given, at the pairs outside the outcome table
-    (a tabled pair's cost is scored against its split's ground truth).
+    not support the task (``valid`` False). ``costs`` is NaN there. Either
+    is None when the read did not ask for it.
     """
     task: int
     positions: np.ndarray
@@ -304,82 +307,111 @@ class SimWorld:
         arrays = self._tool_arrays.get(spec.task)
         if arrays is None:
             arrays = self._tool_arrays[spec.task] = _TaskTools(spec, self.all_tools)
-        if len(tools) == 1:
-            row = arrays.row_of(tools[0])
-            return (arrays, np.array([row])) if row >= 0 else (_TaskTools(spec, list(tools)),
-                                                                _FIRST_ROW)
         rows = arrays.rows(tools)
-        if (rows < 0).any():
+        if -1 in rows:
             return _TaskTools(spec, list(tools)), np.arange(len(tools))
-        return arrays, rows
+        return arrays, np.array(rows, dtype=np.intp)
 
-    def tool_outcomes(self, tools, queries, gts=None):
-        """Outcomes of ``tools[i]`` on ``queries[i]``, one ``TaskOutcomes``
-        per task in order of first appearance. With ``gts`` (labeled
-        queries) the costs are filled in too.
+    def outcomes(self, queries, tools, example=None, lqs=None, outputs=True):
+        """Outcomes of ``tools[p]`` on ``queries[example[p]]`` (``example``
+        defaults to ``p``), one ``TaskOutcomes`` per task in order of first
+        appearance: the one outcome reader. With ``lqs``, the labeled
+        queries of ``queries``, the costs are read too; with ``outputs``
+        False the outputs are not.
 
-        Tabled pairs are gathered from the task's table, whose blocks are
-        filled at their first read; a pair with ``gts`` is tabled only when
-        ``gts[i]`` is the split's own labeled query, whose ground truth the
-        table scores against. Other pairs are computed, not stored.
+        Each query's row is looked up once, and each pair's column: the row
+        of the split's own query object (with ``lqs``, its own labeled
+        query, whose ground truth the table scores against), the column of
+        the population's own tool. When every pair has both, validity is
+        the columns' support flags and the read is one block-fill check and
+        one gather of what was asked. Other valid pairs are drawn from their
+        queries' arrays and scored, and not stored.
         """
+        if example is not None:
+            example = np.asarray(example, dtype=np.intp)
         tasks = [query.task for query in queries]
-        if tasks and tasks.count(tasks[0]) == len(tasks):
-            groups = {tasks[0]: None}
-        else:
-            groups = {}
-            for n, task in enumerate(tasks):
-                groups.setdefault(task, []).append(n)
+        if tasks.count(tasks[0] if tasks else None) == len(tasks):
+            return [self._task_outcomes(tasks[0], np.arange(len(tools)), queries, lqs, tools,
+                                        example, outputs)] if tools else []
+        item_tasks = np.array(tasks)
+        pair_tasks = item_tasks if example is None else item_tasks[example]
         out = []
-        for task, idx in groups.items():
-            if idx is None:
-                out.append(self._task_outcomes(task, np.arange(len(tools)), tools, queries, gts))
-            else:
-                out.append(self._task_outcomes(
-                    task, np.array(idx), [tools[n] for n in idx], [queries[n] for n in idx],
-                    None if gts is None else [gts[n] for n in idx]))
+        for task in dict.fromkeys(pair_tasks.tolist()):
+            # the task's pairs, and its items, which the pairs' example indices are remapped to
+            positions = np.flatnonzero(pair_tasks == task)
+            items = positions if example is None else np.flatnonzero(item_tasks == task)
+            picks = items.tolist()
+            out.append(self._task_outcomes(
+                task, positions, [queries[b] for b in picks],
+                None if lqs is None else [lqs[b] for b in picks],
+                [tools[p] for p in positions.tolist()],
+                None if example is None else np.searchsorted(items, example[positions]), outputs))
         return out
 
-    def _task_outcomes(self, task, positions, tools, queries, lqs):
-        """``TaskOutcomes`` of the pairs of one task: the tabled pairs are
-        gathered from the task's table (``_OutcomeTable.fill`` fills their
-        blocks first), the rest are drawn, and scored with ``lqs``, without
-        being stored."""
+    def _task_outcomes(self, task, positions, queries, lqs, tools, example, outputs):
+        """``TaskOutcomes`` of ``tools[p]`` on ``queries[example[p]]`` (``p``
+        when None), all of one task. The tabled pairs are gathered from the
+        task's table (``_OutcomeTable.fill`` fills their blocks first), the
+        rest are drawn from their queries' ``_Rows`` and scored with
+        ``lqs``, without being stored."""
         spec = self.task_spec(task)
         n = len(tools)
         table = self._table(task)
-        rows, cols = table.rows(queries, lqs), table.tools.rows(tools)
+        item_rows, cols = table.rows(queries, lqs), table.tools.rows(tools)
+        tabled_only = -1 not in item_rows and -1 not in cols
+        rows = np.array(item_rows, dtype=np.intp)
+        if example is not None:
+            rows = rows[example]
+        cols = np.array(cols, dtype=np.intp)
+        if tabled_only:
+            valid = table.tools.supported[cols]
+            everyone = np.count_nonzero(valid) == n
+            table.fill(self, item_rows if everyone else rows[valid].tolist())
+            got = table.outputs[rows, cols] if outputs else None
+            costs = None if lqs is None else table.costs[rows, cols]
+            if not everyone:
+                if outputs:
+                    got[~valid] = _null_output(spec)
+                if lqs is not None:
+                    costs[~valid] = np.nan
+            return TaskOutcomes(task, positions, valid, got, costs)
         valid = np.fromiter((task in tool.supported_tasks for tool in tools), bool, n)
         tabled = valid & (rows >= 0) & (cols >= 0)
-        if tabled.all():
-            table.fill(self, rows)
-            return TaskOutcomes(task, positions, valid, table.outputs[rows, cols],
-                                table.costs[rows, cols])
-        outputs = np.empty((n,) + table.outputs.shape[2:], table.outputs.dtype)
+        got = np.empty((n,) + table.outputs.shape[2:], table.outputs.dtype)
         costs = np.full(n, np.nan)
         if tabled.any():
             rows, cols = rows[tabled], cols[tabled]
-            table.fill(self, rows)
-            outputs[tabled] = table.outputs[rows, cols]
+            table.fill(self, rows.tolist())
+            got[tabled] = table.outputs[rows, cols]
             costs[tabled] = table.costs[rows, cols]
         loose = np.flatnonzero(valid & ~tabled)
         if len(loose):
-            arrays, tool_rows = self._tool_rows(spec, [tools[i] for i in loose])
-            data = _Rows(spec, [queries[i] for i in loose],
-                         None if lqs is None else [lqs[i].gt for i in loose])
+            pair_items = loose if example is None else example[loose]
+            items, item_of = np.unique(pair_items, return_inverse=True)
+            items = items.tolist()
+            arrays, tool_rows = self._tool_rows(spec, [tools[p] for p in loose.tolist()])
+            data = _Rows(spec, [queries[b] for b in items],
+                         None if lqs is None else [lqs[b].gt for b in items])
             rngs = _pair_rngs(self.seed, arrays.index[tool_rows],
-                              [queries[i].uid for i in loose])
-            outputs[loose] = _draw(self, spec, arrays, tool_rows, data, np.arange(len(loose)), rngs)
+                              [queries[b].uid for b in pair_items.tolist()])
+            got[loose] = _draw(self, spec, arrays, tool_rows, data, item_of, rngs)
             if lqs is not None:
-                costs[loose] = _score(self, spec, outputs[loose], data, np.arange(len(loose)))
+                costs[loose] = _score(self, spec, got[loose], data, item_of)
         if not valid.all():
-            outputs[~valid] = _null_output(spec)
-        return TaskOutcomes(task, positions, valid, outputs, costs)
+            got[~valid] = _null_output(spec)
+        return TaskOutcomes(task, positions, valid, got if outputs else None,
+                            None if lqs is None else costs)
 
-    def cost_array(self, tools, lqs):
-        """Realized cost of ``tools[i]`` on labeled query ``lqs[i]`` as one
-        array, NaN where the tool does not support the query's task."""
-        groups = self.tool_outcomes(tools, [lq.query for lq in lqs], lqs)
+    def tool_outcomes(self, tools, queries, gts=None):
+        """The ``outcomes`` of ``tools[i]`` on ``queries[i]``, with the costs
+        against labeled queries ``gts[i]`` when given."""
+        return self.outcomes(queries, tools, lqs=gts)
+
+    def cost_array(self, tools, lqs, example=None):
+        """Realized cost of ``tools[p]`` on labeled query ``lqs[example[p]]``
+        (``example`` defaults to ``p``) as one array, NaN where the tool does
+        not support the query's task: the costs of one ``outcomes`` read."""
+        groups = self.outcomes([lq.query for lq in lqs], tools, example, lqs, outputs=False)
         if len(groups) == 1:         # one task: its costs are the batch's, in order
             return groups[0].costs
         out = np.full(len(tools), np.nan)
@@ -400,12 +432,12 @@ class SimWorld:
 
     def tool_prediction(self, tool, query):
         """The aligned prediction of a tool on a query: the one-pair
-        ``tool_outcomes`` read, tabled when the pair has a place in the
-        outcome table, else drawn with the pair's keyed RNG."""
+        ``outcomes`` read, tabled when the pair has a place in the outcome
+        table, else drawn with the pair's keyed RNG."""
         spec = self.task_spec(query.task)
         if query.task not in tool.supported_tasks:
             return null_prediction(spec.space)
-        return _prediction(spec, self.tool_outcomes([tool], [query])[0].outputs[0])
+        return _prediction(spec, self.outcomes([query], [tool])[0].outputs[0])
 
     def tool_cost(self, tool, lq):
         """The one-pair ``cost_array``: None when the tool is invalid."""
@@ -422,7 +454,7 @@ class _OutcomeTable:
     def __init__(self, spec, population, blocks):
         self.spec = spec
         self.lqs = [lq for block in blocks for lq in block]
-        self.ends = np.cumsum([len(block) for block in blocks], dtype=np.int64)
+        self.ends = list(accumulate(len(block) for block in blocks))
         self.filled = [False] * len(blocks)
         self.tools = _TaskTools(spec, list(population))
         n = len(self.lqs)
@@ -436,20 +468,20 @@ class _OutcomeTable:
         self.outputs = np.zeros((n, len(population)) + shape, dtype)
 
     def rows(self, queries, lqs):
-        """Row of each query, -1 where it has none: the query (and, when
-        ``lqs`` is given, the labeled query) must be the row's own object."""
-        owners = queries if lqs is None else lqs
-        return np.fromiter(map(self._row_of_id.get, map(id, owners), repeat(-1)), np.int64,
-                           len(owners))
+        """Row of each query, as a list, -1 where it has none: the query (and,
+        when ``lqs`` is given, the labeled query) must be the row's own
+        object."""
+        get = self._row_of_id.get
+        return [get(id(owner), -1) for owner in (queries if lqs is None else lqs)]
 
     def block_rows(self, block):
         """The slice of a block's rows."""
-        return slice(int(self.ends[block - 1]) if block else 0, int(self.ends[block]))
+        return slice(self.ends[block - 1] if block else 0, self.ends[block])
 
     def fill(self, world, rows):
-        """Fill the blocks holding ``rows`` that are not filled yet."""
+        """Fill the blocks holding ``rows`` (ints) that are not filled yet."""
         if not all(self.filled):
-            for block in set(np.searchsorted(self.ends, rows, side="right").tolist()):
+            for block in {bisect_right(self.ends, row) for row in rows}:
                 if not self.filled[block]:
                     self._fill_block(world, block)
 
@@ -504,14 +536,11 @@ class _TaskTools:
                     rows = _raw_label_rows(counts[i])[:, self.correct[i]]
                     self.aligned[i, :counts[i]] = [row / row.sum() for row in rows]
 
-    def row_of(self, tool):
-        """``rows`` of one tool, as a Python int."""
-        return self._row_of_id.get(id(tool), -1)
-
     def rows(self, tools):
-        """Row of each tool, -1 for a tool not in the list (by identity)."""
-        return np.fromiter(map(self._row_of_id.get, map(id, tools), repeat(-1)), np.int64,
-                           len(tools))
+        """Row of each tool, as a list, -1 for a tool not in the list (by
+        identity)."""
+        get = self._row_of_id.get
+        return [get(id(tool), -1) for tool in tools]
 
 
 class _Rows:
@@ -1041,11 +1070,6 @@ def sample_queries(world, task, rng, uids):
     return [LabeledQuery(Query(uid, task, x, q), gt) for uid, x, q, gt in zip(uids, xs, qs, gts)]
 
 
-def sample_query(world, task, rng, uid):
-    """Draw one labeled query for a task: the one-query ``sample_queries``."""
-    return sample_queries(world, task, rng, [uid])[0]
-
-
 def _sample_uids(world, task, rng, first_uid, count):
     """Queries of a task with uids ``first_uid`` onwards, sampled in blocks of
     at most ``QUERY_BLOCK``, which gives the same queries as one block."""
@@ -1092,12 +1116,6 @@ def _kappas(world, spec, tools, rows, xs):
 
 
 _FIRST_ROW = np.zeros(1, dtype=np.int64)
-
-
-def competence(world, tool, task, x):
-    spec = world.task_spec(task)
-    tools, rows = world._tool_rows(spec, [tool])
-    return _kappas(world, spec, tools, rows, np.asarray(x)[None, :])[0]
 
 
 def tool_predict(world, tool, query, rng, block=None):

@@ -3,9 +3,12 @@ decoupled weight decay, validation-cost tracking, and early stopping.
 
 The first simulator read of a task's training queries fills that task's
 training block of the outcome table, so every later read of a step is a
-gather. A step's objective reads the batched forward's stacked tensors and
-the batch's ``(B, M)`` ``panel_costs``, and ``AdamW`` updates all
-parameters as one flat buffer, the ``flat`` of a ``dc.Params``.
+gather. A step reads the table twice, each a ``SimWorld.outcomes`` read of
+the batch's B queries, whose rows are found once each: the forward's slot
+rows (``make_predict_fn``, one per distinct pair) and the ``(B, M)``
+``panel_costs``. The objective reads those and the forward's stacked
+tensors, and ``AdamW`` updates all parameters as one flat buffer, the
+``flat`` of a ``dc.Params``.
 
 Training is mixed precision: ``init_params``' float64 ``Params`` are the
 master weights that ``AdamW`` updates, and the tape trains a float32
@@ -33,6 +36,9 @@ VAL_PANEL_KEY = 7919   # second entry of every validation panel RNG key
 # and scored as (queries, panel size) arrays, so a huge size fails on memory
 # instead of routing.
 MAX_PANEL_SIZE = 1024
+# Largest batch a config may ask for: a step's pairs are scored as arrays of
+# (batch size x panel size) rows, so a huge batch fails on memory.
+MAX_BATCH_SIZE = 4096
 
 
 @dataclass
@@ -58,6 +64,9 @@ class TrainConfig:
         if self.panel_size < 2:
             raise ConfigError(f"train config: panel_size must be at least 2 (a panel "
                               f"holds two tools or more), got {self.panel_size}")
+        if self.batch_size > MAX_BATCH_SIZE:
+            raise ConfigError(f"train config: batch_size must be at most {MAX_BATCH_SIZE}, "
+                              f"got {self.batch_size}")
         if self.panel_size > MAX_PANEL_SIZE:
             raise ConfigError(f"train config: panel_size must be at most {MAX_PANEL_SIZE}, "
                               f"got {self.panel_size}")
@@ -201,13 +210,17 @@ def default_selector_config(world):
 
 def make_predict_fn(world, selector_cfg):
     """Encoded-prediction supplier for the selector: the slot rows of a
-    batch's (tool, query) pairs, encoded by ``encode_slots`` from the
-    outputs one ``tool_outcomes`` call reads out of the world's tables."""
+    batch's pairs, ``tools[p]`` on ``queries[example[p]]``, encoded by
+    ``encode_slots`` from the outputs one ``outcomes`` read gathers out of
+    the world's tables."""
     width = selector_cfg.slot_width
 
-    def predict(tools, queries):
+    def predict(queries, example, tools):
+        groups = world.outcomes(queries, tools, example)
+        if len(groups) == 1:     # one task: its rows are the batch's, in order
+            return encode_slots(world.task_spec(groups[0].task).space, groups[0].outputs, width)
         rows = np.zeros((len(tools), width))
-        for group in world.tool_outcomes(tools, queries):
+        for group in groups:
             rows[group.positions] = encode_slots(world.task_spec(group.task).space,
                                                  group.outputs, width)
         return rows
@@ -227,12 +240,12 @@ def build_model(world, params, selector_cfg):
 
 def panel_costs(world, items):
     """The ``(B, M)`` ``PanelCosts`` of B (labeled query, panel) items, M the
-    widest panel: every slot's cost read by one ``cost_array`` gather, 0 on
-    the invalid slots (NaN in the gather) and on the padding of narrower
-    panels."""
+    widest panel: every slot's cost read by one ``cost_array`` gather, each
+    item's row looked up once, 0 on the invalid slots (NaN in the gather)
+    and on the padding of narrower panels."""
     widths = np.array([len(panel.tools) for _, panel in items])
     costs = world.cost_array([tool for _, panel in items for tool in panel.tools],
-                             [lq for lq, panel in items for _ in panel.tools])
+                             [lq for lq, _ in items], np.repeat(np.arange(len(items)), widths))
     width = int(widths.max())
     if len(costs) != len(items) * width:
         padded = np.full((len(items), width), np.nan)

@@ -28,6 +28,21 @@ def rng():
 
 
 @pytest.fixture
+def block_fills(monkeypatch):
+    """(world, task, block) of every ``_OutcomeTable`` block filled while
+    the test runs, in order."""
+    from toolselect.simworld import _OutcomeTable
+    fills = []
+    fill_block = _OutcomeTable._fill_block
+
+    def counted(self, world, block):
+        fills.append((world, self.spec.task, block))
+        return fill_block(self, world, block)
+    monkeypatch.setattr(_OutcomeTable, "_fill_block", counted)
+    return fills
+
+
+@pytest.fixture
 def handed_dtypes(monkeypatch):
     """The set of dtypes of the gradients handed to ``Tensor.accumulate``
     while the test runs; a test may clear it between cases."""

@@ -20,19 +20,12 @@ from toolselect.baselines import (
     RandomRouter,
     ToolSelectRouter,
 )
-from toolselect.checkpoint import load_checkpoint, params_to_float32, save_checkpoint
+from toolselect.checkpoint import load_checkpoint, save_checkpoint
 from toolselect.datasets import export_dataset
 from toolselect.domain import validity
 from toolselect.errors import NoValidCandidateError
 from toolselect.evalharness import compare, eval_panels, evaluate
-from toolselect.objective import (
-    ObjectiveConfig,
-    PanelCosts,
-    batch_objective,
-    compsum_loss,
-    compsum_weights,
-    coverage_loss_value,
-)
+from toolselect.objective import ObjectiveConfig, PanelCosts, batch_objective, compsum_weights
 from toolselect.simworld import (
     WorldConfig,
     generate_world,
@@ -47,6 +40,8 @@ from toolselect.trainer import (
     fit,
     panel_costs,
 )
+
+from per_query import compsum_loss, coverage_loss_value, params_to_float32
 
 SMALL = dict(n_train=120, n_val=30, n_test=30, n_ref_pool=120,
              tools_per_task=4, ref_size=4)

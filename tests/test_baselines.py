@@ -54,8 +54,9 @@ class _CostWorld:
     def tool_cost(self, tool, lq):
         return self.costs[tool.index]
 
-    def cost_array(self, tools, lqs):
-        return np.array([self.tool_cost(tool, lq) for tool, lq in zip(tools, lqs)], dtype=float)
+    def cost_array(self, tools, lqs, example=None):
+        owners = lqs if example is None else [lqs[b] for b in example]
+        return np.array([self.tool_cost(tool, lq) for tool, lq in zip(tools, owners)], dtype=float)
 
 
 # ------------------------------------------------------------------ Random

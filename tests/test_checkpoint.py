@@ -9,12 +9,13 @@ from toolselect.checkpoint import (
     MAGIC,
     VERSION,
     load_checkpoint,
-    params_to_float32,
     save_checkpoint,
 )
 from toolselect.errors import CheckpointError
 from toolselect.evalharness import eval_panels
 from toolselect.trainer import build_model, default_selector_config
+
+from per_query import params_to_float32
 
 
 def test_round_trip_is_float32_exact(tmp_path):

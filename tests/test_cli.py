@@ -5,13 +5,18 @@ import warnings
 import numpy as np
 import pytest
 
-from toolselect.anp_selector import init_params
+from toolselect.anp_selector import MAX_WIDTH, init_params
 from toolselect.checkpoint import save_checkpoint
 from toolselect.cli import RunConfig, parse_config, run
 from toolselect.datasets import export_dataset, export_tools, import_dataset
 from toolselect.errors import ConfigError
 from toolselect.simworld import MAX_PAIR_VOCAB, generate_world
-from toolselect.trainer import MAX_PANEL_SIZE, TrainConfig, default_selector_config
+from toolselect.trainer import (
+    MAX_BATCH_SIZE,
+    MAX_PANEL_SIZE,
+    TrainConfig,
+    default_selector_config,
+)
 
 FAST_CONFIG = """\
 # small world for command-line round trips
@@ -184,13 +189,18 @@ def test_missing_config_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_a_world_too_large_to_allocate_is_an_error_line(tmp_path, capsys):
-    """d_x = 10**15 asks numpy for petabytes: the first allocation fails at
-    once, allocating nothing, and ``simulate`` exits 2 with an ``error:``
-    line, not a traceback."""
-    cfg = tmp_path / "huge.cfg"
-    cfg.write_text("d_x=1000000000000000\n")
-    code = run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")])
+def test_a_world_too_large_to_allocate_is_an_error_line(tmp_path, capsys, monkeypatch):
+    """A world whose arrays numpy cannot allocate makes ``simulate`` exit 2
+    with an ``error:`` line, not a traceback. Every config size is bounded,
+    so the failed allocation is simulated: numpy's ``MemoryError`` for
+    petabytes, raised by the first call of world generation."""
+    import toolselect.cli as cli
+
+    def fail(cfg, seed):
+        raise MemoryError("Unable to allocate 116. PiB for an array with shape "
+                          "(1000000000000000, 16) and data type float64")
+    monkeypatch.setattr(cli, "generate_world", fail)
+    code = run(["simulate", "--out", str(tmp_path / "run")])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: out of memory: ") and "Traceback" not in err, err
@@ -618,7 +628,57 @@ def test_config_panel_size_above_the_bound_fails_before_any_draw(tmp_path, capsy
     assert "Traceback" not in err and not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "train", "eval", "route"])
+@pytest.mark.parametrize("line, message", [
+    ("dropout=nan", "selector config: dropout must lie in [0, 1), got nan"),
+    ("dropout=1.5", "selector config: dropout must lie in [0, 1), got 1.5"),
+    ("hidden=0", "selector config: hidden must be positive, got 0"),
+    ("hidden=100000000000", f"selector config: hidden must be at most {MAX_WIDTH}, "
+                            "got 100000000000"),
+], ids=["dropout_nan", "dropout_above_1", "hidden_0", "hidden_huge"])
+def test_every_command_rejects_an_unusable_selector_value(tmp_path, capsys, command, line,
+                                                          message):
+    """Selector keys are checked when the config is parsed, so a command that
+    builds no selector rejects them too, before it writes anything."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(FAST_CONFIG + line + "\n")
+    record = tmp_path / "record.json"
+    record.write_text("{}\n")
+    out = tmp_path / "run"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    code = run(argv + (["--input", str(record)] if command == "route" else []))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {message}"), captured.err
+    assert "Traceback" not in captured.err and captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("d_x=100000000000", "world config: d_x must be at most 2048, got 100000000000"),
+    ("d_q=2049", "world config: d_q must be at most 2048, got 2049"),
+    ("batch_size=100000000000",
+     f"train config: batch_size must be at most {MAX_BATCH_SIZE}, got 100000000000"),
+    ("d=100000000000", f"selector config: d must be at most {MAX_WIDTH}, got 100000000000"),
+    ("slot_width=2049", f"selector config: slot_width must be at most {MAX_WIDTH}, got 2049"),
+], ids=["d_x_huge", "d_q_past_the_bound", "batch_size_huge", "d_huge", "slot_width"])
+def test_config_sizes_above_their_bounds_are_config_errors(tmp_path, line, message):
+    """A size no array could hold is rejected when the config is parsed,
+    naming its key, before anything is allocated."""
+    p = tmp_path / "bad.cfg"
+    p.write_text(line + "\n")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(str(p))
+
+
 def test_train_config_accepts_the_panel_size_bound():
     assert TrainConfig(panel_size=MAX_PANEL_SIZE).panel_size == MAX_PANEL_SIZE
     with pytest.raises(ConfigError, match=f"at most {MAX_PANEL_SIZE}"):
         TrainConfig(panel_size=MAX_PANEL_SIZE + 1)
+
+
+def test_train_config_accepts_the_batch_size_bound():
+    assert TrainConfig(batch_size=MAX_BATCH_SIZE).batch_size == MAX_BATCH_SIZE
+    for value in (MAX_BATCH_SIZE + 1, 100_000_000_000):
+        with pytest.raises(ConfigError, match=f"batch_size must be at most {MAX_BATCH_SIZE}, "
+                                              f"got {value}"):
+            TrainConfig(batch_size=value)

@@ -22,11 +22,11 @@ from toolselect.evalharness import (
     evaluate,
     gap_closure,
     machine_records,
-    panel_digest,
-    parse_machine_record,
     render_report,
 )
 from toolselect.trainer import build_model, default_selector_config
+
+from per_query import panel_digest, parse_machine_record
 
 
 # ------------------------------------------------------------- gap_closure

@@ -6,17 +6,9 @@ import pytest
 from toolselect import diffcore as dc
 from toolselect.anp_selector import BatchForward
 from toolselect.errors import ConfigError
-from toolselect.objective import (
-    ObjectiveConfig,
-    PanelCosts,
-    batch_objective,
-    compsum_loss,
-    compsum_weights,
-    coverage_loss,
-    coverage_loss_value,
-    entropy_reg,
-    selection_loss,
-)
+from toolselect.objective import ObjectiveConfig, PanelCosts, batch_objective, compsum_weights
+
+from per_query import compsum_loss, coverage_loss, coverage_loss_value, entropy_reg, selection_loss
 
 
 def _dist(scores, mask):

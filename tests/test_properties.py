@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toolselect import diffcore as dc
-from toolselect.checkpoint import load_checkpoint, params_to_float32, save_checkpoint
+from toolselect.checkpoint import load_checkpoint, save_checkpoint
 from toolselect.datasets import parse_record
 from toolselect.domain import GroundTruth, LabeledQuery, Query, TaskFamily
 from toolselect.errors import CheckpointError, ConfigError, NoValidCandidateError
@@ -33,10 +33,9 @@ from toolselect.simworld import (
     keyed_rng,
     keyed_rngs,
     sample_queries,
-    sample_query,
 )
 
-from per_query import box_from_x
+from per_query import box_from_x, params_to_float32, sample_query
 
 # ------------------------------------------------------------- parse_record
 

@@ -93,6 +93,20 @@ def test_config_validation():
         SelectorConfig(hidden=0)
 
 
+@pytest.mark.parametrize("name", ["d_x", "d_q", "d_xp", "d_qp", "d_u", "d", "d_k", "d_v",
+                                  "hidden", "label_embed_dim", "rho_dim", "slot_width",
+                                  "eta_dim"])
+def test_every_selector_width_is_bounded(name):
+    """Each width may reach ``MAX_WIDTH``; past it the config names the key
+    (the configs are built, not trained)."""
+    from toolselect.anp_selector import MAX_WIDTH
+    assert getattr(SelectorConfig(**{name: MAX_WIDTH}), name) == MAX_WIDTH
+    for value in (MAX_WIDTH + 1, 100_000_000_000):
+        with pytest.raises(ConfigError, match=f"selector config: {name} must be at most "
+                                              f"{MAX_WIDTH}, got {value}"):
+            SelectorConfig(**{name: value})
+
+
 # ------------------------------------------------------------ encode_query
 
 def test_encode_query_zero_input_zero_output():

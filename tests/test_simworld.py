@@ -12,17 +12,15 @@ from toolselect.simworld import (
     MAX_SIZES,
     PREDICTION_KEY,
     WorldConfig,
-    competence,
     generate_world,
     keyed_rng,
     regenerate_test_tools,
     sample_panel,
-    sample_query,
     tool_predict,
     world_digest,
 )
 
-from per_query import box_from_x
+from per_query import box_from_x, competence, reference_outcome, sample_query
 
 
 def _pair_rng(world, tool, query):
@@ -101,6 +99,8 @@ def test_split_sizes(small_world):
     ({"p_max": -0.5}, "p_max must lie in (0, 1], got -0.5"),
     ({"p_floor": 1.5}, "p_floor must be at most 1, got 1.5"),
     ({"sharpness": -1.0}, "sharpness must be non-negative, got -1.0"),
+    ({"d_x": 10 ** 11}, f"d_x must be at most 2048, got {10 ** 11}"),
+    ({"d_q": 2049}, "d_q must be at most 2048, got 2049"),
 ])
 def test_world_config_rejects_unusable_values(bad, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
@@ -520,21 +520,6 @@ def _stored(world):
             for task, t in world._tables.items() if any(t.filled)}
 
 
-@pytest.fixture
-def block_fills(monkeypatch):
-    """(world, task, block) of every ``_OutcomeTable`` block filled while
-    the test runs, in order."""
-    from toolselect.simworld import _OutcomeTable
-    fills = []
-    fill_block = _OutcomeTable._fill_block
-
-    def counted(self, world, block):
-        fills.append((world, self.spec.task, block))
-        return fill_block(self, world, block)
-    monkeypatch.setattr(_OutcomeTable, "_fill_block", counted)
-    return fills
-
-
 def _blocks_of(fills, world):
     """The (task, block) fills of one world, in order."""
     return [(task, block) for w, task, block in fills if w is world]
@@ -599,7 +584,7 @@ def test_table_rows_are_the_split_queries_in_split_order(small_world):
         assert [tool.index for tool in table.tools.tools] == \
             [tool.index for tool in w.populations[task]]
         rows = table.rows([lq.query for lq in table.lqs], table.lqs)
-        assert rows.tolist() == list(range(len(table.lqs)))
+        assert list(rows) == list(range(len(table.lqs)))
 
 
 def test_queries_in_no_split_are_computed_and_not_stored(small_world):
@@ -747,25 +732,6 @@ def _outcome_bytes(groups, n):
     return out
 
 
-def _reference_outcome(world, tool, lq):
-    """``_outcome_bytes`` of one pair from ``tool_predict`` with a fresh keyed
-    generator and ``domain.cost``."""
-    from toolselect.simworld import _null_output, _output_layout
-    spec = world.task_spec(lq.query.task)
-    if not validity(tool, lq.query):
-        return bytes([False]) + _null_output(spec).tobytes()
-    pred = tool_predict(world, tool, lq.query, _pair_rng(world, tool, lq.query))
-    if spec.family in CATEGORICAL_FAMILIES:
-        output = pred.probs
-    elif spec.family is TaskFamily.GROUNDING:
-        output = np.array(pred.box)
-    else:
-        output = np.array([pair in pred.pairs for pair in spec.space.pair_vocab])
-    c = cost(spec.family, pred, lq.gt, clipped_xent=world.cfg.clipped_xent)
-    return (bytes([True]) + output.astype(_output_layout(spec)[1]).tobytes()
-            + np.float64(c).tobytes())
-
-
 @pytest.mark.parametrize("scored_first", [False, True])
 def test_one_query_reads_equal_mixed_chunk_reads_and_tool_predict(small_world, scored_first,
                                                                   block_fills):
@@ -817,7 +783,7 @@ def test_one_query_reads_equal_mixed_chunk_reads_and_tool_predict(small_world, s
     in_order = [None] * len(pairs)
     for k, i in enumerate(order.tolist()):
         in_order[i] = mixed[k]
-    want = [_reference_outcome(w, tool, lq) for tool, lq in pairs]
+    want = [reference_outcome(w, tool, lq) for tool, lq in pairs]
     assert got == want
     assert in_order == want
     assert _stored(one) == _stored(chunk)
@@ -853,7 +819,7 @@ def test_a_one_query_read_fills_its_own_block_and_no_other(small_world, block_fi
         for c in np.flatnonzero(valid).tolist():
             got = (bytes([True]) + table.outputs[start + r, c].tobytes()
                    + table.costs[start + r, c].tobytes())
-            assert got == _reference_outcome(w, table.tools.tools[c], other), (r, c)
+            assert got == reference_outcome(w, table.tools.tools[c], other), (r, c)
     empty = np.ones(len(table.lqs), dtype=bool)
     empty[start:start + len(block_lqs)] = False
     assert not table.costs[empty].any() and not table.outputs[empty].any()
@@ -883,7 +849,7 @@ def test_reads_outside_the_table_fill_and_store_nothing(small_world, block_fills
         preds = _predictions(w, tools, [lq.query] * len(tools))
         got = _outcome_bytes(w.tool_outcomes(tools, [lq.query] * len(tools), [lq] * len(tools)),
                              len(tools))
-        assert got == [_reference_outcome(w, tool, lq) for tool in tools]
+        assert got == [reference_outcome(w, tool, lq) for tool in tools]
         assert [_prediction_bytes(p) for p in preds] == [
             _prediction_bytes(tool_predict(w, tool, lq.query, _pair_rng(w, tool, lq.query)))
             for tool in tools]
